@@ -19,8 +19,8 @@ from .dilog import find_saddle, find_zero
 from .asymptotics import (a3_quadrature, b_coeffs, c_coeffs, decay_exponent,
                           evaluate_expansion, family_leading,
                           path_positivity_check)
-from .residues import (a1_sum, c01l_exact, p_restricted,
-                       reconstruct_product, residue_sum)
+from .residues import (a1_sum, c01l_exact, reconstruct_product,
+                       residue_sum, residue_sum_expected)
 from .sine_products import em_remainder_scan, psi
 
 TABLE_MISMATCH, IDENTITY_FAILURE, CONVERGENCE_FAILURE, PRECISION_EXHAUSTION = 2, 3, 4, 5
@@ -96,12 +96,7 @@ def criterion_3_trichotomy(n_max: int = 25) -> CriterionResult:
         sigmas = [s for s in range(-6, 7)] + [M, M + 3]
         for sigma in sigmas:
             got = residue_sum(N, sigma, 320).value
-            if sigma <= 0:
-                want = -p_restricted(N, -sigma)
-            elif sigma < M:
-                want = 0
-            else:
-                want = (-1) ** N * p_restricted(N, sigma - M)
+            want = residue_sum_expected(N, sigma)
             if abs(got - want) > mpf("1e-15") * (1 + abs(want)):
                 bad.append(f"N={N} sigma={sigma}")
     dt = time.time() - t0

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import mpmath
@@ -24,7 +25,8 @@ from .asymptotics import b_coeffs, c_coeffs, evaluate_expansion, family_leading
 from .dilog import ConvergenceError, find_zero
 from .precision import default_precision, set_default_precision
 from .residues import (FamilySelector, PrecisionLossError, a1_sum, c01l_exact,
-                       family_sum, p_restricted, residue_report, residue_sum)
+                       family_sum, residue_report, residue_sum,
+                       residue_sum_expected)
 from .sine_products import minimal_pair, psi
 
 EXIT_OK = 0
@@ -82,18 +84,12 @@ def cmd_psi(args) -> int:
     k = args.k
     rows = []
     for h in range(1, k):
-        if _gcd(h, k) != 1:
+        if math.gcd(h, k) != 1:
             continue
         rows.append((h, mpmath.nstr(psi(h, k).value, 6), minimal_pair(h, k).D))
     _emit(rows, ["h", "psi", "D"], args.format, args.out,
           f"maximum reciprocal-sine-product statistic for k={k}")
     return EXIT_OK
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _TABLES = {
@@ -146,15 +142,9 @@ def cmd_identity(args) -> int:
     sigmas = args.sigma_set or list(range(-3, 4))
     failures = []
     for N in range(1, args.n_max + 1):
-        M = N * (N + 1) // 2
         for sigma in sigmas:
             got = residue_sum(N, sigma).value
-            if sigma <= 0:
-                want = -p_restricted(N, -sigma)
-            elif sigma < M:
-                want = 0
-            else:
-                want = (-1) ** N * p_restricted(N, sigma - M)
+            want = residue_sum_expected(N, sigma)
             if abs(got - want) > mpf("1e-15") * (1 + abs(want)):
                 failures.append((N, sigma))
                 print(f"FAIL N={N} sigma={sigma}: {mpmath.nstr(got, 10)} != {want}")
@@ -268,8 +258,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.precision_bits:
-        set_default_precision(args.precision_bits)
+    if args.precision_bits is not None:
+        try:
+            set_default_precision(args.precision_bits)
+        except ValueError as exc:
+            parser.error(f"--precision-bits: {exc}")
     try:
         return args.fn(args)
     except ConvergenceError as exc:

@@ -13,15 +13,33 @@ to the operating precision.
 
 from __future__ import annotations
 
+import operator
 import os
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
 DEFAULT_PRECISION = 256
+MIN_PRECISION = 8
 
 _ENV_VAR = "PFRAC_PRECISION_BITS"
-_default_bits = int(os.environ.get(_ENV_VAR, DEFAULT_PRECISION))
+
+
+def _checked_precision(bits, name: str = "precision") -> int:
+    """`bits` as an int, or ValueError unless it is an integer >= MIN_PRECISION.
+
+    Accepts Python integers and decimal strings (the environment variable)."""
+    try:
+        value = int(bits, 10) if isinstance(bits, str) else operator.index(bits)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value < MIN_PRECISION:
+        raise ValueError(f"{name} must be an integer of at least {MIN_PRECISION} bits, "
+                         f"got {bits!r}")
+    return value
+
+
+_default_bits = _checked_precision(os.environ.get(_ENV_VAR, DEFAULT_PRECISION), _ENV_VAR)
 
 
 def default_precision() -> int:
@@ -32,10 +50,8 @@ def default_precision() -> int:
 def set_default_precision(bits: int) -> int:
     """Set the default working precision, returning the previous value."""
     global _default_bits
-    if bits < 8:
-        raise ValueError("precision must be at least 8 bits")
     old = _default_bits
-    _default_bits = bits
+    _default_bits = _checked_precision(bits)
     return old
 
 
@@ -60,8 +76,8 @@ class _HPBase:
 
     def __init__(self, value, precision: int | None = None):
         prec = default_precision() if precision is None else int(precision)
-        if prec < 8:
-            raise ValueError("precision must be at least 8 bits")
+        if prec < MIN_PRECISION:
+            raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
         with mp.workprec(prec):
             self.value = self._convert(value)
         self.precision = prec

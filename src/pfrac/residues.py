@@ -24,11 +24,12 @@ from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, default_precision
 from .sequences import bernoulli_over_factorial, power_sum_table
+from .sine_products import _sine_factors
 
 __all__ = [
     "FareyFraction", "farey", "p_restricted", "q_simple", "q_general",
-    "residue_sum", "c_from_q", "q_from_c", "a1_sum", "FamilySelector",
-    "family_sum", "c01l_exact", "q01_exact", "principal_part",
+    "residue_sum", "residue_sum_expected", "c_from_q", "q_from_c", "a1_sum",
+    "FamilySelector", "family_sum", "c01l_exact", "q01_exact", "principal_part",
     "reconstruct_product", "sylvester_wave", "residue_report",
     "PrecisionLossError",
 ]
@@ -119,7 +120,7 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
 
     Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
         e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k)),
-    with the sine product accumulated in log space.  sigma may be real.
+    with the signed sine factors multiplied directly.  sigma may be real.
     """
     if not (N / 2 < k <= N):
         raise ValueError("simple-pole residue needs N/2 < k <= N")
@@ -127,17 +128,10 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
         raise ValueError("h/k must be reduced")
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        log_abs = mpf(0)
-        sign = 1
-        for j in range(1, N - k + 1):
-            r = (j * h) % k
-            if (j * h) // k % 2 == 1:
-                sign = -sign
-            log_abs -= mpmath.log(2 * mpmath.sin(pi * mpf(r) / k))
-        val = ((-1) ** (k + 1) * sign / mpf(k) ** 2
+        val = ((-1) ** (k + 1) / mpf(k) ** 2
                * mpmath.exp(-1j * pi * h * (mpf(N) * N + N - 4 * sigma) / (2 * k))
                * mpmath.exp(1j * pi / 2 * mpf(2 * N * h + N + h + k - h * k))
-               * mpmath.exp(log_abs))
+               / mpmath.fprod(_sine_factors(h, k, N - k, prec + 16)))
     return HPComplex(val, prec)
 
 
@@ -265,6 +259,17 @@ def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
     return HPComplex(total, prec)
 
 
+def residue_sum_expected(N: int, sigma: int) -> int:
+    """Exact value of residue_sum(N, sigma): -p_N(-sigma) for sigma <= 0, 0 for
+    0 < sigma < N(N+1)/2, and (-1)^N p_N(sigma - N(N+1)/2) above."""
+    M = N * (N + 1) // 2
+    if sigma <= 0:
+        return -p_restricted(N, -sigma)
+    if sigma < M:
+        return 0
+    return (-1) ** N * p_restricted(N, sigma - M)
+
+
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
     """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
     if ell < 1:
@@ -295,31 +300,13 @@ def q_from_c(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPC
 
 # -- dominant simple-pole sums -------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _a1_sum_cached(N: int, sigma: int, prec: int) -> mpf:
-    with mp.workprec(prec + 16):
-        total = mpf(0)
-        for k in range(N // 2 + 1, N + 1):
-            log_abs = mpf(0)
-            for j in range(1, N - k + 1):
-                log_abs -= mpmath.log(2 * mpmath.sin(pi * mpf(j) / k))
-            term = (2 * (-1) ** k / mpf(k) ** 2
-                    * mpmath.exp(1j * pi / 2 * ((-mpf(N) * N - N + 4 * sigma) / k + 3 * N))
-                    * mpmath.exp(log_abs))
-            total += term.imag
-        return +total
-
-
 def a1_sum(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """Simple-pole family sum over N/2 < k <= N, h in {1, k-1}:
 
     Im sum_k (2 (-1)^k / k^2) e^{(i pi/2)[(-N^2-N+4 sigma)/k + 3N]} prod^{-1}(1/k)_{N-k},
-    with the reciprocal sine products kept in log space.
+    evaluated as the family-A residue sum (the pole 1/2 counted once).
     """
-    if N < 2:
-        raise ValueError("need N >= 2")
-    prec = default_precision() if prec is None else prec
-    return HPReal(_a1_sum_cached(N, int(sigma), prec), prec)
+    return family_sum(FamilySelector("A", N), sigma, prec)
 
 
 @dataclass(frozen=True)

@@ -159,11 +159,6 @@ class TruncatedSeries:
         return self._make(out, self.lead, self.trunc,
                           self.prec or default_precision(), False)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        return self._make(list(self.coeffs), self.lead + k, self.trunc + k,
-                          self.prec, self.exact)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)

@@ -1,10 +1,13 @@
 """Sine products, their Euler-Maclaurin approximation, and the congruence
 statistics that decide which residues dominate.
 
-The central objects are the products prod_{j<=m} 2 sin(pi j h/k), always
-accumulated in log space (they reach e^{0.148 k} for h = 1), the remainder
-T_L left after truncating the Euler-Maclaurin expansion of their logarithm,
-and the maximum statistic Psi(h/k) over partial products.
+The central objects are the products prod_{j<=m} 2 sin(pi j h/k), the
+remainder T_L left after truncating the Euler-Maclaurin expansion of their
+logarithm, and the maximum statistic Psi(h/k) over partial products.  Every
+such product in the package is built from the factors of `_sine_factors`,
+which rotates e^{i pi h/k} instead of calling sin once per factor; mpf
+exponents are unbounded, so the products (up to e^{0.148 k} for h = 1) are
+multiplied directly and the sign falls out of the product.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -30,7 +33,7 @@ from .precision import HPComplex, HPReal, default_precision
 from .sequences import bernoulli, stirling2
 
 __all__ = [
-    "SineProductValue", "sine_product", "sine_product_theta", "psi", "psi_table",
+    "SineProductValue", "sine_product", "psi", "psi_table",
     "MinimalPair", "minimal_pair", "zero_pairs", "cot_derivative", "g_ell",
     "EMConfig", "r_delta", "em_product_estimate", "em_remainder", "t_l_bound",
     "em_remainder_scan", "s_wave_sum",
@@ -49,8 +52,29 @@ class SineProductValue:
         return self.sign * mpmath.exp(self.logAbs.value)
 
 
+def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
+    """Signed factors 2 sin(pi j h/k), j = 1..m, good to `prec` bits each.
+
+    Advances z = e^{i pi j h/k} by one complex multiplication per factor, in
+    fixed point z = (x + i y) 2^-wp, where a step costs half of an mpc
+    product.  Each step adds about one unit of 2^-wp to the error while the
+    smallest factor is about 2 pi/k, so wp carries bitlen(m) + bitlen(k)
+    guard bits.
+    """
+    wp = prec + m.bit_length() + k.bit_length()
+    with mp.workprec(wp):
+        step = mpmath.expjpi(mpf(h) / k)
+        c, s = int(mpmath.ldexp(step.real, wp)), int(mpmath.ldexp(step.imag, wp))
+        x, y = 1 << wp, 0
+        factors = []
+        for _ in range(m):
+            x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+            factors.append(mpf((y, 1 - wp)))
+        return factors
+
+
 def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProductValue:
-    """prod_{j=1}^{m} 2 sin(pi j h/k) in log space; the empty product is 1.
+    """prod_{j=1}^{m} 2 sin(pi j h/k) as log|prod| and sign; the empty product is 1.
 
     Requires (h, k) = 1 and 0 <= m < k so no factor vanishes.
     """
@@ -60,38 +84,16 @@ def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProduct
         raise ValueError("m must satisfy 0 <= m < k (zero factor otherwise)")
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        log_abs = mpf(0)
-        sign = 1
-        for j in range(1, m + 1):
-            r = (j * h) % k
-            if (j * h) // k % 2 == 1:
-                sign = -sign
-            log_abs += mpmath.log(2 * mpmath.sin(pi * mpf(r) / k))
-        return SineProductValue(HPReal(log_abs, prec), sign, m, Fraction(h, k))
-
-
-def sine_product_theta(theta, m: int, prec: int | None = None) -> SineProductValue:
-    """Real-argument variant for |theta| < 1/m (all factors nonzero)."""
-    prec = default_precision() if prec is None else prec
-    with mp.workprec(prec + 16):
-        t = mpf(theta)
-        if m > 0 and abs(t) * m >= 1:
-            raise ValueError("need |theta| < 1/m")
-        log_abs = mpf(0)
-        sign = 1
-        for j in range(1, m + 1):
-            s = 2 * mpmath.sin(pi * j * t)
-            if s < 0:
-                sign = -sign
-                s = -s
-            log_abs += mpmath.log(s)
-        return SineProductValue(HPReal(log_abs, prec), sign, m, t)
+        prod = mpmath.fprod(_sine_factors(h, k, m, prec + 16))
+        return SineProductValue(HPReal(mpmath.log(abs(prod)), prec),
+                                1 if prod > 0 else -1, m, Fraction(h, k))
 
 
 @lru_cache(maxsize=32)
 def _log_sine_table(k: int, prec: int) -> tuple:
+    """log 2 sin(pi r/k) for r = 1..k-1."""
     with mp.workprec(prec + 16):
-        return tuple(mpmath.log(2 * mpmath.sin(pi * mpf(r) / k)) for r in range(1, k))
+        return tuple(mpmath.log(f) for f in _sine_factors(1, k, k - 1, prec + 16))
 
 
 def psi(h: int, k: int, prec: int | None = None) -> HPReal:
@@ -377,9 +379,7 @@ def _t_exact(h: int, k: int, m: int, L: int, polys_frac, prec: int = 192):
     """(|prod^{-1} T_L|, |T_L|) for one (m, k) pair at high precision."""
     with mp.workprec(prec):
         th = mpf(h) / k
-        lp = mpf(0)
-        for j in range(1, m + 1):
-            lp += mpmath.log(2 * mpmath.sin(pi * j * th))
+        lp = mpmath.log(mpmath.fprod(_sine_factors(h, k, m, prec)))
         x = pi * m * th
         c = mpmath.cot(x)
         em = mpf(0)

@@ -327,13 +327,12 @@ def test_error_order_doubling_pairs():
         pairs = ((200, 400), (300, 600), (400, 800), (500, 1000))
         for sigma in (1, 2):
             e = b_coeffs(sigma, 4, 320)
+            a1 = {N: a1_sum(N, sigma, 420).value for pair in pairs for N in pair}
             for m in (1, 2, 3):
                 best = -mpf("inf")
                 for Na, Nb in pairs:
-                    ea = abs(a1_sum(Na, sigma, 420).value
-                             - evaluate_expansion(e, Na, m, 320).value) * abs(w0) ** Na
-                    eb = abs(a1_sum(Nb, sigma, 420).value
-                             - evaluate_expansion(e, Nb, m, 320).value) * abs(w0) ** Nb
+                    ea = abs(a1[Na] - evaluate_expansion(e, Na, m, 320).value) * abs(w0) ** Na
+                    eb = abs(a1[Nb] - evaluate_expansion(e, Nb, m, 320).value) * abs(w0) ** Nb
                     best = max(best, mpmath.log(ea / eb) / mpmath.log(2))
                 assert best >= m + 2 - mpf("0.3")
 

@@ -1,8 +1,11 @@
 """Command-line surface: determinism, schemas, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
+
+import pytest
 
 from pfrac.cli import main
 from pfrac.refdata import PSI_211
@@ -12,6 +15,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("bits", ["0", "4"])
+def test_precision_bits_below_limit_is_a_usage_error(capsys, bits):
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision-bits", bits, "psi", "--k", "11"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--precision-bits: precision must be an integer of at least 8 bits, got {bits}" in err
+
+
+def test_a1_sweep_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "a1", "--rows", "200,300", "--sigma", "2")
+    assert code == 0
+    assert out.splitlines()[2:] == ["200,-28.33407583", "300,22004.0141"]
+
+
+def test_psi_211_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "psi", "--k", "211")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "022fd788677c002360f03fb6b8b51d52d9a6c742b7bac75b205024a21b4bb91c")
 
 
 def test_zeros_max_b_zero(capsys):

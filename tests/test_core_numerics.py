@@ -1,14 +1,19 @@
 """Scalars, sequence caches, and truncated series arithmetic."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpf, pi
 
-from pfrac.precision import HPComplex, HPReal, tolerance
+import pfrac
+from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
                              binom_half_fraction, power_sum, stirling2)
 from pfrac.series import TruncatedSeries
@@ -48,6 +53,24 @@ def test_complex_wrapper():
     assert abs(z).value == 5
     assert z.conjugate().value == mpmath.mpc(3, -4)
     assert z.real.value == 3 and z.imag.value == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_precision_environment_fails_at_import(value):
+    src = str(Path(pfrac.__file__).resolve().parents[1])
+    env = {**os.environ, "PFRAC_PRECISION_BITS": value,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "import pfrac"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert (f"PFRAC_PRECISION_BITS must be an integer of at least 8 bits, got '{value}'"
+            in proc.stderr)
+
+
+def test_set_default_precision_rejects_bad_values():
+    for bad in (7, 0, "abc", 256.0, None):
+        with pytest.raises(ValueError, match="at least 8 bits"):
+            set_default_precision(bad)
 
 
 # -- Bernoulli ------------------------------------------------------------------

@@ -10,10 +10,10 @@ from mpmath import mp, mpc, mpf, pi
 from pfrac.dilog import clausen
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import TruncatedSeries
-from pfrac.sine_products import (EMConfig, cot_derivative, em_product_estimate,
-                                 em_remainder, g_ell, minimal_pair, psi,
-                                 r_delta, s_wave_sum, sine_product,
-                                 sine_product_theta, t_l_bound, zero_pairs)
+from pfrac.sine_products import (EMConfig, _sine_factors, cot_derivative,
+                                 em_product_estimate, em_remainder, g_ell,
+                                 minimal_pair, psi, r_delta, s_wave_sum,
+                                 sine_product, t_l_bound, zero_pairs)
 
 PREC = 256
 
@@ -50,12 +50,35 @@ def test_sine_product_rejects_zero_factor():
         sine_product(2, 6, 1)  # not reduced
 
 
-def test_theta_variant_matches_rational():
-    with mp.workprec(280):
-        a = sine_product(1, 10, 4, PREC)
-        b = sine_product_theta(mpf(1) / 10, 4, PREC)
-        assert abs(a.logAbs.value - b.logAbs.value) < mpf(2) ** -240
-        assert a.sign == b.sign
+def _log_sine_factors(h, k, m, prec):
+    """Oracle: (log|2 sin(pi j h/k)|, sign) for j = 1..m, one sin and one log
+    per factor, with the argument reduced exactly to pi r/k, 0 < r < k."""
+    with mp.workprec(prec):
+        return [(mpmath.log(2 * mpmath.sin(pi * mpf((j * h) % k) / k)),
+                 -1 if (j * h) // k % 2 else 1) for j in range(1, m + 1)]
+
+
+def test_sine_factors_meet_precision_contract():
+    # value at p bits vs the log/sin oracle at p + 64 bits, relative 2^(16-p),
+    # for h near 1, k/2 and k-1: there j h/k comes within 1/k of an integer
+    # (j = k-1, 2 and 1), where the factor is smallest and rotation error
+    # counts most
+    for k in (12, 211, 600, 997, 1000):
+        hs = [h for h in (1, 2, k // 2 - 1, k // 2, k // 2 + 1, k - 2, k - 1)
+              if gcd(h, k) == 1]
+        for h in hs:
+            for p in (64, 256):
+                ref = _log_sine_factors(h, k, k - 1, p + 64)
+                tol = mpf(2) ** (16 - p)
+                with mp.workprec(p + 64):
+                    for f, (log_abs, sign) in zip(_sine_factors(h, k, k - 1, p), ref):
+                        assert (f > 0) == (sign > 0)
+                        assert abs(mpmath.log(abs(f)) - log_abs) <= tol
+                    for m in (1, k // 2, k - 1):
+                        v = sine_product(h, k, m, p)
+                        want = mpmath.fsum(la for la, _ in ref[:m])
+                        assert v.sign == math.prod(sg for _, sg in ref[:m])
+                        assert abs(v.logAbs.value - want) <= tol
 
 
 # -- Psi and the congruence statistics ---------------------------------------------

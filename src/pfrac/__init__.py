@@ -16,11 +16,11 @@ from .sine_products import (EMConfig, MinimalPair, SineProductValue,
                             em_remainder_scan, g_ell, minimal_pair, psi,
                             psi_table, r_delta, s_wave_sum, sine_product,
                             t_l_bound)
-from .residues import (FamilySelector, FareyFraction, PrecisionLossError, ResidueRequest, a1_sum, c01l_exact,
-                       c_from_q, family_sum, farey, p_restricted,
-                       principal_part, q01_exact, q_from_c, q_general,
-                       q_simple, reconstruct_product, residue_report,
-                       residue_sum, sylvester_wave)
+from .residues import (FamilySelector, FareyFraction, PrecisionLossError,
+                       a1_sum, c01l_exact, c_from_q, family_sum, farey,
+                       p_restricted, principal_part, q01_exact, q_from_c,
+                       q_general, q_simple, reconstruct_product,
+                       residue_report, residue_sum, sylvester_wave)
 from .asymptotics import (Expansion, LocalSeriesPair, a3_quadrature,
                           b_coeffs, bell_partial, c_coeffs, decay_exponent,
                           evaluate_expansion, family_leading, local_series,

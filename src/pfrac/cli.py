@@ -258,6 +258,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    previous = default_precision()
     if args.precision_bits is not None:
         try:
             set_default_precision(args.precision_bits)
@@ -271,6 +272,8 @@ def main(argv=None) -> int:
     except PrecisionLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION_EXHAUSTION
+    finally:
+        set_default_precision(previous)
 
 
 if __name__ == "__main__":

@@ -60,11 +60,6 @@ def tolerance(prec: int) -> mpf:
     return mpf(2) ** (16 - prec)
 
 
-def workprec(prec: int):
-    """mpmath context manager computing with `prec` significant bits."""
-    return mp.workprec(prec)
-
-
 def _unwrap(x):
     if isinstance(x, (HPReal, HPComplex)):
         return x.value, x.precision

@@ -10,11 +10,13 @@ prod_{j<=N}(1 - e^{jx}) = (-1)^N N! x^N exp(Phat(x)),
 Phat(x) = S_1(N) x/2 + sum_k B_{2k} S_{2k}(N) x^{2k} / (2k (2k)!),
 with S_r(N) = sum_{j<=N} j^r, so a single series exponential produces every
 coefficient; it is validated by re-running with 64 extra bits.
+
+Single-threaded: all of it runs in mpmath's global `mp` context, and the
+module caches take no locks.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -67,31 +69,6 @@ def farey(N: int) -> list[FareyFraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ResidueRequest:
-    """A pole of Q(z; N, sigma) at frac = h/k together with its order.
-
-    The order s = floor(N/k) is equivalent to N/(s+1) < k <= N/s.
-    """
-    frac: FareyFraction
-    N: int
-    sigma: int
-    poleOrder: int = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.N < 1 or self.frac.k > self.N:
-            raise ValueError("pole requires 1 <= k <= N")
-        s = self.N // self.frac.k
-        if self.poleOrder is None:
-            object.__setattr__(self, "poleOrder", s)
-        elif self.poleOrder != s:
-            raise ValueError(f"pole order must be {s}, got {self.poleOrder}")
-
-    def residue(self, prec: int | None = None) -> HPComplex:
-        return q_general(self.frac.h, self.frac.k, self.sigma, self.N, prec)
-
-
-_partition_lock = threading.Lock()
 _partition_tables: dict[int, list[int]] = {}
 
 
@@ -101,16 +78,15 @@ def p_restricted(N: int, n: int) -> int:
         raise ValueError("need N, n >= 0")
     if N == 0:
         return 1 if n == 0 else 0
-    with _partition_lock:
-        table = _partition_tables.get(N)
-        if table is None or len(table) <= n:
-            size = max(n + 1, 2 * len(table) if table else 64)
-            table = [1] + [0] * (size - 1)
-            for part in range(1, N + 1):
-                for amount in range(part, size):
-                    table[amount] += table[amount - part]
-            _partition_tables[N] = table
-        return table[n]
+    table = _partition_tables.get(N)
+    if table is None or len(table) <= n:
+        size = max(n + 1, 2 * len(table) if table else 64)
+        table = [1] + [0] * (size - 1)
+        for part in range(1, N + 1):
+            for amount in range(part, size):
+                table[amount] += table[amount - part]
+        _partition_tables[N] = table
+    return table[n]
 
 
 # -- residues -----------------------------------------------------------------
@@ -128,26 +104,40 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
         raise ValueError("h/k must be reduced")
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        val = ((-1) ** (k + 1) / mpf(k) ** 2
-               * mpmath.exp(-1j * pi * h * (mpf(N) * N + N - 4 * sigma) / (2 * k))
-               * mpmath.exp(1j * pi / 2 * mpf(2 * N * h + N + h + k - h * k))
-               / mpmath.fprod(_sine_factors(h, k, N - k, prec + 16)))
-    return HPComplex(val, prec)
+        product = mpmath.fprod(_sine_factors(h, k, N - k, prec + 16))
+        return HPComplex(_q_simple_at(h, k, sigma, N, product), prec)
+
+
+def _q_simple_at(h: int, k: int, sigma, N: int, product):
+    """q_simple's closed form at the working precision, given its sine product."""
+    return ((-1) ** (k + 1) / mpf(k) ** 2
+            * mpmath.exp(-1j * pi * h * (mpf(N) * N + N - 4 * sigma) / (2 * k))
+            * mpmath.exp(1j * pi / 2 * mpf(2 * N * h + N + h + k - h * k))
+            / product)
 
 
 def _norm_sigma(sigma):
-    return sigma if isinstance(sigma, int) else mpmath.mpmathify(sigma)
+    """sigma as an int when it is integral, else as an mpmath number."""
+    sigma = sigma if isinstance(sigma, int) else mpmath.mpmathify(sigma)
+    return int(sigma) if mpmath.isint(sigma) else sigma
+
+
+@lru_cache(maxsize=256)
+def _roots_of_unity(k: int, wprec: int) -> tuple:
+    """(e^{2 pi i r/k} for r = 0..k-1) at wprec bits."""
+    with mp.workprec(wprec):
+        return tuple(mpmath.exp(2j * pi * mpf(r) / k) for r in range(k))
 
 
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
-    """Cached Laurent data at z = h/k: pole order s and the coefficients of
+    """Cached Laurent data at z = h/k, s = floor(N/k): the coefficients of
     1 / (prod_{mu<=s} E(mu k y) * prod_{k|j false, j<=N} (1 - zeta^j e^{jy}))
     to order y^{s-1}, where y = 2 pi i (z - h/k) and E(x) = (e^x - 1)/x."""
     s = N // k
     n = s  # coefficients y^0 .. y^{s-1}
     with mp.workprec(wprec):
-        zpow = [mpmath.exp(2j * pi * mpf(r) / k) for r in range(k)]
+        zpow = _roots_of_unity(k, wprec)
         den = [mpc(0)] * n
         den[0] = mpc(1)
         # E(mu k y) factors
@@ -168,8 +158,7 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
                 jp *= j
                 f.append(-zj * jp * invfact[i])
             den = _sermul(den, f, n)
-        inv = _serinv(den, n)
-        return s, tuple(inv)
+        return tuple(_serinv(den, n))
 
 
 def _sermul(a, b, n):
@@ -213,49 +202,57 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
     if gcd(h, k) != 1 or not 0 <= h < k:
         raise ValueError("h/k must be a reduced fraction in [0, 1)")
     prec = default_precision() if prec is None else prec
+    sigma = _norm_sigma(sigma)
     s = N // k
-    wprec = _work_prec(prec, s, N)
-    for _ in range(4):
+    for attempt in range(4):
+        wprec = _work_prec(prec, s, N) << attempt
         with mp.workprec(wprec):
-            _, inv = _pole_inverse(h, k, N, wprec)
-            zeta_sig = mpmath.exp(2j * pi * h * _norm_sigma(sigma) / k)
+            inv = _pole_inverse(h, k, N, wprec)
+            zeta_sig = mpmath.exp(2j * pi * h * sigma / k)
             total = mpc(0)
-            largest = mpf(0)
+            largest = mpf(0)  # >= the largest |term|: |re| + |im| needs no square root
             sigpow = mpf(1)
             fact = mpf(1)
             for i in range(s):
                 term = sigpow / fact * inv[s - 1 - i]
                 total += term
-                largest = max(largest, abs(term))
+                largest = max(largest, abs(term.real) + abs(term.imag))
                 sigpow *= sigma
                 fact *= i + 1
-            scale = abs((-mpf(k)) ** (-s) / mpmath.factorial(s))
-            val = zeta_sig * (-mpf(k)) ** (-s) / mpmath.factorial(s) * total
+            size = max(abs(total.real), abs(total.imag))  # <= |total|
+            pre = (-mpf(k)) ** (-s) / mpmath.factorial(s)
             # absolute error of the convolution ~ 2^-wprec * largest; accept on
             # either retained relative accuracy or the ambient absolute tolerance
-            abs_err = largest * mpf(2) ** (8 - wprec)
-            rel_ok = total != 0 and abs_err <= abs(total) * mpf(2) ** -prec
-            abs_ok = abs_err * scale <= mpf(2) ** (-prec)
-            lost = mpmath.log(largest / abs(total), 2) if total != 0 and largest > 0 else mpf(0)
-        if largest == 0 or rel_ok or abs_ok:
-            return HPComplex(val, prec)
-        wprec *= 2
+            abs_err = mpmath.ldexp(largest, 8 - wprec)
+            if (not largest or abs_err <= mpmath.ldexp(size, -prec)
+                    or abs_err * abs(pre) <= mpmath.ldexp(1, -prec)):
+                return HPComplex(zeta_sig * pre * total, prec)
+    lost = mpmath.log(largest / size, 2) if size else mpf(wprec)
     raise PrecisionLossError(f"residue at {h}/{k} lost {float(lost):.0f} of {wprec} bits")
 
 
-def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
+def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     """Sum of Q_{h k sigma}(N) over all Farey fractions of order N.
 
     Equals 0 for 0 < sigma < N(N+1)/2, -p_N(-sigma) for sigma <= 0, and
     (-1)^N p_N(sigma - N(N+1)/2) above; summation runs in ascending (k, h)
     order at full precision for reproducibility.
+
+    For integer sigma, Q_{(k-h) k sigma} = conj Q_{h k sigma}, so only the
+    poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole adds
+    2 Re Q.  A non-integer sigma breaks that symmetry and sums every pole.
     """
     prec = default_precision() if prec is None else prec
+    sigma = _norm_sigma(sigma)
+    fold = isinstance(sigma, int)
     fractions = sorted(farey(N), key=lambda f: (f.k, f.h))
     with mp.workprec(prec + 16):
         total = mpc(0)
         for f in fractions:
-            total += q_general(f.h, f.k, sigma, N, prec + 16).value
+            if fold and 2 * f.h > f.k:
+                continue
+            q = q_general(f.h, f.k, sigma, N, prec + 16).value
+            total += 2 * q.real if fold and 0 < 2 * f.h < f.k else q
     return HPComplex(total, prec)
 
 
@@ -270,18 +267,22 @@ def residue_sum_expected(N: int, sigma: int) -> int:
     return (-1) ** N * p_restricted(N, sigma - M)
 
 
+def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
+    """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits, one Q_{h k sigma}(N) per
+    sigma <= ell: C_l = sum_{sigma<=l} C(l-1, sigma-1) (-zeta)^{l-sigma} Q_{h k sigma}(N)."""
+    with mp.workprec(wprec):
+        zeta = _roots_of_unity(k, wprec)[h]
+        qs = [q_general(h, k, sigma, N, wprec).value for sigma in range(1, ell + 1)]
+        return [sum((comb(l - 1, sigma - 1) * (-zeta) ** (l - sigma) * qs[sigma - 1]
+                     for sigma in range(1, l + 1)), mpc(0)) for l in range(1, ell + 1)]
+
+
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
     """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
     if ell < 1:
         raise ValueError("need ell >= 1")
     prec = default_precision() if prec is None else prec
-    with mp.workprec(prec + 16):
-        zeta = mpmath.exp(2j * pi * mpf(h) / k)
-        total = mpc(0)
-        for sigma in range(1, ell + 1):
-            total += (comb(ell - 1, sigma - 1) * (-zeta) ** (ell - sigma)
-                      * q_general(h, k, sigma, N, prec + 16).value)
-    return HPComplex(total, prec)
+    return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
 
 
 def q_from_c(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPComplex:
@@ -289,12 +290,12 @@ def q_from_c(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPC
     if sigma < 1:
         raise ValueError("need sigma >= 1")
     prec = default_precision() if prec is None else prec
+    cs = _c_from_q_all(h, k, sigma, N, prec + 32)
     with mp.workprec(prec + 16):
-        zeta = mpmath.exp(2j * pi * mpf(h) / k)
+        zeta = _roots_of_unity(k, prec + 16)[h]
         total = mpc(0)
         for ell in range(1, sigma + 1):
-            total += (comb(sigma - 1, ell - 1) * zeta ** (sigma - ell)
-                      * c_from_q(h, k, ell, N, prec + 16).value)
+            total += comb(sigma - 1, ell - 1) * zeta ** (sigma - ell) * cs[ell - 1]
     return HPComplex(total, prec)
 
 
@@ -348,18 +349,30 @@ class FamilySelector:
 
 
 def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPReal:
-    """Sum of Q_{h k sigma}(N) over the family; real by conjugate symmetry."""
+    """Sum of Q_{h k sigma}(N) over the family; real by conjugate symmetry.
+
+    In families A, C and D the pair h, k - h shares one sine product, as
+    2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k); both residues are still
+    formed, so the imaginary-part check keeps testing their phases.
+    """
     prec = default_precision() if prec is None else prec
     fractions = sel.fractions()
     if not fractions:
         raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
-    with mp.workprec(prec + 16):
+    wp = prec + 16
+    products = {}  # k -> sine product of the smaller h of the pair at k
+    with mp.workprec(wp):
         total = mpc(0)
         for f in fractions:
             if sel.tag == "E":
-                total += q_general(f.h, f.k, sigma, sel.N, prec + 16).value
+                total += q_general(f.h, f.k, sigma, sel.N, wp).value
+                continue
+            m = sel.N - f.k
+            if 2 * f.h > f.k and f.k in products:
+                product = (-1) ** (m * (m + 3) // 2) * products[f.k]
             else:
-                total += q_simple(f.h, f.k, sigma, sel.N, prec + 16).value
+                product = products[f.k] = mpmath.fprod(_sine_factors(f.h, f.k, m, wp))
+            total += _q_simple_at(f.h, f.k, sigma, sel.N, product)
         if abs(total.imag) > mpf(2) ** (-prec // 2) * (1 + abs(total.real)):
             raise PrecisionLossError(f"family {sel.tag} sum has a large imaginary part")
     return HPReal(total.real, prec)
@@ -449,8 +462,8 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
-    s = N // k
-    return [c_from_q(h, k, ell, N, prec) for ell in range(1, s + 1)]
+    prec = default_precision() if prec is None else prec
+    return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 
 
 def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
@@ -461,8 +474,7 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
         qv = mpc(q)
         total = mpc(0)
         for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
-            zeta = mpmath.exp(2j * pi * mpf(f.h) / f.k)
-            base = 1 / (qv - zeta)
+            base = 1 / (qv - _roots_of_unity(f.k, prec + 16)[f.h])
             power = mpc(1)
             for coeff in principal_part(f.h, f.k, N, prec + 16):
                 power *= base

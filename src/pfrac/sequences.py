@@ -2,11 +2,12 @@
 numbers, factorials, and half-integer binomial coefficients.
 
 Caches grow append-only and are shared; callers never mutate returned values.
+Single-threaded: the caches take no locks, and mpmath's global `mp` context,
+which `bernoulli_over_factorial` computes in, is not thread-safe either.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -16,7 +17,6 @@ from mpmath import mp, mpf
 
 from .precision import HPReal, default_precision
 
-_lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
 _stirling2: list[list[int]] = [[1]]                 # triangle rows
 
@@ -28,15 +28,14 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
-    with _lock:
-        while len(_bernoulli) <= n:
-            m = len(_bernoulli)
-            acc = Fraction(0)
-            for j in range(m):
-                if _bernoulli[j]:
-                    acc += comb(m + 1, j) * _bernoulli[j]
-            _bernoulli.append(-acc / (m + 1))
-        return _bernoulli[n]
+    while len(_bernoulli) <= n:
+        m = len(_bernoulli)
+        acc = Fraction(0)
+        for j in range(m):
+            if _bernoulli[j]:
+                acc += comb(m + 1, j) * _bernoulli[j]
+        _bernoulli.append(-acc / (m + 1))
+    return _bernoulli[n]
 
 
 @lru_cache(maxsize=None)
@@ -59,28 +58,22 @@ def stirling2(n: int, r: int) -> int:
         raise ValueError("stirling2 needs nonnegative arguments")
     if r > n:
         return 0
-    with _lock:
-        while len(_stirling2) <= n:
-            m = len(_stirling2)
-            prev = _stirling2[m - 1]
-            row = [0] * (m + 1)
-            for j in range(1, m):
-                row[j] = prev[j - 1] + j * prev[j]
-            row[m] = 1
-            if m >= 1:
-                row[0] = 0
-            _stirling2.append(row)
-        return _stirling2[n][r]
+    while len(_stirling2) <= n:
+        m = len(_stirling2)
+        prev = _stirling2[m - 1]
+        row = [0] * (m + 1)
+        for j in range(1, m):
+            row[j] = prev[j - 1] + j * prev[j]
+        row[m] = 1
+        if m >= 1:
+            row[0] = 0
+        _stirling2.append(row)
+    return _stirling2[n][r]
 
 
 def binom_half(s: int, j: int, prec: int | None = None) -> HPReal:
     """Generalized binomial coefficient C(-s - 1/2, j)."""
-    if s < 0 or j < 0:
-        raise ValueError("binom_half needs nonnegative arguments")
-    num = Fraction(1)
-    for i in range(j):
-        num *= Fraction(-2 * s - 1 - 2 * i, 2)
-    val = num / factorial(j)
+    val = binom_half_fraction(s, j)
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec):
         return HPReal(mpf(val.numerator) / val.denominator, prec)
@@ -88,15 +81,12 @@ def binom_half(s: int, j: int, prec: int | None = None) -> HPReal:
 
 def binom_half_fraction(s: int, j: int) -> Fraction:
     """Exact value of C(-s - 1/2, j)."""
+    if s < 0 or j < 0:
+        raise ValueError("binom_half needs nonnegative arguments")
     num = Fraction(1)
     for i in range(j):
         num *= Fraction(-2 * s - 1 - 2 * i, 2)
     return num / factorial(j)
-
-
-def power_sum(r: int, n: int) -> int:
-    """sum_{j=1}^{n} j^r, exact."""
-    return sum(j ** r for j in range(1, n + 1))
 
 
 def power_sum_table(rmax: int, n: int) -> list[int]:

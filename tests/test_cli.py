@@ -8,6 +8,7 @@ import json
 import pytest
 
 from pfrac.cli import main
+from pfrac.precision import default_precision
 from pfrac.refdata import PSI_211
 
 
@@ -24,6 +25,13 @@ def test_precision_bits_below_limit_is_a_usage_error(capsys, bits):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--precision-bits: precision must be an integer of at least 8 bits, got {bits}" in err
+
+
+def test_precision_bits_do_not_leak_into_the_process_default(capsys):
+    before = default_precision()
+    code, _ = run_cli(capsys, "--precision-bits", "320", "psi", "--k", "11")
+    assert code == 0
+    assert default_precision() == before
 
 
 def test_a1_sweep_output_is_pinned(capsys):

@@ -15,7 +15,7 @@ from mpmath import mp, mpf, pi
 import pfrac
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
-                             binom_half_fraction, power_sum, stirling2)
+                             binom_half_fraction, power_sum_table, stirling2)
 from pfrac.series import TruncatedSeries
 
 
@@ -168,9 +168,8 @@ def test_binom_half():
 
 
 def test_power_sum():
-    assert power_sum(0, 10) == 10
-    assert power_sum(1, 100) == 5050
-    assert power_sum(3, 7) == sum(j ** 3 for j in range(1, 8))
+    assert power_sum_table(3, 7) == [sum(j ** r for j in range(1, 8)) for r in range(4)]
+    assert power_sum_table(1, 100) == [100, 5050]
 
 
 # -- truncated series --------------------------------------------------------------

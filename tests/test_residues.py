@@ -10,9 +10,9 @@ from mpmath import mp, mpc, mpf, pi
 from pfrac.dilog import find_zero
 from pfrac.residues import (FamilySelector, FareyFraction, a1_sum, c01l_exact,
                             c_from_q, family_sum, farey, p_restricted,
-                            q01_exact, q_from_c, q_general, q_simple,
-                            reconstruct_product, residue_report, residue_sum,
-                            sylvester_wave)
+                            principal_part, q01_exact, q_from_c, q_general,
+                            q_simple, reconstruct_product, residue_report,
+                            residue_sum, sylvester_wave)
 
 PREC = 256
 
@@ -190,6 +190,46 @@ def test_residue_sum_examples():
         assert abs(residue_sum(5, 15, PREC).value + 1) < mpf("1e-20")
 
 
+@pytest.mark.parametrize("sigma", [-3, 0, 2, "M", 2.5])
+def test_folded_residue_sum_matches_explicit_sum(sigma):
+    # integer sigma sums only 2h <= k through conjugation; 2.5 sums every pole
+    p = PREC
+    for N in range(1, 13):
+        s = N * (N + 1) // 2 if sigma == "M" else sigma
+        with mp.workprec(p + 32):
+            qs = [q_general(f.h, f.k, s, N, p + 32).value for f in farey(N)]
+            want = mpmath.fsum(qs)
+            tol = mpf(2) ** (16 - p) * (1 + mpmath.fsum(abs(q) for q in qs))
+            got = residue_sum(N, s, p).value
+            assert abs(got.real - want.real) < tol
+            assert abs(got.imag - want.imag) < tol
+
+
+def test_q_general_escalates_then_gives_up(monkeypatch):
+    import pfrac.residues as residues
+    h, k, sigma, N, p = 1, 3, 2, 11, PREC
+    want = q_general(h, k, sigma, N, p).value
+    asked = []
+    pole_inverse = residues._pole_inverse
+
+    def recording(*args):
+        asked.append(args[-1])
+        return pole_inverse(*args)
+
+    monkeypatch.setattr(residues, "_pole_inverse", recording)
+    monkeypatch.setattr(residues, "_work_prec", lambda prec, s, N: prec - 40)
+    got = q_general(h, k, sigma, N, p).value
+    assert asked == [p - 40, 2 * (p - 40)]
+    with mp.workprec(p + 32):
+        assert abs(got - want) < mpf(2) ** (16 - p) * abs(want)
+
+    monkeypatch.setattr(residues, "_work_prec", lambda prec, s, N: 8)
+    asked.clear()
+    with pytest.raises(residues.PrecisionLossError, match="residue at 1/3 lost"):
+        q_general(h, k, sigma, N, p)
+    assert asked == [8, 16, 32, 64]
+
+
 # -- conversions -------------------------------------------------------------------------
 
 def test_c_from_q_first_order():
@@ -210,6 +250,15 @@ def test_conversion_round_trip(rng):
             assert abs(direct - via) < mpf(2) ** -200 * (1 + abs(direct))
 
 
+def test_principal_part_matches_c_from_q():
+    with mp.workprec(300):
+        for (h, k, N) in ((0, 1, 7), (1, 2, 9), (2, 5, 12)):
+            part = principal_part(h, k, N, PREC)
+            assert len(part) == N // k
+            for ell, c in enumerate(part, 1):
+                assert abs(c.value - c_from_q(h, k, ell, N, PREC).value) < mpf(2) ** -230
+
+
 def test_c011_of_one():
     # 1/(1-q) = -1/(q-1): single-factor decomposition
     assert abs(c01l_exact(1, 1, 128).value + 1) < mpf(2) ** -100
@@ -228,6 +277,16 @@ def test_family_a_equals_a1_sum():
         for N in (37, 100, 150):
             fa = family_sum(FamilySelector("A", N), 1, PREC).value
             assert abs(fa - a1_sum(N, 1, 420).value) < mpf(2) ** -200 * (1 + abs(fa))
+
+
+def test_family_sum_matches_unshared_residues():
+    # one sine product per conjugate pair, against q_simple on every member
+    with mp.workprec(300):
+        for tag, N in (("A", 2), ("A", 3), ("A", 40), ("C", 41), ("D", 41), ("D", 60)):
+            sel = FamilySelector(tag, N)
+            want = mpmath.fsum(q_simple(f.h, f.k, 1, N, PREC).value for f in sel.fractions())
+            got = family_sum(sel, 1, PREC).value
+            assert abs(got - want) < mpf(2) ** (16 - PREC) * (1 + abs(want))
 
 
 def test_family_d_ratio_approaches_one():
@@ -338,15 +397,3 @@ def test_reconstruction_spot():
         lhs = reconstruct_product(9, q, PREC).value
         rhs = 1 / mpmath.fprod([1 - q ** j for j in range(1, 10)])
         assert abs(lhs - rhs) < mpf("1e-40") * abs(rhs)
-
-
-def test_residue_request_type():
-    from pfrac.residues import ResidueRequest
-    req = ResidueRequest(FareyFraction(1, 2), 5, 1)
-    assert req.poleOrder == 2
-    with mp.workprec(200):
-        assert abs(req.residue(128).value - q_general(1, 2, 1, 5, 128).value) < mpf(2) ** -100
-    with pytest.raises(ValueError):
-        ResidueRequest(FareyFraction(1, 2), 5, 1, poleOrder=3)
-    with pytest.raises(ValueError):
-        ResidueRequest(FareyFraction(1, 7), 5, 1)

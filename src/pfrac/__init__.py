@@ -6,7 +6,6 @@ saddle-point method.
 
 from .precision import (HPComplex, HPReal, default_precision,
                         set_default_precision, tolerance)
-from .series import TruncatedSeries
 from .sequences import bernoulli, binom_half, stirling2
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint, clausen, find_saddle,
                     find_zero, li2_continued, li2_principal, p_d, p_d_prime,

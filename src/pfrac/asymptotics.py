@@ -27,7 +27,7 @@ from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _li2_any, find_saddle, find_zero, p_d, q_func, v_func)
 from .precision import HPComplex, HPReal, default_precision
 from .sequences import bernoulli, binom_half_fraction, stirling2
-from .series import TruncatedSeries
+from .series import exp, inv, log, mul
 from .sine_products import g_ell
 
 __all__ = [
@@ -38,6 +38,16 @@ __all__ = [
 ]
 
 
+def _bell_powers(p, n: int, jmax: int) -> list:
+    """[(p_1 x + p_2 x^2 + ...)^j for j = 0..jmax], each to n coefficients."""
+    one = Fraction(1) if all(isinstance(c, (int, Fraction)) for c in p) else mpc(1)
+    base = [0 * one] + list(p[:n - 1])
+    powers = [[one] + [0 * one] * (n - 1)]
+    for _ in range(jmax):
+        powers.append(mul(powers[-1], base, n))
+    return powers
+
+
 def bell_partial(i: int, j: int, p) -> object:
     """Partial ordinary Bell polynomial B-hat_{i,j}(p_1, p_2, ...).
 
@@ -46,33 +56,16 @@ def bell_partial(i: int, j: int, p) -> object:
     """
     if i < 0 or j < 0:
         raise ValueError("need i, j >= 0")
-    if j == 0:
-        one = Fraction(1) if all(isinstance(c, (int, Fraction)) for c in p) else mpf(1)
-        return one if i == 0 else one * 0
-    exact = all(isinstance(c, (int, Fraction)) for c in p)
-    zero = Fraction(0) if exact else mpc(0)
-    base = [zero] + list(p[:i])
-    base += [zero] * (i + 1 - len(base))
-    poly = [zero] * (i + 1)
-    poly[0] = Fraction(1) if exact else mpc(1)
-    for _ in range(j):
-        new = [zero] * (i + 1)
-        for a, ca in enumerate(poly):
-            if not ca:
-                continue
-            for b in range(1, min(len(base) - 1, i - a) + 1):
-                if base[b]:
-                    new[a + b] += ca * base[b]
-        poly = new
-    return poly[i]
+    return _bell_powers(p, i + 1, j)[j][i]
 
 
 @dataclass(frozen=True)
 class LocalSeriesPair:
-    """Local data at a saddle: phase series (from order 2), weight series,
+    """Local data at a saddle, in eps = z - z*: the phase coefficients p,
+    with p(z) - p(z*) = sum_s p[s] eps^{s+2}, the weight coefficients q,
     the saddle itself, and the path direction omega."""
-    pSeries: TruncatedSeries
-    qSeries: TruncatedSeries
+    p: tuple
+    q: tuple
     center: SaddlePoint
     omega: HPComplex
 
@@ -84,71 +77,60 @@ class _Frame:
         self.saddle = saddle
         self.prec = prec
         self.depth = depth
-        # cot differentiation and weight products consume window length, so
-        # the base series carry a generous margin over the exposed depth
+        # each cot differentiation consumes one coefficient, so the cot series
+        # carries a generous margin over the exposed depth
         n = depth + 2 * (depth // 2 + 3)
         with mp.workprec(prec):
             z0 = mpc(saddle.z.value)
             d = saddle.d
             self.z0 = z0
             e0 = mpmath.exp(2j * pi * z0)
-            self.w0 = 1 - e0
             # e^{2 pi i z}, 1 - e^{2 pi i z}, log(1 - e^{2 pi i z}), Li2(e^{2 pi i z})
             fact = mpf(1)
             ecoef = [e0]
             for i in range(1, n):
                 fact *= i
                 ecoef.append(e0 * (2j * pi) ** i / fact)
-            W = TruncatedSeries([1 - ecoef[0]] + [-c for c in ecoef[1:]], 0, n, prec=prec)
-            self.W = W
-            log1w = W.log()
-            li2 = (log1w * (-2j * pi)).integrate()._restrict(0, n)
-            li2.coeffs[0] = _li2_any(e0)
-            zser = TruncatedSeries([z0, mpc(1)] + [mpc(0)] * (n - 2), 0, n, prec=prec)
-            self.zser = zser
-            numer = TruncatedSeries([pi ** 2 / 6 + 4 * pi ** 2 * d - li2.coeffs[0]]
-                                    + [-c for c in li2.coeffs[1:]], 0, n, prec=prec)
-            self.P = numer * zser.recip() * (1 / (2j * pi))
+            W = [1 - ecoef[0]] + [-c for c in ecoef[1:]]
+            f = -2j * pi
+            li2 = [_li2_any(e0)] + [c * f / (i + 1) for i, c in enumerate(log(W, depth - 1))]
+            self.zser = [z0, mpc(1)] + [mpc(0)] * (n - 2)
+            numer = [pi ** 2 / 6 + 4 * pi ** 2 * d - li2[0]] + [-c for c in li2[1:]]
+            f = 1 / (2j * pi)
+            P = [c * f for c in mul(numer, inv(self.zser, depth), depth)]
+            if abs(P[1]) > mpf(2) ** (-prec // 2):
+                raise ConvergenceError("saddle center is not accurate enough")
+            self.p = tuple(P[2:])  # p(z) - p(z*), from the quadratic term
             # amplitude q: q^2 = i z / (1 - e^{2 pi i z}), branch from q(z0)
-            qsq = (zser * W.recip()) * 1j
+            invW = inv(W, n)
+            qsq = [c * 1j for c in mul(self.zser, invW, depth)]
+            f = 1 / qsq[0]
+            half = mpf(1) / 2
+            lg = log([c * f for c in qsq], depth)
             q_at = q_func(z0, prec).value
-            self.Q = qsq.sqrt(branch=q_at)
+            self.Q = [c * q_at for c in exp([c * half for c in lg], depth)]
             # cot(pi z) = i - 2i/(1 - e^{2 pi i z})
-            invW = W.recip()
-            cot = TruncatedSeries([1j - 2j * invW.coeffs[0]] + [-2j * c for c in invW.coeffs[1:]],
-                                  0, n, prec=prec)
-            self._cot = cot
+            self._cot = [1j - 2j * invW[0]] + [-2j * c for c in invW[1:]]
 
-    def p_core(self) -> TruncatedSeries:
-        """p(z) - p(z*), leading with the quadratic term."""
+    def g_series(self, ell: int) -> list:
+        """g_l(z) as a series in eps, by differentiating the cot series."""
         n = self.depth
         with mp.workprec(self.prec):
-            c = list(self.P._restrict(0, n).coeffs)
-            c[0] = mpc(0)
-            if abs(c[1]) > mpf(2) ** (-self.prec // 2):
-                raise ConvergenceError("saddle center is not accurate enough")
-            c[1] = mpc(0)
-            return TruncatedSeries(c, 0, n, prec=self.prec)
-
-    def g_series(self, ell: int) -> TruncatedSeries:
-        """g_l(z) as a series in eps, by differentiating the cot series."""
-        with mp.workprec(self.prec):
             cd = self._cot
+            f = 1 / pi
             for _ in range(2 * ell - 2):
-                cd = cd.differentiate() * (1 / pi)
-            cd = cd._restrict(0, min(cd.trunc, self.depth))
-            if cd.trunc < self.depth:
+                cd = [i * c * f for i, c in enumerate(cd) if i]
+            if len(cd) < n:
                 raise ValueError("frame depth margin exhausted; rebuild deeper")
             b = Fraction(bernoulli(2 * ell), math.factorial(2 * ell))
-            piz = self.zser._restrict(0, cd.trunc) * pi
-            pw = TruncatedSeries([mpc(1)] + [mpc(0)] * (cd.trunc - 1), 0, cd.trunc, prec=self.prec)
+            piz = [c * pi for c in self.zser[:n]]
+            pw = [mpc(1)] + [mpc(0)] * (n - 1)
             for _ in range(2 * ell - 1):
-                pw = pw * piz
-                pw = pw._restrict(0, cd.trunc)
-            out = (pw * cd)._restrict(0, cd.trunc)
-            return out * (-mpf(b.numerator) / b.denominator)
+                pw = mul(pw, piz, n)
+            f = -mpf(b.numerator) / b.denominator
+            return [c * f for c in mul(pw, cd, n)]
 
-    def u_series(self, sigma: int, jmax: int) -> list[TruncatedSeries]:
+    def u_series(self, sigma: int, jmax: int) -> list:
         """[u_{sigma,0}, ..., u_{sigma,jmax}] as eps-series.
 
         u_{sigma,j} collects the 1/N^j coefficient of
@@ -156,25 +138,23 @@ class _Frame:
         """
         n = self.depth
         with mp.workprec(self.prec):
-            terms: dict[int, TruncatedSeries] = {}
-            a1 = (self.zser * (2j * pi * sigma))._restrict(0, n) + self.g_series(1)._restrict(0, n)
-            terms[1] = a1._restrict(0, n)
+            f = 2j * pi * sigma
+            terms = {1: [c * f + g for c, g in zip(self.zser, self.g_series(1))]}
             ell = 2
             while 2 * ell - 1 <= jmax:
-                terms[2 * ell - 1] = self.g_series(ell)._restrict(0, n)
+                terms[2 * ell - 1] = self.g_series(ell)
                 ell += 1
-            one = TruncatedSeries([mpc(1)] + [mpc(0)] * (n - 1), 0, n, prec=self.prec)
-            zero = TruncatedSeries([mpc(0)] * n, 0, n, prec=self.prec)
-            out = [one]
+            out = [[mpc(1)] + [mpc(0)] * (n - 1)]
             for m in range(1, jmax + 1):
-                acc = zero
+                acc = [mpc(0)] * n
                 for kk, ak in terms.items():
                     if kk <= m:
-                        acc = acc + (ak * out[m - kk])._restrict(0, n) * kk
-                out.append(acc * (mpf(1) / m))
+                        acc = [x + y * kk for x, y in zip(acc, mul(ak, out[m - kk], n))]
+                f = mpf(1) / m
+                out.append([c * f for c in acc])
             return out
 
-    def vstar_series(self, ell: int, jmax: int) -> list[TruncatedSeries]:
+    def vstar_series(self, ell: int, jmax: int) -> list:
         """[v*_{ell,0}, ..., v*_{ell,jmax}]: the weights that collapse the
         binomial combination over sigma into a single expansion, with
         v*_{ell,j} = sum_t Bhat_{ell-1+t, ell-1}(1/1!, 1/2!, ...)
@@ -182,18 +162,20 @@ class _Frame:
         n = self.depth
         us = self.u_series(1, jmax)
         with mp.workprec(self.prec):
-            tpz = (self.zser * (2j * pi))._restrict(0, n)
-            powers = [TruncatedSeries([mpc(1)] + [mpc(0)] * (n - 1), 0, n, prec=self.prec)]
+            f = 2j * pi
+            tpz = [c * f for c in self.zser[:n]]
+            powers = [[mpc(1)] + [mpc(0)] * (n - 1)]
             for _ in range(ell - 1 + jmax):
-                powers.append((powers[-1] * tpz)._restrict(0, n))
+                powers.append(mul(powers[-1], tpz, n))
             out = []
             for j in range(jmax + 1):
-                acc = TruncatedSeries([mpc(0)] * n, 0, n, prec=self.prec)
+                acc = [mpc(0)] * n
                 for t in range(j + 1):
                     bh = (Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
                                    math.factorial(ell - 1 + t)))
-                    term = (powers[ell - 1 + t] * us[j - t])._restrict(0, n)
-                    acc = acc + term * (mpf(bh.numerator) / bh.denominator)
+                    f = mpf(bh.numerator) / bh.denominator
+                    term = mul(powers[ell - 1 + t], us[j - t], n)
+                    acc = [x + y * f for x, y in zip(acc, term)]
                 out.append(acc)
             return out
 
@@ -205,31 +187,24 @@ def _frame(m: int, d: int, depth: int, prec: int) -> _Frame:
 
 def local_series(saddle: SaddlePoint, weight=None, depth: int = 12,
                  prec: int | None = None) -> LocalSeriesPair:
-    """Local phase/amplitude series at a saddle.
+    """Local phase/amplitude series at a saddle, to eps^{depth-1}.
 
     weight selects the amplitude: None for q itself, ("u", sigma, j) for
-    q * u_{sigma,j}, ("vstar", ell, j) for q * v*_{ell,j}, or any
-    TruncatedSeries in eps to multiply with q.
+    q * u_{sigma,j}, ("vstar", ell, j) for q * v*_{ell,j}.
     """
     prec = default_precision() if prec is None else prec
     frame = _frame(saddle.m, saddle.d, depth, prec)
     with mp.workprec(frame.prec):
-        q = frame.Q
-        if weight is None:
-            w = q
-        elif isinstance(weight, TruncatedSeries):
-            w = (q * weight)._restrict(0, frame.depth)
-        else:
+        w = frame.Q
+        if weight is not None:
             kind, a, b = weight
             if kind == "u":
-                w = (q * frame.u_series(a, b)[b])._restrict(0, frame.depth)
+                w = mul(w, frame.u_series(a, b)[b], depth)
             elif kind == "vstar":
-                w = (q * frame.vstar_series(a, b)[b])._restrict(0, frame.depth)
+                w = mul(w, frame.vstar_series(a, b)[b], depth)
             else:
                 raise ValueError(f"unknown weight selector {weight!r}")
-        pcore = frame.p_core()
-        pcore = TruncatedSeries(pcore.coeffs[2:], 2, pcore.trunc, prec=prec)
-    return LocalSeriesPair(pcore, w, frame.saddle, HPComplex(frame.z0, prec))
+    return LocalSeriesPair(frame.p, tuple(w), frame.saddle, HPComplex(frame.z0, prec))
 
 
 def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPComplex:
@@ -241,21 +216,21 @@ def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPCom
     """
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 32):
-        p0 = mpc(pair.pSeries.coeff(2))
+        p0 = mpc(pair.p[0])
         omega = mpc(pair.omega.value)
         root = mpmath.sqrt(omega ** 2 * p0)
         if root.real < 0:
             root = -root
         pref = omega / (2 * root)
-        plist = [mpc(pair.pSeries.coeff(2 + t)) for t in range(1, 2 * s + 1)]
+        bell = _bell_powers([mpc(pair.p[t]) for t in range(1, 2 * s + 1)], 2 * s + 1, 2 * s)
         total = mpc(0)
         for i in range(0, 2 * s + 1):
-            wcoef = mpc(pair.qSeries.coeff(2 * s - i)) if 2 * s - i < pair.qSeries.trunc else mpc(0)
+            wcoef = mpc(pair.q[2 * s - i]) if 2 * s - i < len(pair.q) else mpc(0)
             if not wcoef:
                 continue
             inner = mpc(0)
             for j in range(0, i + 1):
-                bh = bell_partial(i, j, plist)
+                bh = bell[j][i]
                 if bh:
                     cf = binom_half_fraction(s, j)
                     inner += p0 ** (-s - j) * (mpf(cf.numerator) / cf.denominator) * bh

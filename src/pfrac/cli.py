@@ -203,6 +203,20 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _a1_rows(text):
+    return [_at_least(2)(x) for x in text.split(",") if x.strip()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pfrac",
@@ -218,7 +232,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="continued-dilogarithm zeros w(A,B)")
-    p.add_argument("--max-b", type=int, default=3)
+    p.add_argument("--max-b", type=_at_least(1), default=3)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("table", help="reproduce a published table")
@@ -228,29 +242,29 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("psi", help="maximum statistic Psi(h/k) with D(h,k)")
-    p.add_argument("--k", type=int, default=211)
+    p.add_argument("--k", type=_at_least(2), default=211)
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("identity", help="residue-sum identity sweep")
-    p.add_argument("--n-max", type=int, default=25)
+    p.add_argument("--n-max", type=_at_least(1), default=25)
     p.add_argument("--sigma-set", type=_int_list, default=None)
     p.set_defaults(fn=cmd_identity)
 
     p = sub.add_parser("expansion", help="dump expansion coefficients as JSON")
     p.add_argument("kind", choices=("a1", "c01", "C", "D", "E"))
     p.add_argument("--sigma", type=int, default=1)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--parity", type=int, default=0)
+    p.add_argument("--ell", type=_at_least(1), default=1)
+    p.add_argument("--m", type=_at_least(1), default=4)
+    p.add_argument("--parity", type=int, choices=(0, 1), default=0)
     p.set_defaults(fn=cmd_expansion)
 
     p = sub.add_parser("residues", help="dump all residues for (N, sigma) as JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--sigma", type=int, default=1)
     p.set_defaults(fn=cmd_residues)
 
     p = sub.add_parser("a1", help="dominant simple-pole sum sweep (CSV)")
-    p.add_argument("--rows", type=_int_list, default=None)
+    p.add_argument("--rows", type=_a1_rows, default=None)
     p.add_argument("--sigma", type=int, default=1)
     p.set_defaults(fn=cmd_a1)
 

@@ -26,6 +26,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, default_precision
 from .sequences import bernoulli_over_factorial, power_sum_table
+from .series import exp, inv, mul
 from .sine_products import _sine_factors
 
 __all__ = [
@@ -146,7 +147,7 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
             invfact.append(invfact[-1] / i)
         for mu in range(1, s + 1):
             f = [(mpf(mu * k) ** i) * invfact[i + 1] for i in range(n)]
-            den = _sermul(den, f, n)
+            den = mul(den, f, n)
         # analytic factors
         for j in range(1, N + 1):
             if j % k == 0:
@@ -157,32 +158,8 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
             for i in range(1, n):
                 jp *= j
                 f.append(-zj * jp * invfact[i])
-            den = _sermul(den, f, n)
-        return tuple(_serinv(den, n))
-
-
-def _sermul(a, b, n):
-    out = [mpc(0)] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(len(b), n - i)
-        for j in range(top):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _serinv(a, n):
-    inv0 = 1 / a[0]
-    out = [inv0] + [mpc(0)] * (n - 1)
-    for m in range(1, n):
-        acc = mpc(0)
-        for j in range(1, min(m, len(a) - 1) + 1):
-            if a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -inv0 * acc
-    return out
+            den = mul(den, f, n)
+        return tuple(inv(den, n))
 
 
 def _work_prec(prec: int, s: int, N: int) -> int:
@@ -391,15 +368,7 @@ def _laurent_core(N: int, wprec: int) -> tuple:
             f[1] = -mpf(S[1]) / 2
         for kk in range(1, (n - 1) // 2 + 1):
             f[2 * kk] = -bernoulli_over_factorial(kk, wprec) * mpf(S[2 * kk]) / (2 * kk)
-        g = [mpf(1)] + [mpf(0)] * (n - 1)
-        for m in range(1, n):
-            acc = mpf(0)
-            for kk in range(1, m + 1):
-                fk = f[kk]
-                if fk:
-                    acc += kk * fk * g[m - kk]
-            g[m] = acc / m
-        return tuple(g)
+        return tuple(exp(f, n))
 
 
 def _c01l_at(N: int, ell: int, wprec: int) -> mpf:

@@ -47,11 +47,47 @@ def test_psi_211_output_is_pinned(capsys):
             == "022fd788677c002360f03fb6b8b51d52d9a6c742b7bac75b205024a21b4bb91c")
 
 
-def test_zeros_max_b_zero(capsys):
-    code, out = run_cli(capsys, "zeros", "--max-b", "0")
+USAGE_ERRORS = {
+    "residues --n 0": "--n: must be at least 1, got 0",
+    "a1 --rows 200,1": "--rows: must be at least 2, got 1",
+    "expansion a1 --m 0": "--m: must be at least 1, got 0",
+    "expansion c01 --ell 0": "--ell: must be at least 1, got 0",
+    "expansion D --parity 2": "--parity: invalid choice: 2 (choose from 0, 1)",
+    "psi --k 1": "--k: must be at least 2, got 1",
+    "psi --k -3": "--k: must be at least 2, got -3",
+    "identity --n-max 0": "--n-max: must be at least 1, got 0",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_out_of_range_argument_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert f"argument {USAGE_ERRORS[command]}" in capsys.readouterr().err
+
+
+SADDLE_FRAME_SHA256 = {
+    "expansion a1 --m 4":
+        "89061f91288378e713f74043e7216cb7981fefabb39194e1b0052e1095db882c",
+    "expansion c01 --ell 4 --m 4":
+        "635c73a5326b1fb71efb945835f45a5f3edec9635f9e648635266f167796904d",
+}
+
+
+@pytest.mark.parametrize("command", SADDLE_FRAME_SHA256)
+def test_saddle_frame_output_is_pinned(capsys, command):
+    code, out = run_cli(capsys, *command.split())
     assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-    assert rows == ["A,B,re_w,im_w,residual"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SADDLE_FRAME_SHA256[command]
+
+
+def test_zeros_max_b_zero(capsys):
+    # no label has |B| = 0: an empty table is a usage error, not a result
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--max-b", "0"])
+    assert exc.value.code == 2
+    assert "argument --max-b: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_zeros_max_b_one(capsys):

@@ -1,7 +1,9 @@
 """Scalars, sequence caches, and truncated series arithmetic."""
 
+import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ import pfrac
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
                              binom_half_fraction, power_sum_table, stirling2)
-from pfrac.series import TruncatedSeries
+from pfrac.series import exp, inv, log, mul
 
 
 # -- precision-carrying scalars -------------------------------------------------
@@ -175,107 +177,78 @@ def test_power_sum():
 # -- truncated series --------------------------------------------------------------
 
 def test_recip_geometric():
-    t = TruncatedSeries.identity(3)
-    r = (t + 1).recip()
-    assert [mpf(c) for c in r.coeffs] == [1, -1, 1]
+    assert inv([mpf(1), mpf(1), mpf(0)], 3) == [1, -1, 1]
 
 
 def test_exp_log_roundtrip():
-    t = TruncatedSeries.identity(8)
-    diff = (t + 1).log().exp() - (t + 1)
-    assert all(abs(c) < mpf(2) ** -230 for c in diff.coeffs)
+    one_plus_t = [mpf(1), mpf(1)] + [mpf(0)] * 6
+    with mp.workprec(256):
+        back = exp(log(one_plus_t, 8), 8)
+    assert all(abs(x - y) < mpf(2) ** -230 for x, y in zip(back, one_plus_t))
 
 
 def test_sinc_series_self_inverse():
     # sin(pi t)/(pi t) = sum (-1)^n (pi t)^{2n} / (2n+1)!  times its reciprocal
     n = 10
     with mp.workprec(280):
-        coeffs = []
+        s = []
         for i in range(n):
             if i % 2 == 0:
-                coeffs.append((-1) ** (i // 2) * pi ** i / mpmath.factorial(i + 1))
+                s.append((-1) ** (i // 2) * pi ** i / mpmath.factorial(i + 1))
             else:
-                coeffs.append(mpf(0))
-        s = TruncatedSeries(coeffs, 0, n, prec=256)
-        prod = s * s.recip()
-        assert abs(prod.coeff(0) - 1) < mpf(2) ** -230
-        assert all(abs(prod.coeff(i)) < mpf(2) ** -230 for i in range(1, n))
+                s.append(mpf(0))
+        with mp.workprec(256):
+            prod = mul(s, inv(s, n), n)
+        assert abs(prod[0] - 1) < mpf(2) ** -230
+        assert all(abs(prod[i]) < mpf(2) ** -230 for i in range(1, n))
 
 
 def test_ring_axioms_random(rng):
     n = 7
-    def rand_series(lead=0):
-        return TruncatedSeries([mpf(rng.uniform(-2, 2)) for _ in range(n)], lead, lead + n,
-                               prec=192)
+    def rand_series():
+        return [mpf(rng.uniform(-2, 2)) for _ in range(n)]
     tol = tolerance(192)
-    for _ in range(10):
-        a, b, c = rand_series(), rand_series(), rand_series()
-        lhs, rhs = (a * b) * c, a * (b * c)
-        assert all(abs(lhs.coeff(i) - rhs.coeff(i)) < tol for i in range(lhs.lead, lhs.trunc))
-    for _ in range(6):
-        a, b = rand_series(), rand_series()
-        a.coeffs[0] = mpf(0)
-        b.coeffs[0] = mpf(0)
-        lhs = (a + b).exp()
-        rhs = a.exp() * b.exp()
-        assert all(abs(lhs.coeff(i) - rhs.coeff(i)) < tol for i in range(0, n))
+    with mp.workprec(192):
+        for _ in range(10):
+            a, b, c = rand_series(), rand_series(), rand_series()
+            lhs, rhs = mul(mul(a, b, n), c, n), mul(a, mul(b, c, n), n)
+            assert all(abs(x - y) < tol for x, y in zip(lhs, rhs))
+        for _ in range(6):
+            a, b = rand_series(), rand_series()
+            a[0] = b[0] = mpf(0)
+            lhs = exp([x + y for x, y in zip(a, b)], n)
+            rhs = mul(exp(a, n), exp(b, n), n)
+            assert all(abs(x - y) < tol for x, y in zip(lhs, rhs))
 
 
-def test_series_precision_monotone():
-    a = TruncatedSeries([1, 2, 3], prec=256)
-    b = TruncatedSeries([4, 5, 6], prec=128)
-    assert (a * b).prec == 128
-    assert (a + b).prec == 128
-
-
-def test_truncation_window_rules():
-    a = TruncatedSeries([1, 2, 3, 4], lead=0)   # known through t^3
-    b = TruncatedSeries([5, 6], lead=1)         # known through t^2
-    prod = a * b
-    assert prod.lead == 1 and prod.trunc == 3   # min(4+1, 3+0)
-    with pytest.raises(IndexError):
-        prod.coeff(3)
-    assert prod.coeff(0) == 0  # below lead
-
-
-def test_laurent_recip_and_calculus():
-    # 1/(t (1 + t)) = t^-1 - 1 + t - ...
-    s = TruncatedSeries([1, 1, 0, 0], lead=1)
-    r = s.recip()
-    assert r.lead == -1
-    assert r.coeffs[:3] == [Fraction(1), Fraction(-1), Fraction(1)]
-    d = r.differentiate()
-    assert d.coeff(-2) == -1
-    back = d.integrate()
-    assert abs(back.coeff(-1) - 1) == 0
-    with pytest.raises(ValueError):
-        r.integrate()  # has a t^-1 term
-
-
-def test_compose():
-    with mp.workprec(200):
-        # exp(log(1+t)) via composition of series
-        n = 8
-        ex = TruncatedSeries([1 / mpmath.factorial(i) for i in range(n)], 0, n, prec=160)
-        lg = (TruncatedSeries.identity(n, prec=160) + 1).log()
-        comp = ex.compose(lg)
-        assert abs(comp.coeff(0) - 1) < mpf(2) ** -140
-        assert abs(comp.coeff(1) - 1) < mpf(2) ** -140
-        assert all(abs(comp.coeff(i)) < mpf(2) ** -140 for i in range(2, comp.trunc))
-
-
-def test_exact_fraction_mode():
-    t = TruncatedSeries.identity(5, exact=True)
-    r = (t + 1).recip()
-    assert r.exact and r.coeffs == [Fraction(1), Fraction(-1), Fraction(1),
-                                    Fraction(-1), Fraction(1)]
-    with pytest.raises(ValueError):
-        (t + 1).exp()  # exact exp needs zero constant term
+def test_exact_rational_coefficients():
+    # Fraction input stays exact: the q = 1 Laurent data needs no mode switch
+    n = 8
+    t = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2)
+    one_plus_t = [Fraction(1), Fraction(1)] + [Fraction(0)] * (n - 2)
+    results = {
+        "exp": (exp(t, n), [Fraction(1, factorial(m)) for m in range(n)]),
+        "inv": (inv(one_plus_t, n), [Fraction((-1) ** m) for m in range(n)]),
+        "log": (log(one_plus_t, n), [Fraction(0)] + [Fraction((-1) ** (m + 1), m)
+                                                    for m in range(1, n)]),
+        "mul": (mul(one_plus_t, one_plus_t, n), [1, 2, 1] + [0] * (n - 3)),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert all(type(c) is Fraction for c in got), name
 
 
 def test_recip_requires_unit():
-    z = TruncatedSeries([0, 1, 1], lead=0)
+    z = [mpf(0), mpf(1), mpf(1)]
     with pytest.raises(ValueError):
-        z.recip()
+        inv(z, 3)
     with pytest.raises(ValueError):
-        z.log()
+        log(z, 3)
+
+
+def test_public_surface():
+    for info in pkgutil.iter_modules(pfrac.__path__):
+        module = importlib.import_module(f"pfrac.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"pfrac.{info.name}.{name}"
+    assert not hasattr(pfrac, "TruncatedSeries")

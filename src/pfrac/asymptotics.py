@@ -239,22 +239,13 @@ def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPCom
 
 
 def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
-    """u_{sigma,0..jmax}(z) as scalars, same recurrence as the series form."""
+    """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N."""
     with mp.workprec(prec + 16):
         zv = mpc(z)
-        terms = {1: 2j * pi * sigma * zv + g_ell(1, zv, prec=prec + 16).value}
-        ell = 2
-        while 2 * ell - 1 <= jmax:
-            terms[2 * ell - 1] = g_ell(ell, zv, prec=prec + 16).value
-            ell += 1
-        out = [mpc(1)]
-        for m in range(1, jmax + 1):
-            acc = mpc(0)
-            for kk, ak in terms.items():
-                if kk <= m:
-                    acc += kk * ak * out[m - kk]
-            out.append(acc / m)
-        return out
+        v = [mpc(0), 2j * pi * sigma * zv + g_ell(1, zv, prec=prec + 16).value]
+        for ell in range(2, (jmax + 1) // 2 + 1):
+            v += [mpc(0), g_ell(ell, zv, prec=prec + 16).value]
+        return exp(v, jmax + 1)
 
 
 def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:

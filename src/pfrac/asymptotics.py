@@ -25,8 +25,8 @@ from mpmath import mp, mpc, mpf, pi
 
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _li2_any, find_saddle, find_zero, p_d, q_func, v_func)
-from .precision import HPComplex, HPReal, default_precision
-from .sequences import bernoulli, binom_half_fraction, stirling2
+from .precision import HPComplex, HPReal, default_precision, to_mpc
+from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
 from .sine_products import g_ell
 
@@ -122,7 +122,7 @@ class _Frame:
                 cd = [i * c * f for i, c in enumerate(cd) if i]
             if len(cd) < n:
                 raise ValueError("frame depth margin exhausted; rebuild deeper")
-            b = Fraction(bernoulli(2 * ell), math.factorial(2 * ell))
+            b = bernoulli_over_factorial_fraction(ell)
             piz = [c * pi for c in self.zser[:n]]
             pw = [mpc(1)] + [mpc(0)] * (n - 1)
             for _ in range(2 * ell - 1):
@@ -171,13 +171,19 @@ class _Frame:
             for j in range(jmax + 1):
                 acc = [mpc(0)] * n
                 for t in range(j + 1):
-                    bh = (Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
-                                   math.factorial(ell - 1 + t)))
-                    f = mpf(bh.numerator) / bh.denominator
+                    f = _bhat_exp(ell, t)
                     term = mul(powers[ell - 1 + t], us[j - t], n)
                     acc = [x + y * f for x, y in zip(acc, term)]
                 out.append(acc)
             return out
+
+
+def _bhat_exp(ell: int, t: int) -> mpf:
+    """Bhat_{ell-1+t, ell-1}(1/1!, 1/2!, ...) = (ell-1)! S(ell-1+t, ell-1) / (ell-1+t)!,
+    at the ambient precision."""
+    bh = Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
+                  math.factorial(ell - 1 + t))
+    return mpf(bh.numerator) / bh.denominator
 
 
 @lru_cache(maxsize=64)
@@ -189,21 +195,14 @@ def local_series(saddle: SaddlePoint, weight=None, depth: int = 12,
                  prec: int | None = None) -> LocalSeriesPair:
     """Local phase/amplitude series at a saddle, to eps^{depth-1}.
 
-    weight selects the amplitude: None for q itself, ("u", sigma, j) for
-    q * u_{sigma,j}, ("vstar", ell, j) for q * v*_{ell,j}.
+    weight is None for the amplitude q itself, or the eps-series
+    coefficients [w_0, w_1, ...] of a weight w (such as a row of the saddle
+    frame's u_series or vstar_series) for the amplitude q * w.
     """
     prec = default_precision() if prec is None else prec
     frame = _frame(saddle.m, saddle.d, depth, prec)
     with mp.workprec(frame.prec):
-        w = frame.Q
-        if weight is not None:
-            kind, a, b = weight
-            if kind == "u":
-                w = mul(w, frame.u_series(a, b)[b], depth)
-            elif kind == "vstar":
-                w = mul(w, frame.vstar_series(a, b)[b], depth)
-            else:
-                raise ValueError(f"unknown weight selector {weight!r}")
+        w = frame.Q if weight is None else mul(frame.Q, weight, depth)
     return LocalSeriesPair(frame.p, tuple(w), frame.saddle, HPComplex(frame.z0, prec))
 
 
@@ -241,7 +240,7 @@ def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPCom
 def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
     """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N."""
     with mp.workprec(prec + 16):
-        zv = mpc(z)
+        zv = to_mpc(z)
         v = [mpc(0), 2j * pi * sigma * zv + g_ell(1, zv, prec=prec + 16).value]
         for ell in range(2, (jmax + 1) // 2 + 1):
             v += [mpc(0), g_ell(ell, zv, prec=prec + 16).value]
@@ -251,8 +250,7 @@ def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
 def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:
     """u_{sigma,j}(z): 1/N^j coefficient of exp(v(z; N, sigma)); u_{sigma,0} = 1."""
     prec = default_precision() if prec is None else prec
-    return HPComplex(_u_scalar(sigma, j, z if not isinstance(z, (HPComplex, HPReal))
-                               else z.value, prec)[j], prec)
+    return HPComplex(_u_scalar(sigma, j, z, prec)[j], prec)
 
 
 def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
@@ -261,13 +259,11 @@ def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
         raise ValueError("need ell >= 1")
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         us = _u_scalar(1, j, zv, prec)
         total = mpc(0)
         for t in range(j + 1):
-            bh = Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
-                          math.factorial(ell - 1 + t))
-            total += (mpf(bh.numerator) / bh.denominator) * (2j * pi * zv) ** (ell - 1 + t) * us[j - t]
+            total += _bhat_exp(ell, t) * (2j * pi * zv) ** (ell - 1 + t) * us[j - t]
         return HPComplex(total, prec)
 
 
@@ -305,18 +301,21 @@ class Expansion:
 
 
 @lru_cache(maxsize=64)
-def _b_coeff_values(sigma: int, m: int, prec: int) -> tuple:
-    saddle = find_saddle(1, 0, prec)
+def _descent_values(weight_series, arg: int, factor: complex, m: int, prec: int) -> tuple:
+    """factor * sum_{s<=t} Gamma(s+1/2) a_{2s}(q w_{t-s}) for t < m, at the saddle
+    z0, with the weights w_0..w_{m-1} = weight_series(frame, arg, m - 1)."""
     depth = 2 * m + 4
+    frame = _frame(1, 0, depth, prec)
+    weights = weight_series(frame, arg, m - 1)
     out = []
     with mp.workprec(prec + 32):
         for t in range(m):
             total = mpc(0)
             for s in range(t + 1):
-                pair = local_series(saddle, ("u", sigma, t - s), depth, prec)
+                pair = local_series(frame.saddle, weights[t - s], depth, prec)
                 a2s = wojdylo_a2s(pair, s, prec + 32).value
                 total += mpmath.gamma(s + mpf(1) / 2) * a2s
-            out.append(-4j * total)
+            out.append(factor * total)
     return tuple(out)
 
 
@@ -330,23 +329,8 @@ def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
         raise ValueError("need m >= 1")
     prec = default_precision() if prec is None else prec
     zero = find_zero(BranchLabel(0, -1), prec=prec)
-    return Expansion("A1-b", zero, 2, _b_coeff_values(int(sigma), m, prec))
-
-
-@lru_cache(maxsize=64)
-def _c_coeff_values(ell: int, m: int, prec: int) -> tuple:
-    saddle = find_saddle(1, 0, prec)
-    depth = 2 * m + 4
-    out = []
-    with mp.workprec(prec + 32):
-        for t in range(m):
-            total = mpc(0)
-            for s in range(t + 1):
-                pair = local_series(saddle, ("vstar", ell, t - s), depth, prec)
-                a2s = wojdylo_a2s(pair, s, prec + 32).value
-                total += mpmath.gamma(s + mpf(1) / 2) * a2s
-            out.append(4j * total)
-    return tuple(out)
+    return Expansion("A1-b", zero, 2,
+                     _descent_values(_Frame.u_series, int(sigma), -4j, m, prec))
 
 
 def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
@@ -359,7 +343,8 @@ def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
         raise ValueError("need ell >= 1 and m >= 1")
     prec = default_precision() if prec is None else prec
     zero = find_zero(BranchLabel(0, -1), prec=prec)
-    return Expansion("C01-c", zero, ell + 1, _c_coeff_values(int(ell), m, prec))
+    return Expansion("C01-c", zero, ell + 1,
+                     _descent_values(_Frame.vstar_series, int(ell), 4j, m, prec))
 
 
 def family_leading(tag: str, parity: int | None = None,
@@ -481,16 +466,15 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
                 "vertical_max": HPReal(vertical_max, prec)}
 
 
-def a3_quadrature(N: int, sigma: int, prec: int | None = None,
-                  rel_tol=None, base_nodes: int = 40) -> HPReal:
+def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """(2/N^{3/2}) Im int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz over the
-    descent path, by composite Gauss-Legendre per edge, doubling the node
-    count until two successive results agree to rel_tol (default 1e-8).
+    descent path, by Gauss-Legendre per edge from 40 nodes, doubling the
+    node count until two successive results agree to a relative 1e-8.
     """
     if N < 131:
         raise ValueError("the truncated integrand needs N >= 131")
     prec = default_precision() if prec is None else prec
-    rel_tol = mpf("1e-8") if rel_tol is None else mpf(rel_tol)
+    rel_tol = mpf("1e-8")
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
 
@@ -509,8 +493,8 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None,
                     acc += w * half * integrand(mid + half * x)
             return acc
 
-        prev = total(base_nodes)
-        n = base_nodes
+        n = 40
+        prev = total(n)
         for _ in range(4):
             n *= 2
             cur = total(n)

@@ -22,7 +22,7 @@ from mpmath import mpf
 
 from . import acceptance, refdata
 from .asymptotics import b_coeffs, c_coeffs, evaluate_expansion, family_leading
-from .dilog import ConvergenceError, find_zero
+from .dilog import BranchLabel, ConvergenceError, find_zero
 from .precision import default_precision, set_default_precision
 from .residues import (FamilySelector, PrecisionLossError, a1_sum, c01l_exact,
                        family_sum, residue_report, residue_sum,
@@ -36,6 +36,16 @@ EXIT_CONVERGENCE_FAILURE = 4
 EXIT_PRECISION_EXHAUSTION = 5
 
 
+def _write(text, out):
+    """Write text, ending in one newline, to the file `out` or to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
+    if out:
+        with open(out, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows, header, fmt, out, comment=None):
     if fmt == "json":
         text = json.dumps([dict(zip(header, r)) for r in rows], indent=1)
@@ -47,29 +57,23 @@ def _emit(rows, header, fmt, out, comment=None):
         w.writerow(header)
         w.writerows(rows)
         text = buf.getvalue()
-    if out:
-        with open(out, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    _write(text, out)
 
 
 def _admissible_labels(max_b):
-    out = []
-    for absb in range(1, max_b + 1):
-        for B in (absb, -absb):
-            for A in range(-absb, absb + 1):
-                if -absb / 2 < A <= absb / 2:
-                    out.append((A, B))
-    return sorted(set(out), key=lambda ab: (abs(ab[1]), ab[1] < 0, ab[0]))
+    """Admissible labels with 1 <= |B| <= max_b, by |B|, then B > 0 first, then A."""
+    labels = (BranchLabel(A, B) for absb in range(1, max_b + 1)
+              for B in (absb, -absb) for A in range(-absb, absb + 1))
+    return [label for label in labels if label.admissible()]
 
 
 def cmd_zeros(args) -> int:
     prec = default_precision()
     rows = []
-    for A, B in _admissible_labels(args.max_b):
+    for label in _admissible_labels(args.max_b):
+        A, B = label.A, label.B
         try:
-            z = find_zero((A, B), prec=prec)
+            z = find_zero(label, prec=prec)
         except (ConvergenceError, ValueError) as exc:
             print(f"error: zero ({A},{B}): {exc}", file=sys.stderr)
             return EXIT_CONVERGENCE_FAILURE
@@ -92,17 +96,18 @@ def cmd_psi(args) -> int:
     return EXIT_OK
 
 
+# name: (published rows, caption, smallest N the table's sums are defined at)
 _TABLES = {
-    "a1": (refdata.TABLE_A1, "dominant simple-pole sum and its expansion"),
-    "c011": (refdata.TABLE_C011, "pole-at-1 coefficient, first order"),
-    "c014": (refdata.TABLE_C014, "pole-at-1 coefficient, fourth order"),
-    "c121": (refdata.TABLE_C121, "half-pole parity family, leading term"),
+    "a1": (refdata.TABLE_A1, "dominant simple-pole sum and its expansion", 2),
+    "c011": (refdata.TABLE_C011, "pole-at-1 coefficient, first order", 1),
+    "c014": (refdata.TABLE_C014, "pole-at-1 coefficient, fourth order", 4),
+    "c121": (refdata.TABLE_C121, "half-pole parity family, leading term", 3),
 }
 
 
 def cmd_table(args) -> int:
     name = args.name
-    ref_table, caption = _TABLES[name]
+    ref_table, caption, _ = _TABLES[name]
     rows_wanted = args.rows or sorted(ref_table)
     prec = max(default_precision(), 320)
     out_rows = []
@@ -154,31 +159,18 @@ def cmd_identity(args) -> int:
 
 
 def cmd_expansion(args) -> int:
-    kind = args.kind
-    if kind == "a1":
+    if args.kind == "a1":
         exp = b_coeffs(args.sigma, args.m)
-    elif kind == "c01":
+    elif args.kind == "c01":
         exp = c_coeffs(args.ell, args.m)
-    elif kind in ("C", "D", "E"):
-        exp = family_leading(kind, args.parity)
     else:
-        print(f"unknown expansion kind {kind}", file=sys.stderr)
-        return EXIT_TABLE_MISMATCH
-    text = json.dumps(exp.to_json(), indent=1)
-    if args.out:
-        open(args.out, "w").write(text + "\n")
-    else:
-        print(text)
+        exp = family_leading(args.kind, args.parity)
+    _write(json.dumps(exp.to_json(), indent=1), args.out)
     return EXIT_OK
 
 
 def cmd_residues(args) -> int:
-    rows = residue_report(args.n, args.sigma)
-    text = json.dumps(rows, indent=1)
-    if args.out:
-        open(args.out, "w").write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(residue_report(args.n, args.sigma), indent=1), args.out)
     return EXIT_OK
 
 
@@ -272,6 +264,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.command == "table" and args.rows:
+        low = _TABLES[args.name][2]
+        for N in args.rows:
+            if N < low:
+                parser.error(f"argument --rows: must be at least {low} for table "
+                             f"{args.name}, got {N}")
     previous = default_precision()
     if args.precision_bits is not None:
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpc, mpf, pi
 
-from .precision import HPComplex, HPReal, default_precision, tolerance
+from .precision import HPComplex, HPReal, default_precision, to_mpc, tolerance
 from .sequences import bernoulli_over_factorial
 
 
@@ -78,8 +78,7 @@ def li2_principal(z, prec: int | None = None) -> HPComplex:
     """
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 24):
-        z = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
-        val = _li2_any(z)
+        val = _li2_any(to_mpc(z))
     return HPComplex(val, prec)
 
 
@@ -117,7 +116,7 @@ def clausen(theta, prec: int | None = None) -> HPReal:
     """Clausen's integral Cl2(theta) = Im Li2(e^{i theta}); odd, 2pi-periodic."""
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 24):
-        t = mpf(theta) if not isinstance(theta, HPReal) else mpf(theta.value)
+        t = to_mpc(theta).real
         twopi = 2 * pi
         t = mpmath.fmod(t, twopi)
         if t > pi:
@@ -162,22 +161,25 @@ class DilogZero:
     residual: HPReal
 
 
+def _li2_branch(w, A, B):
+    """Li2(w) + 4 pi^2 A + 2 pi i B log(w) at the ambient precision."""
+    return _li2_any(w) + 4 * pi ** 2 * A + 2j * pi * B * mpmath.log(w)
+
+
 def li2_continued(z, label: BranchLabel | tuple, prec: int | None = None) -> HPComplex:
     """Continued dilogarithm value Li2(z) + 4 pi^2 A + 2 pi i B log(z)."""
     if not isinstance(label, BranchLabel):
         label = BranchLabel(*label)
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
-        base = _li2_any(zv)
-        val = base + 4 * pi ** 2 * label.A + 2j * pi * label.B * mpmath.log(zv)
+        val = _li2_branch(to_mpc(z), label.A, label.B)
     return HPComplex(val, prec)
 
 
 def _zero_newton(A, B, w, prec):
     steptol = mpf(2) ** (24 - prec)
     for _ in range(200):
-        f = _li2_any(w) + 4 * pi ** 2 * A + 2j * pi * B * mpmath.log(w)
+        f = _li2_branch(w, A, B)
         fp = -mpmath.log(1 - w) / w + 2j * pi * B / w
         step = f / fp
         w = w - step
@@ -186,17 +188,15 @@ def _zero_newton(A, B, w, prec):
     return None
 
 
-def find_zero(label: BranchLabel | tuple, b: int | None = None,
-              prec: int | None = None) -> DilogZero:
+def find_zero(label: BranchLabel | tuple, prec: int | None = None) -> DilogZero:
     """Certified zero w(A, B) of the continued dilogarithm, by Newton's method.
 
-    Starts near e^{2 pi i A/B}; the A = 0 zeros sit close to 1 just off the
-    real axis, so those start at 0.95 e^{-i sign(B) 0.2/|B|}.  A coarse grid
-    search over the unit disk backs up a failed start.
+    label is a BranchLabel or an (A, B) pair.  Starts near e^{2 pi i A/B};
+    the A = 0 zeros sit close to 1 just off the real axis, so those start at
+    0.95 e^{-i sign(B) 0.2/|B|}.  A coarse grid search over the unit disk
+    backs up a failed start.
     """
-    if b is not None:
-        label = BranchLabel(int(label), int(b))
-    elif not isinstance(label, BranchLabel):
+    if not isinstance(label, BranchLabel):
         label = BranchLabel(*label)
     A, B = label.A, label.B
     if not label.admissible():
@@ -216,7 +216,7 @@ def find_zero(label: BranchLabel | tuple, b: int | None = None,
             w = _zero_newton(A, B, w0 * mpmath.exp(-1j * mpmath.sign(B) * mpf("0.15")), prec)
         if w is None:
             w = _grid_fallback(A, B, prec)
-        res = abs(_li2_any(w) + 4 * pi ** 2 * A + 2j * pi * B * mpmath.log(w))
+        res = abs(_li2_branch(w, A, B))
         if res >= tolerance(prec):
             raise ConvergenceError(f"zero ({A},{B}) residual {mpmath.nstr(res, 5)} too large")
         return DilogZero(label, HPComplex(w, prec), HPReal(res, prec))
@@ -228,7 +228,7 @@ def _grid_fallback(A, B, prec):
         r = mpf(ir) / 20
         for ia in range(48):
             w0 = r * mpmath.exp(2j * pi * (mpf(ia) + mpf(1) / 2) / 48)
-            v = abs(_li2_any(w0) + 4 * pi ** 2 * A + 2j * pi * B * mpmath.log(w0))
+            v = abs(_li2_branch(w0, A, B))
             if v < bestval:
                 best, bestval = w0, v
     w = _zero_newton(A, B, best, prec)
@@ -243,38 +243,36 @@ def _check_off_cut(z):
         raise ValueError("argument lies on a branch cut (-i oo, n]")
 
 
+def _phase(z, d: int, order: int, prec: int) -> list:
+    """[p_d(z), ..., p_d^{(order)}(z)] for order <= 2, at prec + 24 bits."""
+    with mp.workprec(prec + 24):
+        zv = to_mpc(z)
+        _check_off_cut(zv)
+        e = mpmath.exp(2j * pi * zv)
+        vals = [(-_li2_any(e) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)]
+        if order >= 1:
+            vals.append(-(vals[0] - mpmath.log(1 - e)) / zv)
+        if order >= 2:
+            vals.append(-(2 * vals[1] + 2j * pi * e / (1 - e)) / zv)
+        return vals
+
+
 def p_d(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d(z) = (-Li2(e^{2 pi i z}) + zeta(2) + 4 pi^2 d) / (2 pi i z)."""
     prec = default_precision() if prec is None else prec
-    with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
-        _check_off_cut(zv)
-        val = (-_li2_any(mpmath.exp(2j * pi * zv)) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)
-    return HPComplex(val, prec)
+    return HPComplex(_phase(z, d, 0, prec)[0], prec)
 
 
 def p_d_prime(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d'(z) = -(p_d(z) - log(1 - e^{2 pi i z})) / z."""
     prec = default_precision() if prec is None else prec
-    with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
-        _check_off_cut(zv)
-        pv = (-_li2_any(mpmath.exp(2j * pi * zv)) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)
-        val = -(pv - mpmath.log(1 - mpmath.exp(2j * pi * zv))) / zv
-    return HPComplex(val, prec)
+    return HPComplex(_phase(z, d, 1, prec)[1], prec)
 
 
 def p_d_second(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d''(z) = -(2 p_d'(z) + 2 pi i e^{2 pi i z} / (1 - e^{2 pi i z})) / z."""
     prec = default_precision() if prec is None else prec
-    with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
-        _check_off_cut(zv)
-        e = mpmath.exp(2j * pi * zv)
-        pv = (-_li2_any(e) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)
-        pp = -(pv - mpmath.log(1 - e)) / zv
-        val = -(2 * pp + 2j * pi * e / (1 - e)) / zv
-    return HPComplex(val, prec)
+    return HPComplex(_phase(z, d, 2, prec)[2], prec)
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,7 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
         zs = m + mpmath.log(1 - w) / (2j * pi)
         target = mpmath.log(w)
         cert = mpf(10) ** (-mpf("0.3") * prec)
-        pprime = p_d_prime(zs, d, prec).value
-        pval = p_d(zs, d, prec).value
+        pval, pprime = _phase(zs, d, 1, prec)
         if abs(pprime) >= cert or abs(pval - target) >= cert:
             raise ConvergenceError(f"saddle ({m},{d}) failed certification")
     return SaddlePoint(m, d, HPComplex(zs, prec), HPComplex(target, prec))
@@ -312,7 +309,7 @@ def r_func(z, prec: int | None = None) -> HPComplex:
     """r(z) = Li2(e^{2 pi i z}) / (2 pi i z) + 13 pi i / (12 z) on 1 < Re z < 2."""
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         val = _li2_any(mpmath.exp(2j * pi * zv)) / (2j * pi * zv) + 13 * pi * 1j / (12 * zv)
     return HPComplex(val, prec)
 
@@ -321,26 +318,24 @@ def q_func(z, prec: int | None = None) -> HPComplex:
     """q(z) = sqrt(z / (2 sin(pi (z - 1)))) e^{-i pi z / 2}, principal root."""
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 24):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         val = mpmath.sqrt(zv / (2 * mpmath.sin(pi * (zv - 1)))) * mpmath.exp(-1j * pi * zv / 2)
     return HPComplex(val, prec)
 
 
-def v_func(z, N: int, sigma, alpha_cut=None, prec: int | None = None) -> HPComplex:
+def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
     """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
 
-    L = floor(alpha_cut * N); the default alpha_cut = 0.006 pi e matches the
-    truncation used by the integral representation.
+    L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
+    Delta = 0.006 and h = 1 that the integral representation uses.
     """
-    from .sine_products import g_ell
+    from .sine_products import em_length, g_ell
     prec = default_precision() if prec is None else prec
+    L = em_length(0.006, N, 1)
+    if L < 2:
+        raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")
     with mp.workprec(prec + 24):
-        if alpha_cut is None:
-            alpha_cut = mpf("0.006") * pi * mpmath.e
-        L = int(mpmath.floor(alpha_cut * N))
-        if L < 2:
-            raise ValueError("alpha_cut * N must give at least L = 2 terms")
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         total = 2j * pi * sigma * zv / N
         Nf = mpf(N)
         for ell in range(1, L):
@@ -348,9 +343,9 @@ def v_func(z, N: int, sigma, alpha_cut=None, prec: int | None = None) -> HPCompl
     return HPComplex(total, prec)
 
 
-def r_q_v_eval(z, N: int, sigma, alpha_cut=None, prec: int | None = None):
-    """(r(z), q(z), v(z; N, sigma)) for z in the strip 1 < Re z < 3/2."""
-    zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+def r_q_v_eval(z, N: int, sigma, prec: int | None = None):
+    """(r(z), q(z), v(z; N, sigma)) for z in the strip 1 < Re z < 3/2; v as in v_func."""
+    zv = to_mpc(z)
     if not (1 < zv.real < mpf(3) / 2):
         raise ValueError("z must satisfy 1 < Re z < 3/2")
-    return (r_func(zv, prec), q_func(zv, prec), v_func(zv, N, sigma, alpha_cut, prec))
+    return (r_func(zv, prec), q_func(zv, prec), v_func(zv, N, sigma, prec))

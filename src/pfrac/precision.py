@@ -66,6 +66,11 @@ def _unwrap(x):
     return x, None
 
 
+def to_mpc(z) -> mpc:
+    """z as an mpc at the ambient precision; a wrapped value gives up its value."""
+    return mpc(_unwrap(z)[0])
+
+
 class _HPBase:
     __slots__ = ("value", "precision")
 

@@ -39,6 +39,12 @@ def bernoulli(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def bernoulli_over_factorial_fraction(k: int) -> Fraction:
+    """Exact B_{2k}/(2k)!."""
+    return Fraction(bernoulli(2 * k), factorial(2 * k))
+
+
+@lru_cache(maxsize=None)
 def bernoulli_over_factorial(k: int, prec: int | None = None) -> mpf:
     """B_{2k}/(2k)! at `prec` bits, via 2*zeta(2k)/(2*pi)^(2k).
 

@@ -29,13 +29,13 @@ import numpy as np
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
-from .precision import HPComplex, HPReal, default_precision
-from .sequences import bernoulli, stirling2
+from .precision import HPComplex, HPReal, default_precision, to_mpc
+from .sequences import bernoulli_over_factorial_fraction, stirling2
 
 __all__ = [
     "SineProductValue", "sine_product", "psi", "psi_table",
     "MinimalPair", "minimal_pair", "zero_pairs", "cot_derivative", "g_ell",
-    "EMConfig", "r_delta", "em_product_estimate", "em_remainder", "t_l_bound",
+    "EMConfig", "em_length", "r_delta", "em_product_estimate", "em_remainder", "t_l_bound",
     "em_remainder_scan", "s_wave_sum",
 ]
 
@@ -175,7 +175,7 @@ def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
     """
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         if mpmath.sin(zv) == 0:
             raise ValueError("cotangent pole at a multiple of pi")
         if n == 0:
@@ -196,21 +196,16 @@ def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
         return HPComplex(front * total, prec)
 
 
-@lru_cache(maxsize=None)
-def _bern_over_fact(l: int) -> Fraction:
-    return Fraction(bernoulli(2 * l), math.factorial(2 * l))
-
-
 def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
     """g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z)."""
     if ell < 1:
         raise ValueError("need ell >= 1")
     prec = default_precision() if prec is None else prec
     with mp.workprec(prec + 16):
-        zv = mpc(z) if not isinstance(z, (HPComplex, HPReal)) else mpc(z.value)
+        zv = to_mpc(z)
         if zv.imag == 0 and zv.real == mpmath.floor(zv.real):
             raise ValueError("pole at integer z")
-        b = _bern_over_fact(ell)
+        b = bernoulli_over_factorial_fraction(ell)
         cd = cot_derivative(2 * ell - 2, pi * zv, prec=prec + 16).value
         val = -mpf(b.numerator) / b.denominator * (pi * zv) ** (2 * ell - 1) * cd
     return HPComplex(val, prec)
@@ -222,29 +217,31 @@ def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
 class EMConfig:
     """Parameters of the truncated Euler-Maclaurin product approximation.
 
-    delta_param is the Delta in [0.0048, 0.0079] steering the truncation
-    length L = floor(alpha * s / h) with alpha = pi e Delta; W bounds
-    Delta log(1/Delta); s is the global size parameter (defaults to k at
-    the call site when omitted).
+    delta_param is the Delta in [0.00477, 0.0079] steering the truncation
+    length L = em_length(Delta, s, h); W bounds Delta log(1/Delta); s is
+    the global size parameter (defaults to k at the call site when omitted).
     """
     delta_param: float = 0.006
     W: float = 0.05
     s: int | None = None
-    delta_lo: float = 0.0061
-    delta_hi: float = 0.01
 
     def __post_init__(self):
-        d = mpf(str(self.delta_param))
-        if not mpf("0.00477") <= d <= mpf("0.0079"):
-            raise ValueError("Delta must lie in [0.00477, 0.0079]")
+        d = _checked_delta(self.delta_param)
         if d * mpmath.log(1 / d) > mpf(str(self.W)) + mpf("1e-15"):
             raise ValueError("requires Delta log(1/Delta) <= W")
 
-    def alpha(self):
-        return pi * mpmath.e * mpf(str(self.delta_param))
 
-    def L(self, s: int, h: int) -> int:
-        return int(mpmath.floor(self.alpha() * s / h))
+def _checked_delta(delta) -> mpf:
+    """Delta as an mpf, or ValueError unless it lies in [0.00477, 0.0079]."""
+    d = mpf(str(delta))
+    if not mpf("0.00477") <= d <= mpf("0.0079"):
+        raise ValueError("Delta must lie in [0.00477, 0.0079]")
+    return d
+
+
+def em_length(delta, s: int, h: int) -> int:
+    """Euler-Maclaurin truncation length L = floor(pi e Delta s / h)."""
+    return int(math.pi * math.e * delta * s / h)
 
 
 def r_delta(delta, tol=mpf("1e-12")) -> mpf:
@@ -253,9 +250,7 @@ def r_delta(delta, tol=mpf("1e-12")) -> mpf:
     r1 solves (1/e^{r+1})(1 + r log(r/(2 pi))) = Delta log(1/Delta) and
     r2 solves r/e^{r+1} = 2 pi e Delta, both on [0, 1], by bisection.
     """
-    delta = mpf(str(delta))
-    if not mpf("0.00477") <= delta <= mpf("0.0079"):
-        raise ValueError("Delta must lie in [0.00477, 0.0079]")
+    delta = _checked_delta(delta)
     target1 = delta * mpmath.log(1 / delta)
 
     def f1(r):
@@ -294,7 +289,7 @@ def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
         cl = clausen(2 * x, prec + 16).value
         em = mpf(0)
         for ell in range(1, L):
-            b = _bern_over_fact(ell)
+            b = bernoulli_over_factorial_fraction(ell)
             cd = cot_derivative(2 * ell - 2, x, prec=prec + 16).value.real
             em += mpf(b.numerator) / b.denominator * (pi * theta) ** (2 * ell - 1) * cd
         return lead + k / (2 * pi * h) * cl - em
@@ -314,15 +309,13 @@ def em_product_estimate(h: int, k: int, m: int, cfg: EMConfig,
     if not (0 < h < k <= s):
         raise ValueError("requires 0 < h < k <= s")
     delta = mpf(str(cfg.delta_param))
-    if delta * mpmath.log(1 / delta) > mpf(str(cfg.W)) + mpf("1e-15"):
-        raise ValueError("requires Delta log(1/Delta) <= W")
     if r_delta(cfg.delta_param) > mpf(s) / h:
         raise ValueError("requires R_Delta <= s/h")
     if not (delta * s / h <= m + mpf("1e-12")):
         raise ValueError("requires Delta s/h <= m")
     if not (m <= mpf(k) / (2 * h) + mpf("1e-12")):
         raise ValueError("requires m <= k/(2h)")
-    L = cfg.L(s, h)
+    L = em_length(cfg.delta_param, s, h)
     with mp.workprec(prec + 16):
         return HPReal(mpmath.exp(_em_main_log(h, k, m, L, prec)), prec)
 
@@ -347,8 +340,14 @@ def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
 
 # -- the double-precision scan with selective high-precision recheck ---------
 
+#: relative roundoff of a float64 term in the screen of em_remainder_scan
+SCREEN_ROUNDOFF = 2e-13
+#: bits at which em_remainder_scan rechecks a pair the screen cannot settle
+_RECHECK_PREC = 192
+
+
 @lru_cache(maxsize=1)
-def _cot_poly_float(jmax: int = 50):
+def _cot_poly_float(jmax: int) -> list:
     """cot^{(j)}(x) = P_j(cot x); float64 coefficient arrays for j <= jmax."""
     polys = [[Fraction(0), Fraction(1)]]
     for _ in range(jmax):
@@ -359,7 +358,7 @@ def _cot_poly_float(jmax: int = 50):
             new[i] -= c
             new[i + 2] -= c
         polys.append(new)
-    return [np.array([float(c) for c in p]) for p in polys], polys
+    return [np.array([float(c) for c in p]) for p in polys]
 
 
 def _cl2_float(theta):
@@ -370,43 +369,24 @@ def _cl2_float(theta):
     term = th.copy()
     for r in range(1, 40):
         term = term * t2
-        coef = float(abs(_bern_over_fact(r))) / (2 * r * (2 * r + 1))
+        coef = float(abs(bernoulli_over_factorial_fraction(r))) / (2 * r * (2 * r + 1))
         out = out + coef * term
     return out
 
 
-def _t_exact(h: int, k: int, m: int, L: int, polys_frac, prec: int = 192):
-    """(|prod^{-1} T_L|, |T_L|) for one (m, k) pair at high precision."""
-    with mp.workprec(prec):
-        th = mpf(h) / k
-        lp = mpmath.log(mpmath.fprod(_sine_factors(h, k, m, prec)))
-        x = pi * m * th
-        c = mpmath.cot(x)
-        em = mpf(0)
-        for ell in range(1, L):
-            acc = mpf(0)
-            for coef in reversed(polys_frac[2 * ell - 2]):
-                acc = acc * c + mpf(coef.numerator) / coef.denominator
-            b = _bern_over_fact(ell)
-            em += mpf(b.numerator) / b.denominator * (pi * th) ** (2 * ell - 1) * acc
-        cl = clausen(2 * x, prec).value
-        main = mpf(1) / 2 * mpmath.log(2 * mpmath.sin(x) / th) - cl / (2 * pi * th) + em
-        T = lp - main
-        return float(mpmath.exp(-lp) * abs(T)), float(abs(T))
-
-
-def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006,
-                      recheck_prec: int = 192):
-    """(max |prod^{-1} T_L|, max |T_L|) over Delta s/h <= m <= k/(2h), k <= s.
+def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
+    """(max |prod^{-1} T_L|, max |T_L|) over Delta s/h <= m <= k/(2h), k <= s,
+    with L = em_length(delta, s, h).
 
     First pass runs in double precision.  Where the product e^{-log prod}
-    amplifies double roundoff beyond the running maximum, the pair is
-    recomputed at `recheck_prec` bits; pairs whose rigorous |T_L| bound
-    already rules them out are skipped.
+    amplifies double roundoff beyond the running maximum, |prod^{-1} T_L| is
+    recomputed at 192 bits, T_L by em_remainder; pairs whose rigorous |T_L|
+    bound already rules them out are skipped.
     """
-    L = int(math.pi * math.e * delta * s / h)
-    polys_float, polys_frac = _cot_poly_float()
-    bf = [0.0] + [float(_bern_over_fact(l)) for l in range(1, L)]
+    _checked_delta(delta)
+    L = em_length(delta, s, h)
+    polys_float = _cot_poly_float(2 * L - 2)
+    bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]
     m_lo = max(1, math.ceil(delta * s / h - 1e-12))
     max_T = 0.0
     reliable_max = 0.0
@@ -437,7 +417,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006,
         T = lp - main
         absT = np.abs(T)
         max_T = max(max_T, float(absT.max()))
-        err = 2e-13 * np.maximum(np.abs(lp), np.abs(em) + np.abs(main) + 1)
+        err = SCREEN_ROUNDOFF * np.maximum(np.abs(lp), np.abs(em) + np.abs(main) + 1)
         PT = np.exp(-lp) * absT
         trusted = err < 0.05 * np.maximum(absT, 1e-300)
         if trusted.any():
@@ -455,6 +435,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006,
     for k, m, potential in sorted(pending, key=lambda t: -t[2]):
         if potential <= math.log(max(max_PT, 1e-300)):
             break
-        pt, _ = _t_exact(h, k, m, L, polys_frac, recheck_prec)
-        max_PT = max(max_PT, pt)
+        T = em_remainder(h, k, m, L, _RECHECK_PREC).value
+        lp = sine_product(h, k, m, _RECHECK_PREC).logAbs.value
+        max_PT = max(max_PT, float(mpmath.exp(-lp) * abs(T)))
     return max_PT, max_T

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.asymptotics import (LocalSeriesPair, a3_quadrature,
+from pfrac.asymptotics import (LocalSeriesPair, _frame, a3_quadrature,
                                b_coeffs, bell_partial, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
@@ -153,6 +153,25 @@ def test_vstar_ell_closed_form():
             got = vstar_weight(ell, 1, z0, PREC).value
             want = (2j * pi * z0) ** ell * (6 * ell + mpf(11) / 2 + 1 / w0) / 12
             assert abs(got - want) < mpf(2) ** -200 * abs(want)
+
+
+def test_frame_weights_match_scalar_oracles():
+    # the constant terms of the saddle frame's weight series are the scalar
+    # weights at z0; u_weight and vstar_weight are the oracles
+    _, z0, _ = _zw()
+    frame = _frame(1, 0, 12, PREC)
+    tol = mpf(2) ** (16 - PREC)
+    with mp.workprec(PREC + 32):
+        for sigma in (1, 2, -3):
+            series = frame.u_series(sigma, 3)
+            for j in range(4):
+                want = u_weight(sigma, j, z0, PREC).value
+                assert abs(series[j][0] - want) <= tol * max(1, abs(want))
+        for ell in (1, 4):
+            series = frame.vstar_series(ell, 3)
+            for j in range(4):
+                want = vstar_weight(ell, j, z0, PREC).value
+                assert abs(series[j][0] - want) <= tol * max(1, abs(want))
 
 
 # -- the expansions ----------------------------------------------------------------------------

@@ -56,6 +56,10 @@ USAGE_ERRORS = {
     "psi --k 1": "--k: must be at least 2, got 1",
     "psi --k -3": "--k: must be at least 2, got -3",
     "identity --n-max 0": "--n-max: must be at least 1, got 0",
+    "table a1 --rows 1": "--rows: must be at least 2 for table a1, got 1",
+    "table c011 --rows 0": "--rows: must be at least 1 for table c011, got 0",
+    "table c014 --rows 3": "--rows: must be at least 4 for table c014, got 3",
+    "table c121 --rows 2": "--rows: must be at least 3 for table c121, got 2",
 }
 
 
@@ -80,6 +84,13 @@ def test_saddle_frame_output_is_pinned(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SADDLE_FRAME_SHA256[command]
+
+
+def test_zeros_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "zeros")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "987f69735300eea1915b1d1fcecf0404b3c9265aeef7bf8999e53406b503b49c")
 
 
 def test_zeros_max_b_zero(capsys):
@@ -179,6 +190,16 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith("#") and "h,psi,D" in text
+
+
+@pytest.mark.parametrize("command", ["expansion D --parity 1", "residues --n 5"])
+def test_out_file_equals_stdout(tmp_path, capsys, command):
+    target = tmp_path / "out.json"
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    code, rest = run_cli(capsys, "--out", str(target), *command.split())
+    assert code == 0 and rest == ""
+    assert target.read_text() == out
 
 
 def test_table_c121_row(capsys):

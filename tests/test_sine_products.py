@@ -7,12 +7,13 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
+from pfrac import sine_products
 from pfrac.dilog import clausen
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (EMConfig, _sine_factors, cot_derivative,
-                                 em_product_estimate, em_remainder, g_ell,
-                                 minimal_pair, psi, r_delta, s_wave_sum,
+from pfrac.sine_products import (EMConfig, _sine_factors, cot_derivative, em_length,
+                                 em_product_estimate, em_remainder, em_remainder_scan,
+                                 g_ell, minimal_pair, psi, r_delta, s_wave_sum,
                                  sine_product, t_l_bound, zero_pairs)
 
 PREC = 256
@@ -323,6 +324,55 @@ def test_r_delta_published_values():
     for d, want in ((0.0079, 51.9), (0.007, 72.6), (0.006, 130.7),
                     (0.005, 665.2), (0.00477, 11701.6)):
         assert abs(float(r_delta(d)) - want) / want < 2e-3
+
+
+def test_em_length_on_the_inputs_in_use():
+    # the scan defaults, the 0.0079 edge, and v(z; N, sigma) at Delta = 0.006
+    assert [em_length(0.006, 500, h) for h in (1, 3)] == [25, 8]
+    assert em_length(0.0079, 500, 1) == 33
+    assert [em_length(0.006, N, 1) for N in (131, 200, 249, 1000)] == [6, 10, 12, 51]
+
+
+def test_delta_is_checked_at_every_entry_point():
+    for call in (lambda: EMConfig(delta_param=0.0045, W=0.05), lambda: r_delta(0.0045),
+                 lambda: em_remainder_scan(1, 100, 0.0045)):
+        with pytest.raises(ValueError, match=r"Delta must lie in \[0.00477, 0.0079\]"):
+            call()
+
+
+def test_em_remainder_scan_with_long_truncation():
+    # L = 33 > 26 needs cotangent derivatives beyond order 50; m_lo = ceil(0.0079 * 500)
+    L, m_lo = em_length(0.0079, 500, 1), 4
+    pt, tmax = em_remainder_scan(1, 500, 0.0079)
+    assert L == 33 and pt > 0
+    assert tmax <= float(t_l_bound(L, m_lo, 64).value)
+
+
+@pytest.mark.parametrize("screen", ["float64", "recheck every pair"])
+def test_em_remainder_scan_matches_brute_force(monkeypatch, screen):
+    # brute force over the whole grid (Delta s/h = 0.2, so m starts at 1) at
+    # 192 bits; with the roundoff estimate raised, the screen trusts no pair
+    # and every maximum comes from em_remainder
+    h, s, delta = 3, 100, 0.006
+    L = em_length(delta, s, h)
+    rechecks = []
+    real = sine_products.em_remainder
+    monkeypatch.setattr(sine_products, "em_remainder",
+                        lambda *args: rechecks.append(args) or real(*args))
+    if screen != "float64":
+        monkeypatch.setattr(sine_products, "SCREEN_ROUNDOFF", 1.0)
+    pt, tmax = em_remainder_scan(h, s, delta)
+    assert (len(rechecks) > 0) == (screen != "float64")
+    want_pt = want_t = mpf(0)
+    for k in range(2, s + 1):
+        if gcd(h, k) != 1:
+            continue
+        for m in range(1, k // (2 * h) + 1):
+            T = abs(real(h, k, m, L, 192).value)
+            lp = sine_product(h, k, m, 192).logAbs.value
+            want_pt, want_t = max(want_pt, mpmath.exp(-lp) * T), max(want_t, T)
+    assert abs(pt - want_pt) <= 1e-12 * want_pt
+    assert abs(tmax - want_t) <= 1e-12 * want_t
 
 
 # -- wave sums ---------------------------------------------------------------------------

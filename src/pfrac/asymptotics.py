@@ -25,7 +25,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _li2_any, find_saddle, find_zero, p_d, q_func, v_func)
-from .precision import HPComplex, HPReal, default_precision, to_mpc
+from .precision import HPComplex, HPReal, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
 from .sine_products import g_ell
@@ -199,7 +199,7 @@ def local_series(saddle: SaddlePoint, weight=None, depth: int = 12,
     coefficients [w_0, w_1, ...] of a weight w (such as a row of the saddle
     frame's u_series or vstar_series) for the amplitude q * w.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     frame = _frame(saddle.m, saddle.d, depth, prec)
     with mp.workprec(frame.prec):
         w = frame.Q if weight is None else mul(frame.Q, weight, depth)
@@ -213,7 +213,7 @@ def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPCom
              sum_{i<=2s} q_{2s-i} sum_{j<=i} p0^{-s-j} C(-s-1/2, j) Bhat_{i,j}(p1, ...),
     with the square root chosen so Re((omega^2 p0)^{1/2}) > 0.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 32):
         p0 = mpc(pair.p[0])
         omega = mpc(pair.omega.value)
@@ -249,7 +249,7 @@ def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
 
 def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:
     """u_{sigma,j}(z): 1/N^j coefficient of exp(v(z; N, sigma)); u_{sigma,0} = 1."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return HPComplex(_u_scalar(sigma, j, z, prec)[j], prec)
 
 
@@ -257,7 +257,7 @@ def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
     """v*_{ell,j}(z) = sum_t Bhat_{ell-1+t,ell-1}(1/1!,...) (2 pi i z)^{ell-1+t} u_{1,j-t}(z)."""
     if ell < 1:
         raise ValueError("need ell >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         us = _u_scalar(1, j, zv, prec)
@@ -327,7 +327,7 @@ def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("A1-b", zero, 2,
                      _descent_values(_Frame.u_series, int(sigma), -4j, m, prec))
@@ -341,7 +341,7 @@ def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
     """
     if ell < 1 or m < 1:
         raise ValueError("need ell >= 1 and m >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("C01-c", zero, ell + 1,
                      _descent_values(_Frame.vstar_series, int(ell), 4j, m, prec))
@@ -357,7 +357,7 @@ def family_leading(tag: str, parity: int | None = None,
        w(0,-1)^{-N/2}, parity-dependent, with the documented sign and
        odd-denominator convention (see Expansion).
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 32):
         if tag == "C":
             zero = find_zero(BranchLabel(1, -3), prec=prec)
@@ -387,7 +387,7 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
         raise ValueError(f"only {len(e.coeffs)} coefficients available, m={m} requested")
     if e.parity is not None and N % 2 != e.parity:
         raise ValueError(f"expansion was built for N % 2 == {e.parity}")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 32):
         w = mpc(e.base.w.value)
         expo = -mpf(N) / 2 if e.half_exponent else -mpf(N)
@@ -428,7 +428,7 @@ def _gauss_legendre(n: int, prec: int) -> tuple:
 def saddle_path(prec: int | None = None) -> tuple:
     """Polygonal descent path vertices 1.01 -> 1.01c -> 1.49c -> 1.49 with
     c = 1 + i Im(z0)/Re(z0), passing through the saddle z0."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         z0 = find_saddle(1, 0, prec).z.value
         v = z0.imag / z0.real
@@ -444,7 +444,7 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
     the saddle height U = Re[-p(z0)], and the largest Re[-p] on the two
     vertical edges (expected below 0.06).
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
         z0 = find_saddle(1, 0, prec).z.value
@@ -469,12 +469,12 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
 def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """(2/N^{3/2}) Im int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz over the
     descent path, by Gauss-Legendre per edge from 40 nodes, doubling the
-    node count until two successive results agree to a relative 1e-8.
+    node count until two successive results agree to a relative 1e-8.  The
+    label is 16 + floor(-log2) of their scaled difference, at most prec.
     """
     if N < 131:
         raise ValueError("the truncated integrand needs N >= 131")
-    prec = default_precision() if prec is None else prec
-    rel_tol = mpf("1e-8")
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
 
@@ -498,8 +498,11 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
         for _ in range(4):
             n *= 2
             cur = total(n)
-            if abs(cur - prev) <= rel_tol * abs(cur):
-                return HPReal(2 / mpf(N) ** mpf("1.5") * cur.imag, prec)
+            if abs(cur - prev) <= mpf("1e-8") * abs(cur):
+                scale = 2 / mpf(N) ** mpf("1.5")
+                err = scale * abs(cur - prev)
+                bits = min(prec, 16 + int(mpmath.floor(-mpmath.log(err, 2)))) if err else prec
+                return HPReal(scale * cur.imag, bits)
             prev = cur
     raise ConvergenceError("contour quadrature did not converge")
 

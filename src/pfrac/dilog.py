@@ -13,11 +13,12 @@ expansions in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf, pi
 
-from .precision import HPComplex, HPReal, default_precision, to_mpc, tolerance
+from .precision import HPComplex, HPReal, resolve_precision, to_mpc, tolerance
 from .sequences import bernoulli_over_factorial
 
 
@@ -76,7 +77,7 @@ def li2_principal(z, prec: int | None = None) -> HPComplex:
     in log(z) on the annulus they cannot reach.  Points on the cut [1, oo)
     are evaluated as the limit from the upper half plane.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         val = _li2_any(to_mpc(z))
     return HPComplex(val, prec)
@@ -114,7 +115,7 @@ def _li2_any(z):
 
 def clausen(theta, prec: int | None = None) -> HPReal:
     """Clausen's integral Cl2(theta) = Im Li2(e^{i theta}); odd, 2pi-periodic."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         t = to_mpc(theta).real
         twopi = 2 * pi
@@ -170,7 +171,7 @@ def li2_continued(z, label: BranchLabel | tuple, prec: int | None = None) -> HPC
     """Continued dilogarithm value Li2(z) + 4 pi^2 A + 2 pi i B log(z)."""
     if not isinstance(label, BranchLabel):
         label = BranchLabel(*label)
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         val = _li2_branch(to_mpc(z), label.A, label.B)
     return HPComplex(val, prec)
@@ -198,10 +199,15 @@ def find_zero(label: BranchLabel | tuple, prec: int | None = None) -> DilogZero:
     """
     if not isinstance(label, BranchLabel):
         label = BranchLabel(*label)
-    A, B = label.A, label.B
     if not label.admissible():
-        raise ValueError(f"no dilogarithm zero for branch (A={A}, B={B})")
-    prec = default_precision() if prec is None else prec
+        raise ValueError(f"no dilogarithm zero for branch (A={label.A}, B={label.B})")
+    return _zero(label, resolve_precision(prec))
+
+
+@lru_cache(maxsize=256)
+def _zero(label: BranchLabel, prec: int) -> DilogZero:
+    """find_zero's Newton solve; a DilogZero is immutable, so callers share it."""
+    A, B = label.A, label.B
     with mp.workprec(prec + 32):
         if A == 0:
             w0 = mpf("0.95") * mpmath.exp(-1j * mpmath.sign(B) * mpf("0.2") / abs(B))
@@ -259,19 +265,19 @@ def _phase(z, d: int, order: int, prec: int) -> list:
 
 def p_d(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d(z) = (-Li2(e^{2 pi i z}) + zeta(2) + 4 pi^2 d) / (2 pi i z)."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return HPComplex(_phase(z, d, 0, prec)[0], prec)
 
 
 def p_d_prime(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d'(z) = -(p_d(z) - log(1 - e^{2 pi i z})) / z."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return HPComplex(_phase(z, d, 1, prec)[1], prec)
 
 
 def p_d_second(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d''(z) = -(2 p_d'(z) + 2 pi i e^{2 pi i z} / (1 - e^{2 pi i z})) / z."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return HPComplex(_phase(z, d, 2, prec)[2], prec)
 
 
@@ -292,7 +298,7 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
     """
     if not BranchLabel(d, -m).admissible():
         raise ValueError(f"no saddle point for (m={m}, d={d})")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(d, -m), prec=prec)
     with mp.workprec(prec + 24):
         w = mpc(zero.w.value)
@@ -307,7 +313,7 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
 
 def r_func(z, prec: int | None = None) -> HPComplex:
     """r(z) = Li2(e^{2 pi i z}) / (2 pi i z) + 13 pi i / (12 z) on 1 < Re z < 2."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
         val = _li2_any(mpmath.exp(2j * pi * zv)) / (2j * pi * zv) + 13 * pi * 1j / (12 * zv)
@@ -316,7 +322,7 @@ def r_func(z, prec: int | None = None) -> HPComplex:
 
 def q_func(z, prec: int | None = None) -> HPComplex:
     """q(z) = sqrt(z / (2 sin(pi (z - 1)))) e^{-i pi z / 2}, principal root."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
         val = mpmath.sqrt(zv / (2 * mpmath.sin(pi * (zv - 1)))) * mpmath.exp(-1j * pi * zv / 2)
@@ -330,7 +336,7 @@ def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
     Delta = 0.006 and h = 1 that the integral representation uses.
     """
     from .sine_products import em_length, g_ell
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     L = em_length(0.006, N, 1)
     if L < 2:
         raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")

@@ -24,7 +24,7 @@ from math import comb, gcd
 import mpmath
 from mpmath import mp, mpc, mpf, pi
 
-from .precision import HPComplex, HPReal, default_precision
+from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, power_sum_table
 from .series import exp, inv, mul
 from .sine_products import _sine_factors
@@ -103,7 +103,7 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
         raise ValueError("simple-pole residue needs N/2 < k <= N")
     if gcd(h, k) != 1:
         raise ValueError("h/k must be reduced")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         product = mpmath.fprod(_sine_factors(h, k, N - k, prec + 16))
         return HPComplex(_q_simple_at(h, k, sigma, N, product), prec)
@@ -178,7 +178,7 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
         raise ValueError("need 1 <= k <= N")
     if gcd(h, k) != 1 or not 0 <= h < k:
         raise ValueError("h/k must be a reduced fraction in [0, 1)")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     s = N // k
     for attempt in range(4):
@@ -219,7 +219,7 @@ def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole adds
     2 Re Q.  A non-integer sigma breaks that symmetry and sums every pole.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     fold = isinstance(sigma, int)
     fractions = sorted(farey(N), key=lambda f: (f.k, f.h))
@@ -258,7 +258,7 @@ def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPCom
     """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
     if ell < 1:
         raise ValueError("need ell >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
 
 
@@ -266,7 +266,7 @@ def q_from_c(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPC
     """Inverse conversion Q_{h k sigma}(N) = sum_{ell<=sigma} C(sigma-1, ell-1) zeta^{sigma-ell} C_{h k ell}(N)."""
     if sigma < 1:
         raise ValueError("need sigma >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     cs = _c_from_q_all(h, k, sigma, N, prec + 32)
     with mp.workprec(prec + 16):
         zeta = _roots_of_unity(k, prec + 16)[h]
@@ -332,7 +332,7 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
     2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k); both residues are still
     formed, so the imaginary-part check keeps testing their phases.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     fractions = sel.fractions()
     if not fractions:
         raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
@@ -388,7 +388,7 @@ def _c01l_at(N: int, ell: int, wprec: int) -> mpf:
         return (-1) ** N / mpmath.factorial(N) * val
 
 
-def c01l_exact(N: int, ell: int, precision: int | None = None) -> HPReal:
+def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
     """C_{0 1 ell}(N): coefficient of (q-1)^{-ell} in prod_{j<=N} 1/(1-q^j).
 
     Evaluated as (-1)^N/N! [x^{N-1}] e^x (e^x-1)^{ell-1} exp(-Phat(x)) (see
@@ -397,8 +397,8 @@ def c01l_exact(N: int, ell: int, precision: int | None = None) -> HPReal:
     """
     if not 1 <= ell <= N:
         raise ValueError("need 1 <= ell <= N")
-    precision = (512 if N > 400 else default_precision()) if precision is None else precision
-    wprec = precision
+    prec = 512 if prec is None and N > 400 else resolve_precision(prec)
+    wprec = prec
     for _ in range(4):
         v1 = _c01l_at(N, ell, wprec)
         v2 = _c01l_at(N, ell, wprec + 64)
@@ -406,14 +406,14 @@ def c01l_exact(N: int, ell: int, precision: int | None = None) -> HPReal:
             err = abs(v1 - v2)
             good = err <= abs(v2) * mpf(2) ** (-48) if v2 != 0 else err == 0
         if good:
-            return HPReal(v2, precision)
+            return HPReal(v2, prec)
         wprec *= 2
     raise PrecisionLossError(f"Laurent oracle unstable at N={N}, ell={ell}")
 
 
 def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """Q_{0 1 sigma}(N) = (-1)^N/N! [x^{N-1}] exp(sigma x - Phat(x)) (real)."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     g = _laurent_core(N, prec + 64)
     with mp.workprec(prec + 64):
         val = mpf(0)
@@ -431,14 +431,14 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 
 
 def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
     """Evaluate the full partial-fraction expansion of prod_{j<=N} 1/(1-q^j)
     at the point q, summing every pole's principal part."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         qv = mpc(q)
         total = mpc(0)
@@ -454,7 +454,7 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
 def sylvester_wave(k: int, N: int, n: int, prec: int | None = None) -> HPReal:
     """Wave W_k(N, n) = -sum_{(h,k)=1, 0<=h<k} Q_{h k (-n)}(N); the waves sum
     to the restricted partition count p_N(n) over k = 1..N."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         total = mpc(0)
         for h in range(k):

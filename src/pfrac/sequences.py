@@ -15,7 +15,7 @@ from math import comb, factorial
 import mpmath
 from mpmath import mp, mpf
 
-from .precision import HPReal, default_precision
+from .precision import HPReal, resolve_precision
 
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
 _stirling2: list[list[int]] = [[1]]                 # triangle rows
@@ -50,7 +50,7 @@ def bernoulli_over_factorial(k: int, prec: int | None = None) -> mpf:
 
     Used where 2k is large enough that exact rationals are impractical.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     if k == 0:
         return mpf(1)
     with mp.workprec(prec + 16):
@@ -79,8 +79,8 @@ def stirling2(n: int, r: int) -> int:
 
 def binom_half(s: int, j: int, prec: int | None = None) -> HPReal:
     """Generalized binomial coefficient C(-s - 1/2, j)."""
+    prec = resolve_precision(prec)
     val = binom_half_fraction(s, j)
-    prec = default_precision() if prec is None else prec
     with mp.workprec(prec):
         return HPReal(mpf(val.numerator) / val.denominator, prec)
 

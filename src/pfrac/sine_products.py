@@ -20,6 +20,7 @@ reciprocal-product convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
-from .precision import HPComplex, HPReal, default_precision, to_mpc
+from .precision import HPComplex, HPReal, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, stirling2
 
 __all__ = [
@@ -82,7 +83,7 @@ def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProduct
         raise ValueError("h/k must be in lowest terms")
     if not 0 <= m < k:
         raise ValueError("m must satisfy 0 <= m < k (zero factor otherwise)")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         prod = mpmath.fprod(_sine_factors(h, k, m, prec + 16))
         return SineProductValue(HPReal(mpmath.log(abs(prod)), prec),
@@ -100,7 +101,7 @@ def psi(h: int, k: int, prec: int | None = None) -> HPReal:
     """Max over 0 <= m < k of (1/k) log|prod^{-1}(h/k)_m| (see module note)."""
     if not (1 <= h < k) or math.gcd(h, k) != 1:
         raise ValueError("need 1 <= h < k with (h, k) = 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     table = _log_sine_table(k, prec)
     with mp.workprec(prec + 16):
         acc = mpf(0)
@@ -156,7 +157,7 @@ def minimal_pair(h: int, k: int) -> MinimalPair:
 
 def s_wave_sum(m: int, h: int, k: int, prec: int | None = None) -> HPReal:
     """S(m; h, k) = sum over Z(h,k) of sin(2 pi m gamma / k) / |beta gamma|."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         total = mpf(0)
         for beta, gamma in zero_pairs(h, k):
@@ -173,7 +174,7 @@ def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
     cot^{(n)}(z) = (-1)^n (2i)^{n+1} sum_{r=1}^{n+1} (r-1)! S(n+1, r) (e^{2iz}-1)^{-r},
     switching to the e^{-2iz} mirror for Im z < 0 so the exponentials stay bounded.
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         if mpmath.sin(zv) == 0:
@@ -200,7 +201,7 @@ def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
     """g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z)."""
     if ell < 1:
         raise ValueError("need ell >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         if zv.imag == 0 and zv.real == mpmath.floor(zv.real):
@@ -304,7 +305,7 @@ def em_product_estimate(h: int, k: int, m: int, cfg: EMConfig,
     (h/(2k sin(pi m h/k)))^{1/2} exp((k/(2 pi h)) Cl2(2 pi m h/k))
     exp(-sum_{l<L} (B_{2l}/(2l)!) (pi h/k)^{2l-1} cot^{(2l-2)}(pi m h/k)).
     """
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     s = cfg.s if cfg.s is not None else k
     if not (0 < h < k <= s):
         raise ValueError("requires 0 < h < k <= s")
@@ -322,7 +323,7 @@ def em_product_estimate(h: int, k: int, m: int, cfg: EMConfig,
 
 def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPReal:
     """Truncation remainder T_L(m, h/k) = log prod(h/k)_m - truncated expansion."""
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         lp = sine_product(h, k, m, prec + 16).logAbs.value
         return HPReal(lp + _em_main_log(h, k, m, L, prec), prec)
@@ -332,7 +333,7 @@ def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
     """Rigorous bound (pi^3/2) ((2L-1)/(2 pi e m))^{2L-1} on |T_L(m, theta)|."""
     if L < 1 or m < 1:
         raise ValueError("need L >= 1 and m >= 1")
-    prec = default_precision() if prec is None else prec
+    prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         val = pi ** 3 / 2 * ((2 * L - 1) / (2 * pi * mpmath.e * m)) ** (2 * L - 1)
         return HPReal(val, prec)
@@ -344,6 +345,11 @@ def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
 SCREEN_ROUNDOFF = 2e-13
 #: bits at which em_remainder_scan rechecks a pair the screen cannot settle
 _RECHECK_PREC = 192
+#: largest L the float64 screen holds: cot^{(2L-2)}(x) ~ (2L-2)!/x^{2L-1} peaks
+#: at the smallest grid point x = pi Delta, and Delta >= 0.00477
+SCREEN_MAX_L = max(L for L in range(1, 100)
+                   if math.lgamma(2 * L - 1) - (2 * L - 1) * math.log(math.pi * 0.00477)
+                   < math.log(sys.float_info.max))
 
 
 @lru_cache(maxsize=1)
@@ -381,10 +387,13 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     First pass runs in double precision.  Where the product e^{-log prod}
     amplifies double roundoff beyond the running maximum, |prod^{-1} T_L| is
     recomputed at 192 bits, T_L by em_remainder; pairs whose rigorous |T_L|
-    bound already rules them out are skipped.
+    bound already rules them out are skipped.  L above SCREEN_MAX_L raises
+    ValueError.
     """
     _checked_delta(delta)
     L = em_length(delta, s, h)
+    if L > SCREEN_MAX_L:
+        raise ValueError(f"the float64 screen holds L <= {SCREEN_MAX_L}, got L = {L}")
     polys_float = _cot_poly_float(2 * L - 2)
     bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]
     m_lo = max(1, math.ceil(delta * s / h - 1e-12))

@@ -13,8 +13,8 @@ from pfrac.asymptotics import (LocalSeriesPair, _frame, a3_quadrature,
                                family_leading, local_series,
                                path_positivity_check, saddle_path, u_weight,
                                vstar_weight, wojdylo_a2s)
-from pfrac.dilog import find_saddle, find_zero
-from pfrac.precision import HPComplex
+from pfrac.dilog import find_saddle, find_zero, p_d, q_func, v_func
+from pfrac.precision import HPComplex, tolerance
 from pfrac.residues import a1_sum
 
 PREC = 256
@@ -322,10 +322,28 @@ def test_path_positivity():
     assert chk["vertical_max"].value < mpf("0.06")
 
 
-def test_a3_matches_a1():
-    a3 = a3_quadrature(200, 1, 192).value
+@pytest.fixture(scope="module")
+def a3_200():
+    return a3_quadrature(200, 1, 192)
+
+
+def test_a3_matches_a1(a3_200):
+    a3 = a3_200.value
     a1 = a1_sum(200, 1, 420).value
     assert abs(a3 - a1) / abs(a1) < mpf("1e-3")
+
+
+def test_a3_label_holds_against_tanh_sinh(a3_200):
+    # node doubling stops at a relative 1e-8, so the label is far below 192
+    # bits; an independent rule on the same integrand and path confirms it
+    N, p = 200, 96
+    with mp.workprec(p):
+        def integrand(z):
+            return (mpmath.exp(-N * p_d(z, 0, p).value) * q_func(z, p).value
+                    * mpmath.exp(v_func(z, N, 1, p).value))
+        ref = 2 / mpf(N) ** mpf("1.5") * mpmath.quad(integrand, saddle_path(p)).imag
+    assert a3_200.precision < 64
+    assert abs(a3_200.value - ref) <= tolerance(a3_200.precision)
 
 
 def test_a3_requires_large_n():

@@ -154,6 +154,8 @@ def test_table_a1_row_matches(capsys):
     assert rows[0]["m1"].startswith("-33.868")
     assert rows[0]["m4"].startswith("-32.468")
     assert rows[0]["reference"].startswith("-32.469")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "ebaf16d3b7252fb6fb5d866c0dd6c60ec9b6054a6c610bd54606bceab15bbd4d")
 
 
 def test_table_header_has_caption(capsys):
@@ -203,12 +205,15 @@ def test_out_file_equals_stdout(tmp_path, capsys, command):
 
 
 def test_table_c121_row(capsys):
-    # leading-term column and the family-sum reference both match print digits
+    # leading-term column and the family-sum reference both match print digits;
+    # the sha256 pins every byte
     code, out = run_cli(capsys, "table", "c121", "--rows", "1001")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
     assert rows[0]["m1"].startswith("2.10996")
     assert rows[0]["reference"].startswith("2.11418")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "051580bf70e209d3ffec6fffe9f691d71a42201f057356fcfa45bb091692565c")
 
 
 def test_verify_exit_code_mapping(monkeypatch, capsys):

@@ -1,7 +1,7 @@
-"""Scalars, sequence caches, and truncated series arithmetic."""
+"""Precision records and rules, sequence caches, and truncated series arithmetic."""
 
+import dataclasses
 import importlib
-import itertools
 import os
 import pkgutil
 import subprocess
@@ -15,46 +15,35 @@ import pytest
 from mpmath import mp, mpf, pi
 
 import pfrac
+from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
                              binom_half_fraction, power_sum_table, stirling2)
 from pfrac.series import exp, inv, log, mul
 
 
-# -- precision-carrying scalars -------------------------------------------------
+# -- precision-labelled records ---------------------------------------------------
 
-def test_min_precision_propagates():
-    a = HPReal(1, 256) / HPReal(3, 256)
-    b = HPReal(1, 128) / HPReal(7, 128)
-    assert (a + b).precision == 128
-    assert (a * b).precision == 128
-    assert (b - a).precision == 128
-    # exact (untracked) operands do not lower precision
-    assert (a * 2).precision == 256
+def test_records_are_frozen_pairs():
+    for record in (HPReal(mpf(1) / 3, 100), HPComplex(mpmath.mpc(3, 4), 100)):
+        assert tuple(f.name for f in dataclasses.fields(record)) == ("value", "precision")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.precision = 200
+    assert tolerance(100) == 2 ** -84
 
 
-def test_no_operation_reports_more_precision_than_weakest_input():
-    vals = [HPReal(mpf(1) / 3, p) for p in (64, 128, 256)]
-    for x, y in itertools.permutations(vals, 2):
-        for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u / v):
-            assert op(x, y).precision == min(x.precision, y.precision)
-
-
-def test_tolerance_rule():
-    x = HPReal(1, 100)
-    assert x.tol() == mpf(2) ** (16 - 100)
-    with mp.workprec(160):
-        near = 1 + mpf(2) ** -90
-        far = 1 + mpf(2) ** -70
-    assert x.close_to(near)
-    assert not x.close_to(far)
-
-
-def test_complex_wrapper():
-    z = HPComplex(mpmath.mpc(3, 4), 200)
-    assert abs(z).value == 5
-    assert z.conjugate().value == mpmath.mpc(3, -4)
-    assert z.real.value == 3 and z.imag.value == 4
+@pytest.mark.parametrize("prec", [4, 256.0, "abc"])
+@pytest.mark.parametrize("call", [
+    lambda prec: a1_sum(300, 1, prec),
+    lambda prec: c01l_exact(50, 1, prec),
+    lambda prec: psi(1, 11, prec),
+    lambda prec: find_zero((0, -1), prec),
+    lambda prec: q_general(1, 3, 1, 12, prec),
+    lambda prec: b_coeffs(1, 4, prec),
+], ids=["a1_sum", "c01l_exact", "psi", "find_zero", "q_general", "b_coeffs"])
+def test_bad_prec_fails_fast(call, prec):
+    with pytest.raises(ValueError, match="prec must be an integer of at least 8 bits"):
+        call(prec)
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

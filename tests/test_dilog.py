@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf, pi
 from pfrac.dilog import (clausen, find_saddle, find_zero,
                          li2_continued, li2_principal, p_d, p_d_prime,
                          p_d_second, q_func, r_func, r_q_v_eval)
+from pfrac.precision import set_default_precision
 from pfrac.refdata import DILOG_ZEROS
 
 PREC = 256
@@ -99,6 +100,17 @@ def test_find_zero_reference_values():
         z = find_zero((A, B), prec=PREC)
         assert abs(z.w.value - mpc(mpf(str(re)), mpf(str(im)))) < mpf("1e-9")
         assert z.residual.value < mpf("1e-20")
+
+
+def test_find_zero_cache_follows_the_default_precision():
+    # the cache is keyed on the resolved precision, so prec=None cannot go stale
+    find_zero((0, -1))
+    old = set_default_precision(320)
+    try:
+        assert find_zero((0, -1)).w.precision == 320
+    finally:
+        set_default_precision(old)
+    assert find_zero((0, -1)).w.precision == old
 
 
 def test_find_zero_rejects_inadmissible():

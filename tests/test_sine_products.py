@@ -4,6 +4,7 @@ import math
 from math import gcd
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
@@ -11,10 +12,10 @@ from pfrac import sine_products
 from pfrac.dilog import clausen
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (EMConfig, _sine_factors, cot_derivative, em_length,
-                                 em_product_estimate, em_remainder, em_remainder_scan,
-                                 g_ell, minimal_pair, psi, r_delta, s_wave_sum,
-                                 sine_product, t_l_bound, zero_pairs)
+from pfrac.sine_products import (SCREEN_MAX_L, EMConfig, _sine_factors, cot_derivative,
+                                 em_length, em_product_estimate, em_remainder,
+                                 em_remainder_scan, g_ell, minimal_pair, psi, r_delta,
+                                 s_wave_sum, sine_product, t_l_bound, zero_pairs)
 
 PREC = 256
 
@@ -346,6 +347,22 @@ def test_em_remainder_scan_with_long_truncation():
     pt, tmax = em_remainder_scan(1, 500, 0.0079)
     assert L == 33 and pt > 0
     assert tmax <= float(t_l_bound(L, m_lo, 64).value)
+
+
+def test_em_remainder_scan_refuses_what_float64_cannot_hold(monkeypatch):
+    # Horner's P_j(cot x), j = 2L - 2, at the smallest grid point x = pi 0.00477
+    # stays finite up to SCREEN_MAX_L and overflows one step later
+    c = 1 / math.tan(math.pi * 0.00477)
+    with np.errstate(over="ignore"):
+        for L in (SCREEN_MAX_L, SCREEN_MAX_L + 1):
+            acc = np.float64(0)
+            for coef in sine_products._cot_poly_float(2 * L - 2)[-1][::-1]:
+                acc = acc * c + coef
+            assert np.isfinite(acc) == (L == SCREEN_MAX_L)
+    # L = 51 raises before the scan builds its first polynomial
+    monkeypatch.setattr(sine_products, "_cot_poly_float", None)
+    with pytest.raises(ValueError, match=f"holds L <= {SCREEN_MAX_L}, got L = 51"):
+        em_remainder_scan(1, 1000)
 
 
 @pytest.mark.parametrize("screen", ["float64", "recheck every pair"])

@@ -1,12 +1,15 @@
 """Verification suite: one callable per criterion, each returning a
 CriterionResult; the CLI `verify` command and the acceptance tests both run
-these, so the gate lives in exactly one place.
+these, so the gate lives in exactly one place.  The CLI's `table` and
+`identity` commands check through the table recipes and the identity gate
+defined here, and every command exits with the codes defined here.
 
 Tolerances are pinned here and nowhere else.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -15,15 +18,33 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from . import refdata
-from .dilog import find_saddle, find_zero
+from .dilog import ConvergenceError, find_saddle, find_zero
 from .asymptotics import (a3_quadrature, b_coeffs, c_coeffs, decay_exponent,
                           evaluate_expansion, family_leading,
                           path_positivity_check)
-from .residues import (a1_sum, c01l_exact, reconstruct_product,
-                       residue_sum, residue_sum_expected)
+from .residues import (FamilySelector, a1_sum, c01l_exact, family_sum,
+                       reconstruct_product, residue_sum, residue_sum_expected)
 from .sine_products import em_remainder_scan, psi
 
-TABLE_MISMATCH, IDENTITY_FAILURE, CONVERGENCE_FAILURE, PRECISION_EXHAUSTION = 2, 3, 4, 5
+EXIT_OK, TABLE_MISMATCH, IDENTITY_FAILURE, CONVERGENCE_FAILURE, PRECISION_EXHAUSTION = 0, 2, 3, 4, 5
+
+TABLE_DIGITS = 6          # significant digits the published tables print
+EXPANSION_PREC = 320      # least precision of a table's expansion columns
+A1_ORACLE_PREC = 420      # least precision of the dominant-sum reference a1_sum
+C01_ORACLE_PREC = 512     # precision of the pole-at-1 reference c01l_exact
+
+# name: (published rows, caption, smallest N the table's sums are defined at)
+TABLES = {
+    "a1": (refdata.TABLE_A1, "dominant simple-pole sum and its expansion", 2),
+    "c011": (refdata.TABLE_C011, "pole-at-1 coefficient, first order", 1),
+    "c014": (refdata.TABLE_C014, "pole-at-1 coefficient, fourth order", 4),
+    "c121": (refdata.TABLE_C121, "half-pole parity family, leading term", 3),
+}
+
+
+def exit_code(exc: Exception) -> int:
+    """Exit code for an error that ends a command or a criterion."""
+    return CONVERGENCE_FAILURE if isinstance(exc, ConvergenceError) else PRECISION_EXHAUSTION
 
 
 @dataclass
@@ -45,26 +66,92 @@ def sigfigs_equal(value, ref, digits: int) -> bool:
     return abs(value - ref) <= mpf("0.51") * ulp
 
 
-def criterion_1_zeros() -> CriterionResult:
+def table_columns(name: str, N: int, prec: int) -> dict:
+    """{"m1": ..., "m4": ...} of table `name` at N (c121 has only m1), at `prec` bits."""
+    if name == "a1":
+        exp = b_coeffs(1, 4, prec)
+    elif name == "c121":
+        exp = family_leading("D", N % 2, prec)
+    else:  # c01<ell>
+        exp = c_coeffs(int(name.removeprefix("c01")), 4, prec)
+    return {f"m{m}": evaluate_expansion(exp, N, m, prec).value
+            for m in range(1, len(exp.coeffs) + 1)}
+
+
+def table_reference(name: str, N: int, prec: int):
+    """The exact value in the reference column of table `name` at N."""
+    if name == "a1":
+        return a1_sum(N, 1, max(prec, A1_ORACLE_PREC)).value
+    if name == "c121":
+        return -family_sum(FamilySelector("D", N), 1, 256).value
+    return c01l_exact(N, int(name.removeprefix("c01")), C01_ORACLE_PREC).value
+
+
+def table_mismatches(name: str, N: int, columns: dict, reference=None) -> list[str]:
+    """The values of row N that miss the printed digits of table `name`: the
+    columns, and the reference when one is given.  Empty when no row N is printed."""
+    printed = TABLES[name][0].get(N, ())
+    bad = [f"{name} N={N} {col}: {mpmath.nstr(got, 7)} vs {want}"
+           for (col, got), want in zip(columns.items(), printed)
+           if not sigfigs_equal(got, want, TABLE_DIGITS)]
+    if reference is not None and printed and not sigfigs_equal(reference, printed[4], TABLE_DIGITS):
+        bad.append(f"{name} N={N} reference: {mpmath.nstr(reference, 7)} vs {printed[4]}")
+    return bad
+
+
+def _published_rows_mismatches(name: str) -> list[str]:
+    """table_mismatches over every printed row of table `name`, columns and reference."""
+    return [msg for N in TABLES[name][0]
+            for msg in table_mismatches(name, N, table_columns(name, N, EXPANSION_PREC),
+                                        table_reference(name, N, EXPANSION_PREC))]
+
+
+def identity_holds(N: int, sigma: int, prec: int | None = None):
+    """(got, want, ok): the residue sum for (N, sigma) at `prec` bits, its exact
+    value, and whether they agree within 1e-15 (1 + |want|)."""
+    got = residue_sum(N, sigma, prec).value
+    want = residue_sum_expected(N, sigma)
+    return got, want, abs(got - want) <= mpf("1e-15") * (1 + abs(want))
+
+
+def _criterion(number: int, name: str, failure_code: int, budget: float | None = None):
+    """Turn a criterion body, which returns (failures, success detail), into a
+    function returning its CriterionResult: timed, failed at `budget` seconds or
+    more, and with a crash reported as a failure carrying the crash's exit code."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            try:
+                bad, detail = body(*args, **kwargs)
+            except Exception as exc:  # a crash counts as a failure of this criterion
+                return CriterionResult(number, name, False, f"{type(exc).__name__}: {exc}",
+                                       time.perf_counter() - t0, exit_code(exc))
+            dt = time.perf_counter() - t0
+            notes = bad[:4]
+            if budget is not None and dt >= budget:
+                notes.append(f"too slow ({dt:.2f}s >= {budget:g}s)")
+            return CriterionResult(number, name, not notes, "; ".join(notes) or detail,
+                                   dt, failure_code)
+        return run
+    return wrap
+
+
+@_criterion(1, "dilog zeros", CONVERGENCE_FAILURE, budget=1.0)
+def criterion_1_zeros():
     """Six reference dilogarithm zeros to 1e-9; residuals below 1e-20."""
-    t0 = time.time()
     bad = []
     for (A, B), (re, im) in refdata.DILOG_ZEROS.items():
         z = find_zero((A, B), prec=256)
         err = abs(z.w.value - mpc(mpf(str(re)), mpf(str(im))))
         if err > mpf("1e-9") or z.residual.value > mpf("1e-20"):
             bad.append(f"({A},{B}): err {mpmath.nstr(err, 3)} resid {mpmath.nstr(z.residual.value, 3)}")
-    dt = time.time() - t0
-    ok = not bad and dt < 1.0
-    detail = "; ".join(bad) if bad else f"six zeros within 1e-9, residuals < 1e-20"
-    if dt >= 1.0:
-        detail += f"; too slow ({dt:.2f}s >= 1s)"
-    return CriterionResult(1, "dilog zeros", ok, detail, dt, CONVERGENCE_FAILURE)
+    return bad, "six zeros within 1e-9, residuals < 1e-20"
 
 
-def criterion_2_constants() -> CriterionResult:
+@_criterion(2, "derived constants", IDENTITY_FAILURE, budget=1.0)
+def criterion_2_constants():
     """U, V, |b0|, arg(-2 i z0 e^{-pi i z0}) against their published values."""
-    t0 = time.time()
     with mp.workprec(300):
         w0 = find_zero((0, -1), prec=256).w.value
         z0 = find_saddle(1, 0, 256).z.value
@@ -80,36 +167,25 @@ def criterion_2_constants() -> CriterionResult:
     ]
     bad = [f"{n}={mpmath.nstr(v, 8)} (want {r})" for n, v, r, tol in checks
            if abs(v - mpf(str(r))) > tol]
-    dt = time.time() - t0
-    ok = not bad and dt < 1.0
-    return CriterionResult(2, "derived constants", ok,
-                           "; ".join(bad) or "U, V, alpha, beta all match", dt,
-                           IDENTITY_FAILURE)
+    return bad, "U, V, alpha, beta all match"
 
 
-def criterion_3_trichotomy(n_max: int = 25) -> CriterionResult:
+@_criterion(3, "residue trichotomy", IDENTITY_FAILURE, budget=120.0)
+def criterion_3_trichotomy(n_max: int = 25):
     """Residue sums hit {-p_N(-sigma), 0, (-1)^N p_N(sigma - N(N+1)/2)}."""
-    t0 = time.time()
     bad = []
     for N in range(1, n_max + 1):
         M = N * (N + 1) // 2
         sigmas = [s for s in range(-6, 7)] + [M, M + 3]
         for sigma in sigmas:
-            got = residue_sum(N, sigma, 320).value
-            want = residue_sum_expected(N, sigma)
-            if abs(got - want) > mpf("1e-15") * (1 + abs(want)):
+            if not identity_holds(N, sigma, 320)[2]:
                 bad.append(f"N={N} sigma={sigma}")
-    dt = time.time() - t0
-    ok = not bad and dt < 120.0
-    detail = "; ".join(bad[:4]) if bad else f"all N <= {n_max}, 15 sigma values each"
-    if dt >= 120.0:
-        detail += f"; too slow ({dt:.1f}s >= 120s)"
-    return CriterionResult(3, "residue trichotomy", ok, detail, dt, IDENTITY_FAILURE)
+    return bad, f"all N <= {n_max}, 15 sigma values each"
 
 
-def criterion_4_reconstruction(seed: int = 20240) -> CriterionResult:
+@_criterion(4, "partial-fraction reconstruction", IDENTITY_FAILURE, budget=60.0)
+def criterion_4_reconstruction(seed: int = 20240):
     """Partial fractions re-sum to the product at 20 random points, N <= 12."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = mpf(0)
     with mp.workprec(300):
@@ -121,80 +197,41 @@ def criterion_4_reconstruction(seed: int = 20240) -> CriterionResult:
             lhs = reconstruct_product(N, q, 256).value
             rhs = 1 / mpmath.fprod([1 - q ** j for j in range(1, N + 1)])
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    dt = time.time() - t0
-    ok = worst < mpf("1e-15") and dt < 60.0
-    return CriterionResult(4, "partial-fraction reconstruction", ok,
-                           f"worst relative error {mpmath.nstr(worst, 3)}", dt,
-                           IDENTITY_FAILURE)
+    detail = f"worst relative error {mpmath.nstr(worst, 3)}"
+    return ([] if worst < mpf("1e-15") else [detail]), detail
 
 
-def criterion_5_table_a1() -> CriterionResult:
+@_criterion(5, "table: dominant sum", TABLE_MISMATCH, budget=300.0)
+def criterion_5_table_a1():
     """Dominant-sum table: expansions m = 1..4 and reference, 6 digits."""
-    t0 = time.time()
-    bad = []
-    exp = b_coeffs(1, 4, 320)
-    for N, row in refdata.TABLE_A1.items():
-        for m in range(1, 5):
-            got = evaluate_expansion(exp, N, m, 320).value
-            if not sigfigs_equal(got, row[m - 1], 6):
-                bad.append(f"N={N} m={m}: {mpmath.nstr(got, 7)} vs {row[m - 1]}")
-        ref = a1_sum(N, 1, 420).value
-        if not sigfigs_equal(ref, row[4], 6):
-            bad.append(f"N={N} ref: {mpmath.nstr(ref, 7)} vs {row[4]}")
-    dt = time.time() - t0
-    ok = not bad and dt < 300.0
-    return CriterionResult(5, "table: dominant sum", ok,
-                           "; ".join(bad[:4]) or "all 25 printed values reproduced",
-                           dt, TABLE_MISMATCH)
+    return _published_rows_mismatches("a1"), "all 25 printed values reproduced"
 
 
-def criterion_6_tables_c01() -> CriterionResult:
+@_criterion(6, "tables: pole-at-1 coefficients", TABLE_MISMATCH, budget=1800.0)
+def criterion_6_tables_c01():
     """Pole-at-1 tables: oracle references, expansion columns, c_{1,t} = -b_t(1)."""
-    t0 = time.time()
-    bad = []
-    for ell, table in ((1, refdata.TABLE_C011), (4, refdata.TABLE_C014)):
-        exp = c_coeffs(ell, 4, 320)
-        for N, row in table.items():
-            for m in range(1, 5):
-                got = evaluate_expansion(exp, N, m, 320).value
-                if not sigfigs_equal(got, row[m - 1], 6):
-                    bad.append(f"ell={ell} N={N} m={m}: {mpmath.nstr(got, 7)}")
-            ref = c01l_exact(N, ell, 512).value
-            if not sigfigs_equal(ref, row[4], 6):
-                bad.append(f"ell={ell} N={N} oracle: {mpmath.nstr(ref, 7)} vs {row[4]}")
-    bexp = b_coeffs(1, 4, 320)
-    cexp = c_coeffs(1, 4, 320)
+    bad = _published_rows_mismatches("c011") + _published_rows_mismatches("c014")
+    bexp = b_coeffs(1, 4, EXPANSION_PREC)
+    cexp = c_coeffs(1, 4, EXPANSION_PREC)
     with mp.workprec(360):
         for t in range(4):
             if abs(mpc(cexp.coeffs[t]) + mpc(bexp.coeffs[t])) > mpf("1e-20"):
                 bad.append(f"c_(1,{t}) != -b_{t}(1)")
-    dt = time.time() - t0
-    ok = not bad and dt < 1800.0
-    return CriterionResult(6, "tables: pole-at-1 coefficients", ok,
-                           "; ".join(bad[:4]) or "oracle and expansion columns reproduced",
-                           dt, TABLE_MISMATCH)
+    return bad, "oracle and expansion columns reproduced"
 
 
-def criterion_7_table_c121() -> CriterionResult:
-    """Parity-split family-D leading values at N = 1000 and 1001."""
-    t0 = time.time()
-    bad = []
-    for N in (1000, 1001):
-        exp = family_leading("D", N % 2, 256)
-        got = evaluate_expansion(exp, N, 1, 256).value
-        want = refdata.TABLE_C121[N][0]
-        if not sigfigs_equal(got, want, 6):
-            bad.append(f"N={N}: {mpmath.nstr(got, 7)} vs {want}")
-    dt = time.time() - t0
-    ok = not bad and dt < 1.0
-    return CriterionResult(7, "table: parity family leading term", ok,
-                           "; ".join(bad) or "both parity values reproduced", dt,
-                           TABLE_MISMATCH)
+@_criterion(7, "table: parity family leading term", TABLE_MISMATCH, budget=1.0)
+def criterion_7_table_c121():
+    """Parity-split family-D leading values at N = 1000 and 1001; only the
+    leading column, since the family-sum reference takes about 0.6 s a row."""
+    bad = [msg for N in refdata.TABLE_C121
+           for msg in table_mismatches("c121", N, table_columns("c121", N, 256))]
+    return bad, "both parity values reproduced"
 
 
-def criterion_8_psi() -> CriterionResult:
+@_criterion(8, "maximum statistic for k=211", TABLE_MISMATCH, budget=30.0)
+def criterion_8_psi():
     """All 210 published Psi(h/211) values to 5 decimals; the six h above U."""
-    t0 = time.time()
     bad = []
     above = []
     for h, want in refdata.PSI_211:
@@ -205,55 +242,46 @@ def criterion_8_psi() -> CriterionResult:
             above.append(h)
     if above != [1, 2, 105, 106, 209, 210]:
         bad.append(f"h above U: {above}")
-    dt = time.time() - t0
-    ok = not bad and dt < 30.0
-    return CriterionResult(8, "maximum statistic for k=211", ok,
-                           "; ".join(bad[:4]) or "210 values match; six h exceed U",
-                           dt, TABLE_MISMATCH)
+    return bad, "210 values match; six h exceed U"
 
 
-def criterion_9_em_scan() -> CriterionResult:
+@_criterion(9, "Euler-Maclaurin remainder scan", IDENTITY_FAILURE)
+def criterion_9_em_scan():
     """Truncation-remainder maxima over the admissible (m, k) grid."""
-    t0 = time.time()
     bad = []
-    checks = {1: (144.7, 0.5, 0.002, 0.0005), 3: (0.133, 0.005, 0.005, 0.001)}
-    for h, (pt_want, pt_tol, t_want, t_tol) in checks.items():
+    tolerances = {1: (0.5, 0.0005), 3: (0.005, 0.001)}  # h -> on max|prod^-1 T|, on max|T|
+    for h, (pt_tol, t_tol) in tolerances.items():
+        _, pt_want, t_want = refdata.EM_CHECK[h]
         pt, tmax = em_remainder_scan(h, 500, 0.006)
         if abs(pt - pt_want) > pt_tol:
             bad.append(f"h={h}: max|prod^-1 T| = {pt:.4f} vs {pt_want}")
         if abs(tmax - t_want) > t_tol:
             bad.append(f"h={h}: max|T| = {tmax:.5f} vs {t_want}")
-    dt = time.time() - t0
-    return CriterionResult(9, "Euler-Maclaurin remainder scan", not bad,
-                           "; ".join(bad) or "both scans inside tolerance", dt,
-                           IDENTITY_FAILURE)
+    return bad, "both scans inside tolerance"
 
 
-def criterion_10_error_order() -> CriterionResult:
+@_criterion(10, "expansion error order", IDENTITY_FAILURE)
+def criterion_10_error_order():
     """Fitted decay exponent of the expansion error is >= m + 1.7."""
-    t0 = time.time()
     bad = []
     Ns = list(range(200, 1001, 100))
-    with mp.workprec(420):
-        w0 = find_zero((0, -1), prec=420).w.value
+    with mp.workprec(A1_ORACLE_PREC):
+        w0 = find_zero((0, -1), prec=A1_ORACLE_PREC).w.value
         for sigma in (1, 2):
-            exp = b_coeffs(sigma, 4, 320)
-            a1 = {N: a1_sum(N, sigma, 420).value for N in Ns}
+            exp = b_coeffs(sigma, 4, EXPANSION_PREC)
+            a1 = {N: a1_sum(N, sigma, A1_ORACLE_PREC).value for N in Ns}
             for m in (1, 2, 3):
-                errs = [abs(a1[N] - evaluate_expansion(exp, N, m, 320).value)
+                errs = [abs(a1[N] - evaluate_expansion(exp, N, m, EXPANSION_PREC).value)
                         * abs(w0) ** N for N in Ns]
                 expo = decay_exponent(Ns, errs)
                 if expo < m + 1.7:
                     bad.append(f"sigma={sigma} m={m}: exponent {expo:.2f} < {m + 1.7}")
-    dt = time.time() - t0
-    return CriterionResult(10, "expansion error order", not bad,
-                           "; ".join(bad) or "exponents >= m + 1.7 for all six cases",
-                           dt, IDENTITY_FAILURE)
+    return bad, "exponents >= m + 1.7 for all six cases"
 
 
-def criterion_11_quadrature() -> CriterionResult:
+@_criterion(11, "contour quadrature and path", CONVERGENCE_FAILURE)
+def criterion_11_quadrature():
     """Contour integral agrees with the sum; descent path is admissible."""
-    t0 = time.time()
     bad = []
     a3 = a3_quadrature(200, 1, 192).value
     a1 = a1_sum(200, 1, 320).value
@@ -265,29 +293,16 @@ def criterion_11_quadrature() -> CriterionResult:
         bad.append("Re(p - p(z0)) not positive along the path")
     if chk["vertical_max"].value >= mpf("0.06"):
         bad.append(f"vertical Re[-p] reaches {mpmath.nstr(chk['vertical_max'].value, 4)}")
-    dt = time.time() - t0
-    return CriterionResult(11, "contour quadrature and path", not bad,
-                           "; ".join(bad) or f"relative gap {mpmath.nstr(rel, 3)}; path admissible",
-                           dt, CONVERGENCE_FAILURE)
-
-
-ALL_CRITERIA = [
-    criterion_1_zeros, criterion_2_constants, criterion_3_trichotomy,
-    criterion_4_reconstruction, criterion_5_table_a1, criterion_6_tables_c01,
-    criterion_7_table_c121, criterion_8_psi, criterion_9_em_scan,
-    criterion_10_error_order, criterion_11_quadrature,
-]
+    return bad, f"relative gap {mpmath.nstr(rel, 3)}; path admissible"
 
 
 def run_all(report=print, seed: int = 20240) -> list[CriterionResult]:
     results = []
-    for fn in ALL_CRITERIA:
-        try:
-            res = fn(seed) if fn is criterion_4_reconstruction else fn()
-        except Exception as exc:  # a crash counts as a failure of that criterion
-            res = CriterionResult(len(results) + 1, fn.__name__, False,
-                                  f"{type(exc).__name__}: {exc}", 0.0,
-                                  PRECISION_EXHAUSTION)
+    for fn in (criterion_1_zeros, criterion_2_constants, criterion_3_trichotomy,
+               functools.partial(criterion_4_reconstruction, seed), criterion_5_table_a1,
+               criterion_6_tables_c01, criterion_7_table_c121, criterion_8_psi,
+               criterion_9_em_scan, criterion_10_error_order, criterion_11_quadrature):
+        res = fn()
         results.append(res)
         if report:
             status = "PASS" if res.passed else "FAIL"

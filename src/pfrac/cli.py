@@ -4,8 +4,8 @@ Subcommands reproduce the published tables and figure data, dump zeros,
 saddles, expansions, and residues, run the residue-sum identity sweep, and
 run the full verification suite.  Output is deterministic CSV or JSON.
 
-Exit codes: 0 ok, 2 table mismatch, 3 identity failure, 4 convergence
-failure, 5 precision exhaustion.
+Exit codes (defined in pfrac.acceptance): 0 ok, 2 table mismatch,
+3 identity failure, 4 convergence failure, 5 precision exhaustion.
 """
 
 from __future__ import annotations
@@ -14,26 +14,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import mpmath
 from mpmath import mpf
 
-from . import acceptance, refdata
-from .asymptotics import b_coeffs, c_coeffs, evaluate_expansion, family_leading
+from . import acceptance
+from .asymptotics import b_coeffs, c_coeffs, family_leading
 from .dilog import BranchLabel, ConvergenceError, find_zero
 from .precision import default_precision, set_default_precision
-from .residues import (FamilySelector, PrecisionLossError, a1_sum, c01l_exact,
-                       family_sum, residue_report, residue_sum,
-                       residue_sum_expected)
-from .sine_products import minimal_pair, psi
-
-EXIT_OK = 0
-EXIT_TABLE_MISMATCH = 2
-EXIT_IDENTITY_FAILURE = 3
-EXIT_CONVERGENCE_FAILURE = 4
-EXIT_PRECISION_EXHAUSTION = 5
+from .residues import PrecisionLossError, a1_sum, residue_report
+from .sine_products import psi_table
 
 
 def _write(text, out):
@@ -76,71 +67,33 @@ def cmd_zeros(args) -> int:
             z = find_zero(label, prec=prec)
         except (ConvergenceError, ValueError) as exc:
             print(f"error: zero ({A},{B}): {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE_FAILURE
+            return acceptance.CONVERGENCE_FAILURE
         rows.append((A, B, mpmath.nstr(z.w.value.real, 25), mpmath.nstr(z.w.value.imag, 25),
                      mpmath.nstr(z.residual.value, 3)))
     _emit(rows, ["A", "B", "re_w", "im_w", "residual"], args.format, args.out,
           "continued-dilogarithm zeros w(A,B)")
-    return EXIT_OK
+    return acceptance.EXIT_OK
 
 
 def cmd_psi(args) -> int:
-    k = args.k
-    rows = []
-    for h in range(1, k):
-        if math.gcd(h, k) != 1:
-            continue
-        rows.append((h, mpmath.nstr(psi(h, k).value, 6), minimal_pair(h, k).D))
+    rows = [(h, mpmath.nstr(value.value, 6), D) for h, value, D in psi_table(args.k)]
     _emit(rows, ["h", "psi", "D"], args.format, args.out,
-          f"maximum reciprocal-sine-product statistic for k={k}")
-    return EXIT_OK
-
-
-# name: (published rows, caption, smallest N the table's sums are defined at)
-_TABLES = {
-    "a1": (refdata.TABLE_A1, "dominant simple-pole sum and its expansion", 2),
-    "c011": (refdata.TABLE_C011, "pole-at-1 coefficient, first order", 1),
-    "c014": (refdata.TABLE_C014, "pole-at-1 coefficient, fourth order", 4),
-    "c121": (refdata.TABLE_C121, "half-pole parity family, leading term", 3),
-}
+          f"maximum reciprocal-sine-product statistic for k={args.k}")
+    return acceptance.EXIT_OK
 
 
 def cmd_table(args) -> int:
-    name = args.name
-    ref_table, caption, _ = _TABLES[name]
-    rows_wanted = args.rows or sorted(ref_table)
-    prec = max(default_precision(), 320)
-    out_rows = []
-    mismatch = False
-
-    def fmt6(x):
-        return mpmath.nstr(mpf(x), 6)
-
-    for N in rows_wanted:
-        if name == "a1":
-            exp = b_coeffs(args.sigma, 4, prec)
-            cols = [evaluate_expansion(exp, N, m, prec).value for m in range(1, 5)]
-            ref = a1_sum(N, args.sigma, max(prec, 420)).value
-        elif name in ("c011", "c014"):
-            ell = 1 if name == "c011" else 4
-            exp = c_coeffs(ell, 4, prec)
-            cols = [evaluate_expansion(exp, N, m, prec).value for m in range(1, 5)]
-            ref = c01l_exact(N, ell, 512).value
-        else:  # c121: leading term only, reference from the family residue sum
-            exp = family_leading("D", N % 2, prec)
-            cols = [evaluate_expansion(exp, N, 1, prec).value]
-            ref = -family_sum(FamilySelector("D", N), args.sigma, 256).value
-        if N in ref_table:
-            printed = ref_table[N]
-            for i, c in enumerate(cols):
-                if not acceptance.sigfigs_equal(c, printed[i], 6):
-                    mismatch = True
-            if not acceptance.sigfigs_equal(ref, printed[4], 6):
-                mismatch = True
-        out_rows.append([N] + [fmt6(c) for c in cols] + [fmt6(ref)])
-    header = ["N"] + [f"m{m}" for m in range(1, len(out_rows[0]) - 1)] + ["reference"]
-    _emit(out_rows, header, args.format, args.out, caption)
-    return EXIT_TABLE_MISMATCH if mismatch else EXIT_OK
+    published, caption, _ = acceptance.TABLES[args.name]
+    prec = max(default_precision(), acceptance.EXPANSION_PREC)
+    rows, bad = [], []
+    for N in args.rows or sorted(published):
+        cols = acceptance.table_columns(args.name, N, prec)
+        ref = acceptance.table_reference(args.name, N, prec)
+        bad += acceptance.table_mismatches(args.name, N, cols, ref)
+        rows.append([N] + [mpmath.nstr(mpf(x), acceptance.TABLE_DIGITS)
+                           for x in [*cols.values(), ref]])
+    _emit(rows, ["N", *cols, "reference"], args.format, args.out, caption)
+    return acceptance.TABLE_MISMATCH if bad else acceptance.EXIT_OK
 
 
 def cmd_identity(args) -> int:
@@ -148,14 +101,13 @@ def cmd_identity(args) -> int:
     failures = []
     for N in range(1, args.n_max + 1):
         for sigma in sigmas:
-            got = residue_sum(N, sigma).value
-            want = residue_sum_expected(N, sigma)
-            if abs(got - want) > mpf("1e-15") * (1 + abs(want)):
+            got, want, ok = acceptance.identity_holds(N, sigma)
+            if not ok:
                 failures.append((N, sigma))
                 print(f"FAIL N={N} sigma={sigma}: {mpmath.nstr(got, 10)} != {want}")
     print(f"residue-sum identity: {'ok' if not failures else f'{len(failures)} failures'} "
           f"(N <= {args.n_max}, sigma in {sigmas})")
-    return EXIT_IDENTITY_FAILURE if failures else EXIT_OK
+    return acceptance.IDENTITY_FAILURE if failures else acceptance.EXIT_OK
 
 
 def cmd_expansion(args) -> int:
@@ -166,29 +118,28 @@ def cmd_expansion(args) -> int:
     else:
         exp = family_leading(args.kind, args.parity)
     _write(json.dumps(exp.to_json(), indent=1), args.out)
-    return EXIT_OK
+    return acceptance.EXIT_OK
 
 
 def cmd_residues(args) -> int:
     _write(json.dumps(residue_report(args.n, args.sigma), indent=1), args.out)
-    return EXIT_OK
+    return acceptance.EXIT_OK
 
 
 def cmd_a1(args) -> int:
-    rows = [(N, mpmath.nstr(a1_sum(N, args.sigma, max(default_precision(), 420)).value, 10))
+    prec = max(default_precision(), acceptance.A1_ORACLE_PREC)
+    rows = [(N, mpmath.nstr(a1_sum(N, args.sigma, prec).value, 10))
             for N in (args.rows or [200, 400, 600, 800, 1000])]
     _emit(rows, ["N", "a1"], args.format, args.out,
           f"dominant simple-pole sum, sigma={args.sigma}")
-    return EXIT_OK
+    return acceptance.EXIT_OK
 
 
 def cmd_verify(args) -> int:
     results = acceptance.run_all(seed=args.seed)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    if not failed:
-        return EXIT_OK
-    return failed[0].exit_code
+    return failed[0].exit_code if failed else acceptance.EXIT_OK
 
 
 def _int_list(text):
@@ -220,7 +171,7 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to a file")
     parser.add_argument("--seed", type=int, default=20240,
-                        help="seed for randomized identity sweeps")
+                        help="seed of verify's partial-fraction reconstruction criterion")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="continued-dilogarithm zeros w(A,B)")
@@ -228,9 +179,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("table", help="reproduce a published table")
-    p.add_argument("name", choices=sorted(_TABLES))
+    p.add_argument("name", choices=sorted(acceptance.TABLES))
     p.add_argument("--rows", type=_int_list, default=None)
-    p.add_argument("--sigma", type=int, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("psi", help="maximum statistic Psi(h/k) with D(h,k)")
@@ -265,7 +215,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "table" and args.rows:
-        low = _TABLES[args.name][2]
+        low = acceptance.TABLES[args.name][2]
         for N in args.rows:
             if N < low:
                 parser.error(f"argument --rows: must be at least {low} for table "
@@ -278,12 +228,9 @@ def main(argv=None) -> int:
             parser.error(f"--precision-bits: {exc}")
     try:
         return args.fn(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, PrecisionLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE_FAILURE
-    except PrecisionLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION_EXHAUSTION
+        return acceptance.exit_code(exc)
     finally:
         set_default_precision(previous)
 

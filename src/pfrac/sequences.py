@@ -44,13 +44,17 @@ def bernoulli_over_factorial_fraction(k: int) -> Fraction:
     return Fraction(bernoulli(2 * k), factorial(2 * k))
 
 
-@lru_cache(maxsize=None)
 def bernoulli_over_factorial(k: int, prec: int | None = None) -> mpf:
     """B_{2k}/(2k)! at `prec` bits, via 2*zeta(2k)/(2*pi)^(2k).
 
     Used where 2k is large enough that exact rationals are impractical.
     """
-    prec = resolve_precision(prec)
+    return _bernoulli_over_factorial(k, resolve_precision(prec))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_over_factorial(k: int, prec: int) -> mpf:
+    """bernoulli_over_factorial at a resolved precision, cached per (k, prec)."""
     if k == 0:
         return mpf(1)
     with mp.workprec(prec + 16):

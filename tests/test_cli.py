@@ -143,7 +143,7 @@ def test_psi_deterministic(capsys):
 def test_identity_exit_zero(capsys):
     code, out = run_cli(capsys, "identity", "--n-max", "8", "--sigma-set=-2,0,1,3")
     assert code == 0
-    assert "ok" in out
+    assert out.splitlines() == ["residue-sum identity: ok (N <= 8, sigma in [-2, 0, 1, 3])"]
 
 
 def test_table_a1_row_matches(capsys):
@@ -156,6 +156,22 @@ def test_table_a1_row_matches(capsys):
     assert rows[0]["reference"].startswith("-32.469")
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "ebaf16d3b7252fb6fb5d866c0dd6c60ec9b6054a6c610bd54606bceab15bbd4d")
+
+
+def test_table_c014_row_is_pinned(capsys):
+    # expansion columns of c_coeffs(4, 4) and the c01l_exact oracle column
+    code, out = run_cli(capsys, "table", "c014", "--rows", "400")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "62101f3f4567a0989631f53b86e8dc5dd3ae411e89b2651cd34e7cd779df708c")
+
+
+def test_table_takes_no_sigma(capsys):
+    # the published tables are for sigma = 1; `pfrac a1 --sigma` sweeps sigma
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "a1", "--sigma", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sigma 2" in capsys.readouterr().err
 
 
 def test_table_header_has_caption(capsys):

@@ -108,6 +108,24 @@ def test_bernoulli_over_factorial_matches_exact():
             assert abs(approx - mpf(exact.numerator) / exact.denominator) < mpf(2) ** -180
 
 
+def test_bernoulli_over_factorial_resolves_prec_before_its_cache():
+    # a warm (k, 256) entry must neither let 256.0 past the prec check nor
+    # answer a prec=None call made after the default precision changed
+    bernoulli_over_factorial(2, 256)
+    with pytest.raises(ValueError, match="prec must be an integer of at least 8 bits"):
+        bernoulli_over_factorial(2, 256.0)
+    old = set_default_precision(256)
+    try:
+        wide = bernoulli_over_factorial(3)
+        set_default_precision(64)
+        narrow = bernoulli_over_factorial(3)
+    finally:
+        set_default_precision(old)
+    # the value is rounded to prec + 16 bits: mantissa bit counts 272 and 80
+    assert narrow._mpf_[3] <= 80 < wide._mpf_[3]
+    assert abs(narrow - wide) < mpf(2) ** -60 * abs(wide)
+
+
 # -- Stirling set numbers ---------------------------------------------------------
 
 def _set_partitions_count(n, r):

@@ -1,7 +1,12 @@
 """Exact integer/rational sequence caches: Bernoulli numbers, Stirling set
-numbers, factorials, and half-integer binomial coefficients.
+numbers, factorials, half-integer binomial coefficients and even power sums.
 
-Caches grow append-only and are shared; callers never mutate returned values.
+Caches are shared, and callers never mutate returned values.  The exact
+caches grow append-only.  The even power sums and the floating-point
+B_{2k}/(2k)! are LRU caches (4 and 1024 entries): the q = 1 Laurent core
+asks for about N/2 values of B_{2k}/(2k)! at a precision of its own for
+every N, and never for them again, while the dilogarithm series of a
+landscape benchmark run reuse 365 entries.
 Single-threaded: the caches take no locks, and mpmath's global `mp` context,
 which `bernoulli_over_factorial` computes in, is not thread-safe either.
 """
@@ -11,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 import mpmath
 from mpmath import mp, mpf
@@ -52,7 +58,7 @@ def bernoulli_over_factorial(k: int, prec: int | None = None) -> mpf:
     return _bernoulli_over_factorial(k, resolve_precision(prec))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _bernoulli_over_factorial(k: int, prec: int) -> mpf:
     """bernoulli_over_factorial at a resolved precision, cached per (k, prec)."""
     if k == 0:
@@ -99,14 +105,14 @@ def binom_half_fraction(s: int, j: int) -> Fraction:
     return num / factorial(j)
 
 
-def power_sum_table(rmax: int, n: int) -> list[int]:
-    """[S_0(n), ..., S_rmax(n)] with S_r = sum_{j<=n} j^r, by incremental powers."""
-    out = [n] + [0] * rmax
-    powers = [1] * (n + 1)
-    for r in range(1, rmax + 1):
-        tot = 0
-        for j in range(1, n + 1):
-            powers[j] *= j
-            tot += powers[j]
-        out[r] = tot
-    return out
+@lru_cache(maxsize=4)
+def even_power_sums(kmax: int, n: int) -> tuple[int, ...]:
+    """(S_0(n), S_2(n), ..., S_{2 kmax}(n)) with S_r = sum_{j<=n} j^r, stepping
+    the powers of j^2."""
+    squares = [j * j for j in range(1, n + 1)]
+    powers = [1] * n
+    out = [n]
+    for _ in range(kmax):
+        powers = list(map(mul, powers, squares))
+        out.append(sum(powers))
+    return tuple(out)

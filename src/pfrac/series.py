@@ -5,14 +5,17 @@ returns the first n coefficients of its result.  Missing input coefficients
 count as zero.  The arithmetic is plain Python on the coefficients, so
 mpmath numbers are combined at the ambient `mp` precision, and
 `fractions.Fraction` inputs give exact results (exp then needs a zero
-constant term, log a constant term of 1).
+constant term, log a constant term of 1).  `exp_fixed` runs the recurrence
+of `exp` on fixed-point Python integers.
 """
 
 from __future__ import annotations
 
+from operator import mul as _imul
+
 import mpmath
 
-__all__ = ["mul", "inv", "exp", "log"]
+__all__ = ["mul", "inv", "exp", "exp_fixed", "log"]
 
 
 def mul(a, b, n: int) -> list:
@@ -54,6 +57,21 @@ def exp(a, n: int) -> list:
             if a[k]:
                 acc += k * a[k] * out[m - k]
         out[m] = acc / m
+    return out
+
+
+def exp_fixed(ka, n: int, frac_bits: int) -> list[int]:
+    """exp(a) for a_0 = 0 in fixed point: `ka[k]` is the integer k a_k 2^frac_bits
+    (ka[0] is ignored), and the result is [g_m 2^frac_bits for m < n].
+
+    Each g_m is one exact integer dot product of the recurrence of `exp`
+    and one division rounded to nearest, so a step adds at most half a unit
+    of 2^-frac_bits to the errors it inherits.
+    """
+    out = [1 << frac_bits] + [0] * (n - 1)
+    for m in range(1, n):
+        d = m << frac_bits
+        out[m] = (2 * sum(map(_imul, ka[1:m + 1], out[m - 1::-1])) + d) // (2 * d)
     return out
 
 

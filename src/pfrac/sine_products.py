@@ -4,10 +4,14 @@ statistics that decide which residues dominate.
 The central objects are the products prod_{j<=m} 2 sin(pi j h/k), the
 remainder T_L left after truncating the Euler-Maclaurin expansion of their
 logarithm, and the maximum statistic Psi(h/k) over partial products.  Every
-such product in the package is built from the factors of `_sine_factors`,
-which rotates e^{i pi h/k} instead of calling sin once per factor; mpf
-exponents are unbounded, so the products (up to e^{0.148 k} for h = 1) are
-multiplied directly and the sign falls out of the product.
+sine in the package comes from one fixed-point rotation (`_rotation`), which
+advances e^{i pi j h/k} by integer multiplications instead of calling sin
+once per factor.  Whole products come from the integer kernel
+`_sine_product`: it multiplies the rotation's |sin| values into one integer
+mantissa, renormalised by a shift after each factor, counts the negative
+factors for the sign, and builds a single mpf at the end, so the products
+(up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  `_sine_factors` turns
+the same rotation into one mpf per factor, for the log-sine table behind Psi.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -53,25 +57,49 @@ class SineProductValue:
         return self.sign * mpmath.exp(self.logAbs.value)
 
 
-def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
-    """Signed factors 2 sin(pi j h/k), j = 1..m, good to `prec` bits each.
+def _rotation(h: int, k: int, m: int, wp: int):
+    """Yield sin(pi j h/k) 2^wp as integers, j = 1..m.
 
     Advances z = e^{i pi j h/k} by one complex multiplication per factor, in
     fixed point z = (x + i y) 2^-wp, where a step costs half of an mpc
     product.  Each step adds about one unit of 2^-wp to the error while the
-    smallest factor is about 2 pi/k, so wp carries bitlen(m) + bitlen(k)
-    guard bits.
+    smallest sine is about pi/k, so callers give wp bitlen(m) + bitlen(k)
+    guard bits over the precision they need.
     """
-    wp = prec + m.bit_length() + k.bit_length()
     with mp.workprec(wp):
         step = mpmath.expjpi(mpf(h) / k)
         c, s = int(mpmath.ldexp(step.real, wp)), int(mpmath.ldexp(step.imag, wp))
-        x, y = 1 << wp, 0
-        factors = []
-        for _ in range(m):
-            x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
-            factors.append(mpf((y, 1 - wp)))
-        return factors
+    x, y = 1 << wp, 0
+    for _ in range(m):
+        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+        yield y
+
+
+def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
+    """Signed factors 2 sin(pi j h/k), j = 1..m, good to `prec` bits each."""
+    wp = prec + m.bit_length() + k.bit_length()
+    with mp.workprec(wp):
+        return [mpf((y, 1 - wp)) for y in _rotation(h, k, m, wp)]
+
+
+def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
+    """prod_{j<=m} 2 sin(pi j h/k) as an mpf of `prec` bits, good to `prec` bits.
+
+    The product is held as acc 2^e: after each factor, acc is shifted right
+    to wp bits, which costs at most one unit of 2^-wp in relative error,
+    and the sign is the parity of the negative factors.
+    """
+    wp = prec + m.bit_length() + k.bit_length()
+    acc, e, negative = 1 << wp, -wp, False
+    for y in _rotation(h, k, m, wp):
+        if y < 0:
+            y, negative = -y, not negative
+        acc *= y
+        excess = acc.bit_length() - wp
+        acc >>= excess
+        e += excess + 1 - wp
+    with mp.workprec(prec):
+        return mpf((-acc if negative else acc, e))
 
 
 def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProductValue:
@@ -85,7 +113,7 @@ def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProduct
         raise ValueError("m must satisfy 0 <= m < k (zero factor otherwise)")
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
-        prod = mpmath.fprod(_sine_factors(h, k, m, prec + 16))
+        prod = _sine_product(h, k, m, prec + 16)
         return SineProductValue(HPReal(mpmath.log(abs(prod)), prec),
                                 1 if prod > 0 else -1, m, Fraction(h, k))
 

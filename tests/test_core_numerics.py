@@ -18,8 +18,8 @@ import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
-                             binom_half_fraction, power_sum_table, stirling2)
-from pfrac.series import exp, inv, log, mul
+                             binom_half_fraction, even_power_sums, stirling2)
+from pfrac.series import exp, exp_fixed, inv, log, mul
 
 
 # -- precision-labelled records ---------------------------------------------------
@@ -177,8 +177,9 @@ def test_binom_half():
 
 
 def test_power_sum():
-    assert power_sum_table(3, 7) == [sum(j ** r for j in range(1, 8)) for r in range(4)]
-    assert power_sum_table(1, 100) == [100, 5050]
+    assert even_power_sums(3, 7) == tuple(sum(j ** r for j in range(1, 8)) for r in (0, 2, 4, 6))
+    assert even_power_sums(1, 100) == (100, 338350)
+    assert even_power_sums(0, 5) == (5,)
 
 
 # -- truncated series --------------------------------------------------------------
@@ -243,6 +244,20 @@ def test_exact_rational_coefficients():
     for name, (got, want) in results.items():
         assert got == want, name
         assert all(type(c) is Fraction for c in got), name
+
+
+def test_exp_fixed_matches_exact_exp():
+    # the fixed-point recurrence against exp on Fractions: each rounding costs
+    # half a unit of 2^-F, and the inherited errors stay within a few units
+    n, F = 40, 128
+    a = [Fraction(0)] + [Fraction((-1) ** k * (k % 5 + 1), 3 * k + 1) for k in range(1, n)]
+    ka = [round(k * c * 2 ** F) for k, c in enumerate(a)]
+    want = exp(a, n)
+    got = exp_fixed(ka, n, F)
+    assert got[0] == 2 ** F
+    assert all(abs(g - w * 2 ** F) <= 2 ** 8 for g, w in zip(got, want))
+    # a short input counts its missing coefficients as zero
+    assert exp_fixed(ka[:2], 6, F) == exp_fixed(ka[:2] + [0] * 4, 6, F)
 
 
 def test_recip_requires_unit():

@@ -1,18 +1,22 @@
 """Farey poles, residues, conversions, family sums, and the Laurent oracle."""
 
 import math
-from math import gcd
+from fractions import Fraction
+from math import comb, factorial, gcd
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac.dilog import find_zero
-from pfrac.residues import (FamilySelector, FareyFraction, a1_sum, c01l_exact,
-                            c_from_q, family_sum, farey, p_restricted,
+from pfrac.precision import set_default_precision
+from pfrac.residues import (FamilySelector, FareyFraction, _laurent_core, a1_sum,
+                            c01l_exact, c_from_q, family_sum, farey, p_restricted,
                             principal_part, q01_exact, q_from_c, q_general,
                             q_simple, reconstruct_product, residue_report,
                             residue_sum, sylvester_wave)
+from pfrac.sequences import bernoulli_over_factorial_fraction
+from pfrac.series import exp
 
 PREC = 256
 
@@ -354,6 +358,53 @@ def test_c01l_cross_checks_pole_expansion():
                 b = c_from_q(0, 1, ell, N, PREC).value
                 assert abs(b.imag) < mpf(2) ** -180 * (1 + abs(a))
                 assert abs(a - b.real) < mpf(2) ** -180 * (1 + abs(a))
+
+
+def _exact_laurent_core(N):
+    """exp(-Phat(x)) to order x^{N-1} on Fractions (see the residues docstring)."""
+    f = [Fraction(0)] * N
+    if N > 1:
+        f[1] = Fraction(-N * (N + 1), 4)
+    for i in range(1, (N - 1) // 2 + 1):
+        s2i = sum(j ** (2 * i) for j in range(1, N + 1))
+        f[2 * i] = -bernoulli_over_factorial_fraction(i) * s2i / (2 * i)
+    return exp(f, N)
+
+
+def _exact_c01l(N, ell, g):
+    """(-1)^N/N! [x^{N-1}] e^x (e^x - 1)^{ell-1} exp(-Phat(x)) on Fractions."""
+    total = sum(Fraction(sum(comb(ell - 1, i) * (-1) ** (ell - 1 - i) * (i + 1) ** a
+                             for i in range(ell)), factorial(a)) * g[N - 1 - a]
+                for a in range(N))
+    return (-1) ** N * total / factorial(N)
+
+
+def test_laurent_oracle_matches_exact_rationals():
+    # the fixed-point core and the oracle against exact rational coefficients,
+    # relative 2^(16-p): x -> 2^-r x keeps the scaled coefficients at least 1
+    for N in (5, 40, 120):
+        exact = _exact_laurent_core(N)
+        for p in (128, 512):
+            tol = mpf(2) ** (16 - p)
+            with mp.workprec(p + 64):
+                for got, want in zip(_laurent_core(N, p), exact):
+                    want = mpf(want.numerator) / want.denominator
+                    assert abs(got - want) <= tol * abs(want)
+                for ell in (1, 4):
+                    want = _exact_c01l(N, ell, exact)
+                    want = mpf(want.numerator) / want.denominator
+                    got = c01l_exact(N, ell, p)
+                    assert got.precision == p
+                    assert abs(got.value - want) <= tol * abs(want)
+
+
+def test_c01l_default_precision_follows_the_default():
+    old = set_default_precision(1024)
+    try:
+        assert c01l_exact(401, 1).precision == 1024
+    finally:
+        set_default_precision(old)
+    assert c01l_exact(20, 1).precision == old
 
 
 def test_q01_exact_matches_general(rng):

@@ -12,10 +12,11 @@ from pfrac import sine_products
 from pfrac.dilog import clausen
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, EMConfig, _sine_factors, cot_derivative,
-                                 em_length, em_product_estimate, em_remainder,
-                                 em_remainder_scan, g_ell, minimal_pair, psi, r_delta,
-                                 s_wave_sum, sine_product, t_l_bound, zero_pairs)
+from pfrac.sine_products import (SCREEN_MAX_L, EMConfig, _sine_factors, _sine_product,
+                                 cot_derivative, em_length, em_product_estimate,
+                                 em_remainder, em_remainder_scan, g_ell, minimal_pair,
+                                 psi, r_delta, s_wave_sum, sine_product, t_l_bound,
+                                 zero_pairs)
 
 PREC = 256
 
@@ -64,7 +65,8 @@ def test_sine_factors_meet_precision_contract():
     # value at p bits vs the log/sin oracle at p + 64 bits, relative 2^(16-p),
     # for h near 1, k/2 and k-1: there j h/k comes within 1/k of an integer
     # (j = k-1, 2 and 1), where the factor is smallest and rotation error
-    # counts most
+    # counts most.  The integer product kernel is held to the same contract
+    # at p itself, sign exactly.
     for k in (12, 211, 600, 997, 1000):
         hs = [h for h in (1, 2, k // 2 - 1, k // 2, k // 2 + 1, k - 2, k - 1)
               if gcd(h, k) == 1]
@@ -79,8 +81,12 @@ def test_sine_factors_meet_precision_contract():
                     for m in (1, k // 2, k - 1):
                         v = sine_product(h, k, m, p)
                         want = mpmath.fsum(la for la, _ in ref[:m])
-                        assert v.sign == math.prod(sg for _, sg in ref[:m])
+                        sign = math.prod(sg for _, sg in ref[:m])
+                        assert v.sign == sign
                         assert abs(v.logAbs.value - want) <= tol
+                        prod = _sine_product(h, k, m, p)
+                        assert (prod > 0) == (sign > 0)
+                        assert abs(mpmath.log(abs(prod)) - want) <= tol
 
 
 # -- Psi and the congruence statistics ---------------------------------------------

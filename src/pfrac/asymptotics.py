@@ -11,6 +11,9 @@ e^{-p(z0)} = 1/w0, which is what turns every expansion into powers of w0^{-N}.
 
 All local series are produced by closed-form series arithmetic (exp, log,
 reciprocal, integration), never numerical differentiation.
+
+The contour quadrature runs on a fused integrand (`_a3_integrand`): one
+e^{i pi z} per node feeds p, v and q, and one exp and one sqrt finish it.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
-                    _li2_any, find_saddle, find_zero, p_d, q_func, v_func)
+                    _check_off_cut, _li2_any, _phase_at, _v_at, find_saddle, find_zero,
+                    p_d, q_func)
 from .precision import HPComplex, HPReal, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
-from .sine_products import g_ell
+from .sine_products import _g_sweep
 
 __all__ = [
     "bell_partial", "LocalSeriesPair", "local_series", "wojdylo_a2s",
@@ -241,10 +245,9 @@ def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
     """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N."""
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
-        v = [mpc(0), 2j * pi * sigma * zv + g_ell(1, zv, prec=prec + 16).value]
-        for ell in range(2, (jmax + 1) // 2 + 1):
-            v += [mpc(0), g_ell(ell, zv, prec=prec + 16).value]
-        return exp(v, jmax + 1)
+        g = _g_sweep(max(1, (jmax + 1) // 2), zv)
+        g[0] += 2j * pi * sigma * zv
+        return exp([c for gl in g for c in (mpc(0), gl)], jmax + 1)
 
 
 def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:
@@ -405,10 +408,11 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(n: int, prec: int) -> tuple:
-    """Nodes and weights on [-1, 1], by Newton on the Legendre recurrence."""
+    """Nodes (descending) and weights on [-1, 1], by Newton on the Legendre
+    recurrence for the ceil(n/2) nonnegative roots, mirrored to x -> -x."""
     with mp.workprec(prec + 16):
         nodes, weights = [], []
-        for i in range(1, n + 1):
+        for i in range(1, (n + 1) // 2 + 1):
             x = mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
             dp = mpf(1)
             for _ in range(100):
@@ -422,7 +426,9 @@ def _gauss_legendre(n: int, prec: int) -> tuple:
                     break
             weights.append(2 / ((1 - x * x) * dp * dp))
             nodes.append(x)
-        return tuple(nodes), tuple(weights)
+        half = n // 2  # the roots with a mirror image; odd n keeps 0 once
+        return (tuple(nodes + [-x for x in reversed(nodes[:half])]),
+                tuple(weights + weights[:half][::-1]))
 
 
 def saddle_path(prec: int | None = None) -> tuple:
@@ -466,6 +472,18 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
                 "vertical_max": HPReal(vertical_max, prec)}
 
 
+def _a3_integrand(z, N: int, sigma, prec: int):
+    """e^{-N p(z)} q(z) e^{v(z;N,sigma)} at prec + 24 bits from one u = e^{i pi z}:
+    e = u^2 feeds Li2(e) in p = p_0 and the cot sweep of v, 2 sin(pi (z - 1))
+    = i (u - 1/u) feeds q, and one exp(-N p + v - i pi z/2) finishes."""
+    with mp.workprec(prec + 24):
+        _check_off_cut(z)
+        u = mpmath.exp(1j * pi * z)
+        e = u * u
+        expo = -N * _phase_at(z, e, 0, 0)[0] + _v_at(z, N, sigma, e) - 1j * pi * z / 2
+        return mpmath.exp(expo) * mpmath.sqrt(z / (1j * (u - 1 / u)))
+
+
 def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """(2/N^{3/2}) Im int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz over the
     descent path, by Gauss-Legendre per edge from 40 nodes, doubling the
@@ -478,11 +496,6 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
 
-        def integrand(z):
-            return (mpmath.exp(-N * p_d(z, 0, prec).value)
-                    * q_func(z, prec).value
-                    * mpmath.exp(v_func(z, N, sigma, prec=prec).value))
-
         def total(n):
             nodes, weights = _gauss_legendre(n, prec)
             acc = mpc(0)
@@ -490,7 +503,7 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
                 a, b = verts[e], verts[e + 1]
                 mid, half = (a + b) / 2, (b - a) / 2
                 for x, w in zip(nodes, weights):
-                    acc += w * half * integrand(mid + half * x)
+                    acc += w * half * _a3_integrand(mid + half * x, N, sigma, prec)
             return acc
 
         n = 40

@@ -8,6 +8,10 @@ expression has a unique zero w(A, B) exactly when -|B|/2 < A <= |B|/2, and
 w(A, -B) is the conjugate of w(A, B).  The zero w(0, -1) and its companion
 saddle point z0 = 1 + log(1 - w(0,-1))/(2 pi i) drive all the asymptotic
 expansions in this package.
+
+The power series sum z^n/n^2 (`_li2_series`) runs on complex fixed-point
+integers.  `_phase_at` and `_v_at` (p_d and v) take a precomputed
+e^{2 pi i z}, so the contour integrand shares one exponential among them.
 """
 
 from __future__ import annotations
@@ -31,18 +35,24 @@ def _zeta2():
 
 
 def _li2_series(z):
-    """Power series sum z^n / n^2, reliable for |z| <= 1/2."""
-    zp = mpc(z)
-    total = zp
-    r = abs(zp)
+    """Power series sum z^n / n^2, reliable for |z| <= 1/2: z S, with
+    S = sum_{n<=nmax} z^{n-1}/n^2 (|S| > 4/5) summed in complex fixed point at
+    F = prec + 8 + bitlen(nmax) fraction bits, one rounded division per term."""
+    zv = mpc(z)
+    r = abs(zv)
     if r == 0:
-        return total
+        return zv
     # |z|^n < 2^-(prec+8) decides the truncation up front
     nmax = int((mp.prec + 10) / -mpmath.log(r, 2)) + 2
+    F = mp.prec + 8 + nmax.bit_length()
+    x, y = int(mpmath.ldexp(zv.real, F)), int(mpmath.ldexp(zv.imag, F))
+    px, py = sx, sy = 1 << F, 0  # z^{n-1} 2^F and the partial sum
     for n in range(2, nmax + 1):
-        zp *= z
-        total += zp / (n * n)
-    return total
+        px, py = (px * x - py * y) >> F, (px * y + py * x) >> F
+        d = 2 * n * n
+        sx += (2 * px + n * n) // d
+        sy += (2 * py + n * n) // d
+    return mpc(mpf((sx, -F)), mpf((sy, -F))) * zv
 
 
 def _li2_log_series(mu, logneg):
@@ -254,13 +264,17 @@ def _phase(z, d: int, order: int, prec: int) -> list:
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
         _check_off_cut(zv)
-        e = mpmath.exp(2j * pi * zv)
-        vals = [(-_li2_any(e) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)]
-        if order >= 1:
-            vals.append(-(vals[0] - mpmath.log(1 - e)) / zv)
-        if order >= 2:
-            vals.append(-(2 * vals[1] + 2j * pi * e / (1 - e)) / zv)
-        return vals
+        return _phase_at(zv, mpmath.exp(2j * pi * zv), d, order)
+
+
+def _phase_at(zv, e, d: int, order: int) -> list:
+    """_phase at the ambient precision, given e = e^{2 pi i z}."""
+    vals = [(-_li2_any(e) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)]
+    if order >= 1:
+        vals.append(-(vals[0] - mpmath.log(1 - e)) / zv)
+    if order >= 2:
+        vals.append(-(2 * vals[1] + 2j * pi * e / (1 - e)) / zv)
+    return vals
 
 
 def p_d(z, d: int = 0, prec: int | None = None) -> HPComplex:
@@ -333,20 +347,25 @@ def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
     """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
 
     L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
-    Delta = 0.006 and h = 1 that the integral representation uses.
+    Delta = 0.006 and h = 1 that the integral representation uses; every
+    g_l comes from one cotangent sweep (`sine_products._g_sweep`).
     """
-    from .sine_products import em_length, g_ell
     prec = resolve_precision(prec)
+    with mp.workprec(prec + 24):
+        return HPComplex(_v_at(to_mpc(z), N, sigma), prec)
+
+
+def _v_at(zv, N: int, sigma, e=None):
+    """v_func at the ambient precision; e, when given, is e^{2 pi i z}."""
+    from .sine_products import _g_sweep, em_length
     L = em_length(0.006, N, 1)
     if L < 2:
         raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")
-    with mp.workprec(prec + 24):
-        zv = to_mpc(z)
-        total = 2j * pi * sigma * zv / N
-        Nf = mpf(N)
-        for ell in range(1, L):
-            total += g_ell(ell, zv, prec=prec + 24).value / Nf ** (2 * ell - 1)
-    return HPComplex(total, prec)
+    total = 2j * pi * sigma * zv / N
+    Nf = mpf(N)
+    for ell, g in enumerate(_g_sweep(L - 1, zv, e), 1):
+        total += g / Nf ** (2 * ell - 1)
+    return total
 
 
 def r_q_v_eval(z, N: int, sigma, prec: int | None = None):

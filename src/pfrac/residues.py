@@ -110,17 +110,18 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
     if gcd(h, k) != 1:
         raise ValueError("h/k must be reduced")
     prec = resolve_precision(prec)
+    sigma = _norm_sigma(sigma)
     with mp.workprec(prec + 16):
         product = _sine_product(h, k, N - k, prec + 16)
         return HPComplex(_q_simple_at(h, k, sigma, N, product), prec)
 
 
 def _q_simple_at(h: int, k: int, sigma, N: int, product):
-    """q_simple's closed form at the working precision, given its sine product."""
-    return ((-1) ** (k + 1) / mpf(k) ** 2
-            * mpmath.exp(-1j * pi * h * (mpf(N) * N + N - 4 * sigma) / (2 * k))
-            * mpmath.exp(1j * pi / 2 * mpf(2 * N * h + N + h + k - h * k))
-            / product)
+    """q_simple's closed form at the working precision, given its sine product;
+    its two phase factors multiply to e^{pi i M/(2k)}, with M reduced mod 4k
+    (exactly for integer sigma)."""
+    M = k * (2 * N * h + N + h + k - h * k) - h * (N * N + N - 4 * sigma)
+    return (-1) ** (k + 1) / mpf(k) ** 2 * mpmath.exp(1j * pi * (M % (4 * k)) / (2 * k)) / product
 
 
 def _norm_sigma(sigma):
@@ -339,6 +340,7 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
     formed, so the imaginary-part check keeps testing their phases.
     """
     prec = resolve_precision(prec)
+    sigma = _norm_sigma(sigma)
     fractions = sel.fractions()
     if not fractions:
         raise ValueError(f"family {sel.tag} is empty at N={sel.N}")

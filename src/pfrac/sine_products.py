@@ -12,6 +12,9 @@ mantissa, renormalised by a shift after each factor, counts the negative
 factors for the sign, and builds a single mpf at the end, so the products
 (up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  `_sine_factors` turns
 the same rotation into one mpf per factor, for the log-sine table behind Psi.
+Cotangent derivatives of every order up to n come from one exponential and
+a fixed-point power table (`_cot_sweep`); `g_ell` and `cot_derivative` are
+one-point views of it.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -28,6 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul as _imul
 
 import mpmath
 import numpy as np
@@ -35,7 +39,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
 from .precision import HPComplex, HPReal, resolve_precision, to_mpc
-from .sequences import bernoulli_over_factorial_fraction, stirling2
+from .sequences import bernoulli_over_factorial_fraction
 
 __all__ = [
     "SineProductValue", "sine_product", "psi", "psi_table",
@@ -195,34 +199,60 @@ def s_wave_sum(m: int, h: int, k: int, prec: int | None = None) -> HPReal:
 
 # -- cotangent derivatives ---------------------------------------------------
 
-def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
-    """n-th derivative of cot at z.
-
-    For n >= 1 uses the closed form
-    cot^{(n)}(z) = (-1)^n (2i)^{n+1} sum_{r=1}^{n+1} (r-1)! S(n+1, r) (e^{2iz}-1)^{-r},
-    switching to the e^{-2iz} mirror for Im z < 0 so the exponentials stay bounded.
+def _cot_sweep(n: int, z, ez=None) -> list:
+    """[cot(z), cot'(z), ..., cot^{(n)}(z)] at the ambient precision, from one
+    exponential ez = e^{2iz} (a caller may pass it) and the closed form
+    cot^{(j)}(z) = (-1)^j (2i)^{j+1} sum_{r<=j+1} a_{j,r} b^r (+ i at j = 0),
+    b = 1/(e^{2iz} - 1), a_{j,r} = (r-1)! S(j+1, r); i -> -i and e^{-2iz} for
+    Im z < 0, so |b| >= 1/2.  The powers of b are held in complex fixed point
+    with n + bitlen(n+1) + 16 guard bits, so each order is one exact integer
+    dot product and one conversion to mpc.
     """
+    if z == 0:
+        raise ValueError("cotangent pole at a multiple of pi")
+    s = 1 if z.imag >= 0 else -1
+    ez = mpmath.exp(2j * z) if ez is None else ez
+    b = 1 / ((ez if s > 0 else 1 / ez) - 1)
+    F = mp.prec + n + (n + 1).bit_length() + 16
+    bx, by = int(mpmath.ldexp(b.real, F)), int(mpmath.ldexp(b.imag, F))
+    px, py = [bx], [by]  # b^r 2^F, r = 1..n+1
+    for _ in range(n):
+        x, y = px[-1], py[-1]
+        px.append((x * bx - y * by) >> F)
+        py.append((x * by + y * bx) >> F)
+    out, a = [], [1]  # a_{j,r}, r = 1..j+1
+    for j in range(n + 1):
+        x, y = sum(map(_imul, a, px)), sum(map(_imul, a, py))
+        # (-1)^j (2is)^{j+1} = 2^{j+1} i^m: rotate by i^m, scale by the exponent
+        x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[((j + 1) * (2 - s) + 2 * j) % 4]
+        if j == 0:
+            y += s << (F - 1)
+        out.append(mpc(mpf((x, j + 1 - F)), mpf((y, j + 1 - F))))
+        # a_{j+1,r} = r a_{j,r} + (r-1) a_{j,r-1}
+        a = [(t + 1) * u + t * v for t, (u, v) in enumerate(zip(a + [0], [0] + a))]
+    return out
+
+
+def _g_sweep(lmax: int, z, ez=None) -> list:
+    """[g_1(z), ..., g_lmax(z)] at the ambient precision from one cot sweep at
+    pi z; ez, when given, is e^{2 pi i z}."""
+    if z.imag == 0 and z.real == mpmath.floor(z.real):
+        raise ValueError("pole at integer z")
+    piz = pi * z
+    cots = _cot_sweep(2 * lmax - 2, piz, ez)
+    out, power, sq = [], piz, piz * piz  # power = (pi z)^{2l-1}
+    for ell in range(1, lmax + 1):
+        b = bernoulli_over_factorial_fraction(ell)
+        out.append(-mpf(b.numerator) / b.denominator * power * cots[2 * ell - 2])
+        power *= sq
+    return out
+
+
+def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
+    """n-th derivative of cot at z: the last entry of one cot sweep (`_cot_sweep`)."""
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
-        zv = to_mpc(z)
-        if mpmath.sin(zv) == 0:
-            raise ValueError("cotangent pole at a multiple of pi")
-        if n == 0:
-            return HPComplex(mpmath.cot(zv), prec)
-        if zv.imag >= 0:
-            base = 1 / (mpmath.exp(2j * zv) - 1)
-            front = (-1) ** n * (2j) ** (n + 1)
-        else:
-            base = 1 / (mpmath.exp(-2j * zv) - 1)
-            front = (-1) ** n * (-2j) ** (n + 1)
-        total = mpc(0)
-        power = mpc(1)
-        fact = 1
-        for r in range(1, n + 2):
-            power *= base
-            total += fact * stirling2(n + 1, r) * power
-            fact *= r
-        return HPComplex(front * total, prec)
+        return HPComplex(_cot_sweep(n, to_mpc(z))[n], prec)
 
 
 def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
@@ -231,13 +261,7 @@ def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
         raise ValueError("need ell >= 1")
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
-        zv = to_mpc(z)
-        if zv.imag == 0 and zv.real == mpmath.floor(zv.real):
-            raise ValueError("pole at integer z")
-        b = bernoulli_over_factorial_fraction(ell)
-        cd = cot_derivative(2 * ell - 2, pi * zv, prec=prec + 16).value
-        val = -mpf(b.numerator) / b.denominator * (pi * zv) ** (2 * ell - 1) * cd
-    return HPComplex(val, prec)
+        return HPComplex(_g_sweep(ell, to_mpc(z))[-1], prec)
 
 
 # -- Euler-Maclaurin estimate and remainder ----------------------------------
@@ -317,9 +341,10 @@ def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
         lead = mpf(1) / 2 * mpmath.log(h / (2 * k * mpmath.sin(x)))
         cl = clausen(2 * x, prec + 16).value
         em = mpf(0)
+        cots = _cot_sweep(2 * L - 4, x) if L > 1 else []
         for ell in range(1, L):
             b = bernoulli_over_factorial_fraction(ell)
-            cd = cot_derivative(2 * ell - 2, x, prec=prec + 16).value.real
+            cd = cots[2 * ell - 2].real
             em += mpf(b.numerator) / b.denominator * (pi * theta) ** (2 * ell - 1) * cd
         return lead + k / (2 * pi * h) * cl - em
 

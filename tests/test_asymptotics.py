@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.asymptotics import (LocalSeriesPair, _frame, a3_quadrature,
+from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _frame, a3_quadrature,
                                b_coeffs, bell_partial, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
@@ -320,6 +320,24 @@ def test_path_positivity():
     assert chk["min_rise"].value > 0
     assert abs(chk["saddle_height"].value - mpf("0.068076")) < mpf("1e-6")
     assert chk["vertical_max"].value < mpf("0.06")
+
+
+def test_a3_integrand_matches_its_pieces():
+    # the fused integrand at p bits against exp(-N p_d) q exp(v) composed
+    # from the public pieces at p + 64, on all three edges of the path
+    p = 192
+    verts = saddle_path(p)
+    for N in (131, 200, 449):
+        for sigma in (1, 2, -3):
+            for e in range(3):
+                for t in ("0.13", "0.5", "0.91"):
+                    with mp.workprec(p + 16):
+                        z = verts[e] + (verts[e + 1] - verts[e]) * mpf(t)
+                    got = _a3_integrand(z, N, sigma, p)
+                    with mp.workprec(p + 64):
+                        want = (mpmath.exp(-N * p_d(z, 0, p + 64).value) * q_func(z, p + 64).value
+                                * mpmath.exp(v_func(z, N, sigma, p + 64).value))
+                        assert abs(got - want) <= tolerance(p) * abs(want)
 
 
 @pytest.fixture(scope="module")

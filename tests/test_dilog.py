@@ -4,10 +4,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.dilog import (clausen, find_saddle, find_zero,
+from pfrac.dilog import (_li2_series, clausen, find_saddle, find_zero,
                          li2_continued, li2_principal, p_d, p_d_prime,
                          p_d_second, q_func, r_func, r_q_v_eval)
-from pfrac.precision import set_default_precision
+from pfrac.precision import set_default_precision, tolerance
 from pfrac.refdata import DILOG_ZEROS
 
 PREC = 256
@@ -39,6 +39,22 @@ def test_li2_against_mpmath_grid(rng):
         # hard annulus points, including near the sixth root of unity
         for z in (mpmath.exp(1j * pi / 3), mpc("0.6", "0.75"), mpc("-1.2", "0.1")):
             assert abs(li2_principal(z, PREC).value - mpmath.polylog(2, z)) < mpf(2) ** -230
+
+
+def test_li2_series_meets_precision_contract():
+    # the integer power series at p bits against mpmath.polylog at p + 64, on
+    # |z| = 1/2 in all four quadrants and on the axes, and near 0
+    with mp.workprec(600):
+        points = [mpmath.expjpi(mpf(t) / 8) / 2 for t in range(0, 16, 3)]
+        points += [mpc("1e-3", "-2e-3"), mpc("-3e-12", "1e-12"), mpc(2) ** -200 * mpc(-1, -3)]
+    for p in (64, 256, 512):
+        for z in points:
+            with mp.workprec(p):
+                z = mpc(z)
+                got = _li2_series(z)
+            with mp.workprec(p + 64):
+                want = mpmath.polylog(2, z)
+                assert abs(got - want) <= tolerance(p) * abs(want)
 
 
 def test_li2_cut_is_limit_from_above():

@@ -10,6 +10,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from pfrac import sine_products
 from pfrac.dilog import clausen
+from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
 from pfrac.sine_products import (SCREEN_MAX_L, EMConfig, _sine_factors, _sine_product,
@@ -134,22 +135,31 @@ def test_cot_derivative_first_identity(rng):
 
 def test_cot_derivative_vs_series_oracle():
     # oracle: cot(z0 + eps) = cos/sin as a ratio of shifted Taylor series,
-    # differentiated termwise
-    with mp.workprec(300):
+    # differentiated termwise; the sweep gives every order <= 24 from one call
+    with mp.workprec(340):
         z0 = mpc("0.7", "0.4")
-        n = 8
+        n = 25
         c0, s0 = mpmath.cos(z0), mpmath.sin(z0)
         cos_c, sin_c = [], []
         for i in range(n):
             f = mpmath.factorial(i)
             cos_c.append((c0, -s0, -c0, s0)[i % 4] / f)
             sin_c.append((s0, c0, -s0, -c0)[i % 4] / f)
-        with mp.workprec(280):
+        with mp.workprec(320):
             cot = mul(cos_c, inv(sin_c, n), n)
         for order in (1, 2, 3):
             want = cot[order] * mpmath.factorial(order)
             got = cot_derivative(order, z0, PREC).value
             assert abs(got - want) < mpf(2) ** -230
+        # below the real axis the sweep takes the e^{-2iz} mirror; cot(conj z) = conj cot(z)
+        with mp.workprec(PREC + 16):
+            sweep = sine_products._cot_sweep(n - 1, z0)
+            mirror = sine_products._cot_sweep(n - 1, mpmath.conj(z0))
+        assert len(sweep) == len(mirror) == n
+        for order, (got, got_conj) in enumerate(zip(sweep, mirror)):
+            want = cot[order] * mpmath.factorial(order)
+            assert abs(got - want) <= tolerance(PREC) * abs(want)
+            assert abs(got_conj - mpmath.conj(want)) <= tolerance(PREC) * abs(want)
 
 
 def test_cot_derivative_bound_spotcheck():

@@ -26,6 +26,12 @@ from .precision import default_precision, set_default_precision
 from .residues import PrecisionLossError, a1_sum, residue_report
 from .sine_products import psi_table
 
+# Usage limits of `pfrac identity`: `--n-max 100` with the default seven
+# sigma values takes about 26 s (2 vCPU VM, Python 3.11), and |sigma| sizes
+# the exact p_N table (residues.P_RESTRICTED_MAX_N bounds it as well).
+IDENTITY_N_MAX = 100
+IDENTITY_SIGMA_MAX = 10_000
+
 
 def _write(text, out):
     """Write text, ending in one newline, to the file `out` or to stdout."""
@@ -146,14 +152,27 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _at_least(low):
-    """argparse type: an integer no smaller than low."""
+def _at_least(low, high=None):
+    """argparse type: an integer no smaller than low and, if given, no larger
+    than high."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
+
+
+def _sigma_list(text):
+    """argparse type: comma-separated integers of magnitude at most IDENTITY_SIGMA_MAX."""
+    sigmas = _int_list(text)
+    for sigma in sigmas:
+        if abs(sigma) > IDENTITY_SIGMA_MAX:
+            raise argparse.ArgumentTypeError(
+                f"|sigma| must be at most {IDENTITY_SIGMA_MAX}, got {sigma}")
+    return sigmas
 
 
 def _a1_rows(text):
@@ -188,8 +207,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("identity", help="residue-sum identity sweep")
-    p.add_argument("--n-max", type=_at_least(1), default=25)
-    p.add_argument("--sigma-set", type=_int_list, default=None)
+    p.add_argument("--n-max", type=_at_least(1, IDENTITY_N_MAX), default=25)
+    p.add_argument("--sigma-set", type=_sigma_list, default=None)
     p.set_defaults(fn=cmd_identity)
 
     p = sub.add_parser("expansion", help="dump expansion coefficients as JSON")

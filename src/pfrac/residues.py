@@ -15,6 +15,16 @@ one mpf conversion at each end; the oracle is validated by re-running with
 64 extra bits.  The simple-pole residues take their sine products from the
 integer product kernel `sine_products._sine_product`.
 
+A pole h/k of any order s = floor(N/k) takes its Laurent data from
+`_pole_inverse`, which runs the same construction locally: with
+y = 2 pi i (z - h/k), the denominator is A(0) exp(L(y)), where the constant
+A(0) = k^s prod_{j <= N mod k} (1 - zeta^{hj}) is one sine product and a
+phase, the E factors add the Bernoulli terms of Phat with N -> s, x -> k y,
+and the analytic factors add, per residue class r = hj mod k, integer power
+sums of j times the cotangent derivatives cot^{(i)}(pi r/k) of one sweep
+(`sine_products._cot_sweep`, started from the roots-of-unity table).  One
+series exponential of length s then gives the inverse.
+
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
 """
@@ -31,11 +41,11 @@ from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, even_power_sums
-from .series import exp_fixed, inv, mul
-from .sine_products import _sine_product
+from .series import exp, exp_fixed
+from .sine_products import _cot_sweep, _sine_product
 
 __all__ = [
-    "FareyFraction", "farey", "p_restricted", "q_simple", "q_general",
+    "FareyFraction", "farey", "p_restricted", "P_RESTRICTED_MAX_N", "q_simple", "q_general",
     "residue_sum", "residue_sum_expected", "c_from_q", "q_from_c", "a1_sum",
     "FamilySelector", "family_sum", "c01l_exact", "q01_exact", "principal_part",
     "reconstruct_product", "sylvester_wave", "residue_report",
@@ -77,16 +87,25 @@ def farey(N: int) -> list[FareyFraction]:
 
 _partition_tables: dict[int, list[int]] = {}
 
+P_RESTRICTED_MAX_N = 100_000
+"""Largest n that p_restricted accepts: its table holds n + 1 integers below
+p(n) (about 20 MB at this cap, p(10^5) ~ 10^346) and costs N n additions."""
+
 
 def p_restricted(N: int, n: int) -> int:
-    """Partitions of n into at most N parts, by the bounded-part DP (exact)."""
+    """Partitions of n into at most N parts, by the bounded-part DP (exact).
+
+    Raises ValueError for n > P_RESTRICTED_MAX_N before building a table.
+    """
     if N < 0 or n < 0:
         raise ValueError("need N, n >= 0")
+    if n > P_RESTRICTED_MAX_N:
+        raise ValueError(f"n = {n} exceeds P_RESTRICTED_MAX_N = {P_RESTRICTED_MAX_N}")
     if N == 0:
         return 1 if n == 0 else 0
     table = _partition_tables.get(N)
     if table is None or len(table) <= n:
-        size = max(n + 1, 2 * len(table) if table else 64)
+        size = min(max(n + 1, 2 * len(table) if table else 64), P_RESTRICTED_MAX_N + 1)
         table = [1] + [0] * (size - 1)
         for part in range(1, N + 1):
             for amount in range(part, size):
@@ -140,33 +159,65 @@ def _roots_of_unity(k: int, wprec: int) -> tuple:
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
     """Cached Laurent data at z = h/k, s = floor(N/k): the coefficients of
-    1 / (prod_{mu<=s} E(mu k y) * prod_{k|j false, j<=N} (1 - zeta^j e^{jy}))
-    to order y^{s-1}, where y = 2 pi i (z - h/k) and E(x) = (e^x - 1)/x."""
-    s = N // k
-    n = s  # coefficients y^0 .. y^{s-1}
+    1/A(y), A(y) = prod_{mu<=s} E(mu k y) * prod_{j<=N, j != 0 mod k} (1 - zeta^{hj} e^{jy}),
+    to order y^{s-1}, where y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x and
+    zeta = e^{2 pi i/k}.  Built as exp(-L(y)) / A(0) with L = log(A/A(0)):
+
+    * A(0) = k^s prod_{j<=m} (1 - zeta^{hj}), m = N mod k, because each of the
+      s full cycles of residues gives prod_{r<k} (1 - zeta^r) = k; and
+      1 - zeta^{hj} = -i 2 sin(pi h j/k) e^{pi i h j/k}, so the partial product
+      is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.
+    * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), so the E factors add
+      k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r.
+    * [y^i] log(1 - w e^{jy}) = j^i lambda_i(w), and grouping j by
+      r = hj mod k gives sum_r lambda_i(zeta^r) P_i(r) with the integer power
+      sums P_i(r) = sum_{j<=N, j != 0 mod k, hj = r mod k} j^i.  From
+      1/(1 - e^{i phi}) = 1/2 + (i/2) cot(phi/2),
+      lambda_i(zeta^r) = [i = 1]/2 - (i/2)(-i/2)^{i-1} cot^{(i-1)}(pi r/k) / i!,
+      and one cot sweep per residue r, started from zeta^r out of the
+      roots-of-unity table, gives every order.  The y^1 halves add up with
+      the E factors' k s(s+1)/4 to N(N+1)/4.
+
+    Cost: O(N s) integer work for the power sums, O(k s) for their dot
+    products with the cot table (k - 1 sweeps of order s - 2, cached per k
+    and s by `_cot_table`), and one series exp of length s.
+    """
+    s, m = divmod(N, k)
+    with mp.workprec(wprec):
+        phase = mpmath.expjpi(mpf((h * m * (m + 1) - m * k) % (4 * k)) / (2 * k))
+        inverse = 1 / (mpf(k) ** s * phase * _sine_product(h, k, m, wprec))  # 1/A(0)
+        if s == 1:
+            return (inverse,)
+        L = [mpc(0)] * s  # [y^i] L(y)
+        L[1] = mpf(N * (N + 1)) / 4
+        S = even_power_sums((s - 1) // 2, s)
+        for l in range(1, (s - 1) // 2 + 1):
+            L[2 * l] += bernoulli_over_factorial(l, wprec) * mpf(k) ** (2 * l) * S[l] / (2 * l)
+        P = [[0] * s for _ in range(k)]  # P[r][i]
+        for j in range(1, N + 1):
+            if j % k:
+                row, jp = P[h * j % k], 1
+                for i in range(1, s):
+                    jp *= j
+                    row[i] += jp
+        cots = _cot_table(k, s - 2, wprec)
+        unit, scale = 1j, mpf(-1) / 2  # i (-i)^{i-1} and -1/(2^i i!)
+        for i in range(1, s):
+            L[i] += unit * scale * sum(P[r][i] * cots[r - 1][i - 1] for r in range(1, k))
+            unit, scale = unit * -1j, scale / (2 * (i + 1))
+        return tuple(g * inverse for g in exp([-c for c in L], s))
+
+
+@lru_cache(maxsize=256)
+def _cot_table(k: int, n: int, wprec: int) -> tuple:
+    """(cot^{(0..n)}(pi r/k) for r = 1..k-1) at wprec bits, each row from one
+    cot sweep started at zeta^r out of the roots-of-unity table; shared by
+    every h and N with the same k and floor(N/k) - 2 = n."""
     with mp.workprec(wprec):
         zpow = _roots_of_unity(k, wprec)
-        den = [mpc(0)] * n
-        den[0] = mpc(1)
-        # E(mu k y) factors
-        invfact = [mpf(1)]
-        for i in range(1, n + 1):
-            invfact.append(invfact[-1] / i)
-        for mu in range(1, s + 1):
-            f = [(mpf(mu * k) ** i) * invfact[i + 1] for i in range(n)]
-            den = mul(den, f, n)
-        # analytic factors
-        for j in range(1, N + 1):
-            if j % k == 0:
-                continue
-            zj = zpow[(h * j) % k]
-            f = [1 - zj]
-            jp = mpf(1)
-            for i in range(1, n):
-                jp *= j
-                f.append(-zj * jp * invfact[i])
-            den = mul(den, f, n)
-        return tuple(inv(den, n))
+        # cot^{(i)} of a real argument is real: drop the sweep's imaginary noise
+        return tuple(tuple(c.real for c in _cot_sweep(n, pi * r / k, zpow[r]))
+                     for r in range(1, k))
 
 
 def _work_prec(prec: int, s: int, N: int) -> int:
@@ -179,7 +230,9 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
     The final coefficient pick monitors cancellation and retries with doubled
-    working precision (three times) before raising PrecisionLossError.
+    working precision (three times) before raising PrecisionLossError.  For
+    integer sigma the factor zeta^{h sigma} is read from the roots-of-unity
+    table at h sigma mod k, exactly reduced; a real sigma takes one exp.
     """
     if not (1 <= k <= N):
         raise ValueError("need 1 <= k <= N")
@@ -192,24 +245,26 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
         wprec = _work_prec(prec, s, N) << attempt
         with mp.workprec(wprec):
             inv = _pole_inverse(h, k, N, wprec)
-            zeta_sig = mpmath.exp(2j * pi * h * sigma / k)
+            # (s-1)! sum_i sigma^i/i! inv[s-1-i]: integer weights for integer sigma
             total = mpc(0)
             largest = mpf(0)  # >= the largest |term|: |re| + |im| needs no square root
-            sigpow = mpf(1)
-            fact = mpf(1)
-            for i in range(s):
-                term = sigpow / fact * inv[s - 1 - i]
+            tail = 1  # (s-1)!/i!
+            for i in range(s - 1, -1, -1):
+                term = sigma ** i * tail * inv[s - 1 - i]
                 total += term
                 largest = max(largest, abs(term.real) + abs(term.imag))
-                sigpow *= sigma
-                fact *= i + 1
+                tail *= i
             size = max(abs(total.real), abs(total.imag))  # <= |total|
-            pre = (-mpf(k)) ** (-s) / mpmath.factorial(s)
+            pre = 1 / mpf((-k) ** s * math.factorial(s) * math.factorial(s - 1))
             # absolute error of the convolution ~ 2^-wprec * largest; accept on
             # either retained relative accuracy or the ambient absolute tolerance
             abs_err = mpmath.ldexp(largest, 8 - wprec)
             if (not largest or abs_err <= mpmath.ldexp(size, -prec)
                     or abs_err * abs(pre) <= mpmath.ldexp(1, -prec)):
+                if isinstance(sigma, int):
+                    zeta_sig = _roots_of_unity(k, wprec)[h * sigma % k]
+                else:
+                    zeta_sig = mpmath.exp(2j * pi * h * sigma / k)
                 return HPComplex(zeta_sig * pre * total, prec)
     lost = mpmath.log(largest / size, 2) if size else mpf(wprec)
     raise PrecisionLossError(f"residue at {h}/{k} lost {float(lost):.0f} of {wprec} bits")
@@ -489,15 +544,22 @@ def sylvester_wave(k: int, N: int, n: int, prec: int | None = None) -> HPReal:
 
 
 def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30) -> list[dict]:
-    """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma)."""
+    """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma).
+
+    A real or imaginary part below 2^(16-prec) |Q| is rounding noise under
+    the precision contract and prints as 0.
+    """
     rows = []
     for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
         q = q_general(f.h, f.k, sigma, N, prec)
+        floor = mpmath.ldexp(abs(q.value), 16 - q.precision)
+        re, im = (part if abs(part) >= floor else mpf(0)
+                  for part in (q.value.real, q.value.imag))
         rows.append({
             "h": f.h,
             "k": f.k,
             "order": N // f.k,
-            "re": mpmath.nstr(q.value.real, digits),
-            "im": mpmath.nstr(q.value.imag, digits),
+            "re": mpmath.nstr(re, digits),
+            "im": mpmath.nstr(im, digits),
         })
     return rows

@@ -57,6 +57,8 @@ USAGE_ERRORS = {
     "psi --k 1": "--k: must be at least 2, got 1",
     "psi --k -3": "--k: must be at least 2, got -3",
     "identity --n-max 0": "--n-max: must be at least 1, got 0",
+    "identity --n-max 101": "--n-max: must be at most 100, got 101",
+    "identity --sigma-set=3,-10001": "--sigma-set: |sigma| must be at most 10000, got -10001",
     "table a1 --rows 1": "--rows: must be at least 2 for table a1, got 1",
     "table c011 --rows 0": "--rows: must be at least 1 for table c011, got 0",
     "table c014 --rows 3": "--rows: must be at least 4 for table c014, got 3",
@@ -213,6 +215,17 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith("#") and "h,psi,D" in text
+
+
+def test_residues_output_is_pinned(capsys):
+    # real residues print their imaginary parts as 0: below 2^(16-p) |Q| a
+    # part is rounding noise, and the pin then holds only contracted digits
+    code, out = run_cli(capsys, "residues", "--n", "9", "--sigma", "-4")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e9a569c41c4c39461d4962e7e8eb4fc69f27290b8e40d8dd6e87c4cf0369076b")
+    rows = json.loads(out)
+    assert [r["im"] for r in rows if r["k"] <= 2] == ["0.0", "0.0"]
 
 
 @pytest.mark.parametrize("command", ["expansion D --parity 1", "residues --n 5"])

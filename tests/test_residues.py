@@ -10,9 +10,9 @@ from mpmath import mp, mpc, mpf, pi
 
 from pfrac.dilog import find_zero
 from pfrac.precision import set_default_precision
-from pfrac.residues import (FamilySelector, FareyFraction, _laurent_core, a1_sum,
-                            c01l_exact, c_from_q, family_sum, farey, p_restricted,
-                            principal_part, q01_exact, q_from_c, q_general,
+from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
+                            _laurent_core, a1_sum, c01l_exact, c_from_q, family_sum,
+                            farey, p_restricted, principal_part, q01_exact, q_from_c, q_general,
                             q_simple, reconstruct_product, residue_report,
                             residue_sum, sylvester_wave)
 from pfrac.sequences import bernoulli_over_factorial_fraction
@@ -77,6 +77,11 @@ def test_p_restricted_examples():
             assert p_restricted(N, n) == _partitions_brute(N, n)
     # p_N(n) = p(n) once N >= n
     assert p_restricted(30, 30) == p_restricted(60, 30)
+
+
+def test_p_restricted_refuses_n_beyond_its_cap():
+    with pytest.raises(ValueError, match=f"exceeds P_RESTRICTED_MAX_N = {P_RESTRICTED_MAX_N}"):
+        p_restricted(3, P_RESTRICTED_MAX_N + 1)
 
 
 # -- simple and general residues --------------------------------------------------------
@@ -207,6 +212,25 @@ def test_folded_residue_sum_matches_explicit_sum(sigma):
             got = residue_sum(N, s, p).value
             assert abs(got.real - want.real) < tol
             assert abs(got.imag - want.imag) < tol
+
+
+def test_q_general_precision_contract_at_every_pole_up_to_n_26():
+    # each Q at p bits agrees with the same call at p + 128 bits within
+    # 2^(16-p) |Q|; at the simple poles the closed form q_simple is a second,
+    # independent route (sine product and one phase, no pole inverse)
+    p = PREC
+    for N in range(1, 27):
+        M = N * (N + 1) // 2
+        for f in farey(N):
+            for sigma in (-7, 0, 1, 3, M + 2, 2.5):
+                got = q_general(f.h, f.k, sigma, N, p)
+                assert got.precision == p
+                with mp.workprec(p + 160):
+                    want = q_general(f.h, f.k, sigma, N, p + 128).value
+                    tol = mpf(2) ** (16 - p) * abs(want)
+                    assert abs(got.value - want) <= tol, (f, N, sigma)
+                    if 2 * f.k > N:
+                        assert abs(q_simple(f.h, f.k, sigma, N, p).value - want) <= tol
 
 
 def test_q_general_escalates_then_gives_up(monkeypatch):

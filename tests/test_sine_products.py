@@ -175,6 +175,19 @@ def test_cot_derivative_bound_spotcheck():
                     assert abs(cot_derivative(k, pi * z, 192).value) <= bound
 
 
+@pytest.mark.parametrize("p", [64, 192])
+@pytest.mark.parametrize("value, n, z", [(cot_derivative, 24, -0.3 - 5j),
+                                         (g_ell, 12, 0.3 + 1.2j)])
+def test_cot_sweep_keeps_its_label_where_b_is_near_minus_one(value, n, z, p):
+    # |e^{2isz}| is small at both points, so the sums of order n cancel by
+    # tens of bits; a 600-bit run of the same call is the oracle
+    got = value(n, z, p)
+    want = value(n, z, 600).value
+    assert got.precision == p
+    with mp.workprec(640):
+        assert abs(got.value - want) <= tolerance(p) * abs(want)
+
+
 def test_cot_derivative_pole():
     with pytest.raises(ValueError):
         cot_derivative(2, 0)

@@ -34,33 +34,17 @@ from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, s
 from .series import exp, inv, log, mul
 from .sine_products import _g_sweep
 
-__all__ = [
-    "bell_partial", "LocalSeriesPair", "local_series", "wojdylo_a2s",
-    "u_weight", "vstar_weight", "b_coeffs", "c_coeffs", "family_leading",
-    "Expansion", "evaluate_expansion", "a3_quadrature", "saddle_path",
-    "path_positivity_check", "decay_exponent",
-]
-
 
 def _bell_powers(p, n: int, jmax: int) -> list:
-    """[(p_1 x + p_2 x^2 + ...)^j for j = 0..jmax], each to n coefficients."""
+    """[(p_1 x + p_2 x^2 + ...)^j for j = 0..jmax], each to n coefficients,
+    for p = [p_1, p_2, ...]: entry [j][i] is the partial ordinary Bell
+    polynomial Bhat_{i,j}(p_1, p_2, ...).  Exact inputs give exact output."""
     one = Fraction(1) if all(isinstance(c, (int, Fraction)) for c in p) else mpc(1)
     base = [0 * one] + list(p[:n - 1])
     powers = [[one] + [0 * one] * (n - 1)]
     for _ in range(jmax):
         powers.append(mul(powers[-1], base, n))
     return powers
-
-
-def bell_partial(i: int, j: int, p) -> object:
-    """Partial ordinary Bell polynomial B-hat_{i,j}(p_1, p_2, ...).
-
-    p is the coefficient list [p_1, p_2, ...]; the value is the coefficient
-    of x^i in (p_1 x + p_2 x^2 + ...)^j.  Exact inputs give exact output.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("need i, j >= 0")
-    return _bell_powers(p, i + 1, j)[j][i]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ from .sine_products import psi_table
 # the exact p_N table (residues.P_RESTRICTED_MAX_N bounds it as well).
 IDENTITY_N_MAX = 100
 IDENTITY_SIGMA_MAX = 10_000
+# `pfrac psi` costs O(k phi(k)), most at a prime k: `--k 2797` takes about
+# 27 s (2999: 36 s).  `pfrac zeros` solves max_b (max_b + 1) zeros:
+# `--max-b 30` takes about 28 s (same VM).
+PSI_K_MAX = 2800
+ZEROS_MAX_B = 30
 
 
 def _write(text, out):
@@ -194,7 +199,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="continued-dilogarithm zeros w(A,B)")
-    p.add_argument("--max-b", type=_at_least(1), default=3)
+    p.add_argument("--max-b", type=_at_least(1, ZEROS_MAX_B), default=3)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("table", help="reproduce a published table")
@@ -203,7 +208,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("psi", help="maximum statistic Psi(h/k) with D(h,k)")
-    p.add_argument("--k", type=_at_least(2), default=211)
+    p.add_argument("--k", type=_at_least(2, PSI_K_MAX), default=211)
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("identity", help="residue-sum identity sweep")

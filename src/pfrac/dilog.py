@@ -1,6 +1,6 @@
-"""Dilogarithm machinery: principal branch, Clausen's integral, analytically
-continued values, certified zeros on non-principal branches, and the
-associated saddle points.
+"""Dilogarithm machinery: the principal branch (`_li2_any`), Clausen's
+integral, certified zeros on non-principal branches, the phase p_d and the
+associated saddle points, and the strip functions q and v.
 
 The analytically continued dilogarithm on any branch equals
 Li2(z) + 4 pi^2 A + 2 pi i B log(z) for integers A, B.  For B != 0 that
@@ -78,8 +78,9 @@ def _li2_log_series(mu, logneg):
     return total
 
 
-def li2_principal(z, prec: int | None = None) -> HPComplex:
-    """Principal-branch dilogarithm, holomorphic on C minus [1, oo).
+def _li2_any(z):
+    """Principal-branch Li2(z) at the ambient precision, holomorphic on C
+    minus [1, oo).
 
     For |z| <= 1/2 the defining power series is summed directly; larger
     arguments are mapped into convergent regions with the inversion and
@@ -87,13 +88,6 @@ def li2_principal(z, prec: int | None = None) -> HPComplex:
     in log(z) on the annulus they cannot reach.  Points on the cut [1, oo)
     are evaluated as the limit from the upper half plane.
     """
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 24):
-        val = _li2_any(to_mpc(z))
-    return HPComplex(val, prec)
-
-
-def _li2_any(z):
     zeta2 = _zeta2()
     if z == 0:
         return mpc(0)
@@ -177,16 +171,6 @@ def _li2_branch(w, A, B):
     return _li2_any(w) + 4 * pi ** 2 * A + 2j * pi * B * mpmath.log(w)
 
 
-def li2_continued(z, label: BranchLabel | tuple, prec: int | None = None) -> HPComplex:
-    """Continued dilogarithm value Li2(z) + 4 pi^2 A + 2 pi i B log(z)."""
-    if not isinstance(label, BranchLabel):
-        label = BranchLabel(*label)
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 24):
-        val = _li2_branch(to_mpc(z), label.A, label.B)
-    return HPComplex(val, prec)
-
-
 def _zero_newton(A, B, w, prec):
     steptol = mpf(2) ** (24 - prec)
     for _ in range(200):
@@ -260,7 +244,8 @@ def _check_off_cut(z):
 
 
 def _phase(z, d: int, order: int, prec: int) -> list:
-    """[p_d(z), ..., p_d^{(order)}(z)] for order <= 2, at prec + 24 bits."""
+    """[p_d(z)] (order 0) or [p_d(z), p_d'(z)] (order 1), at prec + 24 bits;
+    p_d'(z) = -(p_d(z) - log(1 - e^{2 pi i z})) / z."""
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
         _check_off_cut(zv)
@@ -270,10 +255,8 @@ def _phase(z, d: int, order: int, prec: int) -> list:
 def _phase_at(zv, e, d: int, order: int) -> list:
     """_phase at the ambient precision, given e = e^{2 pi i z}."""
     vals = [(-_li2_any(e) + _zeta2() + 4 * pi ** 2 * d) / (2j * pi * zv)]
-    if order >= 1:
+    if order:
         vals.append(-(vals[0] - mpmath.log(1 - e)) / zv)
-    if order >= 2:
-        vals.append(-(2 * vals[1] + 2j * pi * e / (1 - e)) / zv)
     return vals
 
 
@@ -281,18 +264,6 @@ def p_d(z, d: int = 0, prec: int | None = None) -> HPComplex:
     """p_d(z) = (-Li2(e^{2 pi i z}) + zeta(2) + 4 pi^2 d) / (2 pi i z)."""
     prec = resolve_precision(prec)
     return HPComplex(_phase(z, d, 0, prec)[0], prec)
-
-
-def p_d_prime(z, d: int = 0, prec: int | None = None) -> HPComplex:
-    """p_d'(z) = -(p_d(z) - log(1 - e^{2 pi i z})) / z."""
-    prec = resolve_precision(prec)
-    return HPComplex(_phase(z, d, 1, prec)[1], prec)
-
-
-def p_d_second(z, d: int = 0, prec: int | None = None) -> HPComplex:
-    """p_d''(z) = -(2 p_d'(z) + 2 pi i e^{2 pi i z} / (1 - e^{2 pi i z})) / z."""
-    prec = resolve_precision(prec)
-    return HPComplex(_phase(z, d, 2, prec)[2], prec)
 
 
 @dataclass(frozen=True)
@@ -323,15 +294,6 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
         if abs(pprime) >= cert or abs(pval - target) >= cert:
             raise ConvergenceError(f"saddle ({m},{d}) failed certification")
     return SaddlePoint(m, d, HPComplex(zs, prec), HPComplex(target, prec))
-
-
-def r_func(z, prec: int | None = None) -> HPComplex:
-    """r(z) = Li2(e^{2 pi i z}) / (2 pi i z) + 13 pi i / (12 z) on 1 < Re z < 2."""
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 24):
-        zv = to_mpc(z)
-        val = _li2_any(mpmath.exp(2j * pi * zv)) / (2j * pi * zv) + 13 * pi * 1j / (12 * zv)
-    return HPComplex(val, prec)
 
 
 def q_func(z, prec: int | None = None) -> HPComplex:
@@ -367,10 +329,3 @@ def _v_at(zv, N: int, sigma, e=None):
         total += g / Nf ** (2 * ell - 1)
     return total
 
-
-def r_q_v_eval(z, N: int, sigma, prec: int | None = None):
-    """(r(z), q(z), v(z; N, sigma)) for z in the strip 1 < Re z < 3/2; v as in v_func."""
-    zv = to_mpc(z)
-    if not (1 < zv.real < mpf(3) / 2):
-        raise ValueError("z must satisfy 1 < Re z < 3/2")
-    return (r_func(zv, prec), q_func(zv, prec), v_func(zv, N, sigma, prec))

@@ -1,7 +1,7 @@
 """Exact and semi-exact computations around the restricted partition
 generating function: Farey pole enumeration, residues of
 Q(z; N, sigma) = e^{2 pi i sigma z} / prod_{j<=N} (1 - e^{2 pi i j z}),
-conversions between the two coefficient families, restricted partition
+the conversion of the Q into the coefficients C, restricted partition
 counts, the dominant simple-pole sums, and a high-precision Laurent
 oracle for the coefficients at the pole q = 1.
 
@@ -43,15 +43,6 @@ from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, even_power_sums
 from .series import exp, exp_fixed
 from .sine_products import _cot_sweep, _sine_product
-
-__all__ = [
-    "FareyFraction", "farey", "p_restricted", "P_RESTRICTED_MAX_N", "q_simple", "q_general",
-    "residue_sum", "residue_sum_expected", "c_from_q", "q_from_c", "a1_sum",
-    "FamilySelector", "family_sum", "c01l_exact", "q01_exact", "principal_part",
-    "reconstruct_product", "sylvester_wave", "residue_report",
-    "PrecisionLossError",
-]
-
 
 class PrecisionLossError(RuntimeError):
     """Cancellation destroyed more than the allowed share of working bits."""
@@ -324,20 +315,6 @@ def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPCom
     return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
 
 
-def q_from_c(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPComplex:
-    """Inverse conversion Q_{h k sigma}(N) = sum_{ell<=sigma} C(sigma-1, ell-1) zeta^{sigma-ell} C_{h k ell}(N)."""
-    if sigma < 1:
-        raise ValueError("need sigma >= 1")
-    prec = resolve_precision(prec)
-    cs = _c_from_q_all(h, k, sigma, N, prec + 32)
-    with mp.workprec(prec + 16):
-        zeta = _roots_of_unity(k, prec + 16)[h]
-        total = mpc(0)
-        for ell in range(1, sigma + 1):
-            total += comb(sigma - 1, ell - 1) * zeta ** (sigma - ell) * cs[ell - 1]
-    return HPComplex(total, prec)
-
-
 # -- dominant simple-pole sums -------------------------------------------------
 
 def a1_sum(N: int, sigma: int, prec: int | None = None) -> HPReal:
@@ -507,7 +484,7 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
         return HPReal((-1) ** N / mpmath.factorial(N) * val, prec)
 
 
-# -- reconstruction and waves ---------------------------------------------------
+# -- reconstruction and reports -------------------------------------------------
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
@@ -529,18 +506,6 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
                 power *= base
                 total += coeff.value * power
     return HPComplex(total, prec)
-
-
-def sylvester_wave(k: int, N: int, n: int, prec: int | None = None) -> HPReal:
-    """Wave W_k(N, n) = -sum_{(h,k)=1, 0<=h<k} Q_{h k (-n)}(N); the waves sum
-    to the restricted partition count p_N(n) over k = 1..N."""
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
-        total = mpc(0)
-        for h in range(k):
-            if gcd(h, k) == 1:
-                total -= q_general(h, k, -n, N, prec + 16).value
-    return HPReal(total.real, prec)
 
 
 def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30) -> list[dict]:

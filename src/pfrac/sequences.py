@@ -21,7 +21,7 @@ from operator import mul
 import mpmath
 from mpmath import mp, mpf
 
-from .precision import HPReal, resolve_precision
+from .precision import resolve_precision
 
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
 _stirling2: list[list[int]] = [[1]]                 # triangle rows
@@ -87,18 +87,10 @@ def stirling2(n: int, r: int) -> int:
     return _stirling2[n][r]
 
 
-def binom_half(s: int, j: int, prec: int | None = None) -> HPReal:
-    """Generalized binomial coefficient C(-s - 1/2, j)."""
-    prec = resolve_precision(prec)
-    val = binom_half_fraction(s, j)
-    with mp.workprec(prec):
-        return HPReal(mpf(val.numerator) / val.denominator, prec)
-
-
 def binom_half_fraction(s: int, j: int) -> Fraction:
     """Exact value of C(-s - 1/2, j)."""
     if s < 0 or j < 0:
-        raise ValueError("binom_half needs nonnegative arguments")
+        raise ValueError("binom_half_fraction needs nonnegative arguments")
     num = Fraction(1)
     for i in range(j):
         num *= Fraction(-2 * s - 1 - 2 * i, 2)

@@ -15,9 +15,6 @@ from operator import mul as _imul
 
 import mpmath
 
-__all__ = ["mul", "inv", "exp", "exp_fixed", "log"]
-
-
 def mul(a, b, n: int) -> list:
     """Product a * b."""
     out = [0 * a[0]] * n

@@ -13,8 +13,8 @@ factors for the sign, and builds a single mpf at the end, so the products
 (up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  `_sine_factors` turns
 the same rotation into one mpf per factor, for the log-sine table behind Psi.
 Cotangent derivatives of every order up to n come from one exponential and
-a fixed-point power table (`_cot_sweep`); `g_ell` and `cot_derivative` are
-one-point views of it.
+a fixed-point power table (`_cot_sweep`), and the g_l of the
+Euler-Maclaurin expansion from one such sweep (`_g_sweep`).
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul as _imul
@@ -38,28 +37,8 @@ import numpy as np
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
-from .precision import HPComplex, HPReal, resolve_precision, to_mpc
+from .precision import HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
-
-__all__ = [
-    "SineProductValue", "sine_product", "psi", "psi_table",
-    "MinimalPair", "minimal_pair", "zero_pairs", "cot_derivative", "g_ell",
-    "EMConfig", "em_length", "r_delta", "em_product_estimate", "em_remainder", "t_l_bound",
-    "em_remainder_scan", "s_wave_sum",
-]
-
-
-@dataclass(frozen=True)
-class SineProductValue:
-    """log|prod_{j<=m} 2 sin(pi j theta)| together with its sign."""
-    logAbs: HPReal
-    sign: int
-    m: int
-    theta: object
-
-    def value(self):
-        return self.sign * mpmath.exp(self.logAbs.value)
-
 
 def _rotation(h: int, k: int, m: int, wp: int):
     """Yield sin(pi j h/k) 2^wp as integers, j = 1..m.
@@ -106,22 +85,6 @@ def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
         return mpf((-acc if negative else acc, e))
 
 
-def sine_product(h: int, k: int, m: int, prec: int | None = None) -> SineProductValue:
-    """prod_{j=1}^{m} 2 sin(pi j h/k) as log|prod| and sign; the empty product is 1.
-
-    Requires (h, k) = 1 and 0 <= m < k so no factor vanishes.
-    """
-    if math.gcd(h, k) != 1:
-        raise ValueError("h/k must be in lowest terms")
-    if not 0 <= m < k:
-        raise ValueError("m must satisfy 0 <= m < k (zero factor otherwise)")
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
-        prod = _sine_product(h, k, m, prec + 16)
-        return SineProductValue(HPReal(mpmath.log(abs(prod)), prec),
-                                1 if prod > 0 else -1, m, Fraction(h, k))
-
-
 @lru_cache(maxsize=32)
 def _log_sine_table(k: int, prec: int) -> tuple:
     """log 2 sin(pi r/k) for r = 1..k-1."""
@@ -147,54 +110,14 @@ def psi(h: int, k: int, prec: int | None = None) -> HPReal:
 
 def psi_table(k: int, prec: int | None = None) -> list:
     """Rows (h, Psi(h/k), D(h, k)) for 1 <= h < k with (h, k) = 1."""
-    return [(h, psi(h, k, prec), minimal_pair(h, k).D)
+    return [(h, psi(h, k, prec), _min_pair_product(h, k))
             for h in range(1, k) if math.gcd(h, k) == 1]
 
 
-@dataclass(frozen=True)
-class MinimalPair:
-    beta0: int
-    gamma0: int
-    D: int
-
-
-def zero_pairs(h: int, k: int) -> list:
-    """Z(h, k): pairs (beta, gamma), 1 <= |beta| < k, 1 <= gamma < k, beta*h = gamma mod k."""
-    out = []
-    for beta in range(1 - k, k):
-        if beta == 0:
-            continue
-        gamma = (beta * h) % k
-        if 1 <= gamma < k:
-            out.append((beta, gamma))
-    return out
-
-
-def minimal_pair(h: int, k: int) -> MinimalPair:
-    """Pair in Z(h, k) minimizing |beta * gamma|, by brute force."""
-    if not (1 <= h < k) or math.gcd(h, k) != 1:
-        raise ValueError("need 1 <= h < k with (h, k) = 1")
-    best = None
-    for beta in range(1 - k, k):
-        if beta == 0:
-            continue
-        gamma = (beta * h) % k
-        if gamma == 0:
-            continue
-        prod = abs(beta * gamma)
-        if best is None or prod < best[2]:
-            best = (beta, gamma, prod)
-    return MinimalPair(best[0], best[1], best[2])
-
-
-def s_wave_sum(m: int, h: int, k: int, prec: int | None = None) -> HPReal:
-    """S(m; h, k) = sum over Z(h,k) of sin(2 pi m gamma / k) / |beta gamma|."""
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
-        total = mpf(0)
-        for beta, gamma in zero_pairs(h, k):
-            total += mpmath.sin(2 * pi * mpf(m * gamma) / k) / abs(beta * gamma)
-        return HPReal(total, prec)
+def _min_pair_product(h: int, k: int) -> int:
+    """D(h, k) = min |beta gamma| over 1 <= |beta| < k, 1 <= gamma < k with
+    beta h = gamma mod k, by brute force; (h, k) = 1 makes every gamma nonzero."""
+    return min(abs(beta) * (beta * h % k) for beta in range(1 - k, k) if beta)
 
 
 # -- cotangent derivatives ---------------------------------------------------
@@ -272,41 +195,7 @@ def _g_sweep(lmax: int, z, ez=None) -> list:
     return out
 
 
-def cot_derivative(n: int, z, prec: int | None = None) -> HPComplex:
-    """n-th derivative of cot at z: the last entry of one cot sweep (`_cot_sweep`)."""
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
-        return HPComplex(_cot_sweep(n, to_mpc(z))[n], prec)
-
-
-def g_ell(ell: int, z, prec: int | None = None) -> HPComplex:
-    """g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z)."""
-    if ell < 1:
-        raise ValueError("need ell >= 1")
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
-        return HPComplex(_g_sweep(ell, to_mpc(z))[-1], prec)
-
-
-# -- Euler-Maclaurin estimate and remainder ----------------------------------
-
-@dataclass(frozen=True)
-class EMConfig:
-    """Parameters of the truncated Euler-Maclaurin product approximation.
-
-    delta_param is the Delta in [0.00477, 0.0079] steering the truncation
-    length L = em_length(Delta, s, h); W bounds Delta log(1/Delta); s is
-    the global size parameter (defaults to k at the call site when omitted).
-    """
-    delta_param: float = 0.006
-    W: float = 0.05
-    s: int | None = None
-
-    def __post_init__(self):
-        d = _checked_delta(self.delta_param)
-        if d * mpmath.log(1 / d) > mpf(str(self.W)) + mpf("1e-15"):
-            raise ValueError("requires Delta log(1/Delta) <= W")
-
+# -- Euler-Maclaurin main term and remainder ----------------------------------
 
 def _checked_delta(delta) -> mpf:
     """Delta as an mpf, or ValueError unless it lies in [0.00477, 0.0079]."""
@@ -319,42 +208,6 @@ def _checked_delta(delta) -> mpf:
 def em_length(delta, s: int, h: int) -> int:
     """Euler-Maclaurin truncation length L = floor(pi e Delta s / h)."""
     return int(math.pi * math.e * delta * s / h)
-
-
-def r_delta(delta, tol=mpf("1e-12")) -> mpf:
-    """Scale threshold R_Delta = 3 / (r2/e^{r2+1} - r1/e^{r1+1}).
-
-    r1 solves (1/e^{r+1})(1 + r log(r/(2 pi))) = Delta log(1/Delta) and
-    r2 solves r/e^{r+1} = 2 pi e Delta, both on [0, 1], by bisection.
-    """
-    delta = _checked_delta(delta)
-    target1 = delta * mpmath.log(1 / delta)
-
-    def f1(r):
-        return (1 + r * mpmath.log(r / (2 * pi))) / mpmath.exp(r + 1) - target1
-
-    def f2(r):
-        return r / mpmath.exp(r + 1) - 2 * pi * mpmath.e * delta
-
-    def bisect(f, a, b, increasing):
-        fa = f(a)
-        for _ in range(200):
-            mid = (a + b) / 2
-            fm = f(mid)
-            if abs(b - a) < tol:
-                return mid
-            if (fm > 0) == increasing:
-                b = mid
-            else:
-                a = mid
-        return (a + b) / 2
-
-    r1 = bisect(f1, mpf("1e-6"), mpf(1), increasing=False)
-    r2 = bisect(f2, mpf("1e-6"), mpf(1), increasing=True)
-    gap = r2 / mpmath.exp(r2 + 1) - r1 / mpmath.exp(r1 + 1)
-    if gap <= 0:
-        raise ValueError("Delta admits no valid (r1, r2) window")
-    return 3 / gap
 
 
 def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
@@ -373,36 +226,14 @@ def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
         return lead + k / (2 * pi * h) * cl - em
 
 
-def em_product_estimate(h: int, k: int, m: int, cfg: EMConfig,
-                        prec: int | None = None) -> HPReal:
-    """Main-term approximation to the reciprocal sine product prod^{-1}(h/k)_m.
-
-    Validates the truncation preconditions (0 < h < k <= s, R_Delta <= s/h,
-    Delta s/h <= m <= k/(2h)) and evaluates
-    (h/(2k sin(pi m h/k)))^{1/2} exp((k/(2 pi h)) Cl2(2 pi m h/k))
-    exp(-sum_{l<L} (B_{2l}/(2l)!) (pi h/k)^{2l-1} cot^{(2l-2)}(pi m h/k)).
-    """
-    prec = resolve_precision(prec)
-    s = cfg.s if cfg.s is not None else k
-    if not (0 < h < k <= s):
-        raise ValueError("requires 0 < h < k <= s")
-    delta = mpf(str(cfg.delta_param))
-    if r_delta(cfg.delta_param) > mpf(s) / h:
-        raise ValueError("requires R_Delta <= s/h")
-    if not (delta * s / h <= m + mpf("1e-12")):
-        raise ValueError("requires Delta s/h <= m")
-    if not (m <= mpf(k) / (2 * h) + mpf("1e-12")):
-        raise ValueError("requires m <= k/(2h)")
-    L = em_length(cfg.delta_param, s, h)
-    with mp.workprec(prec + 16):
-        return HPReal(mpmath.exp(_em_main_log(h, k, m, L, prec)), prec)
-
-
 def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPReal:
     """Truncation remainder T_L(m, h/k) = log prod(h/k)_m - truncated expansion."""
+    if math.gcd(h, k) != 1 or not 0 <= m < k:
+        raise ValueError("need (h, k) = 1 and 0 <= m < k (zero factor otherwise)")
     prec = resolve_precision(prec)
+    with mp.workprec(prec + 32):
+        lp = mpmath.log(abs(_sine_product(h, k, m, prec + 32)))
     with mp.workprec(prec + 16):
-        lp = sine_product(h, k, m, prec + 16).logAbs.value
         return HPReal(lp + _em_main_log(h, k, m, L, prec), prec)
 
 
@@ -522,6 +353,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
         if potential <= math.log(max(max_PT, 1e-300)):
             break
         T = em_remainder(h, k, m, L, _RECHECK_PREC).value
-        lp = sine_product(h, k, m, _RECHECK_PREC).logAbs.value
+        with mp.workprec(_RECHECK_PREC + 16):
+            lp = mpmath.log(abs(_sine_product(h, k, m, _RECHECK_PREC + 16)))
         max_PT = max(max_PT, float(mpmath.exp(-lp) * abs(T)))
     return max_PT, max_T

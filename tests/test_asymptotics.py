@@ -1,5 +1,6 @@
 """Bell polynomials, descent coefficients, expansions, quadrature."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _frame, a3_quadrature,
-                               b_coeffs, bell_partial, c_coeffs,
+from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _bell_powers, _frame,
+                               a3_quadrature, b_coeffs, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
                                path_positivity_check, saddle_path, u_weight,
@@ -27,6 +28,11 @@ def _zw(prec=PREC):
 
 
 # -- partial ordinary Bell polynomials ------------------------------------------------
+
+def bell_partial(i, j, p):
+    """Bhat_{i,j}(p_1, p_2, ...) from the table of powers that wojdylo_a2s reads."""
+    return _bell_powers(p, i + 1, j)[j][i]
+
 
 def test_bell_diagonal_and_empty():
     p = [Fraction(3), Fraction(5), Fraction(7)]
@@ -157,7 +163,8 @@ def test_vstar_ell_closed_form():
 
 def test_frame_weights_match_scalar_oracles():
     # the constant terms of the saddle frame's weight series are the scalar
-    # weights at z0; u_weight and vstar_weight are the oracles
+    # weights at z0; u_weight and vstar_weight are the oracles of
+    # _Frame.u_series and _Frame.vstar_series
     _, z0, _ = _zw()
     frame = _frame(1, 0, 12, PREC)
     tol = mpf(2) ** (16 - PREC)
@@ -219,6 +226,18 @@ def test_c1_equals_minus_b1_series():
     with mp.workprec(300):
         for t in range(4):
             assert abs(mpc(c.coeffs[t]) + mpc(b.coeffs[t])) < mpf("1e-20")
+
+
+def test_saddle_frame_coefficients_are_pinned_to_the_bit():
+    # `pfrac expansion` prints 30 digits of these; the pin holds every bit of
+    # the mantissas (about 288), so a change that only moves the rounding of
+    # the saddle-frame series (_Frame) shows here
+    def bits(e):
+        return [tuple((sign, int(man), exp, bc) for sign, man, exp, bc in c._mpc_)
+                for c in e.coeffs]
+    text = repr([bits(b_coeffs(1, 4, 256)), bits(c_coeffs(4, 4, 256))])
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "c3c1abc1ba13de02e417bfd0349b23e8ee6b8a25e675a33d247e2b085a8c179e")
 
 
 def test_binomial_combination_collapses():
@@ -324,7 +343,8 @@ def test_path_positivity():
 
 def test_a3_integrand_matches_its_pieces():
     # the fused integrand at p bits against exp(-N p_d) q exp(v) composed
-    # from the public pieces at p + 64, on all three edges of the path
+    # from the public pieces at p + 64, on all three edges of the path:
+    # q_func and v_func are the oracles of _a3_integrand
     p = 192
     verts = saddle_path(p)
     for N in (131, 200, 449):
@@ -353,7 +373,8 @@ def test_a3_matches_a1(a3_200):
 
 def test_a3_label_holds_against_tanh_sinh(a3_200):
     # node doubling stops at a relative 1e-8, so the label is far below 192
-    # bits; an independent rule on the same integrand and path confirms it
+    # bits; an independent rule on the same integrand, composed from the
+    # oracles q_func and v_func instead of _a3_integrand, confirms it
     N, p = 200, 96
     with mp.workprec(p):
         def integrand(z):

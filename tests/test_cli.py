@@ -56,6 +56,8 @@ USAGE_ERRORS = {
     "expansion D --parity 2": "--parity: invalid choice: 2 (choose from 0, 1)",
     "psi --k 1": "--k: must be at least 2, got 1",
     "psi --k -3": "--k: must be at least 2, got -3",
+    "psi --k 2801": "--k: must be at most 2800, got 2801",
+    "zeros --max-b 31": "--max-b: must be at most 30, got 31",
     "identity --n-max 0": "--n-max: must be at least 1, got 0",
     "identity --n-max 101": "--n-max: must be at most 100, got 101",
     "identity --sigma-set=3,-10001": "--sigma-set: |sigma| must be at most 10000, got -10001",

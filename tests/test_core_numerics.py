@@ -17,8 +17,8 @@ from mpmath import mp, mpf, pi
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
-from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half,
-                             binom_half_fraction, even_power_sums, stirling2)
+from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half_fraction,
+                             even_power_sums, stirling2)
 from pfrac.series import exp, exp_fixed, inv, log, mul
 
 
@@ -164,9 +164,10 @@ def test_stirling2_recurrence(rng):
 # -- half-integer binomials -------------------------------------------------------
 
 def test_binom_half():
-    assert binom_half(0, 0).value == 1
-    assert binom_half(0, 1).value == mpf(-1) / 2
-    assert binom_half(1, 2).value == mpf(15) / 8
+    # C(-s - 1/2, j), exact, as wojdylo_a2s takes it
+    assert binom_half_fraction(0, 0) == 1
+    assert binom_half_fraction(0, 1) == Fraction(-1, 2)
+    assert binom_half_fraction(1, 2) == Fraction(15, 8)
     # product-formula oracle
     for s in range(4):
         for j in range(6):
@@ -269,8 +270,12 @@ def test_recip_requires_unit():
 
 
 def test_public_surface():
+    # pfrac.__all__ is the one list of public functions and types
+    # (tests/test_surface.py says why each is there); no module keeps a second
+    # copy.  refdata's __all__ lists published data tables, not functions.
+    assert all(hasattr(pfrac, name) for name in pfrac.__all__)
     for info in pkgutil.iter_modules(pfrac.__path__):
         module = importlib.import_module(f"pfrac.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"pfrac.{info.name}.{name}"
+        if info.name != "refdata":
+            assert not hasattr(module, "__all__"), f"pfrac.{info.name}"
     assert not hasattr(pfrac, "TruncatedSeries")

@@ -1,29 +1,50 @@
-"""Dilogarithm, Clausen's integral, continued branches, zeros, saddles."""
+"""Dilogarithm, Clausen's integral, continued branches, zeros, saddles.
+
+The principal branch is the kernel `_li2_any`, which the phase p_d, the zero
+solver and the saddle frame all call; `_li2` below runs it with the guard
+bits a public caller adds."""
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.dilog import (_li2_series, clausen, find_saddle, find_zero,
-                         li2_continued, li2_principal, p_d, p_d_prime,
-                         p_d_second, q_func, r_func, r_q_v_eval)
+from pfrac.dilog import (_li2_any, _li2_branch, _li2_series, _phase, clausen, find_saddle,
+                         find_zero, p_d, q_func)
 from pfrac.precision import set_default_precision, tolerance
 from pfrac.refdata import DILOG_ZEROS
 
 PREC = 256
 
 
+def _li2(z, prec=PREC):
+    """Principal Li2(z) from the kernel, at prec + 24 bits."""
+    with mp.workprec(prec + 24):
+        return _li2_any(mpc(z))
+
+
+def _p_d_prime(z, d, prec=PREC):
+    """p_d'(z) from the phase kernel that find_saddle certifies with."""
+    return _phase(z, d, 1, prec)[1]
+
+
+def _r(z, prec=PREC):
+    """r(z) = Li2(e^{2 pi i z}) / (2 pi i z) + 13 pi i / (12 z), from the kernel."""
+    with mp.workprec(prec + 24):
+        z = mpc(z)
+        return _li2_any(mpmath.exp(2j * pi * z)) / (2j * pi * z) + 13 * pi * 1j / (12 * z)
+
+
 def test_li2_special_points():
     with mp.workprec(300):
-        assert abs(li2_principal(1, PREC).value - pi ** 2 / 6) < mpf(2) ** -240
-        assert li2_principal(0, PREC).value == 0
+        assert abs(_li2(1) - pi ** 2 / 6) < mpf(2) ** -240
+        assert _li2(0) == 0
 
 
 def test_li2_half_by_series_oracle():
     # direct power-series summation is the independent oracle at z = 1/2
     with mp.workprec(300):
         direct = mpmath.fsum(mpf(2) ** -n / n ** 2 for n in range(1, 140))
-        ours = li2_principal(mpf(1) / 2, PREC).value
+        ours = _li2(mpf(1) / 2)
         assert abs(ours - direct) < mpf("1e-30")
         closed = pi ** 2 / 12 - mpmath.log(2) ** 2 / 2
         assert abs(ours - closed) < mpf("1e-30")
@@ -35,10 +56,10 @@ def test_li2_against_mpmath_grid(rng):
             z = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if abs(z.imag) < 1e-3 and z.real > 1:
                 continue
-            assert abs(li2_principal(z, PREC).value - mpmath.polylog(2, z)) < mpf(2) ** -230
+            assert abs(_li2(z) - mpmath.polylog(2, z)) < mpf(2) ** -230
         # hard annulus points, including near the sixth root of unity
         for z in (mpmath.exp(1j * pi / 3), mpc("0.6", "0.75"), mpc("-1.2", "0.1")):
-            assert abs(li2_principal(z, PREC).value - mpmath.polylog(2, z)) < mpf(2) ** -230
+            assert abs(_li2(z) - mpmath.polylog(2, z)) < mpf(2) ** -230
 
 
 def test_li2_series_meets_precision_contract():
@@ -60,7 +81,7 @@ def test_li2_series_meets_precision_contract():
 def test_li2_cut_is_limit_from_above():
     with mp.workprec(400):
         for x in ("1.5", "2.0", "3.5"):
-            ours = li2_principal(mpf(x), PREC).value
+            ours = _li2(mpf(x))
             lim = mpmath.polylog(2, mpc(mpf(x), mpf(10) ** -70))
             assert abs(ours - lim) < mpf("1e-55")
 
@@ -103,12 +124,13 @@ def test_clausen_ratio_stationary_point():
 
 
 def test_li2_continued():
-    with mp.workprec(300):
+    # the continued dilogarithm that find_zero's Newton steps run on
+    with mp.workprec(PREC + 24):
         z = mpc("0.3", "0.4")
-        assert abs(li2_continued(z, (0, 0), PREC).value - li2_principal(z, PREC).value) == 0
-        for label in ((0, -1), (1, -2)):
-            w = find_zero(label, prec=PREC).w.value
-            assert abs(li2_continued(w, label, PREC).value) < mpf("1e-20")
+        assert _li2_branch(z, 0, 0) == _li2_any(z)
+        for A, B in ((0, -1), (1, -2)):
+            w = find_zero((A, B), prec=PREC).w.value
+            assert abs(_li2_branch(w, A, B)) < mpf("1e-20")
 
 
 def test_find_zero_reference_values():
@@ -154,8 +176,8 @@ def test_inversion_functional_equation_on_strips():
             for i in range(10):
                 for j in range(10):
                     z = mpc(m + (i + mpf("0.5")) / 10, -1 + (2 * j + mpf(1)) / 10)
-                    lhs = li2_principal(mpmath.exp(-2j * pi * z), PREC).value
-                    rhs = (-li2_principal(mpmath.exp(2j * pi * z), PREC).value
+                    lhs = _li2(mpmath.exp(-2j * pi * z))
+                    rhs = (-_li2(mpmath.exp(2j * pi * z))
                            + 2 * pi ** 2 * (z ** 2 - (2 * m + 1) * z + m * m + m + mpf(1) / 6))
                     assert abs(lhs - rhs) < tol
 
@@ -172,8 +194,8 @@ def test_reflection_functional_equation_on_strips():
                     if z.imag <= 0 and abs(z.real - m) < mpf("0.05"):
                         continue  # too close to the cut
                     e = mpmath.exp(2j * pi * z)
-                    lhs = li2_principal(e, PREC).value
-                    rhs = (-li2_principal(1 - e, PREC).value + pi ** 2 / 6
+                    lhs = _li2(e)
+                    rhs = (-_li2(1 - e) + pi ** 2 / 6
                            - 2j * pi * (z - m) * mpmath.log(1 - e))
                     assert abs(lhs - rhs) < tol
 
@@ -186,7 +208,7 @@ def test_im_li2_monotone_in_y():
             prev = None
             for yi in range(12):
                 y = mpf(yi) / 8
-                val = li2_principal(mpmath.exp(2j * pi * mpc(x, y)), 192).value.imag
+                val = _li2(mpmath.exp(2j * pi * mpc(x, y)), 192).imag
                 if prev is not None:
                     assert val < prev
                 prev = val
@@ -199,22 +221,25 @@ def test_p_d_at_saddle():
         pv = p_d(s.z.value, 0, PREC).value
         assert abs(pv - mpmath.log(w0)) < mpf(2) ** -230
         assert abs((-pv).real - mpf("0.068076")) < mpf("1e-6")
-        assert abs(p_d_prime(s.z.value, 0, PREC).value) < mpf("1e-12")
+        assert abs(_p_d_prime(s.z.value, 0)) < mpf("1e-12")
 
 
-def test_p_d_second_by_central_difference():
+def test_p_d_prime_by_central_difference():
+    # the order-1 branch of the phase kernel (find_saddle's certificate)
+    # against a central difference of p_d, on three branches d
     with mp.workprec(360):
         z = mpc("1.2", "0.3")
         h = mpf(10) ** -25
-        num = (p_d_prime(z + h, 0, 320).value - p_d_prime(z - h, 0, 320).value) / (2 * h)
-        assert abs(num - p_d_second(z, 0, 320).value) < mpf("1e-40")
+        for d in (0, 1, -2):
+            num = (p_d(z + h, d, 320).value - p_d(z - h, d, 320).value) / (2 * h)
+            assert abs(num - _p_d_prime(z, d, 320)) < mpf("1e-40")
 
 
 def test_p_d_cut_rejection():
     with pytest.raises(ValueError):
         p_d(mpc(1, -0.5), 0)
     with pytest.raises(ValueError):
-        p_d_prime(mpc(2, 0), 0)
+        _p_d_prime(mpc(2, 0), 0)
 
 
 def test_find_saddle_examples():
@@ -227,7 +252,7 @@ def test_find_saddle_examples():
             w = find_zero((d, -m), prec=PREC).w.value
             assert abs(s.z.value - (m + mpmath.log(1 - w) / (2j * pi))) < mpf(2) ** -230
             cert = mpf(10) ** (-mpf("0.3") * PREC)
-            assert abs(p_d_prime(s.z.value, d, PREC).value) < cert
+            assert abs(_p_d_prime(s.z.value, d)) < cert
             assert abs(s.pValue.value - mpmath.log(w)) < cert
     with pytest.raises(ValueError):
         find_saddle(0, 0)
@@ -236,9 +261,10 @@ def test_find_saddle_examples():
 
 
 def test_r_on_real_axis_matches_clausen_form():
+    # Li2 on the unit circle: Im is Clausen's integral, Re a Bernoulli polynomial
     with mp.workprec(300):
         for xi in (mpf("1.05"), mpf("1.25"), mpf("1.45")):
-            r = r_func(xi, PREC).value
+            r = _r(xi)
             want = clausen(2 * pi * xi, PREC).value / (2 * pi * xi) + 1j * pi / 2 * (3 - xi)
             assert abs(r - want) < mpf(2) ** -230
 
@@ -250,7 +276,7 @@ def test_p_equals_minus_r_plus_pi_i_over_z(rng):
             if z.imag <= 0 and min(abs(z.real - 1), abs(z.real - 2)) < 0.02:
                 continue
             lhs = p_d(z, 0, PREC).value
-            rhs = -(r_func(z, PREC).value - 1j * pi / z)
+            rhs = -(_r(z) - 1j * pi / z)
             assert abs(lhs - rhs) < mpf(2) ** -220
 
 
@@ -261,9 +287,3 @@ def test_q_modulus_at_saddle():
         q = q_func(s.z.value, PREC).value
         assert abs(abs(q) ** 2 - abs(1j * s.z.value / w0)) < mpf(2) ** -230
 
-
-def test_r_q_v_strip_validation():
-    with pytest.raises(ValueError):
-        r_q_v_eval(mpc("0.9", "0.1"), 200, 1)
-    r, q, v = r_q_v_eval(mpc("1.2", "0.1"), 200, 1, prec=PREC)
-    assert r.precision == PREC and q.precision == PREC and v.precision == PREC

@@ -12,9 +12,8 @@ from pfrac.dilog import find_zero
 from pfrac.precision import set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             _laurent_core, a1_sum, c01l_exact, c_from_q, family_sum,
-                            farey, p_restricted, principal_part, q01_exact, q_from_c, q_general,
-                            q_simple, reconstruct_product, residue_report,
-                            residue_sum, sylvester_wave)
+                            farey, p_restricted, principal_part, q01_exact, q_general,
+                            q_simple, reconstruct_product, residue_report, residue_sum)
 from pfrac.sequences import bernoulli_over_factorial_fraction
 from pfrac.series import exp
 
@@ -268,13 +267,17 @@ def test_c_from_q_first_order():
 
 
 def test_conversion_round_trip(rng):
+    # c_from_q inverted: Q_{h k sigma} = sum_{ell<=sigma} C(sigma-1, ell-1) zeta^{sigma-ell} C_{h k ell}
     with mp.workprec(300):
         for _ in range(8):
             N = rng.randint(4, 14)
             fr = rng.choice(farey(N))
             sigma = rng.randint(1, max(1, N // fr.k))
             direct = q_general(fr.h, fr.k, sigma, N, PREC).value
-            via = q_from_c(fr.h, fr.k, sigma, N, PREC).value
+            zeta = mpmath.exp(2j * pi * mpf(fr.h) / fr.k)
+            via = mpmath.fsum(comb(sigma - 1, ell - 1) * zeta ** (sigma - ell)
+                              * c_from_q(fr.h, fr.k, ell, N, PREC + 32).value
+                              for ell in range(1, sigma + 1))
             assert abs(direct - via) < mpf(2) ** -200 * (1 + abs(direct))
 
 
@@ -308,7 +311,8 @@ def test_family_a_equals_a1_sum():
 
 
 def test_family_sum_matches_unshared_residues():
-    # one sine product per conjugate pair, against q_simple on every member
+    # one sine product per conjugate pair, against q_simple on every member:
+    # q_simple is the oracle for family_sum's shared-product route
     with mp.workprec(300):
         for tag, N in (("A", 2), ("A", 3), ("A", 40), ("C", 41), ("D", 41), ("D", 60)):
             sel = FamilySelector(tag, N)
@@ -374,7 +378,8 @@ def test_c01l_small_closed_forms():
 
 
 def test_c01l_cross_checks_pole_expansion():
-    # dual route: the per-pole Laurent machinery must agree with the oracle
+    # dual route: c_from_q, the per-pole Laurent machinery, is the oracle for
+    # the q = 1 core of c01l_exact
     with mp.workprec(300):
         for N in (6, 11, 17, 23):
             for ell in (1, 2, min(4, N)):
@@ -432,6 +437,8 @@ def test_c01l_default_precision_follows_the_default():
 
 
 def test_q01_exact_matches_general(rng):
+    # q01_exact, on the q = 1 Laurent core, is the oracle for q_general's
+    # pole inverse at 0/1, the pole of highest order N
     with mp.workprec(280):
         for _ in range(6):
             N = rng.randint(3, 25)
@@ -447,15 +454,16 @@ def test_c011_tracks_negative_a1():
         assert abs(ratio - 1) < mpf("1e-3")
 
 
-# -- waves and reports -----------------------------------------------------------------------------
+# -- waves, reports and reconstruction -----------------------------------------------------------------------------
 
 def test_wave_identity():
-    # p_N(n) = sum_k W_k(N, n)
+    # p_N(n) = sum_k W_k(N, n), with the Sylvester waves
+    # W_k(N, n) = -sum_{(h,k)=1} Q_{h k (-n)}(N) summed here from q_general
     with mp.workprec(280):
         for N in (5, 9, 15):
             for n in (0, 1, 4, 11, 30):
-                total = mpmath.fsum(sylvester_wave(k, N, n, PREC).value
-                                    for k in range(1, N + 1))
+                total = mpmath.fsum(-q_general(f.h, f.k, -n, N, PREC).value.real
+                                    for f in farey(N))
                 assert abs(total - p_restricted(N, n)) < mpf("1e-20") * (1 + p_restricted(N, n))
 
 

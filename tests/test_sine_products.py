@@ -1,4 +1,9 @@
-"""Sine products, Psi statistic, cotangent derivatives, Euler-Maclaurin."""
+"""Sine products, Psi statistic, cotangent derivatives, Euler-Maclaurin.
+
+The sine products, cotangent derivatives and g_l are held to their contracts
+at the kernels every caller shares: `_sine_product`, `_cot_sweep` and
+`_g_sweep`.  `cot_derivative` and `g_ell` below run the sweeps with the 16
+guard bits a public caller adds."""
 
 import math
 from math import gcd
@@ -13,26 +18,35 @@ from pfrac.dilog import clausen
 from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, EMConfig, _sine_factors, _sine_product,
-                                 cot_derivative, em_length, em_product_estimate,
-                                 em_remainder, em_remainder_scan, g_ell, minimal_pair,
-                                 psi, r_delta, s_wave_sum, sine_product, t_l_bound,
-                                 zero_pairs)
+from pfrac.sine_products import (SCREEN_MAX_L, _cot_sweep, _em_main_log, _g_sweep,
+                                 _min_pair_product, _sine_factors, _sine_product, em_length,
+                                 em_remainder, em_remainder_scan, psi, t_l_bound)
 
 PREC = 256
+
+
+def cot_derivative(n, z, prec=PREC):
+    """cot^{(n)}(z): the last entry of one cot sweep."""
+    with mp.workprec(prec + 16):
+        return _cot_sweep(n, mpc(z))[n]
+
+
+def g_ell(ell, z, prec=PREC):
+    """g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z): the last entry of one g sweep."""
+    with mp.workprec(prec + 16):
+        return _g_sweep(ell, mpc(z))[-1]
 
 
 # -- sine products ---------------------------------------------------------------
 
 def test_empty_product_is_one():
-    v = sine_product(3, 7, 0, PREC)
-    assert v.logAbs.value == 0 and v.sign == 1
+    assert _sine_product(3, 7, 0, PREC) == 1
 
 
 def test_exact_unit_factor():
     # 2 sin(pi/6) = 1
-    v = sine_product(1, 6, 1, PREC)
-    assert abs(v.logAbs.value) < mpf(2) ** -240 and v.sign == 1
+    with mp.workprec(300):
+        assert abs(_sine_product(1, 6, 1, PREC) - 1) < mpf(2) ** -240
 
 
 def test_full_product_closed_form(rng):
@@ -41,17 +55,17 @@ def test_full_product_closed_form(rng):
         for _ in range(10):
             k = rng.randint(3, 40)
             h = rng.choice([h for h in range(1, k) if gcd(h, k) == 1])
-            v = sine_product(h, k, k - 1, PREC)
-            recip = v.sign * mpmath.exp(-v.logAbs.value)
+            recip = 1 / _sine_product(h, k, k - 1, PREC)
             want = (-1) ** (((h - 1) * (k - 1)) // 2) / mpf(k)
             assert abs(recip - want) < mpf(2) ** -220
 
 
 def test_sine_product_rejects_zero_factor():
-    with pytest.raises(ValueError):
-        sine_product(1, 6, 6)
-    with pytest.raises(ValueError):
-        sine_product(2, 6, 1)  # not reduced
+    # em_remainder, the one public caller that takes (h, k, m) as given
+    with pytest.raises(ValueError, match="zero factor"):
+        em_remainder(1, 6, 6, 2)
+    with pytest.raises(ValueError, match="zero factor"):
+        em_remainder(2, 6, 1, 2)  # not reduced
 
 
 def _log_sine_factors(h, k, m, prec):
@@ -80,11 +94,8 @@ def test_sine_factors_meet_precision_contract():
                         assert (f > 0) == (sign > 0)
                         assert abs(mpmath.log(abs(f)) - log_abs) <= tol
                     for m in (1, k // 2, k - 1):
-                        v = sine_product(h, k, m, p)
                         want = mpmath.fsum(la for la, _ in ref[:m])
                         sign = math.prod(sg for _, sg in ref[:m])
-                        assert v.sign == sign
-                        assert abs(v.logAbs.value - want) <= tol
                         prod = _sine_product(h, k, m, p)
                         assert (prod > 0) == (sign > 0)
                         assert abs(mpmath.log(abs(prod)) - want) <= tol
@@ -108,19 +119,12 @@ def test_exactly_six_h_exceed_u():
 
 
 def test_minimal_pair_examples():
+    # D(h, k), the minimal |beta gamma| that psi_table reports
     for k in (17, 100, 211):
-        assert minimal_pair(1, k).D == 1
-        assert minimal_pair(k - 1, k).D == 1
-    assert minimal_pair(2, 211).D == 2
-    mp_ = minimal_pair(2, 211)
-    assert (mp_.beta0 * 2 - mp_.gamma0) % 211 == 0
-
-
-def test_zero_pairs_structure():
-    zp = zero_pairs(3, 10)
-    assert all(1 <= g < 10 and 1 <= abs(b) < 10 and (b * 3 - g) % 10 == 0
-               for b, g in zp)
-    assert len(zp) == 18
+        assert _min_pair_product(1, k) == 1
+        assert _min_pair_product(k - 1, k) == 1
+    assert _min_pair_product(2, 211) == 2
+    assert _min_pair_product(3, 10) == 3  # beta = 1, gamma = 3 and beta = -3, gamma = 1
 
 
 # -- cotangent derivatives ----------------------------------------------------------
@@ -129,7 +133,7 @@ def test_cot_derivative_first_identity(rng):
     with mp.workprec(300):
         for _ in range(8):
             z = mpc(rng.uniform(0.1, 2.9), rng.uniform(-1.5, 1.5))
-            lhs = cot_derivative(1, z, PREC).value
+            lhs = cot_derivative(1, z)
             assert abs(lhs + 1 + mpmath.cot(z) ** 2) < mpf(2) ** -230
 
 
@@ -149,7 +153,7 @@ def test_cot_derivative_vs_series_oracle():
             cot = mul(cos_c, inv(sin_c, n), n)
         for order in (1, 2, 3):
             want = cot[order] * mpmath.factorial(order)
-            got = cot_derivative(order, z0, PREC).value
+            got = cot_derivative(order, z0)
             assert abs(got - want) < mpf(2) ** -230
         # below the real axis the sweep takes the e^{-2iz} mirror; cot(conj z) = conj cot(z)
         with mp.workprec(PREC + 16):
@@ -172,7 +176,7 @@ def test_cot_derivative_bound_spotcheck():
                     bound = ((1 if k == 0 else 0)
                              + mpmath.factorial(k) / pi ** (k + 1)
                              * (mpf("4.01") / y) ** (k + 1) * mpmath.exp(-pi * y))
-                    assert abs(cot_derivative(k, pi * z, 192).value) <= bound
+                    assert abs(cot_derivative(k, pi * z, 192)) <= bound
 
 
 @pytest.mark.parametrize("p", [64, 192])
@@ -182,10 +186,9 @@ def test_cot_sweep_keeps_its_label_where_b_is_near_minus_one(value, n, z, p):
     # |e^{2isz}| is small at both points, so the sums of order n cancel by
     # tens of bits; a 600-bit run of the same call is the oracle
     got = value(n, z, p)
-    want = value(n, z, 600).value
-    assert got.precision == p
+    want = value(n, z, 600)
     with mp.workprec(640):
-        assert abs(got.value - want) <= tolerance(p) * abs(want)
+        assert abs(got - want) <= tolerance(p) * abs(want)
 
 
 def test_cot_derivative_pole():
@@ -202,7 +205,7 @@ def test_g1_closed_form(rng):
         for _ in range(6):
             z = mpc(rng.uniform(0.1, 0.9), rng.uniform(-0.9, 0.9))
             want = pi * 1j * z / 6 * (-mpf(1) / 2 + 1 / (1 - mpmath.exp(2j * pi * z)))
-            assert abs(g_ell(1, z, PREC).value - want) < mpf(2) ** -220
+            assert abs(g_ell(1, z) - want) < mpf(2) ** -220
 
 
 def test_g1_real_on_imaginary_axis_and_reflection(rng):
@@ -211,12 +214,12 @@ def test_g1_real_on_imaginary_axis_and_reflection(rng):
     # axis g1(-conj(z)) = conj(g1(z))
     with mp.workprec(280):
         for t in ("0.2", "0.5", "1.1"):
-            v = g_ell(1, mpc(0, mpf(t)), PREC).value
+            v = g_ell(1, mpc(0, mpf(t)))
             assert abs(v.imag) < mpf(2) ** -230
         for _ in range(5):
             z = mpc(rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9))
-            a = g_ell(1, -mpmath.conj(z), PREC).value
-            b = mpmath.conj(g_ell(1, z, PREC).value)
+            a = g_ell(1, -mpmath.conj(z))
+            b = mpmath.conj(g_ell(1, z))
             assert abs(a - b) < mpf(2) ** -220
 
 
@@ -226,7 +229,7 @@ def test_g_tail_decays_with_truncation_depth():
         z = mpc("1.25", "0.2")
         N = 200
         def tail(d, L=10):
-            return mpmath.fsum(g_ell(l, z, 200).value / mpf(N) ** (2 * l - 1)
+            return mpmath.fsum(g_ell(l, z, 200) / mpf(N) ** (2 * l - 1)
                                for l in range(d, L))
         assert abs(tail(5)) < abs(tail(2)) * mpf(10) ** -5
         assert abs(tail(2)) < mpf(N) ** -3 * 10
@@ -258,9 +261,8 @@ def test_reciprocal_factor_phase_identity(rng):
             lhs = mpc(1)
             for j in range(1, m + 1):
                 lhs /= (1 - zeta ** j)
-            sp = sine_product(h, k, m, PREC)
             rhs = (mpmath.exp(pi * 1j * m / 2 * (1 - mpf(h) * (m + 1) / k))
-                   * sp.sign * mpmath.exp(-sp.logAbs.value))
+                   / _sine_product(h, k, m, PREC))
             assert abs(lhs - rhs) < mpf(2) ** -200 * abs(lhs)
 
 
@@ -320,40 +322,22 @@ def test_t_l_bound_value():
 
 
 def test_em_remainder_below_rigorous_bound():
+    # t_l_bound is the oracle that bounds em_remainder, the scan's recheck route
     for (h, k, m, L) in ((1, 97, 13, 6), (1, 200, 40, 8), (3, 101, 15, 5)):
         T = em_remainder(h, k, m, L, 192).value
         assert abs(T) <= t_l_bound(L, m, 192).value
 
 
 def test_em_product_estimate_accuracy():
-    # main-term estimate vs the exact product at (h,k,m) = (1,400,150):
+    # the main term behind em_remainder, exp(_em_main_log), estimates the
+    # reciprocal product at (h,k,m) = (1,400,150), L = em_length(0.006, 400, 1):
     # relative error below e^{s W / h} / prod^{-1} with W = 0.031
     with mp.workprec(320):
-        cfg = EMConfig(delta_param=0.006, W=0.031, s=400)
-        est = em_product_estimate(1, 400, 150, cfg, 256).value
-        sp = sine_product(1, 400, 150, 300)
-        exact_inv = mpmath.exp(-sp.logAbs.value) * sp.sign
+        est = mpmath.exp(_em_main_log(1, 400, 150, em_length(0.006, 400, 1), 256))
+        exact_inv = 1 / _sine_product(1, 400, 150, 300)
         bound = mpmath.exp(mpf(400) * mpf("0.031")) / exact_inv
         assert abs(est / exact_inv - 1) < bound
         assert abs(est / exact_inv - 1) < mpf("1e-18")
-
-
-def test_em_product_estimate_validates_parameters():
-    cfg = EMConfig(delta_param=0.006, W=0.05, s=400)
-    with pytest.raises(ValueError, match="m <= k/"):
-        em_product_estimate(1, 300, 160, cfg)
-    with pytest.raises(ValueError, match="Delta s/h <= m"):
-        em_product_estimate(1, 300, 1, cfg)
-    with pytest.raises(ValueError, match="0 < h < k <= s"):
-        em_product_estimate(1, 500, 100, cfg)
-    with pytest.raises(ValueError, match="R_Delta <= s/h"):
-        em_product_estimate(7, 60, 5, EMConfig(delta_param=0.006, W=0.05, s=60))
-
-
-def test_r_delta_published_values():
-    for d, want in ((0.0079, 51.9), (0.007, 72.6), (0.006, 130.7),
-                    (0.005, 665.2), (0.00477, 11701.6)):
-        assert abs(float(r_delta(d)) - want) / want < 2e-3
 
 
 def test_em_length_on_the_inputs_in_use():
@@ -364,10 +348,9 @@ def test_em_length_on_the_inputs_in_use():
 
 
 def test_delta_is_checked_at_every_entry_point():
-    for call in (lambda: EMConfig(delta_param=0.0045, W=0.05), lambda: r_delta(0.0045),
-                 lambda: em_remainder_scan(1, 100, 0.0045)):
-        with pytest.raises(ValueError, match=r"Delta must lie in \[0.00477, 0.0079\]"):
-            call()
+    # em_remainder_scan is the one entry point that takes Delta
+    with pytest.raises(ValueError, match=r"Delta must lie in \[0.00477, 0.0079\]"):
+        em_remainder_scan(1, 100, 0.0045)
 
 
 def test_em_remainder_scan_with_long_truncation():
@@ -415,21 +398,11 @@ def test_em_remainder_scan_matches_brute_force(monkeypatch, screen):
             continue
         for m in range(1, k // (2 * h) + 1):
             T = abs(real(h, k, m, L, 192).value)
-            lp = sine_product(h, k, m, 192).logAbs.value
+            with mp.workprec(208):
+                lp = mpmath.log(abs(_sine_product(h, k, m, 208)))
             want_pt, want_t = max(want_pt, mpmath.exp(-lp) * T), max(want_t, T)
     assert abs(pt - want_pt) <= 1e-12 * want_pt
     assert abs(tmax - want_t) <= 1e-12 * want_t
-
-
-# -- wave sums ---------------------------------------------------------------------------
-
-def test_wave_sum_approximates_log_product():
-    # (1/k) log|prod(h/k)_m| ~ S(m;h,k)/(2 pi) within O(log^2 k / k)
-    h, k, m = 3, 101, 40
-    sp = sine_product(h, k, m, 192)
-    lhs = float(sp.logAbs.value) / k
-    rhs = float(s_wave_sum(m, h, k, 192).value) / (2 * math.pi)
-    assert abs(lhs - rhs) <= math.log(k) ** 2 / k
 
 
 def test_psi_envelope_with_fitted_tau():
@@ -440,15 +413,8 @@ def test_psi_envelope_with_fitted_tau():
     for k in (101, 199, 307, 397):
         for h in range(1, k):
             p = float(psi(h, k, 64).value)
-            env = cl_max / (2 * math.pi * minimal_pair(h, k).D)
+            env = cl_max / (2 * math.pi * _min_pair_product(h, k))
             tau = max(tau, (p - env) * math.sqrt(k) / math.log(k))
     # the envelope already holds with a modest constant on this sample
     assert tau < 2
 
-
-def test_em_config_invariant():
-    EMConfig(delta_param=0.006, W=0.05)
-    with pytest.raises(ValueError):
-        EMConfig(delta_param=0.006, W=0.01)  # Delta log(1/Delta) > W
-    with pytest.raises(ValueError):
-        EMConfig(delta_param=0.02, W=0.2)

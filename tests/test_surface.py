@@ -1,0 +1,96 @@
+"""The public surface: why each name in pfrac.__all__ exists.
+
+Every exported name is reached from a command (`pfrac <command>`) or an
+acceptance criterion, or it is an oracle that a named test holds a production
+route against.  A new export has to add its reason here.
+"""
+
+import ast
+from pathlib import Path
+
+import pfrac
+
+# name -> "pfrac <command>" / "criterion <n>" (what reaches it, and through
+# what), or "oracle of <route>: <test module>::<test>"
+SURFACE = {
+    # precision
+    "HPComplex": "pfrac residues: the record of every complex result",
+    "HPReal": "pfrac table: the record of every real result",
+    "default_precision": "pfrac zeros: the working precision of every command",
+    "set_default_precision": "pfrac --precision-bits",
+    "tolerance": "criterion 1: find_zero's residual gate 2^(16-p)",
+    # sequences
+    "bernoulli": "criterion 9: exact B_{2l}/(2l)! in the Euler-Maclaurin main term",
+    "stirling2": "criterion 6: the v* weights of c_coeffs",
+    # dilog
+    "BranchLabel": "pfrac zeros: the admissible branches (A, B)",
+    "ConvergenceError": "pfrac verify: exit code 4 of every command",
+    "DilogZero": "pfrac zeros: find_zero's result",
+    "SaddlePoint": "criterion 2: find_saddle's result",
+    "clausen": "criterion 9: the Clausen term of the Euler-Maclaurin main term",
+    "find_saddle": "criterion 2",
+    "find_zero": "criterion 1",
+    "p_d": "criterion 11: path_positivity_check",
+    "q_func": "oracle of _a3_integrand: test_asymptotics::test_a3_integrand_matches_its_pieces",
+    "v_func": "oracle of _a3_integrand: test_asymptotics::test_a3_integrand_matches_its_pieces",
+    # sine_products
+    "em_remainder": "criterion 9: em_remainder_scan's recheck",
+    "em_remainder_scan": "criterion 9",
+    "psi": "criterion 8",
+    "psi_table": "pfrac psi",
+    "t_l_bound": "oracle of em_remainder: test_sine_products::test_em_remainder_below_rigorous_bound",
+    # residues
+    "FamilySelector": "criterion 7: the family-D reference sum",
+    "FareyFraction": "pfrac residues: farey's poles",
+    "PrecisionLossError": "pfrac verify: exit code 5 of every command",
+    "a1_sum": "pfrac a1",
+    "c01l_exact": "criterion 6: the reference column of tables c011 and c014",
+    "c_from_q": "oracle of c01l_exact: test_residues::test_c01l_cross_checks_pole_expansion",
+    "family_sum": "criterion 7",
+    "farey": "pfrac residues",
+    "p_restricted": "pfrac identity: the exact side of the residue-sum identity",
+    "principal_part": "criterion 4: reconstruct_product",
+    "q01_exact": "oracle of q_general at 0/1: test_residues::test_q01_exact_matches_general",
+    "q_general": "pfrac residues",
+    "q_simple": ("oracle of family_sum's shared sine products: "
+                 "test_residues::test_family_sum_matches_unshared_residues"),
+    "reconstruct_product": "criterion 4",
+    "residue_report": "pfrac residues",
+    "residue_sum": "pfrac identity",
+    # asymptotics
+    "Expansion": "pfrac expansion: the JSON it prints",
+    "LocalSeriesPair": "pfrac expansion: local_series's result, read by wojdylo_a2s",
+    "a3_quadrature": "criterion 11",
+    "b_coeffs": "pfrac expansion a1",
+    "c_coeffs": "pfrac expansion c01",
+    "decay_exponent": "criterion 10",
+    "evaluate_expansion": "pfrac table",
+    "family_leading": "pfrac expansion D",
+    "local_series": "pfrac expansion a1: the descent sums of b_coeffs",
+    "path_positivity_check": "criterion 11",
+    "saddle_path": "criterion 11: the contour of a3_quadrature",
+    "u_weight": "oracle of _Frame.u_series: test_asymptotics::test_frame_weights_match_scalar_oracles",
+    "vstar_weight": ("oracle of _Frame.vstar_series: "
+                     "test_asymptotics::test_frame_weights_match_scalar_oracles"),
+    "wojdylo_a2s": "pfrac expansion a1: the descent coefficients a_{2s}",
+}
+
+
+def test_every_export_states_why_it_exists():
+    assert set(SURFACE) == set(pfrac.__all__)
+    assert len(pfrac.__all__) == len(set(pfrac.__all__))
+
+
+def test_every_reason_names_a_command_a_criterion_or_an_oracle_test():
+    for name, why in SURFACE.items():
+        assert why.startswith(("pfrac ", "criterion ", "oracle of ")), name
+
+
+def test_every_oracle_is_used_by_the_test_it_names():
+    for name, why in SURFACE.items():
+        if why.startswith("oracle of "):
+            module, test = why.rsplit(": ", 1)[1].split("::")
+            source = (Path(__file__).parent / f"{module}.py").read_text()
+            body = next(ast.get_source_segment(source, node) for node in ast.parse(source).body
+                        if isinstance(node, ast.FunctionDef) and node.name == test)
+            assert f"{name}(" in body, (name, test)

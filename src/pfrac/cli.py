@@ -31,9 +31,9 @@ from .sine_products import psi_table
 # the exact p_N table (residues.P_RESTRICTED_MAX_N bounds it as well).
 IDENTITY_N_MAX = 100
 IDENTITY_SIGMA_MAX = 10_000
-# `pfrac psi` costs O(k phi(k)), most at a prime k: `--k 2797` takes about
-# 27 s (2999: 36 s).  `pfrac zeros` solves max_b (max_b + 1) zeros:
-# `--max-b 30` takes about 28 s (same VM).
+# `pfrac psi` costs O(k phi(k)) integer additions, most at a prime k:
+# `--k 2797` takes about 1.4 s.  `pfrac zeros` solves max_b (max_b + 1)
+# zeros: `--max-b 30` takes about 28 s (same VM).
 PSI_K_MAX = 2800
 ZEROS_MAX_B = 30
 

@@ -11,10 +11,13 @@ once per factor.  Whole products come from the integer kernel
 mantissa, renormalised by a shift after each factor, counts the negative
 factors for the sign, and builds a single mpf at the end, so the products
 (up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  `_sine_factors` turns
-the same rotation into one mpf per factor, for the log-sine table behind Psi.
-Cotangent derivatives of every order up to n come from one exponential and
-a fixed-point power table (`_cot_sweep`), and the g_l of the
-Euler-Maclaurin expansion from one such sweep (`_g_sweep`).
+the same rotation into one mpf per factor, for the log-sine table behind Psi:
+-log 2 sin(pi r/k) held as fixed-point integers, so each Psi walk is a run
+of exact integer prefix sums.  Cotangent derivatives of every order up to n
+come from one exponential and a fixed-point power table (`_cot_sweep`), and
+the g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).
+The float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
+pairs as numpy arrays.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -85,27 +88,37 @@ def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
         return mpf((-acc if negative else acc, e))
 
 
+def _psi_bits(k: int, prec: int) -> int:
+    """Fraction bits of the Psi walk: prec + 16 guard bits, plus bitlen(k) for
+    the k - 1 rounded table entries each walk adds."""
+    return prec + 16 + k.bit_length()
+
+
 @lru_cache(maxsize=32)
-def _log_sine_table(k: int, prec: int) -> tuple:
-    """log 2 sin(pi r/k) for r = 1..k-1."""
-    with mp.workprec(prec + 16):
-        return tuple(mpmath.log(f) for f in _sine_factors(1, k, k - 1, prec + 16))
+def _neg_log_sine_table(k: int, prec: int) -> np.ndarray:
+    """-log 2 sin(pi r/k) 2^F as Python integers in an object array, r = 1..k-1,
+    F = _psi_bits(k, prec)."""
+    F = _psi_bits(k, prec)
+    with mp.workprec(F + 16):
+        table = np.array([int(mpmath.ldexp(-mpmath.log(f), F))
+                          for f in _sine_factors(1, k, k - 1, F)], dtype=object)
+    table.flags.writeable = False  # the cache hands the same array to every walk
+    return table
 
 
 def psi(h: int, k: int, prec: int | None = None) -> HPReal:
-    """Max over 0 <= m < k of (1/k) log|prod^{-1}(h/k)_m| (see module note)."""
+    """Max over 0 <= m < k of (1/k) log|prod^{-1}(h/k)_m| (see module note).
+
+    The partial sums of log|prod^{-1}| are the exact integer prefix sums of
+    the fixed-point table taken in the order r = j h mod k, so the walk is
+    k - 1 integer additions and one conversion to mpf."""
     if not (1 <= h < k) or math.gcd(h, k) != 1:
         raise ValueError("need 1 <= h < k with (h, k) = 1")
     prec = resolve_precision(prec)
-    table = _log_sine_table(k, prec)
+    table = _neg_log_sine_table(k, prec)
+    best = max(0, table[np.arange(1, k) * h % k - 1].cumsum().max())
     with mp.workprec(prec + 16):
-        acc = mpf(0)
-        best = mpf(0)
-        for j in range(1, k):
-            acc -= table[(j * h) % k - 1]
-            if acc > best:
-                best = acc
-        return HPReal(best / k, prec)
+        return HPReal(mpf((best, -_psi_bits(k, prec))) / k, prec)
 
 
 def psi_table(k: int, prec: int | None = None) -> list:
@@ -116,8 +129,12 @@ def psi_table(k: int, prec: int | None = None) -> list:
 
 def _min_pair_product(h: int, k: int) -> int:
     """D(h, k) = min |beta gamma| over 1 <= |beta| < k, 1 <= gamma < k with
-    beta h = gamma mod k, by brute force; (h, k) = 1 makes every gamma nonzero."""
-    return min(abs(beta) * (beta * h % k) for beta in range(1 - k, k) if beta)
+    beta h = gamma mod k, by brute force over beta in exact int64 arithmetic:
+    beta and -beta give gamma and k - gamma; (h, k) = 1 makes every gamma
+    nonzero."""
+    beta = np.arange(1, k, dtype=np.int64)
+    gamma = beta * h % k
+    return int(min((beta * gamma).min(), (beta * (k - gamma)).min()))
 
 
 # -- cotangent derivatives ---------------------------------------------------
@@ -227,14 +244,30 @@ def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
 
 
 def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPReal:
-    """Truncation remainder T_L(m, h/k) = log prod(h/k)_m - truncated expansion."""
+    """Truncation remainder T_L(m, h/k) = log prod(h/k)_m - truncated expansion.
+
+    T_L is the difference of log|prod| and the main term and can be far
+    smaller than either: at (h, k, m, L) = (1, 211, 30, 25) they are about
+    31 and T_L about 1.2e-51.  When the difference cancels more than the 16
+    guard bits, that is lost = log2|log prod| - log2|T_L| > 16, it is taken
+    once more at prec + 32 + lost bits, so T_L keeps its relative
+    2^(16-prec) label."""
     if math.gcd(h, k) != 1 or not 0 <= m < k:
         raise ValueError("need (h, k) = 1 and 0 <= m < k (zero factor otherwise)")
     prec = resolve_precision(prec)
+    lp, T = _em_difference(h, k, m, L, prec)
+    lost = mpmath.mag(lp) - mpmath.mag(T) if T else prec
+    if lost > 16:
+        _, T = _em_difference(h, k, m, L, prec + 32 + lost)
+    return HPReal(T, prec)
+
+
+def _em_difference(h: int, k: int, m: int, L: int, prec: int) -> tuple:
+    """(log|prod(h/k)_m|, T_L) with 16 guard bits on the terms of T_L."""
     with mp.workprec(prec + 32):
         lp = mpmath.log(abs(_sine_product(h, k, m, prec + 32)))
     with mp.workprec(prec + 16):
-        return HPReal(lp + _em_main_log(h, k, m, L, prec), prec)
+        return lp, lp + _em_main_log(h, k, m, L, prec)
 
 
 def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
@@ -251,6 +284,8 @@ def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
 
 #: relative roundoff of a float64 term in the screen of em_remainder_scan
 SCREEN_ROUNDOFF = 2e-13
+#: (k, m) pairs per block of em_remainder_scan's float64 screen
+_SCREEN_BLOCK = 4000
 #: bits at which em_remainder_scan rechecks a pair the screen cannot settle
 _RECHECK_PREC = 192
 #: largest L the float64 screen holds: cot^{(2L-2)}(x) ~ (2L-2)!/x^{2L-1} peaks
@@ -288,13 +323,35 @@ def _cl2_float(theta):
     return out
 
 
+def _screen_blocks(h: int, s: int, m_lo: int):
+    """The k of em_remainder_scan's grid (those with a pair m_lo <= m <= k/(2h)),
+    as int arrays of consecutive k holding about _SCREEN_BLOCK pairs each."""
+    block, size = [], 0
+    for k in range(2, s + 1):
+        m_hi = k // (2 * h)
+        if math.gcd(h, k) != 1 or m_hi < m_lo:
+            continue
+        block.append(k)
+        size += m_hi
+        if size >= _SCREEN_BLOCK:
+            yield np.array(block)
+            block, size = [], 0
+    if block:
+        yield np.array(block)
+
+
 def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     """(max |prod^{-1} T_L|, max |T_L|) over Delta s/h <= m <= k/(2h), k <= s,
     with L = em_length(delta, s, h).
 
-    First pass runs in double precision.  Where the product e^{-log prod}
-    amplifies double roundoff beyond the running maximum, |prod^{-1} T_L| is
-    recomputed at 192 bits, T_L by em_remainder; pairs whose rigorous |T_L|
+    First pass runs in double precision, one block of consecutive k at a
+    time (`_screen_blocks`): the partial products are row-wise cumulative sums
+    of log 2 sin(pi m h/k) over a k-by-m array whose lanes past k/(2h) are
+    masked to log 1, and every other step acts on the block's (k, m) pairs as
+    one flat array.  Where the product e^{-log prod} amplifies double roundoff
+    beyond the running maximum, |prod^{-1} T_L| is recomputed at 192 bits,
+    T_L by em_remainder, in decreasing order of a pair's log potential (its
+    |T_L| cap over prod, ties in (k, m) order); pairs whose rigorous |T_L|
     bound already rules them out are skipped.  L above SCREEN_MAX_L raises
     ValueError.
     """
@@ -305,32 +362,35 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     polys_float = _cot_poly_float(2 * L - 2)
     bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]
     m_lo = max(1, math.ceil(delta * s / h - 1e-12))
+    # log of the rigorous bound t_l_bound(L, m), m = 1..s/(2h); entry 0 is unused
+    tl_log = np.array([0.0] + [math.log(math.pi ** 3 / 2) + (2 * L - 1) * math.log(
+        (2 * L - 1) / (2 * math.pi * math.e * m)) for m in range(1, s // (2 * h) + 1)])
     max_T = 0.0
     reliable_max = 0.0
-    pending = []  # (k, m, log potential) for pairs double precision cannot settle
-    tl_log = {}
-    for k in range(2, s + 1):
-        if math.gcd(h, k) != 1:
-            continue
-        m_hi = k // (2 * h)
-        if m_hi < m_lo:
-            continue
-        theta = h / k
-        ms = np.arange(1, m_hi + 1)
-        logprod = np.cumsum(np.log(2 * np.sin(np.pi * ms * theta)))
-        msel = ms[ms >= m_lo]
-        lp = logprod[msel - 1]
-        x = np.pi * msel * theta
+    # rows (log potential, k, m) of the pairs double precision cannot settle
+    pending = [np.empty((3, 0))]
+    for ks in _screen_blocks(h, s, m_lo):
+        theta = h / ks
+        ms = np.arange(1, ks[-1] // (2 * h) + 1)
+        arg = np.pi * ms * theta[:, None]
+        inside = ms <= (ks // (2 * h))[:, None]
+        sines = np.where(inside, 2 * np.sin(arg), 1.0)
+        logprod = np.cumsum(np.log(sines), axis=1)
+        row, col = np.nonzero(inside & (ms >= m_lo))
+        lp, x, th = logprod[row, col], arg[row, col], theta[row]
         c = 1.0 / np.tan(x)
+        # bf_l (pi theta)^{2l-1} per k by libm's pow, which np.power need not match
+        scale = np.array([[bf[ell] * (np.pi * t) ** (2 * ell - 1) for ell in range(1, L)]
+                          for t in theta.tolist()])
         em = np.zeros_like(lp)
         for ell in range(1, L):
             p = polys_float[2 * ell - 2]
             acc = np.zeros_like(c)
             for coef in p[::-1]:
                 acc = acc * c + coef
-            em += bf[ell] * (np.pi * theta) ** (2 * ell - 1) * acc
-        main = (0.5 * np.log(2 * np.sin(x) / theta)
-                - _cl2_float(2 * x) / (2 * np.pi * theta) + em)
+            em += scale[row, ell - 1] * acc
+        main = (0.5 * np.log(sines[row, col] / th)
+                - _cl2_float(2 * x) / (2 * np.pi * th) + em)
         T = lp - main
         absT = np.abs(T)
         max_T = max(max_T, float(absT.max()))
@@ -339,19 +399,17 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
         trusted = err < 0.05 * np.maximum(absT, 1e-300)
         if trusted.any():
             reliable_max = max(reliable_max, float(PT[trusted].max()))
-        for mm, lpv, tv, ev, ok in zip(msel, lp, absT, err, trusted):
-            if ok:
-                continue
-            mi = int(mm)
-            if mi not in tl_log:
-                tl_log[mi] = math.log(math.pi ** 3 / 2) + (2 * L - 1) * math.log(
-                    (2 * L - 1) / (2 * math.pi * math.e * mi))
-            cap = min(tl_log[mi], math.log(tv + ev) if tv + ev > 0 else -1e30)
-            pending.append((k, mi, cap - lpv))
+        wait = ~trusted
+        bound = absT[wait] + err[wait]
+        cap = np.minimum(tl_log[col[wait] + 1],
+                         np.log(bound, out=np.full_like(bound, -1e30), where=bound > 0))
+        pending.append(np.stack([cap - lp[wait], ks[row[wait]], col[wait] + 1]))
+    potential, pk, pm = np.concatenate(pending, axis=1)
     max_PT = reliable_max
-    for k, m, potential in sorted(pending, key=lambda t: -t[2]):
-        if potential <= math.log(max(max_PT, 1e-300)):
+    for i in np.argsort(-potential, kind="stable"):
+        if potential[i] <= math.log(max(max_PT, 1e-300)):
             break
+        k, m = int(pk[i]), int(pm[i])
         T = em_remainder(h, k, m, L, _RECHECK_PREC).value
         with mp.workprec(_RECHECK_PREC + 16):
             lp = mpmath.log(abs(_sine_product(h, k, m, _RECHECK_PREC + 16)))

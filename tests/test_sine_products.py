@@ -118,6 +118,41 @@ def test_exactly_six_h_exceed_u():
     assert above == [1, 2, 105, 106, 209, 210]
 
 
+@pytest.mark.parametrize("p", [64, 128])
+@pytest.mark.parametrize("k", [97, 211, 397])
+def test_psi_meets_precision_contract(k, p):
+    # the fixed-point walk at p bits against the same walk 128 bits higher,
+    # absolute 2^(16-p), for every h
+    with mp.workprec(p + 160):
+        for h in range(1, k):
+            if gcd(h, k) == 1:
+                assert abs(psi(h, k, p).value - psi(h, k, p + 128).value) <= tolerance(p)
+
+
+def test_psi_matches_an_mpf_walk():
+    # reference: the mpf walk with one sin and one log per factor, at k = 97
+    # for every h
+    k, p = 97, 128
+    with mp.workprec(p + 64):
+        logs = [mpmath.log(2 * mpmath.sin(pi * r / k)) for r in range(1, k)]
+        for h in range(1, k):
+            acc = best = mpf(0)
+            for j in range(1, k):
+                acc -= logs[j * h % k - 1]
+                best = max(best, acc)
+            assert abs(psi(h, k, p).value - best / k) <= tolerance(p)
+
+
+def test_minimal_pair_product_matches_brute_force():
+    # the int64 pass over beta against a generator over every beta
+    for k in (2, 10, 97, 100, 211):
+        for h in range(1, k):
+            if gcd(h, k) == 1:
+                want = min(abs(b) * (b * h % k) for b in range(1 - k, k) if b)
+                got = _min_pair_product(h, k)
+                assert type(got) is int and got == want
+
+
 def test_minimal_pair_examples():
     # D(h, k), the minimal |beta gamma| that psi_table reports
     for k in (17, 100, 211):
@@ -321,6 +356,18 @@ def test_t_l_bound_value():
         assert abs(t_l_bound(1, 1, 192).value - want) < mpf(2) ** -180
 
 
+@pytest.mark.parametrize("p", [128, 256])
+def test_em_remainder_keeps_its_label_through_cancellation(p):
+    # log|prod| = -31.1 and T_L = 1.2e-51 at (1, 211, 30, 25): the difference
+    # cancels about 174 bits; the 400-bit value is the oracle
+    got = em_remainder(1, 211, 30, 25, p)
+    want = em_remainder(1, 211, 30, 25, 400).value
+    assert got.precision == p
+    with mp.workprec(600):
+        assert abs(got.value - want) <= tolerance(p) * abs(want)
+        assert abs(want - mpf("1.197269039691e-51")) < mpf("1e-62")
+
+
 def test_em_remainder_below_rigorous_bound():
     # t_l_bound is the oracle that bounds em_remainder, the scan's recheck route
     for (h, k, m, L) in ((1, 97, 13, 6), (1, 200, 40, 8), (3, 101, 15, 5)):
@@ -359,6 +406,26 @@ def test_em_remainder_scan_with_long_truncation():
     pt, tmax = em_remainder_scan(1, 500, 0.0079)
     assert L == 33 and pt > 0
     assert tmax <= float(t_l_bound(L, m_lo, 64).value)
+
+
+@pytest.mark.parametrize("args, want", [
+    ((1, 500, 0.006), (144.73369375319896, 0.0017230999997561725)),
+    ((3, 500, 0.006), (0.13335273022658856, 0.005026981793122776)),
+    ((1, 500, 0.0079), (875.3527532609695, 0.0005237789880467858)),
+])
+def test_em_remainder_scan_floats_are_pinned(args, want):
+    # both floats bit for bit; no step of the block screen (masked lanes
+    # included) may overflow, divide by zero, underflow or meet an invalid
+    # operation
+    with np.errstate(all="raise"):
+        assert em_remainder_scan(*args) == want
+
+
+@pytest.mark.parametrize("block", [1, 10 ** 6])
+def test_em_remainder_scan_does_not_depend_on_its_blocks(monkeypatch, block):
+    # one k per block, and the whole grid in one block
+    monkeypatch.setattr(sine_products, "_SCREEN_BLOCK", block)
+    assert em_remainder_scan(3, 500, 0.006) == (0.13335273022658856, 0.005026981793122776)
 
 
 def test_em_remainder_scan_refuses_what_float64_cannot_hold(monkeypatch):

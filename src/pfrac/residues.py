@@ -23,7 +23,14 @@ phase, the E factors add the Bernoulli terms of Phat with N -> s, x -> k y,
 and the analytic factors add, per residue class r = hj mod k, integer power
 sums of j times the cotangent derivatives cot^{(i)}(pi r/k) of one sweep
 (`sine_products._cot_sweep`, started from the roots-of-unity table).  One
-series exponential of length s then gives the inverse.
+series exponential of length s then gives the inverse.  Q_{h k sigma}(N)
+is zeta^{h sigma} times a polynomial of degree s - 1 in sigma, and
+`_pole_inverse` caches its coefficients as fixed-point integers on one
+exponent, so `_q_fixed` evaluates it exactly on integers for every sigma
+mpmath holds (all dyadic) and `residue_sum` adds its poles exactly; each
+forms one mpc at the end.  The fixed-point table of the 2k-th roots
+e^{i pi r/k} (`sine_products._roots_of_unity`) serves zeta^{h sigma}, the
+phase of A(0) and the sine product's rotation step.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -35,14 +42,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
+from operator import add, mul, sub
 
 import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, even_power_sums
-from .series import exp, exp_fixed
-from .sine_products import _cot_sweep, _sine_product
+from .series import exp, exp_fixed, man_exp, to_fixed
+from .sine_products import _cot_sweep, _root, _root_bits, _roots_of_unity, _sine_product
 
 class PrecisionLossError(RuntimeError):
     """Cancellation destroyed more than the allowed share of working bits."""
@@ -140,24 +148,25 @@ def _norm_sigma(sigma):
     return int(sigma) if mpmath.isint(sigma) else sigma
 
 
-@lru_cache(maxsize=256)
-def _roots_of_unity(k: int, wprec: int) -> tuple:
-    """(e^{2 pi i r/k} for r = 0..k-1) at wprec bits."""
-    with mp.workprec(wprec):
-        return tuple(mpmath.exp(2j * pi * mpf(r) / k) for r in range(k))
-
-
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
-    """Cached Laurent data at z = h/k, s = floor(N/k): the coefficients of
-    1/A(y), A(y) = prod_{mu<=s} E(mu k y) * prod_{j<=N, j != 0 mod k} (1 - zeta^{hj} e^{jy}),
-    to order y^{s-1}, where y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x and
-    zeta = e^{2 pi i/k}.  Built as exp(-L(y)) / A(0) with L = log(A/A(0)):
+    """Cached polynomial of the pole h/k, s = floor(N/k):
+    Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma^i, returned as
+    (re, im, E) with d_i = (re[i] + i im[i]) 2^E (`series.to_fixed` at
+    wprec + 8 bits), where
+
+        d_i = [y^{s-1-i}] (1/A(y)) / ((-k)^s s! i!),
+
+    A(y) = prod_{mu<=s} E(mu k y) * prod_{j<=N, j != 0 mod k} (1 - zeta^{hj} e^{jy}),
+    y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x and zeta = e^{2 pi i/k}.  The
+    inverse is exp(-L(y)) / A(0) with L = log(A/A(0)):
 
     * A(0) = k^s prod_{j<=m} (1 - zeta^{hj}), m = N mod k, because each of the
       s full cycles of residues gives prod_{r<k} (1 - zeta^r) = k; and
       1 - zeta^{hj} = -i 2 sin(pi h j/k) e^{pi i h j/k}, so the partial product
-      is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.
+      is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.  Both the
+      phase and the sine product's rotation step e^{pi i h/k} come from the
+      roots table.
     * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), so the E factors add
       k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r.
     * [y^i] log(1 - w e^{jy}) = j^i lambda_i(w), and grouping j by
@@ -174,11 +183,17 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     and s by `_cot_table`), and one series exp of length s.
     """
     s, m = divmod(N, k)
+    roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
+    x, y = roots[h * (m * (m + 1) // 2) % (2 * k)]
+    for _ in range(m % 4):
+        x, y = y, -x  # times -i
     with mp.workprec(wprec):
-        phase = mpmath.expjpi(mpf((h * m * (m + 1) - m * k) % (4 * k)) / (2 * k))
-        inverse = 1 / (mpf(k) ** s * phase * _sine_product(h, k, m, wprec))  # 1/A(0)
+        # 1/(A(0) (-k)^s s!), with 1/phase = conj(phase)
+        sines = _sine_product(h, k, m, wprec, (*roots[h], T))
+        inverse = mpc(mpf((x, -T)), mpf((-y, -T))) / (
+            sines * ((-1) ** s * k ** (2 * s) * math.factorial(s)))
         if s == 1:
-            return (inverse,)
+            return to_fixed([inverse], wprec + 8)
         L = [mpc(0)] * s  # [y^i] L(y)
         L[1] = mpf(N * (N + 1)) / 4
         S = even_power_sums((s - 1) // 2, s)
@@ -196,7 +211,9 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
         for i in range(1, s):
             L[i] += unit * scale * sum(P[r][i] * cots[r - 1][i - 1] for r in range(1, k))
             unit, scale = unit * -1j, scale / (2 * (i + 1))
-        return tuple(g * inverse for g in exp([-c for c in L], s))
+        g = exp([-c for c in L], s)
+        return to_fixed([g[s - 1 - i] * (inverse / math.factorial(i)) for i in range(s)],
+                            wprec + 8)
 
 
 @lru_cache(maxsize=256)
@@ -205,9 +222,8 @@ def _cot_table(k: int, n: int, wprec: int) -> tuple:
     cot sweep started at zeta^r out of the roots-of-unity table; shared by
     every h and N with the same k and floor(N/k) - 2 = n."""
     with mp.workprec(wprec):
-        zpow = _roots_of_unity(k, wprec)
         # cot^{(i)} of a real argument is real: drop the sweep's imaginary noise
-        return tuple(tuple(c.real for c in _cot_sweep(n, pi * r / k, zpow[r]))
+        return tuple(tuple(c.real for c in _cot_sweep(n, pi * r / k, _root(k, wprec, 2 * r)))
                      for r in range(1, k))
 
 
@@ -215,15 +231,81 @@ def _work_prec(prec: int, s: int, N: int) -> int:
     return max(prec + 64, 64 + 8 * s + 2 * max(1, N).bit_length())
 
 
+def _sigma_powers(sigma, n: int) -> tuple:
+    """(px, py, F) with sigma = (a + i b) 2^-F for integers a, b and F >= 0,
+    and px[i] + i py[i] = (a + i b)^i for i < n.  Every number mpmath holds
+    is a dyadic rational, so this is exact."""
+    if isinstance(sigma, int):
+        a, b, F = sigma, 0, 0
+    else:
+        (a, ea), (b, eb) = man_exp(mpmath.re(sigma)), man_exp(mpmath.im(sigma))
+        F = max(0, -ea if a else 0, -eb if b else 0)
+        a, b = a << (ea + F), b << (eb + F)
+    px, py = [1], [0]
+    for _ in range(n - 1):
+        x, y = px[-1], py[-1]
+        px.append(x * a - y * b)
+        py.append(x * b + y * a)
+    return px, py, F
+
+
+def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
+    """(re, im, e, wprec): Q_{h k sigma}(N) = (re + i im) 2^e, for a sigma
+    normalised by `_norm_sigma` and its `_sigma_powers` (at least s of them).
+
+    The sum zeta^{h sigma} sum_i sigma^i d_i over the pole's rounded
+    coefficients is exact integer arithmetic, so their rounding, about
+    2^-wprec of each |sigma^i d_i|, is the only error it adds.  The monitor
+    takes that bound from the largest term: the result is accepted when it
+    is below 2^-prec of the result's larger part or absolutely below
+    2^-prec, and otherwise the coefficients are rebuilt at doubled working
+    precision wprec (three times) before PrecisionLossError.  For integer
+    sigma, zeta^{h sigma} is read from the roots table at 2 h sigma mod 2k,
+    exactly reduced; any other sigma takes one exp.
+    """
+    s = N // k
+    px, py, F = powers
+    px, py = px[:s], py[:s]
+    if F:  # sigma^i 2^{F(s-1)}: every term on the exponent of the last
+        px = [p << F * (s - 1 - i) for i, p in enumerate(px)]
+        py = [p << F * (s - 1 - i) for i, p in enumerate(py)]
+    for attempt in range(4):
+        wprec = _work_prec(prec, s, N) << attempt
+        re, im, E = _pole_inverse(h, k, N, wprec)
+        tx = [*map(sub, map(mul, px, re), map(mul, py, im))]
+        ty = [*map(add, map(mul, px, im), map(mul, py, re))]
+        largest = max(map(add, map(abs, tx), map(abs, ty)))  # >= the largest |term|
+        x, y = sum(tx), sum(ty)
+        size = max(abs(x), abs(y))  # <= |sum|
+        e = E - F * (s - 1)
+        if isinstance(sigma, int):
+            zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
+            ze, grow = -_root_bits(k, wprec), 0
+        else:
+            with mp.workprec(wprec):
+                z = mpmath.exp(2j * pi * h * sigma / k)
+            (zx,), (zy,), ze = to_fixed([z], wprec)
+            grow = max(0, mpmath.mag(z)) if mpmath.im(sigma) else 0  # |zeta^{h sigma}| <= 2^grow
+        # error <= largest 2^(e + 8 - wprec): relative to the sum, or absolute
+        t, u = prec + 8 - wprec, wprec - prec - 8 - e - grow
+        if (not largest or (largest << t <= size if t >= 0 else largest <= size << -t)
+                or (u >= 0 and largest <= 1 << u)):
+            return x * zx - y * zy, x * zy + y * zx, e + ze, wprec
+    lost = math.log2(largest) - math.log2(size) if size else wprec
+    raise PrecisionLossError(f"residue at {h}/{k} lost {lost:.0f} of {wprec} bits")
+
+
 def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComplex:
     """Q_{h k sigma}(N) = 2 pi i Res_{z=h/k} Q(z; N, sigma), any pole order.
 
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
-    The final coefficient pick monitors cancellation and retries with doubled
-    working precision (three times) before raising PrecisionLossError.  For
-    integer sigma the factor zeta^{h sigma} is read from the roots-of-unity
-    table at h sigma mod k, exactly reduced; a real sigma takes one exp.
+    Q is zeta^{h sigma} times a polynomial of degree s - 1 in sigma whose
+    fixed-point coefficients `_pole_inverse` caches; `_q_fixed` evaluates it
+    exactly on integers for any sigma (an int, or a real or complex mpmath
+    number, all dyadic), with a cancellation monitor that retries at doubled
+    working precision (three times) before raising PrecisionLossError.  The
+    value is formed once, at the working precision.
     """
     if not (1 <= k <= N):
         raise ValueError("need 1 <= k <= N")
@@ -231,42 +313,18 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
         raise ValueError("h/k must be a reduced fraction in [0, 1)")
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
-    s = N // k
-    for attempt in range(4):
-        wprec = _work_prec(prec, s, N) << attempt
-        with mp.workprec(wprec):
-            inv = _pole_inverse(h, k, N, wprec)
-            # (s-1)! sum_i sigma^i/i! inv[s-1-i]: integer weights for integer sigma
-            total = mpc(0)
-            largest = mpf(0)  # >= the largest |term|: |re| + |im| needs no square root
-            tail = 1  # (s-1)!/i!
-            for i in range(s - 1, -1, -1):
-                term = sigma ** i * tail * inv[s - 1 - i]
-                total += term
-                largest = max(largest, abs(term.real) + abs(term.imag))
-                tail *= i
-            size = max(abs(total.real), abs(total.imag))  # <= |total|
-            pre = 1 / mpf((-k) ** s * math.factorial(s) * math.factorial(s - 1))
-            # absolute error of the convolution ~ 2^-wprec * largest; accept on
-            # either retained relative accuracy or the ambient absolute tolerance
-            abs_err = mpmath.ldexp(largest, 8 - wprec)
-            if (not largest or abs_err <= mpmath.ldexp(size, -prec)
-                    or abs_err * abs(pre) <= mpmath.ldexp(1, -prec)):
-                if isinstance(sigma, int):
-                    zeta_sig = _roots_of_unity(k, wprec)[h * sigma % k]
-                else:
-                    zeta_sig = mpmath.exp(2j * pi * h * sigma / k)
-                return HPComplex(zeta_sig * pre * total, prec)
-    lost = mpmath.log(largest / size, 2) if size else mpf(wprec)
-    raise PrecisionLossError(f"residue at {h}/{k} lost {float(lost):.0f} of {wprec} bits")
+    re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k))
+    with mp.workprec(wprec):
+        return HPComplex(mpc(mpf((re, e)), mpf((im, e))), prec)
 
 
 def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     """Sum of Q_{h k sigma}(N) over all Farey fractions of order N.
 
     Equals 0 for 0 < sigma < N(N+1)/2, -p_N(-sigma) for sigma <= 0, and
-    (-1)^N p_N(sigma - N(N+1)/2) above; summation runs in ascending (k, h)
-    order at full precision for reproducibility.
+    (-1)^N p_N(sigma - N(N+1)/2) above.  Each Q comes from `_q_fixed` at
+    prec + 16 bits as integers, and the poles are added exactly on one
+    exponent, so the sum is formed once and does not depend on their order.
 
     For integer sigma, Q_{(k-h) k sigma} = conj Q_{h k sigma}, so only the
     poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole adds
@@ -275,15 +333,18 @@ def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     fold = isinstance(sigma, int)
-    fractions = sorted(farey(N), key=lambda f: (f.k, f.h))
+    powers = _sigma_powers(sigma, N)
+    terms = []
+    for f in farey(N):
+        if fold and 2 * f.h > f.k:
+            continue
+        re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, prec + 16, powers)
+        terms.append((re, 0, e + 1) if fold and 0 < 2 * f.h < f.k else (re, im, e))
+    low = min(e for _, _, e in terms)
+    re = sum(x << (e - low) for x, _, e in terms)
+    im = sum(y << (e - low) for _, y, e in terms)
     with mp.workprec(prec + 16):
-        total = mpc(0)
-        for f in fractions:
-            if fold and 2 * f.h > f.k:
-                continue
-            q = q_general(f.h, f.k, sigma, N, prec + 16).value
-            total += 2 * q.real if fold and 0 < 2 * f.h < f.k else q
-    return HPComplex(total, prec)
+        return HPComplex(mpc(mpf((re, low)), mpf((im, low))), prec)
 
 
 def residue_sum_expected(N: int, sigma: int) -> int:
@@ -301,7 +362,7 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
     """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits, one Q_{h k sigma}(N) per
     sigma <= ell: C_l = sum_{sigma<=l} C(l-1, sigma-1) (-zeta)^{l-sigma} Q_{h k sigma}(N)."""
     with mp.workprec(wprec):
-        zeta = _roots_of_unity(k, wprec)[h]
+        zeta = _root(k, wprec, 2 * h)
         qs = [q_general(h, k, sigma, N, wprec).value for sigma in range(1, ell + 1)]
         return [sum((comb(l - 1, sigma - 1) * (-zeta) ** (l - sigma) * qs[sigma - 1]
                      for sigma in range(1, l + 1)), mpc(0)) for l in range(1, ell + 1)]
@@ -500,7 +561,7 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
         qv = mpc(q)
         total = mpc(0)
         for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
-            base = 1 / (qv - _roots_of_unity(f.k, prec + 16)[f.h])
+            base = 1 / (qv - _root(f.k, prec + 16, 2 * f.h))
             power = mpc(1)
             for coeff in principal_part(f.h, f.k, N, prec + 16):
                 power *= base

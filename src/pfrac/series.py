@@ -6,7 +6,8 @@ count as zero.  The arithmetic is plain Python on the coefficients, so
 mpmath numbers are combined at the ambient `mp` precision, and
 `fractions.Fraction` inputs give exact results (exp then needs a zero
 constant term, log a constant term of 1).  `exp_fixed` runs the recurrence
-of `exp` on fixed-point Python integers.
+of `exp` on fixed-point Python integers, and `to_fixed` puts mpmath
+coefficients on such integers over one exponent.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from operator import mul as _imul
 
 import mpmath
+from mpmath import mpf
 
 def mul(a, b, n: int) -> list:
     """Product a * b."""
@@ -86,3 +88,22 @@ def log(a, n: int) -> list:
                 acc -= k * out[k] * a[m - k]
         out.append(inv0 * acc / m)
     return out
+
+
+def man_exp(x: mpf) -> tuple[int, int]:
+    """(man, exp) with x = man 2^exp, man signed."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def to_fixed(values, bits: int) -> tuple:
+    """(re, im, E): the complex values as integer pairs (re[i] + i im[i]) 2^E
+    on one exponent, E chosen so that each nonzero value keeps at least
+    `bits` bits below its leading bit; the parts are rounded down."""
+    parts = [(man_exp(v.real), man_exp(v.imag)) for v in values]
+    E = min((max(e + m.bit_length() for m, e in pair if m) for pair in parts
+             if pair[0][0] or pair[1][0]), default=bits) - bits
+
+    def fix(m, e):
+        return m << (e - E) if e >= E else m >> (E - e)
+    return tuple(fix(*re) for re, _ in parts), tuple(fix(*im) for _, im in parts), E

@@ -17,7 +17,10 @@ of exact integer prefix sums.  Cotangent derivatives of every order up to n
 come from one exponential and a fixed-point power table (`_cot_sweep`), and
 the g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).
 The float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
-pairs as numpy arrays.
+pairs as numpy arrays.  The residues take their roots of unity e^{i pi r/k}
+from `_roots_of_unity`, a fixed-point table built by the same kind of
+rotation, whose entry r = h is also the rotation step of their sine
+products.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -43,18 +46,24 @@ from .dilog import clausen
 from .precision import HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
 
-def _rotation(h: int, k: int, m: int, wp: int):
+def _rotation(h: int, k: int, m: int, wp: int, step=None):
     """Yield sin(pi j h/k) 2^wp as integers, j = 1..m.
 
     Advances z = e^{i pi j h/k} by one complex multiplication per factor, in
     fixed point z = (x + i y) 2^-wp, where a step costs half of an mpc
     product.  Each step adds about one unit of 2^-wp to the error while the
     smallest sine is about pi/k, so callers give wp bitlen(m) + bitlen(k)
-    guard bits over the precision they need.
+    guard bits over the precision they need.  The step e^{i pi h/k} costs
+    one expjpi unless a caller passes it as fixed-point integers
+    (x, y, bits), e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
     """
-    with mp.workprec(wp):
-        step = mpmath.expjpi(mpf(h) / k)
-        c, s = int(mpmath.ldexp(step.real, wp)), int(mpmath.ldexp(step.imag, wp))
+    if step is None:
+        with mp.workprec(wp):
+            z = mpmath.expjpi(mpf(h) / k)
+            c, s = int(mpmath.ldexp(z.real, wp)), int(mpmath.ldexp(z.imag, wp))
+    else:
+        x, y, bits = step
+        c, s = x >> (bits - wp), y >> (bits - wp)
     x, y = 1 << wp, 0
     for _ in range(m):
         x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
@@ -68,16 +77,18 @@ def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
         return [mpf((y, 1 - wp)) for y in _rotation(h, k, m, wp)]
 
 
-def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
+def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
     """prod_{j<=m} 2 sin(pi j h/k) as an mpf of `prec` bits, good to `prec` bits.
 
     The product is held as acc 2^e: after each factor, acc is shifted right
     to wp bits, which costs at most one unit of 2^-wp in relative error,
-    and the sign is the parity of the negative factors.
+    and the sign is the parity of the negative factors.  `step`, if given,
+    is the rotation's step (see `_rotation`) with at least
+    wp = prec + bitlen(m) + bitlen(k) bits.
     """
     wp = prec + m.bit_length() + k.bit_length()
     acc, e, negative = 1 << wp, -wp, False
-    for y in _rotation(h, k, m, wp):
+    for y in _rotation(h, k, m, wp, step):
         if y < 0:
             y, negative = -y, not negative
         acc *= y
@@ -86,6 +97,46 @@ def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
         e += excess + 1 - wp
     with mp.workprec(prec):
         return mpf((-acc if negative else acc, e))
+
+
+def _root_bits(k: int, wprec: int) -> int:
+    """Fraction bits of the roots table at (k, wprec): enough for the rotation
+    step of `_sine_product(h, k, m, wprec)`, m < k."""
+    return wprec + 2 * k.bit_length()
+
+
+@lru_cache(maxsize=256)
+def _roots_of_unity(k: int, wprec: int) -> tuple:
+    """(e^{i pi r/k} 2^T as integer pairs (x, y) for r = 0..2k-1), within one
+    unit of 2^-T, T = _root_bits(k, wprec); zeta^r = e^{2 pi i r/k} is
+    entry 2r.
+
+    One expjpi gives the step e^{i pi/k}; the entries r <= k/2 are rotated
+    in fixed point with bitlen(k) + 2 guard bits and rounded, and the rest
+    follow exactly from e^{i pi (k-r)/k} = -conj e^{i pi r/k} and
+    e^{i pi (k+r)/k} = -e^{i pi r/k}.
+    """
+    T = _root_bits(k, wprec)
+    guard = k.bit_length() + 2
+    wp = T + guard
+    with mp.workprec(wp):
+        z = mpmath.expjpi(mpf(1) / k)
+        c, s = int(mpmath.ldexp(z.real, wp)), int(mpmath.ldexp(z.imag, wp))
+    half = 1 << (guard - 1)
+    x, y = 1 << wp, 0
+    quarter = []
+    for _ in range(k // 2 + 1):
+        quarter.append(((x + half) >> guard, (y + half) >> guard))
+        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+    upper = quarter + [(-x, y) for x, y in reversed(quarter[:k - k // 2])]  # r = 0..k
+    return tuple(upper + [(-x, -y) for x, y in upper[1:k]])
+
+
+def _root(k: int, wprec: int, r: int) -> mpc:
+    """e^{i pi r/k} from the roots table, as an mpc at the ambient precision."""
+    x, y = _roots_of_unity(k, wprec)[r % (2 * k)]
+    T = _root_bits(k, wprec)
+    return mpc(mpf((x, -T)), mpf((y, -T)))
 
 
 def _psi_bits(k: int, prec: int) -> int:
@@ -251,9 +302,11 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
     31 and T_L about 1.2e-51.  When the difference cancels more than the 16
     guard bits, that is lost = log2|log prod| - log2|T_L| > 16, it is taken
     once more at prec + 32 + lost bits, so T_L keeps its relative
-    2^(16-prec) label."""
-    if math.gcd(h, k) != 1 or not 0 <= m < k:
-        raise ValueError("need (h, k) = 1 and 0 <= m < k (zero factor otherwise)")
+    2^(16-prec) label.  m = 0 is refused: the main term's log(h/(2k sin 0))
+    has no finite value."""
+    if math.gcd(h, k) != 1 or not 1 <= m < k:
+        raise ValueError("need (h, k) = 1 and 1 <= m < k "
+                         "(zero factor at m >= k, infinite main term at m = 0)")
     prec = resolve_precision(prec)
     lp, T = _em_difference(h, k, m, L, prec)
     lost = mpmath.mag(lp) - mpmath.mag(T) if T else prec

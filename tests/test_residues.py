@@ -8,12 +8,14 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
+from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
 from pfrac.precision import set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
-                            _laurent_core, a1_sum, c01l_exact, c_from_q, family_sum,
-                            farey, p_restricted, principal_part, q01_exact, q_general,
-                            q_simple, reconstruct_product, residue_report, residue_sum)
+                            PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
+                            family_sum, farey, p_restricted, principal_part, q01_exact,
+                            q_general, q_simple, reconstruct_product, residue_report,
+                            residue_sum)
 from pfrac.sequences import bernoulli_over_factorial_fraction
 from pfrac.series import exp
 
@@ -230,6 +232,39 @@ def test_q_general_precision_contract_at_every_pole_up_to_n_26():
                     assert abs(got.value - want) <= tol, (f, N, sigma)
                     if 2 * f.k > N:
                         assert abs(q_simple(f.h, f.k, sigma, N, p).value - want) <= tol
+
+
+@pytest.mark.parametrize("N", [5, 12, 26])
+def test_q_general_precision_contract_at_the_sigma_edges(N):
+    # sigma at the CLI cap, a dyadic non-integer and a complex sigma: each
+    # call agrees with p + 128 bits within 2^(16-p) |Q| or raises
+    p = PREC
+    for f in farey(N):
+        for sigma in (IDENTITY_SIGMA_MAX, -IDENTITY_SIGMA_MAX, -7.25, 1 + 2j):
+            try:
+                got = q_general(f.h, f.k, sigma, N, p)
+            except PrecisionLossError:
+                continue
+            with mp.workprec(p + 160):
+                want = q_general(f.h, f.k, sigma, N, p + 128).value
+                assert abs(got.value - want) <= mpf(2) ** (16 - p) * abs(want), (f, sigma)
+
+
+def test_warm_integer_sigma_calls_no_elementary_function(monkeypatch):
+    # with the pole's coefficients and roots table cached, an integer sigma
+    # costs integer arithmetic and one conversion, in q_general and residue_sum
+    h, k, sigma, N, p = 2, 7, -5, 20, PREC
+    want = q_general(h, k, sigma, N, p).value
+    want_sum = residue_sum(N, sigma, p).value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elementary function on the warm path")
+
+    for name in ("exp", "expjpi", "log"):
+        monkeypatch.setattr(mpmath, name, refuse)
+        monkeypatch.setattr(mp, name, refuse)
+    assert q_general(h, k, sigma, N, p).value == want
+    assert residue_sum(N, sigma, p).value == want_sum
 
 
 def test_q_general_escalates_then_gives_up(monkeypatch):

@@ -19,8 +19,9 @@ from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
 from pfrac.sine_products import (SCREEN_MAX_L, _cot_sweep, _em_main_log, _g_sweep,
-                                 _min_pair_product, _sine_factors, _sine_product, em_length,
-                                 em_remainder, em_remainder_scan, psi, t_l_bound)
+                                 _min_pair_product, _root_bits, _roots_of_unity, _sine_factors,
+                                 _sine_product, em_length, em_remainder, em_remainder_scan,
+                                 psi, t_l_bound)
 
 PREC = 256
 
@@ -60,12 +61,39 @@ def test_full_product_closed_form(rng):
             assert abs(recip - want) < mpf(2) ** -220
 
 
+def test_roots_table_within_one_unit():
+    # every 2k-th root within one unit of 2^-T, and entry h as the sine
+    # product's rotation step
+    for k in (1, 2, 3, 4, 7, 12, 97):
+        for wprec in (64, 300):
+            T = _root_bits(k, wprec)
+            table = _roots_of_unity(k, wprec)
+            assert len(table) == 2 * k
+            with mp.workprec(T + 32):
+                for r, (x, y) in enumerate(table):
+                    z = mpmath.expjpi(mpf(r) / k) * 2 ** T
+                    assert abs(mpc(x, y) - z) <= 1, (k, wprec, r)
+            for h in range(1, k):
+                if gcd(h, k) == 1:
+                    m = k - 1
+                    with mp.workprec(wprec + 32):
+                        a = _sine_product(h, k, m, wprec, (*table[h], T))
+                        b = _sine_product(h, k, m, wprec)
+                        assert abs(a - b) <= mpf(2) ** (2 - wprec) * abs(b), (k, h)
+
+
 def test_sine_product_rejects_zero_factor():
     # em_remainder, the one public caller that takes (h, k, m) as given
     with pytest.raises(ValueError, match="zero factor"):
         em_remainder(1, 6, 6, 2)
     with pytest.raises(ValueError, match="zero factor"):
         em_remainder(2, 6, 1, 2)  # not reduced
+
+
+def test_em_remainder_refuses_m_zero():
+    # T_L(0) has no finite value: the main term's lead is log(h/(2k sin 0))
+    with pytest.raises(ValueError, match="infinite main term at m = 0"):
+        em_remainder(1, 7, 0, 2, 64)
 
 
 def _log_sine_factors(h, k, m, prec):

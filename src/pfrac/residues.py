@@ -5,15 +5,12 @@ the conversion of the Q into the coefficients C, restricted partition
 counts, the dominant simple-pole sums, and a high-precision Laurent
 oracle for the coefficients at the pole q = 1.
 
-The Laurent oracle uses the closed form
-prod_{j<=N}(1 - e^{jx}) = (-1)^N N! x^N exp(Phat(x)),
-Phat(x) = S_1(N) x/2 + sum_k B_{2k} S_{2k}(N) x^{2k} / (2k (2k)!),
-with S_r(N) = sum_{j<=N} j^r, so a single series exponential produces every
-coefficient.  That exponential runs on fixed-point integers
-(`series.exp_fixed`) after the scaling x -> 2^-r x of `_laurent_core`, with
-one mpf conversion at each end; the oracle is validated by re-running with
-64 extra bits.  The simple-pole residues take their sine products from the
-integer product kernel `sine_products._sine_product`.
+The Laurent oracle takes the coefficients of exp(-Phat(x)) from
+`laurent._laurent_core` (see that module): it builds one core per N at 64
+bits above the label and checks each value against a shadow core built the
+same way, with the same cancellation guard, at a 64-bit target (`_oracle`).
+The simple-pole residues take their sine products from the integer product
+kernel `sine_products._sine_product`.
 
 A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
@@ -49,7 +46,8 @@ from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, even_power_sums
-from .series import exp, exp_fixed, man_exp, to_fixed
+from .laurent import _laurent_core, _laurent_guard, _oracle_sum
+from .series import exp, man_exp, to_fixed
 from .sine_products import _cot_sweep, _root, _root_bits, _roots_of_unity, _sine_product
 
 class PrecisionLossError(RuntimeError):
@@ -139,7 +137,7 @@ def _q_simple_at(h: int, k: int, sigma, N: int, product):
     its two phase factors multiply to e^{pi i M/(2k)}, with M reduced mod 4k
     (exactly for integer sigma)."""
     M = k * (2 * N * h + N + h + k - h * k) - h * (N * N + N - 4 * sigma)
-    return (-1) ** (k + 1) / mpf(k) ** 2 * mpmath.exp(1j * pi * (M % (4 * k)) / (2 * k)) / product
+    return (-1) ** (k + 1) / mpf(k) ** 2 * mpmath.expjpi(mpf(M % (4 * k)) / (2 * k)) / product
 
 
 def _norm_sigma(sigma):
@@ -458,91 +456,78 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
 
 # -- the Laurent oracle at q = 1 -----------------------------------------------
 
-@lru_cache(maxsize=16)
-def _laurent_core(N: int, wprec: int) -> tuple:
-    """Coefficients of exp(-Phat(x)) to order x^{N-1}, good to wprec bits.
+_SHADOW_BITS = 64
+"""Target of the shadow core that checks each full-precision oracle value."""
 
-    Runs series.exp_fixed on the series in t = 2^r x, r = floor(log2(N/(2 pi))),
-    whose coefficients g_n 2^{-rn} are all at least 1, so fraction bits are
-    relative bits; with r + 2 some drop below 1, and tens of bits are lost
-    at N = 120.  The terms of the recurrence cancel by up to 0.28 N bits.
-    With F = wprec + N/4 + bitlen(N) fraction bits, and B_{2i}/(2i)! taken
-    at F bits, every coefficient stays within 2 bits of wprec (measured
-    against wprec + 400 bits for N = 20 .. 1000).  Only k f_k for k = 1 and
-    even k are nonzero: -S_1/2 and -B_{2i}/(2i)! S_{2i}.
+_AGREE_BITS = 48
+"""Relative agreement the shadow must reach: _SHADOW_BITS - 16, so a guard
+that falls short by more than 16 bits fails the check."""
+
+
+def _oracle(N: int, prec: int, weights: list, floor: int = 0) -> mpf:
+    """`_oracle_sum` on the full core (prec + 64 bits), accepted when the
+    shadow core (_SHADOW_BITS) agrees with it to 2^-_AGREE_BITS of
+    max(|value|, floor).
+
+    Both cores share the cancellation guard, and cancellation costs both the
+    same number of bits, so the shadow's shortfall from its 64-bit target is
+    the full value's; the check passes while that shortfall is under 16
+    bits, which leaves the full value within 2^(-prec-48) of the exact one.
+    When it fails, both guards are raised by the shortfall and the pair is
+    rebuilt, twice at most, before PrecisionLossError.  A full value within
+    its own error (err 2^-prec) of 0, as at an exact zero of q01_exact,
+    gives no scale: the shortfall is then taken against the floor.
     """
-    F = wprec + N // 4 + N.bit_length()
-    r = math.floor(math.log2(N / (2 * math.pi)))
-    S = even_power_sums((N - 1) // 2, N)
-    ka = [0] * N
-    if N > 1:
-        ka[1] = -_shifted(N * (N + 1), F - r - 2)
-    for i in range(1, (N - 1) // 2 + 1):
-        man, e = bernoulli_over_factorial(i, F).man_exp  # |B_{2i}/(2i)!|: sign (-1)^{i+1}
-        ka[2 * i] = (-1) ** i * _shifted(man * S[i], e + F - 2 * i * r)
-    with mp.workprec(wprec):
-        return tuple(mpf((g, r * n - F)) for n, g in enumerate(exp_fixed(ka, N, F)))
-
-
-def _shifted(v: int, s: int) -> int:
-    """v 2^s, rounded down to an integer."""
-    return v << s if s >= 0 else v >> -s
-
-
-def _c01l_at(N: int, ell: int, wprec: int) -> mpf:
-    g = _laurent_core(N, wprec)
-    with mp.workprec(wprec):
-        # numerator e^x (e^x - 1)^{ell-1} = sum_i C(ell-1, i) (-1)^{ell-1-i} e^{(i+1)x}
-        val = mpf(0)
-        invfact = [mpf(1)]
-        for i in range(1, N + 1):
-            invfact.append(invfact[-1] / i)
-        for a in range(N):
-            num_a = mpf(0)
-            for i in range(ell):
-                num_a += comb(ell - 1, i) * (-1) ** (ell - 1 - i) * mpf(i + 1) ** a
-            if num_a:
-                val += num_a * invfact[a] * g[N - 1 - a]
-        return (-1) ** N / mpmath.factorial(N) * val
+    guard, wprec = _laurent_guard(N), prec + 64
+    for _ in range(3):
+        full = _oracle_sum(_laurent_core(N, wprec, guard), weights, N, wprec)
+        shadow = _oracle_sum(_laurent_core(N, _SHADOW_BITS, guard), weights, N, _SHADOW_BITS)
+        with mp.workprec(wprec):
+            err, scale = abs(shadow - full), max(abs(full), floor)
+            if err <= mpmath.ldexp(scale, -_AGREE_BITS):
+                return full
+            if abs(full) <= mpmath.ldexp(err, 16 - prec):
+                scale = floor
+            lost = _SHADOW_BITS + mpmath.mag(err) - mpmath.mag(scale) if scale else guard
+        guard += lost
+    raise PrecisionLossError(f"Laurent oracle at N={N} lost {lost} of its {_SHADOW_BITS} "
+                             f"shadow bits with a guard of {guard - lost}")
 
 
 def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
     """C_{0 1 ell}(N): coefficient of (q-1)^{-ell} in prod_{j<=N} 1/(1-q^j).
 
     Evaluated as (-1)^N/N! [x^{N-1}] e^x (e^x-1)^{ell-1} exp(-Phat(x)) (see
-    module docstring); each value is validated by recomputing with 64 extra
-    bits, doubling the working precision when the two runs disagree.
+    module docstring) from one Laurent core at prec + 64 bits, accepted when
+    a 64-bit shadow core agrees with it to 2^-48 relative (`_oracle`).
     """
     if not 1 <= ell <= N:
         raise ValueError("need 1 <= ell <= N")
     prec = resolve_precision(prec)
-    wprec = prec
-    for _ in range(4):
-        v1 = _c01l_at(N, ell, wprec)
-        v2 = _c01l_at(N, ell, wprec + 64)
-        with mp.workprec(wprec + 64):
-            err = abs(v1 - v2)
-            good = err <= abs(v2) * mpf(2) ** (-48) if v2 != 0 else err == 0
-        if good:
-            return HPReal(v2, prec)
-        wprec *= 2
-    raise PrecisionLossError(f"Laurent oracle unstable at N={N}, ell={ell}")
+    # e^x (e^x - 1)^{ell-1} = sum_i C(ell-1, i) (-1)^{ell-1-i} e^{(i+1)x}
+    signed = [comb(ell - 1, i) * (-1) ** (ell - 1 - i) for i in range(ell)]
+    powers, weights = [1] * ell, []
+    for _ in range(N):
+        weights.append(sum(map(mul, signed, powers)))
+        powers = [p * (i + 1) for i, p in enumerate(powers)]
+    return HPReal(_oracle(N, prec, weights), prec)
 
 
-def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
-    """Q_{0 1 sigma}(N) = (-1)^N/N! [x^{N-1}] exp(sigma x - Phat(x)) (real)."""
+def q01_exact(N: int, sigma, prec: int | None = None) -> HPReal:
+    """Q_{0 1 sigma}(N) = (-1)^N/N! [x^{N-1}] exp(sigma x - Phat(x)), real sigma.
+
+    Checked by the shadow core like c01l_exact, but to 2^-48 of
+    max(|Q|, 1): Q is a polynomial in sigma with exact zeros (N = 4,
+    sigma = 5), where only an absolute error can be small.
+    """
     prec = resolve_precision(prec)
-    g = _laurent_core(N, prec + 64)
-    with mp.workprec(prec + 64):
-        val = mpf(0)
-        invfact = mpf(1)
-        sp = mpf(1)
-        for a in range(N):
-            if a:
-                invfact /= a
-                sp *= sigma
-            val += sp * invfact * g[N - 1 - a]
-        return HPReal((-1) ** N / mpmath.factorial(N) * val, prec)
+    px, py, F = _sigma_powers(_norm_sigma(sigma), N)
+    if any(py):
+        raise ValueError("q01_exact needs a real sigma")
+    # sigma^a 2^(F(N-1)): integers on the exponent of the last power
+    weights = [p << F * (N - 1 - a) for a, p in enumerate(px)]
+    return HPReal(mpmath.ldexp(_oracle(N, prec, weights, 1 << F * (N - 1)), -F * (N - 1)),
+                  prec)
 
 
 # -- reconstruction and reports -------------------------------------------------

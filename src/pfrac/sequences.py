@@ -3,10 +3,11 @@ numbers, factorials, half-integer binomial coefficients and even power sums.
 
 Caches are shared, and callers never mutate returned values.  The exact
 caches grow append-only.  The even power sums and the floating-point
-B_{2k}/(2k)! are LRU caches (4 and 1024 entries): the q = 1 Laurent core
-asks for about N/2 values of B_{2k}/(2k)! at a precision of its own for
-every N, and never for them again, while the dilogarithm series of a
-landscape benchmark run reuse 365 entries.
+B_{2k}/(2k)! are LRU caches (4 and 1024 entries): each pole inverse asks for
+about s/2 values of B_{2k}/(2k)! at its own working precision, while the
+dilogarithm series of a landscape benchmark run reuse 365 entries.  The
+q = 1 Laurent core builds its own table of B_{2k}/(2k)! by one series
+division (`laurent._bernoulli_table`) and takes only its power sums here.
 Single-threaded: the caches take no locks, and mpmath's global `mp` context,
 which `bernoulli_over_factorial` computes in, is not thread-safe either.
 """

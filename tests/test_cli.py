@@ -175,6 +175,22 @@ def test_table_c014_row_is_pinned(capsys):
             == "62101f3f4567a0989631f53b86e8dc5dd3ae411e89b2651cd34e7cd779df708c")
 
 
+def test_table_c011_row_is_pinned(capsys):
+    # expansion columns of c_coeffs(1, 4) and the c01l_exact oracle column
+    code, out = run_cli(capsys, "table", "c011", "--rows", "600")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "d271b17ac991f249053b0fdcd65272fa1cf98b99733d1a5b7721fc7b4cc3153e")
+
+
+def test_a1_rows_are_pinned(capsys):
+    # the simple-pole family sum, whose phases _q_simple_at forms
+    code, out = run_cli(capsys, "a1", "--rows", "400,600")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "390821b62207e935ceda887971312f6bda9b31c3fd82ba897bbb74907b411488")
+
+
 def test_table_takes_no_sigma(capsys):
     # the published tables are for sigma = 1; `pfrac a1 --sigma` sweeps sigma
     with pytest.raises(SystemExit) as exc:

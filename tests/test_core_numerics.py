@@ -19,7 +19,7 @@ from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half_fraction,
                              even_power_sums, stirling2)
-from pfrac.series import exp, exp_fixed, inv, log, mul
+from pfrac.series import EXP_SLACK, div_fixed, exp, exp_fixed, inv, log, mul
 
 
 # -- precision-labelled records ---------------------------------------------------
@@ -259,6 +259,29 @@ def test_exp_fixed_matches_exact_exp():
     assert all(abs(g - w * 2 ** F) <= 2 ** 8 for g, w in zip(got, want))
     # a short input counts its missing coefficients as zero
     assert exp_fixed(ka[:2], 6, F) == exp_fixed(ka[:2] + [0] * 4, 6, F)
+
+
+def test_exp_fixed_carries_growing_coefficients_to_slack_bits():
+    # exp(1000 x + x^2/4), exact inputs: g_m grows to about 2^330 by x^59, and
+    # past 2^EXP_SLACK each is carried to F + EXP_SLACK significant bits, so it
+    # is good to a few units of its last carried bit and its low bits are zero
+    n, F = 60, 64
+    a = [Fraction(0), Fraction(1000), Fraction(1, 4)]
+    got = exp_fixed([int(k * c * 2 ** F) for k, c in enumerate(a)], n, F)
+    for g, w in zip(got, exp(a, n)):
+        assert abs(g - w * 2 ** F) <= 2 ** 5 * max(1, abs(w) / 2 ** EXP_SLACK)
+    assert got[-1] % 2 ** 200 == 0
+
+
+def test_div_fixed_matches_exact_quotient():
+    # against a * (1/b) on Fractions: 1/b = 1/(1 - t/2 + t^2/6) has
+    # coefficients below 1, so the inherited errors stay within a few units
+    n, F = 30, 96
+    a = [Fraction(1, k + 1) for k in range(n)]
+    b = [Fraction(1), Fraction(-1, 2), Fraction(1, 6)]
+    want = mul(a, inv(b, n), n)
+    got = div_fixed([round(c * 2 ** F) for c in a], [round(c * 2 ** F) for c in b], n, F)
+    assert all(abs(g - w * 2 ** F) <= 2 ** 4 for g, w in zip(got, want))
 
 
 def test_recip_requires_unit():

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
+from pfrac import laurent, residues
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
 from pfrac.precision import set_default_precision
@@ -16,7 +17,7 @@ from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
                             q_general, q_simple, reconstruct_product, residue_report,
                             residue_sum)
-from pfrac.sequences import bernoulli_over_factorial_fraction
+from pfrac.sequences import bernoulli_over_factorial, bernoulli_over_factorial_fraction
 from pfrac.series import exp
 
 PREC = 256
@@ -481,6 +482,77 @@ def test_q01_exact_matches_general(rng):
             a = q01_exact(N, sigma, PREC).value
             b = q_general(0, 1, sigma, N, PREC).value
             assert abs(a - b) < mpf(2) ** -190 * (1 + abs(a))
+
+
+def test_q01_exact_takes_a_dyadic_sigma_and_an_exact_zero():
+    # a real dyadic sigma against q_general; at N = 4, sigma = 5 (the centre
+    # N(N+1)/4 of the symmetric polynomial) Q is exactly 0, and the shadow
+    # check accepts its absolute agreement instead of raising; at N = 300 the
+    # terms reach 2^370, and the escalation must size its guards from the
+    # floor, not from the full value's own noise
+    with mp.workprec(280):
+        a = q01_exact(9, mpf("2.5"), PREC).value
+        b = q_general(0, 1, mpf("2.5"), 9, PREC).value
+        assert abs(a - b) < mpf(2) ** -190 * (1 + abs(a))
+    assert abs(q01_exact(4, 5, PREC).value) < mpf(2) ** (16 - PREC)
+    assert abs(q01_exact(300, 300 * 301 // 4, 64).value) < mpf(2) ** (16 - 64)
+    with pytest.raises(ValueError):
+        q01_exact(4, mpc(1, 1), PREC)
+
+
+def test_bernoulli_table_matches_exact_and_zeta_values():
+    # the core's one-division table against exact rationals (one unit of
+    # 2^-F) and against the zeta route (2^(16-F) relative) up to N = 1000
+    for F in (100, 600):
+        for i, (man, e) in enumerate(laurent._bernoulli_table(40, F), 1):
+            got = (-1) ** (i + 1) * Fraction(man) * Fraction(2) ** e
+            assert abs(got - bernoulli_over_factorial_fraction(i)) <= Fraction(1, 2 ** F)
+    F = 576 + laurent._laurent_guard(1000)
+    with mp.workprec(F + 64):
+        for i, (man, e) in enumerate(laurent._bernoulli_table(499, F), 1):
+            want = bernoulli_over_factorial(i, F + 32)
+            got = (-1) ** (i + 1) * mpmath.ldexp(man, e)
+            assert abs(got - want) <= mpf(2) ** (16 - F) * abs(want)
+
+
+def test_laurent_shadow_check_fires_on_a_short_guard(monkeypatch):
+    # with the guard cut to N//8 at N = 675, the 64-bit shadow misses the
+    # full core by far more than 2^-48; the oracle raises both guards by the
+    # shortfall and returns the value of the default guard
+    N, prec = 675, 512
+    want = c01l_exact(N, 1, prec).value
+    monkeypatch.setattr(residues, "_laurent_guard", lambda n: n // 8)
+    weights = [1] * N
+    full = laurent._oracle_sum(_laurent_core(N, prec + 64, N // 8), weights, N, prec + 64)
+    shadow = laurent._oracle_sum(_laurent_core(N, residues._SHADOW_BITS, N // 8), weights, N,
+                                 residues._SHADOW_BITS)
+    with mp.workprec(prec + 64):
+        assert abs(shadow - full) > mpf(2) ** -residues._AGREE_BITS * abs(full)
+        guards = []
+        core = residues._laurent_core
+
+        def recording(n, wprec, guard=None):
+            guards.append(guard)
+            return core(n, wprec, guard)
+        monkeypatch.setattr(residues, "_laurent_core", recording)
+        got = c01l_exact(N, 1, prec)
+        assert guards[:2] == [N // 8, N // 8] and guards[2] > N // 8
+        assert abs(got.value - want) <= mpf(2) ** (16 - prec) * abs(want)
+
+
+def test_laurent_oracle_never_returns_a_failed_check(monkeypatch):
+    # a shadow that never agrees: two escalations, then PrecisionLossError,
+    # for both oracles that share the core
+    core = residues._laurent_core
+
+    def noisy(n, wprec, guard=None):
+        g = core(n, wprec, guard)
+        return g if wprec > residues._SHADOW_BITS else tuple(x * (1 + mpf(2) ** -30) for x in g)
+    monkeypatch.setattr(residues, "_laurent_core", noisy)
+    with pytest.raises(PrecisionLossError):
+        c01l_exact(40, 1, 128)
+    with pytest.raises(PrecisionLossError):
+        q01_exact(40, 3, 128)
 
 
 def test_c011_tracks_negative_a1():

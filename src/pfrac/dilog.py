@@ -22,6 +22,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp, mpc, mpf, pi
 
+from .fixed import fix, powers, unfix
 from .precision import HPComplex, HPReal, resolve_precision, to_mpc, tolerance
 from .sequences import bernoulli_over_factorial
 
@@ -45,14 +46,13 @@ def _li2_series(z):
     # |z|^n < 2^-(prec+8) decides the truncation up front
     nmax = int((mp.prec + 10) / -mpmath.log(r, 2)) + 2
     F = mp.prec + 8 + nmax.bit_length()
-    x, y = int(mpmath.ldexp(zv.real, F)), int(mpmath.ldexp(zv.imag, F))
-    px, py = sx, sy = 1 << F, 0  # z^{n-1} 2^F and the partial sum
-    for n in range(2, nmax + 1):
-        px, py = (px * x - py * y) >> F, (px * y + py * x) >> F
+    px, py = powers(*fix(zv, F), F, nmax)  # z^{n-1} 2^F, n = 1..nmax
+    sx = sy = 0
+    for n, x, y in zip(range(1, nmax + 1), px, py):
         d = 2 * n * n
-        sx += (2 * px + n * n) // d
-        sy += (2 * py + n * n) // d
-    return mpc(mpf((sx, -F)), mpf((sy, -F))) * zv
+        sx += (2 * x + n * n) // d
+        sy += (2 * y + n * n) // d
+    return unfix(sx, sy, -F) * zv
 
 
 def _li2_log_series(mu, logneg):

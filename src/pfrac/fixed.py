@@ -1,0 +1,122 @@
+"""Complex fixed point: the one format of the integer kernels.
+
+A complex number is held as an integer pair (x, y) standing for
+(x + i y) 2^-F, F the fraction bits; a real one is the pair's x.  `fix`
+and `to_fixed` put mpmath numbers into the format, `unfix` takes a pair
+back out, and `powers` is the truncated complex power walk that the sine
+products, the roots of unity, the cotangent sweep, the dilogarithm series
+and the exact powers of sigma are built from.  `exp_fixed` and `div_fixed`
+run the series exponential and division on fixed-point coefficients.
+
+Each kernel keeps its own rounding rule, and the results depend on it: the
+walk and `shifted` round down (`>>`), `fix` truncates toward zero,
+`to_fixed` rounds down, and `exp_fixed`/`div_fixed` round to nearest.
+The truncating multiply and the conversions follow Brent & Zimmermann,
+Modern Computer Arithmetic (CUP 2010), ch. 3.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from operator import mul as _imul, rshift as _rshift, sub as _isub
+
+import mpmath
+from mpmath import mpc, mpf
+
+
+def man_exp(x: mpf) -> tuple[int, int]:
+    """(man, exp) with x = man 2^exp, man signed."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def fix(z, F: int) -> tuple[int, int]:
+    """z 2^F as an integer pair (x, y) for an mpf or mpc z, each part
+    truncated toward zero; y is 0 for a real z."""
+    return int(mpmath.ldexp(z.real, F)), int(mpmath.ldexp(z.imag, F))
+
+
+def unfix(x: int, y: int, e: int) -> mpc:
+    """(x + i y) 2^e as an mpc at the ambient precision."""
+    return mpc(mpf((x, e)), mpf((y, e)))
+
+
+def shifted(v: int, s: int) -> int:
+    """v 2^s, rounded down to an integer."""
+    return v << s if s >= 0 else v >> -s
+
+
+def to_fixed(values, bits: int) -> tuple:
+    """(re, im, E): the complex values as integer pairs (re[i] + i im[i]) 2^E
+    on one exponent, E chosen so that each nonzero value keeps at least
+    `bits` bits below its leading bit; the parts are rounded down."""
+    parts = [(man_exp(v.real), man_exp(v.imag)) for v in values]
+    E = min((max(e + m.bit_length() for m, e in pair if m) for pair in parts
+             if pair[0][0] or pair[1][0]), default=bits) - bits
+    return (tuple(shifted(m, e - E) for (m, e), _ in parts),
+            tuple(shifted(m, e - E) for _, (m, e) in parts), E)
+
+
+def powers(c: int, s: int, F: int, n: int, start=None) -> tuple[list, list]:
+    """(px, py): the n >= 1 points start w^j, j < n, of w = (c + i s) 2^-F,
+    as fixed-point pairs px[j] + i py[j] on F bits; start defaults to 1.
+
+    Each step is one complex product truncated by `>> F`: it adds under one
+    unit of 2^-F to each part, and while |w| <= 1 it does not enlarge the
+    error it inherits, so after j steps the error is under sqrt(2) j units
+    in modulus.  With F = 0 the powers of the Gaussian integer c + i s are
+    exact."""
+    x, y = (1 << F, 0) if start is None else start
+    px, py = [x], [y]
+    for _ in range(n - 1):
+        x, y = (x * c - y * s) >> F, (x * s + y * c) >> F
+        px.append(x)
+        py.append(y)
+    return px, py
+
+
+EXP_SLACK = 32
+"""Bits `exp_fixed` carries above frac_bits in a coefficient that has grown."""
+
+
+def exp_fixed(ka, n: int, frac_bits: int) -> list[int]:
+    """exp(a) for a_0 = 0 in fixed point: `ka[k]` is the integer k a_k 2^frac_bits
+    (ka[0] is ignored), and the result is [g_m 2^frac_bits for m < n].
+
+    Each g_m is one exact integer dot product of the recurrence of
+    `series.exp` and one division rounded to nearest, so while
+    |g_m| < 2^EXP_SLACK a step adds at most half a unit of 2^-frac_bits to
+    the errors it inherits.  Larger g_m are carried to frac_bits + EXP_SLACK
+    significant bits, as out[m] 2^(D_m - frac_bits) with D_m raised by the
+    excess of the previous coefficient: each product of the dot product is
+    shifted down to D_m (2^-frac_bits of a unit below the rounding), and a
+    step adds half a unit of the last carried bit.  A series whose
+    coefficients grow by thousands of bits then multiplies numbers of
+    frac_bits + EXP_SLACK bits, not ever longer ones, and the result has
+    D_m low zero bits.
+    """
+    out, shifts = [1 << frac_bits] + [0] * (n - 1), [0] * n
+    for m in range(1, n):
+        D = shifts[m] = shifts[m - 1] + max(0, out[m - 1].bit_length() - frac_bits - EXP_SLACK)
+        d = m << frac_bits
+        terms = map(_imul, ka[1:m + 1], out[m - 1::-1])
+        acc = sum(map(_rshift, terms, map(_isub, repeat(D), shifts[m - 1::-1])))
+        out[m] = (2 * acc + d) // (2 * d)
+    return [g << D for g, D in zip(out, shifts)]
+
+
+def div_fixed(a, b, n: int, frac_bits: int) -> list[int]:
+    """a / b in fixed point: `a[k]`, `b[k]` and the result are integers
+    (value) 2^frac_bits; b[0] must be positive, and a missing a[k] counts as 0.
+
+    Each quotient coefficient is one exact integer dot product and one
+    division rounded to nearest, as in `exp_fixed`; trailing zeros of b cost
+    nothing, so a fast-decaying b (a Taylor series truncated at its last
+    nonzero fixed-point coefficient) keeps the work at n len(b).
+    """
+    b0 = 2 * b[0]
+    out = [0] * n
+    for m in range(n):
+        x = (a[m] if m < len(a) else 0) << frac_bits
+        out[m] = (2 * (x - sum(map(_imul, b[1:m + 1], out[m - 1::-1]))) + b[0]) // b0
+    return out

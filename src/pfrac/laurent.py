@@ -6,7 +6,7 @@ prod_{j<=N}(1 - e^{jx}) = (-1)^N N! x^N exp(Phat(x)),
 Phat(x) = S_1(N) x/2 + sum_k B_{2k} S_{2k}(N) x^{2k} / (2k (2k)!),
 with S_r(N) = sum_{j<=N} j^r, so a single series exponential produces every
 coefficient.  That exponential runs on fixed-point integers
-(`series.exp_fixed`) after the scaling x -> 2^-r x of `_laurent_core`, which
+(`fixed.exp_fixed`) after the scaling x -> 2^-r x of `_laurent_core`, which
 takes its B_{2i}/(2i)! from one fixed-point series division
 (`_bernoulli_table`).  `_oracle_sum` reads a coefficient of a product with
 the core exactly on integers.  This lives outside `residues` because the
@@ -25,8 +25,8 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import pi_fixed
 
+from .fixed import div_fixed, exp_fixed, man_exp, shifted
 from .sequences import even_power_sums
-from .series import div_fixed, exp_fixed, man_exp
 
 
 def _laurent_guard(N: int) -> int:
@@ -74,11 +74,11 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     """Coefficients of exp(-Phat(x)) to order x^{N-1}, good to wprec bits
     when `guard` (default `_laurent_guard(N)`) covers the cancellation.
 
-    Runs series.exp_fixed on the series in t = 2^r x, r = floor(log2(N/(2 pi))),
+    Runs fixed.exp_fixed on the series in t = 2^r x, r = floor(log2(N/(2 pi))),
     whose coefficients g_n 2^{-rn} are all at least 1, so fraction bits are
     relative bits; with r + 2 some drop below 1, and tens of bits are lost
     at N = 120.  They grow to about 2^1800 at N = 1000, and exp_fixed
-    carries each to F + series.EXP_SLACK significant bits: the values agree
+    carries each to F + fixed.EXP_SLACK significant bits: the values agree
     with whole fixed-point integers to a bit at N = 40 .. 1000, in about two
     thirds of the time.  The terms of the recurrence cancel by up to 0.28 N
     bits.  With F = wprec + guard fraction bits, and B_{2i}/(2i)! from the
@@ -95,16 +95,11 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     S = even_power_sums((N - 1) // 2, N)
     ka = [0] * N
     if N > 1:
-        ka[1] = -_shifted(N * (N + 1), F - r - 2)
+        ka[1] = -shifted(N * (N + 1), F - r - 2)
     for i, (man, e) in enumerate(_bernoulli_table((N - 1) // 2, F), 1):
-        ka[2 * i] = (-1) ** i * _shifted(man * S[i], e + F - 2 * i * r)
+        ka[2 * i] = (-1) ** i * shifted(man * S[i], e + F - 2 * i * r)
     with mp.workprec(F):
         return tuple(mpf((g, r * n - F)) for n, g in enumerate(exp_fixed(ka, N, F)))
-
-
-def _shifted(v: int, s: int) -> int:
-    """v 2^s, rounded down to an integer."""
-    return v << s if s >= 0 else v >> -s
 
 
 def _oracle_sum(g: tuple, weights: list, N: int, wprec: int) -> mpf:

@@ -47,7 +47,8 @@ from mpmath import mp, mpc, mpf, pi
 from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial, even_power_sums
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum
-from .series import exp, man_exp, to_fixed
+from .fixed import man_exp, powers, to_fixed, unfix
+from .series import exp
 from .sine_products import _cot_sweep, _root, _root_bits, _roots_of_unity, _sine_product
 
 class PrecisionLossError(RuntimeError):
@@ -150,7 +151,7 @@ def _norm_sigma(sigma):
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
     """Cached polynomial of the pole h/k, s = floor(N/k):
     Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma^i, returned as
-    (re, im, E) with d_i = (re[i] + i im[i]) 2^E (`series.to_fixed` at
+    (re, im, E) with d_i = (re[i] + i im[i]) 2^E (`fixed.to_fixed` at
     wprec + 8 bits), where
 
         d_i = [y^{s-1-i}] (1/A(y)) / ((-k)^s s! i!),
@@ -188,7 +189,7 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     with mp.workprec(wprec):
         # 1/(A(0) (-k)^s s!), with 1/phase = conj(phase)
         sines = _sine_product(h, k, m, wprec, (*roots[h], T))
-        inverse = mpc(mpf((x, -T)), mpf((-y, -T))) / (
+        inverse = unfix(x, -y, -T) / (
             sines * ((-1) ** s * k ** (2 * s) * math.factorial(s)))
         if s == 1:
             return to_fixed([inverse], wprec + 8)
@@ -232,19 +233,15 @@ def _work_prec(prec: int, s: int, N: int) -> int:
 def _sigma_powers(sigma, n: int) -> tuple:
     """(px, py, F) with sigma = (a + i b) 2^-F for integers a, b and F >= 0,
     and px[i] + i py[i] = (a + i b)^i for i < n.  Every number mpmath holds
-    is a dyadic rational, so this is exact."""
+    is a dyadic rational, so the powers are exact (`fixed.powers` with no
+    fraction bits)."""
     if isinstance(sigma, int):
         a, b, F = sigma, 0, 0
     else:
         (a, ea), (b, eb) = man_exp(mpmath.re(sigma)), man_exp(mpmath.im(sigma))
         F = max(0, -ea if a else 0, -eb if b else 0)
         a, b = a << (ea + F), b << (eb + F)
-    px, py = [1], [0]
-    for _ in range(n - 1):
-        x, y = px[-1], py[-1]
-        px.append(x * a - y * b)
-        py.append(x * b + y * a)
-    return px, py, F
+    return (*powers(a, b, 0, n), F)
 
 
 def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
@@ -313,7 +310,7 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
     sigma = _norm_sigma(sigma)
     re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k))
     with mp.workprec(wprec):
-        return HPComplex(mpc(mpf((re, e)), mpf((im, e))), prec)
+        return HPComplex(unfix(re, im, e), prec)
 
 
 def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
@@ -342,7 +339,7 @@ def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     re = sum(x << (e - low) for x, _, e in terms)
     im = sum(y << (e - low) for _, y, e in terms)
     with mp.workprec(prec + 16):
-        return HPComplex(mpc(mpf((re, low)), mpf((im, low))), prec)
+        return HPComplex(unfix(re, im, low), prec)
 
 
 def residue_sum_expected(N: int, sigma: int) -> int:
@@ -520,6 +517,8 @@ def q01_exact(N: int, sigma, prec: int | None = None) -> HPReal:
     max(|Q|, 1): Q is a polynomial in sigma with exact zeros (N = 4,
     sigma = 5), where only an absolute error can be small.
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
     prec = resolve_precision(prec)
     px, py, F = _sigma_powers(_norm_sigma(sigma), N)
     if any(py):
@@ -534,6 +533,8 @@ def q01_exact(N: int, sigma, prec: int | None = None) -> HPReal:
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
+    if not (1 <= k <= N):
+        raise ValueError("need 1 <= k <= N")
     prec = resolve_precision(prec)
     return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 

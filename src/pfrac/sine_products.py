@@ -4,23 +4,19 @@ statistics that decide which residues dominate.
 The central objects are the products prod_{j<=m} 2 sin(pi j h/k), the
 remainder T_L left after truncating the Euler-Maclaurin expansion of their
 logarithm, and the maximum statistic Psi(h/k) over partial products.  Every
-sine in the package comes from one fixed-point rotation (`_rotation`), which
-advances e^{i pi j h/k} by integer multiplications instead of calling sin
-once per factor.  Whole products come from the integer kernel
-`_sine_product`: it multiplies the rotation's |sin| values into one integer
-mantissa, renormalised by a shift after each factor, counts the negative
-factors for the sign, and builds a single mpf at the end, so the products
-(up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  `_sine_factors` turns
-the same rotation into one mpf per factor, for the log-sine table behind Psi:
--log 2 sin(pi r/k) held as fixed-point integers, so each Psi walk is a run
-of exact integer prefix sums.  Cotangent derivatives of every order up to n
-come from one exponential and a fixed-point power table (`_cot_sweep`), and
-the g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).
-The float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
-pairs as numpy arrays.  The residues take their roots of unity e^{i pi r/k}
-from `_roots_of_unity`, a fixed-point table built by the same kind of
-rotation, whose entry r = h is also the rotation step of their sine
-products.
+sine in the package is the imaginary part of a power walk of e^{i pi h/k}
+(`fixed.powers`, through `_rotation`).  `_sine_product` multiplies those
+sines into one integer mantissa, renormalised by a shift after each factor,
+and builds a single mpf at the end, so the products (up to e^{0.148 k} for
+h = 1) cost no mpf arithmetic.  Each Psi walk is a run of exact integer
+prefix sums over a fixed-point table of -log 2 sin(pi r/k).  Cotangent
+derivatives of every order up to n come from one exponential and the power
+walk of one number (`_cot_sweep`), and the g_l of the Euler-Maclaurin
+expansion from one such sweep (`_g_sweep`).  The float64 screen of
+`em_remainder_scan` runs over whole blocks of (k, m) pairs as numpy arrays.
+The residues take their roots of unity e^{i pi r/k} from the fixed-point
+table `_roots_of_unity`, whose entry r = h is also the rotation step of
+their sine products.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -43,31 +39,27 @@ import numpy as np
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
+from .fixed import fix, powers, unfix
 from .precision import HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
 
-def _rotation(h: int, k: int, m: int, wp: int, step=None):
-    """Yield sin(pi j h/k) 2^wp as integers, j = 1..m.
+def _rotation(h: int, k: int, m: int, wp: int, step=None) -> list:
+    """[sin(pi j h/k) 2^wp for j = 1..m] as integers: the imaginary parts of
+    the power walk (`fixed.powers`) of e^{i pi h/k} on wp fraction bits.
 
-    Advances z = e^{i pi j h/k} by one complex multiplication per factor, in
-    fixed point z = (x + i y) 2^-wp, where a step costs half of an mpc
-    product.  Each step adds about one unit of 2^-wp to the error while the
-    smallest sine is about pi/k, so callers give wp bitlen(m) + bitlen(k)
-    guard bits over the precision they need.  The step e^{i pi h/k} costs
-    one expjpi unless a caller passes it as fixed-point integers
-    (x, y, bits), e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
+    Each step adds about one unit of 2^-wp to the error while the smallest
+    sine is about pi/k, so callers give wp bitlen(m) + bitlen(k) guard bits
+    over the precision they need.  The step e^{i pi h/k} costs one expjpi
+    unless a caller passes it as fixed-point integers (x, y, bits),
+    e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
     """
     if step is None:
         with mp.workprec(wp):
-            z = mpmath.expjpi(mpf(h) / k)
-            c, s = int(mpmath.ldexp(z.real, wp)), int(mpmath.ldexp(z.imag, wp))
+            c, s = fix(mpmath.expjpi(mpf(h) / k), wp)
     else:
         x, y, bits = step
         c, s = x >> (bits - wp), y >> (bits - wp)
-    x, y = 1 << wp, 0
-    for _ in range(m):
-        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
-        yield y
+    return powers(c, s, wp, m + 1)[1][1:]
 
 
 def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
@@ -116,27 +108,19 @@ def _roots_of_unity(k: int, wprec: int) -> tuple:
     follow exactly from e^{i pi (k-r)/k} = -conj e^{i pi r/k} and
     e^{i pi (k+r)/k} = -e^{i pi r/k}.
     """
-    T = _root_bits(k, wprec)
     guard = k.bit_length() + 2
-    wp = T + guard
+    wp = _root_bits(k, wprec) + guard
     with mp.workprec(wp):
-        z = mpmath.expjpi(mpf(1) / k)
-        c, s = int(mpmath.ldexp(z.real, wp)), int(mpmath.ldexp(z.imag, wp))
+        px, py = powers(*fix(mpmath.expjpi(mpf(1) / k), wp), wp, k // 2 + 1)
     half = 1 << (guard - 1)
-    x, y = 1 << wp, 0
-    quarter = []
-    for _ in range(k // 2 + 1):
-        quarter.append(((x + half) >> guard, (y + half) >> guard))
-        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+    quarter = [((x + half) >> guard, (y + half) >> guard) for x, y in zip(px, py)]
     upper = quarter + [(-x, y) for x, y in reversed(quarter[:k - k // 2])]  # r = 0..k
     return tuple(upper + [(-x, -y) for x, y in upper[1:k]])
 
 
 def _root(k: int, wprec: int, r: int) -> mpc:
     """e^{i pi r/k} from the roots table, as an mpc at the ambient precision."""
-    x, y = _roots_of_unity(k, wprec)[r % (2 * k)]
-    T = _root_bits(k, wprec)
-    return mpc(mpf((x, -T)), mpf((y, -T)))
+    return unfix(*_roots_of_unity(k, wprec)[r % (2 * k)], -_root_bits(k, wprec))
 
 
 def _psi_bits(k: int, prec: int) -> int:
@@ -151,8 +135,8 @@ def _neg_log_sine_table(k: int, prec: int) -> np.ndarray:
     F = _psi_bits(k, prec)."""
     F = _psi_bits(k, prec)
     with mp.workprec(F + 16):
-        table = np.array([int(mpmath.ldexp(-mpmath.log(f), F))
-                          for f in _sine_factors(1, k, k - 1, F)], dtype=object)
+        table = np.array([fix(-mpmath.log(f), F)[0] for f in _sine_factors(1, k, k - 1, F)],
+                         dtype=object)
     table.flags.writeable = False  # the cache hands the same array to every walk
     return table
 
@@ -225,12 +209,8 @@ def _cot_sweep(n: int, z, ez=None) -> list:
 def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
     """(the sweep's orders 0..n, the bits the worst order's sum cancelled)
     from b at F fraction bits; the cancellation is only measured on request."""
-    bx, by = int(mpmath.ldexp(b.real, F)), int(mpmath.ldexp(b.imag, F))
-    px, py = [bx], [by]  # b^r 2^F, r = 1..n+1
-    for _ in range(n):
-        x, y = px[-1], py[-1]
-        px.append((x * bx - y * by) >> F)
-        py.append((x * by + y * bx) >> F)
+    bx, by = fix(b, F)
+    px, py = powers(bx, by, F, n + 1, (bx, by))  # b^r 2^F, r = 1..n+1
     mags = [abs(x) + abs(y) for x, y in zip(px, py)] if measure else None
     out, lost, a = [], 0, [1]  # a_{j,r}, r = 1..j+1
     for j in range(n + 1):
@@ -242,7 +222,7 @@ def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
         x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[((j + 1) * (2 - s) + 2 * j) % 4]
         if j == 0:
             y += s << (F - 1)
-        out.append(mpc(mpf((x, j + 1 - F)), mpf((y, j + 1 - F))))
+        out.append(unfix(x, y, j + 1 - F))
         # a_{j+1,r} = r a_{j,r} + (r-1) a_{j,r-1}
         a = [(t + 1) * u + t * v for t, (u, v) in enumerate(zip(a + [0], [0] + a))]
     return out, lost

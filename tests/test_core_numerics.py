@@ -16,10 +16,11 @@ from mpmath import mp, mpf, pi
 
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
+from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, powers, shifted, unfix
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half_fraction,
                              even_power_sums, stirling2)
-from pfrac.series import EXP_SLACK, div_fixed, exp, exp_fixed, inv, log, mul
+from pfrac.series import exp, inv, log, mul
 
 
 # -- precision-labelled records ---------------------------------------------------
@@ -282,6 +283,40 @@ def test_div_fixed_matches_exact_quotient():
     want = mul(a, inv(b, n), n)
     got = div_fixed([round(c * 2 ** F) for c in a], [round(c * 2 ** F) for c in b], n, F)
     assert all(abs(g - w * 2 ** F) <= 2 ** 4 for g, w in zip(got, want))
+
+
+def test_power_walk_and_conversions_of_the_fixed_point_layer():
+    # the walk against mpmath at F + 64 bits on the walked w itself: within j
+    # units of 2^-F per part after j steps while |w| <= 1 (fix truncates
+    # toward zero, so the fixed w is no larger than the given one)
+    F, n = 96, 300
+    for w in (mpmath.expjpi(mpf(3) / 7), mpmath.mpc("0.3", "-0.45"),
+              mpmath.mpc("-0.999", "0.01"), mpmath.mpc("0.5", "0")):
+        c, s = fix(w, F)
+        px, py = powers(c, s, F, n)
+        with mp.workprec(F + 64):
+            step, z = unfix(c, s, -F), mpmath.mpc(1)
+            for j, (x, y) in enumerate(zip(px, py)):
+                assert abs(x - mpmath.ldexp(z.real, F)) <= j
+                assert abs(y - mpmath.ldexp(z.imag, F)) <= j
+                z *= step
+        # a walk started at w is the walk from 1 without its first, exact step
+        assert powers(c, s, F, n - 1, (c, s)) == tuple(p[1:] for p in (px, py))
+    # no fraction bits: the exact powers of a Gaussian integer
+    px, py = powers(12345, -6789, 0, 20)
+    with mp.workprec(1000):
+        assert all(mpmath.mpc(x, y) == mpmath.mpc(12345, -6789) ** j
+                   for j, (x, y) in enumerate(zip(px, py)))
+    # shifted rounds down, also for negative v and s
+    assert [shifted(v, t) for v, t in ((-5, -1), (5, -1), (-1, -10), (-5, 2))] == [-3, 2, -1, -20]
+    # fix truncates each part toward zero, and unfix brings it back within 2^-F
+    assert fix(mpf("-2.75"), 1) == (-5, 0) and fix(mpmath.mpc("2.75", "-2.75"), 1) == (5, -5)
+    F = 80
+    for z in (mpmath.mpc(pi, -mpmath.e), -mpf(1) / 3, mpmath.mpc("-1e-30", "7.5")):
+        with mp.workprec(F + 64):
+            back = unfix(*fix(z, F), -F)
+            assert abs(back.real - z.real) < mpf(2) ** -F
+            assert abs(back.imag - z.imag) < mpf(2) ** -F
 
 
 def test_recip_requires_unit():

@@ -326,6 +326,14 @@ def test_principal_part_matches_c_from_q():
                 assert abs(c.value - c_from_q(h, k, ell, N, PREC).value) < mpf(2) ** -230
 
 
+def test_principal_part_refuses_a_pole_beyond_N():
+    # 1/3 is no pole at N = 2: the same ValueError as q_general and c_from_q
+    for call in (lambda: principal_part(1, 3, 2), lambda: q_general(1, 3, 1, 2),
+                 lambda: c_from_q(1, 3, 1, 2)):
+        with pytest.raises(ValueError, match="need 1 <= k <= N"):
+            call()
+
+
 def test_c011_of_one():
     # 1/(1-q) = -1/(q-1): single-factor decomposition
     assert abs(c01l_exact(1, 1, 128).value + 1) < mpf(2) ** -100
@@ -498,6 +506,15 @@ def test_q01_exact_takes_a_dyadic_sigma_and_an_exact_zero():
     assert abs(q01_exact(300, 300 * 301 // 4, 64).value) < mpf(2) ** (16 - 64)
     with pytest.raises(ValueError):
         q01_exact(4, mpc(1, 1), PREC)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_laurent_oracle_refuses_N_below_1(N):
+    # refused on entry, not by a math domain error inside the Laurent core
+    with pytest.raises(ValueError, match="need N >= 1"):
+        q01_exact(N, 1)
+    with pytest.raises(ValueError, match="need 1 <= ell <= N"):
+        c01l_exact(N, 1)
 
 
 def test_bernoulli_table_matches_exact_and_zeta_values():

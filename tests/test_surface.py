@@ -94,3 +94,12 @@ def test_every_oracle_is_used_by_the_test_it_names():
             body = next(ast.get_source_segment(source, node) for node in ast.parse(source).body
                         if isinstance(node, ast.FunctionDef) and node.name == test)
             assert f"{name}(" in body, (name, test)
+
+
+def test_fixed_point_conversions_live_in_pfrac_fixed():
+    # the fixed-point format (x + i y) 2^-F has one home: every other module
+    # converts through fixed.fix and fixed.unfix instead of hand-rolling them
+    patterns = ("int(mpmath.ldexp(", "mpc(mpf((")
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        found = [p for p in patterns if p in path.read_text()]
+        assert found == (list(patterns) if path.name == "fixed.py" else []), path.name

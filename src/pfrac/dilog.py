@@ -9,13 +9,16 @@ w(A, -B) is the conjugate of w(A, B).  The zero w(0, -1) and its companion
 saddle point z0 = 1 + log(1 - w(0,-1))/(2 pi i) drive all the asymptotic
 expansions in this package.
 
-The power series sum z^n/n^2 (`_li2_series`) runs on complex fixed-point
-integers.  `_phase_at` and `_v_at` (p_d and v) take a precomputed
-e^{2 pi i z}, so the contour integrand shares one exponential among them.
+The power series sum z^n/n^2 (`_li2_series`) and the Bernoulli series in
+mu = log z (`_li2_log_series`, the one series behind the annulus and
+Clausen's integral) run on complex fixed-point integers.  `_phase_at` and
+`_v_at` (p_d and v) take a precomputed e^{2 pi i z}, so the contour
+integrand shares one exponential among them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +27,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from .fixed import fix, powers, unfix
 from .precision import HPComplex, HPReal, resolve_precision, to_mpc, tolerance
-from .sequences import bernoulli_over_factorial
+from .sequences import bernoulli_table
 
 
 class ConvergenceError(RuntimeError):
@@ -55,27 +58,37 @@ def _li2_series(z):
     return unfix(sx, sy, -F) * zv
 
 
+_ANNULUS_BITS = -math.log2(math.hypot(math.log(2), math.pi) / (2 * math.pi))
+"""-log2(|mu|/2 pi) at the largest |mu| = |log z| on the annulus 1/2 < |z| < 2."""
+
+
+def _log_series_terms(F: int, bits) -> int:
+    """Terms k that carry `_li2_log_series` below 2^-F at |mu|/2 pi = 2^-bits."""
+    return int((F + 4) / (2 * bits)) + 1
+
+
 def _li2_log_series(mu, logneg):
-    """Li2(e^mu) for |mu| < 2 pi, given the branch value log(-mu).
+    """Li2(e^mu) for |mu| <= sqrt(log^2 2 + pi^2), given the branch value log(-mu).
 
     Li2(e^mu) = zeta(2) + mu - mu log(-mu) - mu^2/4
                 - sum_{k>=1} B_{2k} mu^{2k+1} / (2k (2k)! (2k+1)).
+    The sum runs in complex fixed point at F = prec + 24 fraction bits: the
+    mu^{2k+1} come from one power walk in mu^2, each times the mantissa of
+    |B_{2k}/(2k)!| from `sequences.bernoulli_table` and one floor division.
+    The terms fall like (|mu|/2 pi)^{2k}, which fixes their count up front;
+    the table is built once per precision for the annulus bound on |mu| and
+    read as a prefix.
     """
-    total = _zeta2() + mu - mu * logneg - mu ** 2 / 4
-    mu2 = mu ** 2
-    power = mu  # mu^{2k-1}
-    eps = mpf(2) ** (-mp.prec - 8)
-    k = 1
-    while True:
-        power *= mu2
-        term = bernoulli_over_factorial(k, mp.prec + 16) * power / ((2 * k) * (2 * k + 1))
-        total -= term
-        if abs(term) < eps:
-            break
-        k += 1
-        if k > 4 * mp.prec:
-            raise ConvergenceError("dilogarithm log-series did not converge")
-    return total
+    F = mp.prec + 24
+    table = bernoulli_table(_log_series_terms(F, _ANNULUS_BITS), F)
+    K = _log_series_terms(F, -mpmath.log(abs(mu) / (2 * pi), 2))
+    px, py = powers(*fix(mu * mu, F), F, K + 1, start=fix(mu, F))  # mu^{2k+1} 2^F
+    sx = sy = 0
+    for k, (man, e), x, y in zip(range(1, K + 1), table, px[1:], py[1:]):
+        d = (-1) ** (k + 1) * 2 * k * (2 * k + 1)
+        sx += (man * x >> -e) // d
+        sy += (man * y >> -e) // d
+    return _zeta2() + mu - mu * logneg - mu ** 2 / 4 - unfix(sx, sy, -F)
 
 
 def _li2_any(z):
@@ -118,7 +131,10 @@ def _li2_any(z):
 
 
 def clausen(theta, prec: int | None = None) -> HPReal:
-    """Clausen's integral Cl2(theta) = Im Li2(e^{i theta}); odd, 2pi-periodic."""
+    """Clausen's integral Cl2(theta) = Im Li2(e^{i theta}); odd, 2pi-periodic.
+
+    theta is reduced to (0, pi], where Cl2 is the imaginary part of
+    `_li2_log_series` at mu = i theta."""
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         t = to_mpc(theta).real
@@ -133,20 +149,8 @@ def clausen(theta, prec: int | None = None) -> HPReal:
             sign, t = -1, -t
         if t == 0:
             return HPReal(mpf(0), prec)
-        # Cl2(t) = t - t log t + sum_{r>=1} |B_{2r}| t^{2r+1} / (2r (2r+1)!)
-        total = t - t * mpmath.log(t)
-        t2 = t * t
-        power = t
-        eps = mpf(2) ** (-mp.prec - 8)
-        r = 1
-        while True:
-            power *= t2
-            term = abs(bernoulli_over_factorial(r, mp.prec + 16)) * power / ((2 * r) * (2 * r + 1))
-            total += term
-            if term < eps:
-                break
-            r += 1
-        return HPReal(sign * total, prec)
+        mu = mpc(0, t)
+        return HPReal(sign * _li2_log_series(mu, mpmath.log(-mu)).imag, prec)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ Phat(x) = S_1(N) x/2 + sum_k B_{2k} S_{2k}(N) x^{2k} / (2k (2k)!),
 with S_r(N) = sum_{j<=N} j^r, so a single series exponential produces every
 coefficient.  That exponential runs on fixed-point integers
 (`fixed.exp_fixed`) after the scaling x -> 2^-r x of `_laurent_core`, which
-takes its B_{2i}/(2i)! from one fixed-point series division
-(`_bernoulli_table`).  `_oracle_sum` reads a coefficient of a product with
-the core exactly on integers.  This lives outside `residues` because the
-benchmark workers compile pfrac from source, and the compile of the
-largest module sets a floor under their peak memory.  Single-threaded, like
-`residues`: the core's cache takes no lock, and it computes in mpmath's
-global `mp` context.
+takes its B_{2i}/(2i)! from the fixed-point table `sequences.bernoulli_table`
+that the dilogarithm and the pole inverses share.  `_oracle_sum` reads a
+coefficient of a product with the core exactly on integers.  This lives
+outside `residues` because the benchmark workers compile pfrac from source,
+and the compile of the largest module sets a floor under their peak
+memory.  Single-threaded, like `residues`: the core's cache takes no lock,
+and it computes in mpmath's global `mp` context.
 """
 
 from __future__ import annotations
@@ -23,50 +23,15 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import pi_fixed
 
-from .fixed import div_fixed, exp_fixed, man_exp, shifted
-from .sequences import even_power_sums
+from .fixed import exp_fixed, man_exp, shifted
+from .sequences import bernoulli_table, even_power_sums
 
 
 def _laurent_guard(N: int) -> int:
     """Fraction bits `_laurent_core` carries above its target: the terms of
     its recurrence cancel by up to 0.28 N bits."""
     return N // 4 + N.bit_length()
-
-
-def _bernoulli_table(imax: int, F: int) -> list[tuple[int, int]]:
-    """[(man, e) for i = 1..imax] with |B_{2i}/(2i)!| = man 2^e to F bits;
-    the sign of B_{2i} is (-1)^{i+1}.
-
-    pi t coth(pi t) = sum_i c_i t^{2i} with c_i = B_{2i} (2 pi)^{2i}/(2i)!
-    = (-1)^{i+1} 2 zeta(2i), all between 2 and pi^2/3 in size, so one
-    fixed-point series division cosh(pi t) / (sinh(pi t)/(pi t)) in t^2
-    gives every c_i to G = F + 2 bitlen(imax) + 16 fraction bits: each step
-    of the division adds half a unit and carries the errors before it with
-    the coefficients of pi t/sinh(pi t) as weights, which stay below 2 in
-    size.  Then B_{2i}/(2i)! = c_i w^i with w = 1/(4 pi^2), its powers
-    carried as G-bit mantissas.  Both Taylor series end where their
-    fixed-point terms vanish, after some G/8 terms, so the division costs
-    O(imax G) multiplications.
-    """
-    G = F + 2 * imax.bit_length() + 16
-    pi2 = pi_fixed(G + 8) ** 2 >> G + 16  # pi^2 2^G
-    cosh = [1 << G]  # pi^{2n}/(2n)! 2^G
-    while cosh[-1]:
-        n = len(cosh)
-        cosh.append(cosh[-1] * pi2 // ((2 * n - 1) * 2 * n << G))
-    sinhc = [t // (2 * n + 1) for n, t in enumerate(cosh)]  # pi^{2n}/(2n+1)! 2^G
-    c = div_fixed(cosh, sinhc, imax + 1, G)
-    w = (1 << 2 * G + 8) // (4 * pi2)  # 2^(G+8)/(4 pi^2)
-    out, pm, pe = [], 1, 0  # w^i = pm 2^pe
-    for i in range(1, imax + 1):
-        pm, pe = pm * w, pe - G - 8
-        extra = pm.bit_length() - G
-        pm, pe = pm >> extra, pe + extra
-        man = abs(c[i]) * pm >> G
-        out.append((man, pe))
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -81,8 +46,8 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     carries each to F + fixed.EXP_SLACK significant bits: the values agree
     with whole fixed-point integers to a bit at N = 40 .. 1000, in about two
     thirds of the time.  The terms of the recurrence cancel by up to 0.28 N
-    bits.  With F = wprec + guard fraction bits, and B_{2i}/(2i)! from the
-    core's own `_bernoulli_table` at F bits, every coefficient stays within
+    bits.  With F = wprec + guard fraction bits, and B_{2i}/(2i)! from
+    `sequences.bernoulli_table` at F bits, every coefficient stays within
     2 bits of wprec at the default guard (measured against wprec + 400 bits
     for N = 20 .. 1000).  Only k f_k for k = 1 and even k are nonzero:
     -S_1/2 and -B_{2i}/(2i)! S_{2i}.  Each g_n is returned as an mpf of F
@@ -96,7 +61,7 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     ka = [0] * N
     if N > 1:
         ka[1] = -shifted(N * (N + 1), F - r - 2)
-    for i, (man, e) in enumerate(_bernoulli_table((N - 1) // 2, F), 1):
+    for i, (man, e) in enumerate(bernoulli_table((N - 1) // 2, F), 1):
         ka[2 * i] = (-1) ** i * shifted(man * S[i], e + F - 2 * i * r)
     with mp.workprec(F):
         return tuple(mpf((g, r * n - F)) for n, g in enumerate(exp_fixed(ka, N, F)))

@@ -16,18 +16,19 @@ A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
 y = 2 pi i (z - h/k), the denominator is A(0) exp(L(y)), where the constant
 A(0) = k^s prod_{j <= N mod k} (1 - zeta^{hj}) is one sine product and a
-phase, the E factors add the Bernoulli terms of Phat with N -> s, x -> k y,
-and the analytic factors add, per residue class r = hj mod k, integer power
-sums of j times the cotangent derivatives cot^{(i)}(pi r/k) of one sweep
-(`sine_products._cot_sweep`, started from the roots-of-unity table).  One
-series exponential of length s then gives the inverse.  Q_{h k sigma}(N)
-is zeta^{h sigma} times a polynomial of degree s - 1 in sigma, and
-`_pole_inverse` caches its coefficients as fixed-point integers on one
-exponent, so `_q_fixed` evaluates it exactly on integers for every sigma
-mpmath holds (all dyadic) and `residue_sum` adds its poles exactly; each
-forms one mpc at the end.  The fixed-point table of the 2k-th roots
-e^{i pi r/k} (`sine_products._roots_of_unity`) serves zeta^{h sigma}, the
-phase of A(0) and the sine product's rotation step.
+phase, the E factors add the Bernoulli terms of Phat with N -> s, x -> k y
+(B_{2l}/(2l)! from `sequences.bernoulli_table`, the table that the q = 1
+core and the dilogarithm share), and the analytic factors add, per residue
+class r = hj mod k, integer power sums of j times the cotangent derivatives
+cot^{(i)}(pi r/k) of one sweep (`sine_products._cot_sweep`, started from
+the roots-of-unity table).  One series exponential of length s then gives
+the inverse.  Q_{h k sigma}(N) is zeta^{h sigma} times a polynomial of
+degree s - 1 in sigma, and `_pole_inverse` caches its coefficients as
+fixed-point integers on one exponent, so `_q_fixed` evaluates it exactly on
+integers for every sigma mpmath holds (all dyadic) and `residue_sum` adds
+its poles exactly; each forms one mpc at the end.  The fixed-point table of
+the 2k-th roots e^{i pi r/k} (`sine_products._roots_of_unity`) serves
+zeta^{h sigma}, the phase of A(0) and the sine product's rotation step.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -45,7 +46,7 @@ import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, resolve_precision
-from .sequences import bernoulli_over_factorial, even_power_sums
+from .sequences import bernoulli_table, even_power_sums
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum
 from .fixed import man_exp, powers, to_fixed, unfix
 from .series import exp
@@ -167,7 +168,9 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
       phase and the sine product's rotation step e^{pi i h/k} come from the
       roots table.
     * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), so the E factors add
-      k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r.
+      k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r:
+      the mantissa of B_{2l}/(2l)! from `sequences.bernoulli_table` times
+      k^{2l} S_{2l}(s) is one exact integer, rounded once.
     * [y^i] log(1 - w e^{jy}) = j^i lambda_i(w), and grouping j by
       r = hj mod k gives sum_r lambda_i(zeta^r) P_i(r) with the integer power
       sums P_i(r) = sum_{j<=N, j != 0 mod k, hj = r mod k} j^i.  From
@@ -196,8 +199,9 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
         L = [mpc(0)] * s  # [y^i] L(y)
         L[1] = mpf(N * (N + 1)) / 4
         S = even_power_sums((s - 1) // 2, s)
-        for l in range(1, (s - 1) // 2 + 1):
-            L[2 * l] += bernoulli_over_factorial(l, wprec) * mpf(k) ** (2 * l) * S[l] / (2 * l)
+        for l, (man, e) in enumerate(bernoulli_table((s - 1) // 2, wprec), 1):
+            term = mpmath.fdiv((-1) ** (l + 1) * man * k ** (2 * l) * S[l], 2 * l)
+            L[2 * l] += mpmath.ldexp(term, e)  # B_{2l} k^{2l} S_{2l}(s) / (2l (2l)!)
         P = [[0] * s for _ in range(k)]  # P[r][i]
         for j in range(1, N + 1):
             if j % k:

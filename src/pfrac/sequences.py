@@ -1,15 +1,12 @@
 """Exact integer/rational sequence caches: Bernoulli numbers, Stirling set
-numbers, factorials, half-integer binomial coefficients and even power sums.
+numbers, factorials, half-integer binomial coefficients and even power sums,
+and the one fixed-point table of B_{2i}/(2i)! (`bernoulli_table`).
 
 Caches are shared, and callers never mutate returned values.  The exact
-caches grow append-only.  The even power sums and the floating-point
-B_{2k}/(2k)! are LRU caches (4 and 1024 entries): each pole inverse asks for
-about s/2 values of B_{2k}/(2k)! at its own working precision, while the
-dilogarithm series of a landscape benchmark run reuse 365 entries.  The
-q = 1 Laurent core builds its own table of B_{2k}/(2k)! by one series
-division (`laurent._bernoulli_table`) and takes only its power sums here.
-Single-threaded: the caches take no locks, and mpmath's global `mp` context,
-which `bernoulli_over_factorial` computes in, is not thread-safe either.
+caches grow append-only; the even power sums and the Bernoulli table are
+LRU caches.  The table feeds the q = 1 Laurent core, the E factors of each
+pole inverse and the dilogarithm's log-series, which reads a prefix of one
+table per working precision.  Single-threaded: the caches take no locks.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import pi_fixed
 
-from .precision import resolve_precision
+from .fixed import div_fixed
 
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
 _stirling2: list[list[int]] = [[1]]                 # triangle rows
@@ -51,22 +47,40 @@ def bernoulli_over_factorial_fraction(k: int) -> Fraction:
     return Fraction(bernoulli(2 * k), factorial(2 * k))
 
 
-def bernoulli_over_factorial(k: int, prec: int | None = None) -> mpf:
-    """B_{2k}/(2k)! at `prec` bits, via 2*zeta(2k)/(2*pi)^(2k).
+@lru_cache(maxsize=32)
+def bernoulli_table(imax: int, F: int) -> tuple[tuple[int, int], ...]:
+    """((man, e) for i = 1..imax) with |B_{2i}/(2i)!| = man 2^e to F bits;
+    the sign of B_{2i} is (-1)^{i+1}.
 
-    Used where 2k is large enough that exact rationals are impractical.
+    pi t coth(pi t) = sum_i c_i t^{2i} with c_i = B_{2i} (2 pi)^{2i}/(2i)!
+    = (-1)^{i+1} 2 zeta(2i), all between 2 and pi^2/3 in size, so one
+    fixed-point series division cosh(pi t) / (sinh(pi t)/(pi t)) in t^2
+    gives every c_i to G = F + 2 bitlen(imax) + 16 fraction bits: each step
+    of the division adds half a unit and carries the errors before it with
+    the coefficients of pi t/sinh(pi t) as weights, which stay below 2 in
+    size.  Then B_{2i}/(2i)! = c_i w^i with w = 1/(4 pi^2), its powers
+    carried as G-bit mantissas.  Both Taylor series end where their
+    fixed-point terms vanish, after some G/8 terms, so the division costs
+    O(imax G) multiplications.  G depends on imax, so a prefix of a longer
+    table differs from a shorter table in its last bits.
     """
-    return _bernoulli_over_factorial(k, resolve_precision(prec))
-
-
-@lru_cache(maxsize=1024)
-def _bernoulli_over_factorial(k: int, prec: int) -> mpf:
-    """bernoulli_over_factorial at a resolved precision, cached per (k, prec)."""
-    if k == 0:
-        return mpf(1)
-    with mp.workprec(prec + 16):
-        val = 2 * mpmath.zeta(2 * k) / (2 * mpmath.pi) ** (2 * k)
-        return +val if k % 2 == 1 else -val
+    G = F + 2 * imax.bit_length() + 16
+    pi2 = pi_fixed(G + 8) ** 2 >> G + 16  # pi^2 2^G
+    cosh = [1 << G]  # pi^{2n}/(2n)! 2^G
+    while cosh[-1]:
+        n = len(cosh)
+        cosh.append(cosh[-1] * pi2 // ((2 * n - 1) * 2 * n << G))
+    sinhc = [t // (2 * n + 1) for n, t in enumerate(cosh)]  # pi^{2n}/(2n+1)! 2^G
+    c = div_fixed(cosh, sinhc, imax + 1, G)
+    w = (1 << 2 * G + 8) // (4 * pi2)  # 2^(G+8)/(4 pi^2)
+    out, pm, pe = [], 1, 0  # w^i = pm 2^pe
+    for i in range(1, imax + 1):
+        pm, pe = pm * w, pe - G - 8
+        extra = pm.bit_length() - G
+        pm, pe = pm >> extra, pe + extra
+        man = abs(c[i]) * pm >> G
+        out.append((man, pe))
+    return tuple(out)
 
 
 def stirling2(n: int, r: int) -> int:

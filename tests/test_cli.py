@@ -97,7 +97,7 @@ def test_zeros_output_is_pinned(capsys):
     code, out = run_cli(capsys, "zeros")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "b8eb1cd8cc1238b6a24424f5756490b46bdd229359c5df12572e6ae968b57d6c")
+            == "c222acd1476b578189bdf6f1730e523b3af53baac0991fa4a0e4b8159ba86299")
     rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
     assert rows and all(mpf(r["residual"]) < tolerance(default_precision()) for r in rows)
 

@@ -18,8 +18,7 @@ import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, powers, shifted, unfix
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
-from pfrac.sequences import (bernoulli, bernoulli_over_factorial, binom_half_fraction,
-                             even_power_sums, stirling2)
+from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
 from pfrac.series import exp, inv, log, mul
 
 
@@ -99,32 +98,6 @@ def test_bernoulli_ratio_bound():
             ratio = abs(Fraction(bernoulli(2 * n), factorial(2 * n)))
             bound = pi ** 2 / (3 * (2 * pi) ** (2 * n))
             assert mpf(ratio.numerator) / ratio.denominator <= bound
-
-
-def test_bernoulli_over_factorial_matches_exact():
-    with mp.workprec(200):
-        for k in (1, 2, 7, 20):
-            exact = Fraction(bernoulli(2 * k), factorial(2 * k))
-            approx = bernoulli_over_factorial(k, 192)
-            assert abs(approx - mpf(exact.numerator) / exact.denominator) < mpf(2) ** -180
-
-
-def test_bernoulli_over_factorial_resolves_prec_before_its_cache():
-    # a warm (k, 256) entry must neither let 256.0 past the prec check nor
-    # answer a prec=None call made after the default precision changed
-    bernoulli_over_factorial(2, 256)
-    with pytest.raises(ValueError, match="prec must be an integer of at least 8 bits"):
-        bernoulli_over_factorial(2, 256.0)
-    old = set_default_precision(256)
-    try:
-        wide = bernoulli_over_factorial(3)
-        set_default_precision(64)
-        narrow = bernoulli_over_factorial(3)
-    finally:
-        set_default_precision(old)
-    # the value is rounded to prec + 16 bits: mantissa bit counts 272 and 80
-    assert narrow._mpf_[3] <= 80 < wide._mpf_[3]
-    assert abs(narrow - wide) < mpf(2) ** -60 * abs(wide)
 
 
 # -- Stirling set numbers ---------------------------------------------------------

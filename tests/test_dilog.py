@@ -60,6 +60,22 @@ def test_li2_against_mpmath_grid(rng):
         # hard annulus points, including near the sixth root of unity
         for z in (mpmath.exp(1j * pi / 3), mpc("0.6", "0.75"), mpc("-1.2", "0.1")):
             assert abs(_li2(z) - mpmath.polylog(2, z)) < mpf(2) ** -230
+    # the kernel at p bits against mpmath.polylog at p + 64, on the unit
+    # circle and across the annulus out to its bound |log z| near
+    # sqrt(log^2 2 + pi^2), where the log-series converges slowest
+    with mp.workprec(600):
+        points = [mpmath.expjpi(mpf(t) / 8) for t in range(1, 16, 2)] + [mpc(-1)]
+        points += [r * mpmath.expjpi(mpf(t) / 7) for r in (mpf("0.51"), mpf("1.9"))
+                   for t in (-6, -3, 3, 6)]
+        points += [mpc("0.6", "0.75"), mpc("-0.5001", "1e-9"), mpc("-1.999", "-1e-9")]
+    for p in (64, 256, 512):
+        for z in points:
+            with mp.workprec(p):
+                z = mpc(z)
+                got = _li2_any(z)
+            with mp.workprec(p + 64):
+                want = mpmath.polylog(2, z)
+                assert abs(got - want) <= tolerance(p) * abs(want)
 
 
 def test_li2_series_meets_precision_contract():

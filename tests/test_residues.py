@@ -17,7 +17,7 @@ from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
                             q_general, q_simple, reconstruct_product, residue_report,
                             residue_sum)
-from pfrac.sequences import bernoulli_over_factorial, bernoulli_over_factorial_fraction
+from pfrac.sequences import bernoulli_over_factorial_fraction, bernoulli_table
 from pfrac.series import exp
 
 PREC = 256
@@ -518,16 +518,17 @@ def test_laurent_oracle_refuses_N_below_1(N):
 
 
 def test_bernoulli_table_matches_exact_and_zeta_values():
-    # the core's one-division table against exact rationals (one unit of
-    # 2^-F) and against the zeta route (2^(16-F) relative) up to N = 1000
+    # the one-division table against exact rationals (one unit of 2^-F) and
+    # against 2 zeta(2i)/(2 pi)^{2i} (2^(16-F) relative) up to N = 1000
     for F in (100, 600):
-        for i, (man, e) in enumerate(laurent._bernoulli_table(40, F), 1):
+        for i, (man, e) in enumerate(bernoulli_table(40, F), 1):
             got = (-1) ** (i + 1) * Fraction(man) * Fraction(2) ** e
             assert abs(got - bernoulli_over_factorial_fraction(i)) <= Fraction(1, 2 ** F)
     F = 576 + laurent._laurent_guard(1000)
     with mp.workprec(F + 64):
-        for i, (man, e) in enumerate(laurent._bernoulli_table(499, F), 1):
-            want = bernoulli_over_factorial(i, F + 32)
+        for i, (man, e) in enumerate(bernoulli_table(499, F), 1):
+            with mp.workprec(F + 32):
+                want = (-1) ** (i + 1) * 2 * mpmath.zeta(2 * i) / (2 * pi) ** (2 * i)
             got = (-1) ** (i + 1) * mpmath.ldexp(man, e)
             assert abs(got - want) <= mpf(2) ** (16 - F) * abs(want)
 

@@ -18,7 +18,7 @@ from pfrac.dilog import clausen
 from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, _cot_sweep, _em_main_log, _g_sweep,
+from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sweep,
                                  _min_pair_product, _root_bits, _roots_of_unity, _sine_factors,
                                  _sine_product, em_length, em_remainder, em_remainder_scan,
                                  psi, t_l_bound)
@@ -347,6 +347,15 @@ def test_reciprocal_product_clausen_bound():
                 cl = float(clausen(2 * pi * m * h / mpf(k), 64).value)
                 bound = math.log(_c_of_h(h)) + k / (2 * math.pi * h) * cl
                 assert loginv <= bound + 1e-9
+
+
+def test_cl2_float_matches_clausen():
+    # the screen's float64 Clausen series against the arbitrary-precision
+    # one on a grid over (0, pi], where the screen evaluates it
+    thetas = [pi * mpf(j) / 96 for j in range(1, 97)]
+    got = _cl2_float(np.array([float(t) for t in thetas]))
+    want = [float(clausen(t, 64).value) for t in thetas]
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
 
 
 def test_reciprocal_product_small_in_upper_range():

@@ -6,6 +6,7 @@ route against.  A new export has to add its reason here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pfrac
@@ -27,7 +28,7 @@ SURFACE = {
     "ConvergenceError": "pfrac verify: exit code 4 of every command",
     "DilogZero": "pfrac zeros: find_zero's result",
     "SaddlePoint": "criterion 2: find_saddle's result",
-    "clausen": "criterion 9: the Clausen term of the Euler-Maclaurin main term",
+    "clausen": "oracle of _cl2_float: test_sine_products::test_cl2_float_matches_clausen",
     "find_saddle": "criterion 2",
     "find_zero": "criterion 1",
     "p_d": "criterion 11: path_positivity_check",
@@ -103,3 +104,13 @@ def test_fixed_point_conversions_live_in_pfrac_fixed():
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         found = [p for p in patterns if p in path.read_text()]
         assert found == (list(patterns) if path.name == "fixed.py" else []), path.name
+
+
+def test_bernoulli_table_lives_in_pfrac_sequences():
+    # B_{2i}/(2i)! past the exact Fractions has one home,
+    # sequences.bernoulli_table, and no module takes them from zeta
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        tables = re.findall(r"def (\w*bernoulli\w*table)\(", text)
+        assert tables == (["bernoulli_table"] if path.name == "sequences.py" else []), path.name
+        assert "mpmath.zeta(" not in text, path.name

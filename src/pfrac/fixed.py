@@ -3,13 +3,16 @@
 A complex number is held as an integer pair (x, y) standing for
 (x + i y) 2^-F, F the fraction bits; a real one is the pair's x.  `fix`
 and `to_fixed` put mpmath numbers into the format, `unfix` takes a pair
-back out, and `powers` is the truncated complex power walk that the sine
-products, the roots of unity, the cotangent sweep, the dilogarithm series
-and the exact powers of sigma are built from.  `exp_fixed` and `div_fixed`
-run the series exponential and division on fixed-point coefficients.
+back out, and `powers` is the truncated complex power walk that the roots
+of unity, the cotangent sweep, the dilogarithm series and the exact powers
+of sigma are built from.  `power` takes one power by binary powering: the
+simple-pole residues take their phases e^{i pi M/(2k)} and their sine
+steps e^{i pi h/k} as powers of one e^{i pi/(2k)}.  `exp_fixed` and
+`div_fixed` run the series exponential and division on fixed-point
+coefficients.
 
 Each kernel keeps its own rounding rule, and the results depend on it: the
-walk and `shifted` round down (`>>`), `fix` truncates toward zero,
+walk, the power and `shifted` round down (`>>`), `fix` truncates toward zero,
 `to_fixed` rounds down, and `exp_fixed`/`div_fixed` round to nearest.
 The truncating multiply and the conversions follow Brent & Zimmermann,
 Modern Computer Arithmetic (CUP 2010), ch. 3.
@@ -73,6 +76,27 @@ def powers(c: int, s: int, F: int, n: int, start=None) -> tuple[list, list]:
         px.append(x)
         py.append(y)
     return px, py
+
+
+def power(c: int, s: int, F: int, n: int) -> tuple[int, int]:
+    """(x, y): w^n for w = (c + i s) 2^-F and n >= 0, as the fixed-point pair
+    x + i y on F bits, by binary powering (squarings of w times the powers
+    that the bits of n select).
+
+    Each product is truncated by `>> F` as in `powers`, and while |w| <= 1
+    a product of two powers with errors a and b has an error under
+    a + b + sqrt(2) units of 2^-F (to first order); so w^n is within
+    sqrt(2) (n - 1) units of the exact n-th power of the given w, the bound
+    of the walk, in about 2 log2(n) products instead of n.  With F = 0 the
+    power is exact."""
+    x, y = 1 << F, 0
+    while n:
+        if n & 1:
+            x, y = (x * c - y * s) >> F, (x * s + y * c) >> F
+        n >>= 1
+        if n:
+            c, s = (c * c - s * s) >> F, (2 * c * s) >> F
+    return x, y
 
 
 EXP_SLACK = 32

@@ -47,7 +47,8 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     with whole fixed-point integers to a bit at N = 40 .. 1000, in about two
     thirds of the time.  The terms of the recurrence cancel by up to 0.28 N
     bits.  With F = wprec + guard fraction bits, and B_{2i}/(2i)! from
-    `sequences.bernoulli_table` at F bits, every coefficient stays within
+    `sequences.bernoulli_table` at F bits (built past its cache, which would
+    only hold tables no one asks for again), every coefficient stays within
     2 bits of wprec at the default guard (measured against wprec + 400 bits
     for N = 20 .. 1000).  Only k f_k for k = 1 and even k are nonzero:
     -S_1/2 and -B_{2i}/(2i)! S_{2i}.  Each g_n is returned as an mpf of F
@@ -61,7 +62,8 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     ka = [0] * N
     if N > 1:
         ka[1] = -shifted(N * (N + 1), F - r - 2)
-    for i, (man, e) in enumerate(bernoulli_table((N - 1) // 2, F), 1):
+    # uncached: this core is cached itself and asks for each table once
+    for i, (man, e) in enumerate(bernoulli_table.__wrapped__((N - 1) // 2, F), 1):
         ka[2 * i] = (-1) ** i * shifted(man * S[i], e + F - 2 * i * r)
     with mp.workprec(F):
         return tuple(mpf((g, r * n - F)) for n, g in enumerate(exp_fixed(ka, N, F)))

@@ -10,7 +10,10 @@ The Laurent oracle takes the coefficients of exp(-Phat(x)) from
 bits above the label and checks each value against a shadow core built the
 same way, with the same cancellation guard, at a 64-bit target (`_oracle`).
 The simple-pole residues take their sine products from the integer product
-kernel `sine_products._sine_product`.
+kernel `sine_products._sine_product` (the three-term sine recurrence), and
+`_simple_residues` makes one e^{i pi/(2k)} per k: for integer sigma each
+phase is a power of it, and the step e^{i pi h/k} of the sine recurrence is
+its 2h-th power (`fixed.power`), so a pair h, k - h costs one expjpi.
 
 A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
@@ -28,7 +31,7 @@ fixed-point integers on one exponent, so `_q_fixed` evaluates it exactly on
 integers for every sigma mpmath holds (all dyadic) and `residue_sum` adds
 its poles exactly; each forms one mpc at the end.  The fixed-point table of
 the 2k-th roots e^{i pi r/k} (`sine_products._roots_of_unity`) serves
-zeta^{h sigma}, the phase of A(0) and the sine product's rotation step.
+zeta^{h sigma}, the phase of A(0) and the sine product's recurrence step.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import comb, gcd
 from operator import add, mul, sub
 
@@ -48,9 +52,10 @@ from mpmath import mp, mpc, mpf, pi
 from .precision import HPComplex, HPReal, resolve_precision
 from .sequences import bernoulli_table, even_power_sums
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum
-from .fixed import man_exp, powers, to_fixed, unfix
+from .fixed import fix, man_exp, power, powers, to_fixed, unfix
 from .series import exp
-from .sine_products import _cot_sweep, _root, _root_bits, _roots_of_unity, _sine_product
+from .sine_products import (_cot_sweep, _root, _root_bits, _roots_of_unity, _sine_bits,
+                            _sine_product)
 
 class PrecisionLossError(RuntimeError):
     """Cancellation destroyed more than the allowed share of working bits."""
@@ -120,8 +125,9 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
 
     Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
         e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k)),
-    with the sine product from the integer kernel `_sine_product`.  sigma may
-    be real.
+    with the sine product from the integer kernel `_sine_product` and, for
+    integer sigma, the phase and the sine step as powers of one e^{i pi/(2k)}
+    (`_simple_residues`).  sigma may be real.
     """
     if not (N / 2 < k <= N):
         raise ValueError("simple-pole residue needs N/2 < k <= N")
@@ -130,16 +136,39 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     with mp.workprec(prec + 16):
-        product = _sine_product(h, k, N - k, prec + 16)
-        return HPComplex(_q_simple_at(h, k, sigma, N, product), prec)
+        return HPComplex(_simple_residues(k, (h,), sigma, N, prec + 16)[0], prec)
 
 
-def _q_simple_at(h: int, k: int, sigma, N: int, product):
-    """q_simple's closed form at the working precision, given its sine product;
-    its two phase factors multiply to e^{pi i M/(2k)}, with M reduced mod 4k
-    (exactly for integer sigma)."""
-    M = k * (2 * N * h + N + h + k - h * k) - h * (N * N + N - 4 * sigma)
-    return (-1) ** (k + 1) / mpf(k) ** 2 * mpmath.expjpi(mpf(M % (4 * k)) / (2 * k)) / product
+def _simple_residues(k: int, hs: tuple, sigma, N: int, wp: int) -> list:
+    """[Q_{h k sigma}(N) for h in hs] at wp bits, for simple poles h/k: one h,
+    or a pair h, k - h, which shares one sine product since
+    2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k).
+
+    The sign and the two phase factors of q_simple multiply to
+    e^{i pi M/(2k)}, M reduced mod 4k, and the sign (-1)^{m(m+3)/2} of the
+    partner's sine product, m = N - k, adds 2k m(m+3)/2 to its M.  One
+    expjpi gives w = e^{i pi/(2k)} in fixed point, with bitlen(4k) + 2 bits
+    above the sine recurrence's: for integer sigma each phase is the power
+    w^{M mod 4k} (`fixed.power`), and for every sigma the sine step
+    e^{i pi h/k} is w^{2h}.  A non-integer sigma takes one expjpi per
+    phase.  Each residue is then its phase times one 1/(k^2 prod).
+    """
+    m = N - k
+    h = min(hs)
+    F = _sine_bits(k, m, wp) + (4 * k).bit_length() + 2
+    with mp.workprec(F + 8):
+        c, s = fix(mpmath.expjpi(mpf(1) / (2 * k)), F)
+    scale = 1 / (k * k * _sine_product(h, k, m, wp, (*power(c, s, F, 2 * h), F)))
+    out = []
+    for g in hs:
+        signs = k + 1 + (m * (m + 3) // 2 if g != h else 0)  # each sign is w^{2k} = -1
+        M = k * (2 * N * g + N + g + k - g * k + 2 * signs) - g * (N * N + N - 4 * sigma)
+        M %= 4 * k
+        if isinstance(sigma, int):
+            out.append(unfix(*power(c, s, F, M), -F) * scale)
+        else:
+            out.append(mpmath.expjpi(mpf(M) / (2 * k)) * scale)
+    return out
 
 
 def _norm_sigma(sigma):
@@ -165,8 +194,8 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
       s full cycles of residues gives prod_{r<k} (1 - zeta^r) = k; and
       1 - zeta^{hj} = -i 2 sin(pi h j/k) e^{pi i h j/k}, so the partial product
       is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.  Both the
-      phase and the sine product's rotation step e^{pi i h/k} come from the
-      roots table.
+      phase and the sine product's recurrence step e^{pi i h/k} come from
+      the roots table.
     * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), so the E factors add
       k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r:
       the mantissa of B_{2l}/(2l)! from `sequences.bernoulli_table` times
@@ -427,9 +456,10 @@ class FamilySelector:
 def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPReal:
     """Sum of Q_{h k sigma}(N) over the family; real by conjugate symmetry.
 
-    In families A, C and D the pair h, k - h shares one sine product, as
-    2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k); both residues are still
-    formed, so the imaginary-part check keeps testing their phases.
+    In families A, C and D the fractions at each k are a pair h, k - h (or
+    one h), evaluated together by `_simple_residues` from one sine product
+    and one e^{i pi/(2k)}; both residues are still formed, so the
+    imaginary-part check keeps testing their phases.
     """
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
@@ -437,19 +467,15 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
     if not fractions:
         raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
     wp = prec + 16
-    products = {}  # k -> sine product of the smaller h of the pair at k
     with mp.workprec(wp):
         total = mpc(0)
-        for f in fractions:
-            if sel.tag == "E":
+        if sel.tag == "E":
+            for f in fractions:
                 total += q_general(f.h, f.k, sigma, sel.N, wp).value
-                continue
-            m = sel.N - f.k
-            if 2 * f.h > f.k and f.k in products:
-                product = (-1) ** (m * (m + 3) // 2) * products[f.k]
-            else:
-                product = products[f.k] = _sine_product(f.h, f.k, m, wp)
-            total += _q_simple_at(f.h, f.k, sigma, sel.N, product)
+        else:
+            for k, pair in groupby(fractions, key=lambda f: f.k):
+                for q in _simple_residues(k, tuple(f.h for f in pair), sigma, sel.N, wp):
+                    total += q
         if abs(total.imag) > mpf(2) ** (-prec // 2) * (1 + abs(total.real)):
             raise PrecisionLossError(f"family {sel.tag} sum has a large imaginary part")
     return HPReal(total.real, prec)

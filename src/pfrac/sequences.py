@@ -6,7 +6,9 @@ Caches are shared, and callers never mutate returned values.  The exact
 caches grow append-only; the even power sums and the Bernoulli table are
 LRU caches.  The table feeds the q = 1 Laurent core, the E factors of each
 pole inverse and the dilogarithm's log-series, which reads a prefix of one
-table per working precision.  Single-threaded: the caches take no locks.
+table per working precision; the core, cached itself, builds its tables
+past the cache (`bernoulli_table.__wrapped__`).  Single-threaded: the caches
+take no locks.
 """
 
 from __future__ import annotations

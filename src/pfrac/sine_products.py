@@ -4,19 +4,24 @@ statistics that decide which residues dominate.
 The central objects are the products prod_{j<=m} 2 sin(pi j h/k), the
 remainder T_L left after truncating the Euler-Maclaurin expansion of their
 logarithm, and the maximum statistic Psi(h/k) over partial products.  Every
-sine in the package is the imaginary part of a power walk of e^{i pi h/k}
-(`fixed.powers`, through `_rotation`).  `_sine_product` multiplies those
-sines into one integer mantissa, renormalised by a shift after each factor,
-and builds a single mpf at the end, so the products (up to e^{0.148 k} for
-h = 1) cost no mpf arithmetic.  Each Psi walk is a run of exact integer
-prefix sums over a fixed-point table of -log 2 sin(pi r/k).  Cotangent
-derivatives of every order up to n come from one exponential and the power
-walk of one number (`_cot_sweep`), and the g_l of the Euler-Maclaurin
-expansion from one such sweep (`_g_sweep`).  The float64 screen of
-`em_remainder_scan` runs over whole blocks of (k, m) pairs as numpy arrays.
-The residues take their roots of unity e^{i pi r/k} from the fixed-point
-table `_roots_of_unity`, whose entry r = h is also the rotation step of
-their sine products.
+sine in the package comes from Goertzel's three-term recurrence
+sin((j+1) theta) = 2 cos theta sin(j theta) - sin((j-1) theta) on
+fixed-point integers (`_sines`), one real product per sine.
+`_sine_product` multiplies those sines into one integer mantissa,
+renormalised by a shift after each factor, walks the shorter of m and its
+complement k - 1 - m, and builds a single mpf at the end, so the products
+(up to e^{0.148 k} for h = 1) cost no mpf arithmetic.  The factors of the
+Psi table come from the same recurrence (`_sine_factors`), and each Psi
+walk is a run of exact integer prefix sums over a fixed-point table of
+-log 2 sin(pi r/k).  Cotangent derivatives of every order up to n come from
+one exponential and the power walk of one number (`_cot_sweep`), and the
+g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).  The
+float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
+pairs as numpy arrays.
+The pole inverses take their roots of unity e^{i pi r/k} from the
+fixed-point table `_roots_of_unity`, whose entry r = h is also the
+recurrence step of their sine products; the simple-pole residues take theirs
+as powers of one e^{i pi/(2k)} (`residues._simple_residues`).
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -39,62 +44,83 @@ import numpy as np
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
-from .fixed import fix, powers, unfix
+from .fixed import fix, powers, shifted, unfix
 from .precision import HPReal, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
 
-def _rotation(h: int, k: int, m: int, wp: int, step=None) -> list:
-    """[sin(pi j h/k) 2^wp for j = 1..m] as integers: the imaginary parts of
-    the power walk (`fixed.powers`) of e^{i pi h/k} on wp fraction bits.
+def _sine_bits(k: int, m: int, prec: int) -> int:
+    """Fraction bits of the sine recurrence for m factors of step pi h/k good
+    to `prec` bits: bitlen(m) + 3 bitlen(k) guard bits (see `_sines`)."""
+    return prec + m.bit_length() + 3 * k.bit_length()
 
-    Each step adds about one unit of 2^-wp to the error while the smallest
-    sine is about pi/k, so callers give wp bitlen(m) + bitlen(k) guard bits
-    over the precision they need.  The step e^{i pi h/k} costs one expjpi
-    unless a caller passes it as fixed-point integers (x, y, bits),
-    e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
-    """
+
+def _sines(h: int, k: int, m: int, wp: int, step=None) -> list:
+    """[sin(j theta) 2^wp for j = 1..m] as integers, theta = pi h/k, by
+    Goertzel's three-term recurrence
+    sin((j+1) theta) = 2 cos theta sin(j theta) - sin((j-1) theta):
+    one real product truncated by `>> wp` per sine.  The step e^{i pi h/k}
+    costs one expjpi unless a caller passes it as fixed-point integers
+    step = (x, y, bits), e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
+
+    A unit of rounding at step i reaches step j multiplied by
+    sin((j-i) theta)/sin theta, and the step's own error shifts theta by
+    about one unit over sin theta, so after j steps the error is under about
+    2 j/sin theta <= j k units of 2^-wp (Gentleman, Comput. J. 12, 1969).
+    Against sines no smaller than 2/k, and summed over the factors of a
+    product, that fits the bitlen(m) + 3 bitlen(k) guard bits of
+    `_sine_bits`."""
     if step is None:
-        with mp.workprec(wp):
-            c, s = fix(mpmath.expjpi(mpf(h) / k), wp)
-    else:
-        x, y, bits = step
-        c, s = x >> (bits - wp), y >> (bits - wp)
-    return powers(c, s, wp, m + 1)[1][1:]
+        with mp.workprec(wp + 8):
+            step = (*fix(mpmath.expjpi(mpf(h) / k), wp), wp)
+    x, y, bits = step
+    c2, s = shifted(x, wp + 1 - bits), shifted(y, wp - bits)  # 2 cos theta, sin theta
+    out, prev = [], 0
+    for _ in range(m):
+        out.append(s)
+        prev, s = s, (c2 * s >> wp) - prev
+    return out
 
 
 def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
     """Signed factors 2 sin(pi j h/k), j = 1..m, good to `prec` bits each."""
-    wp = prec + m.bit_length() + k.bit_length()
+    wp = _sine_bits(k, m, prec)
     with mp.workprec(wp):
-        return [mpf((y, 1 - wp)) for y in _rotation(h, k, m, wp)]
+        return [mpf((y, 1 - wp)) for y in _sines(h, k, m, wp)]
 
 
 def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
-    """prod_{j<=m} 2 sin(pi j h/k) as an mpf of `prec` bits, good to `prec` bits.
+    """prod_{j<=m} 2 sin(pi j h/k) for (h, k) = 1 and 0 <= m < k, as an mpf of
+    `prec` bits, good to `prec` bits.
 
-    The product is held as acc 2^e: after each factor, acc is shifted right
-    to wp bits, which costs at most one unit of 2^-wp in relative error,
-    and the sign is the parity of the negative factors.  `step`, if given,
-    is the rotation's step (see `_rotation`) with at least
-    wp = prec + bitlen(m) + bitlen(k) bits.
+    The sines come from the recurrence of `_sines`, and the product is held
+    as acc 2^e with a signed acc, shifted right to wp bits after each
+    factor, which costs at most one unit of 2^-wp in relative error.  Where
+    the complement k - 1 - m is shorter than m, the walk takes it instead:
+    prod_{j<k} 2 sin(pi j h/k) = (-1)^{(h-1)(k-1)/2} k and
+    2 sin(pi (k-i) h/k) = (-1)^{h+1} 2 sin(pi i h/k), so
+    prod_{j<=m} = (-1)^{(h-1)(k-1)/2 + (h+1)(k-1-m)} k / prod_{j<=k-1-m},
+    rounded once.  `step`, if given, is e^{i pi h/k} as in `_sines`, with
+    at least `_sine_bits(k, m, prec)` bits.
     """
-    wp = prec + m.bit_length() + k.bit_length()
-    acc, e, negative = 1 << wp, -wp, False
-    for y in _rotation(h, k, m, wp, step):
-        if y < 0:
-            y, negative = -y, not negative
+    n = min(m, k - 1 - m)
+    wp = _sine_bits(k, n, prec)
+    acc, shift = 1 << wp, 0
+    for y in _sines(h, k, n, wp, step) if n else ():
         acc *= y
         excess = acc.bit_length() - wp
         acc >>= excess
-        e += excess + 1 - wp
+        shift += excess
+    with mp.workprec(wp):
+        product = mpf((acc, shift - (n + 1) * wp + n))  # exact: acc has wp bits
     with mp.workprec(prec):
-        return mpf((-acc if negative else acc, e))
+        return +product if n == m else (-1) ** ((h - 1) * (k - 1) // 2 + (h + 1) * n) * k / product
 
 
 def _root_bits(k: int, wprec: int) -> int:
-    """Fraction bits of the roots table at (k, wprec): enough for the rotation
-    step of `_sine_product(h, k, m, wprec)`, m < k."""
-    return wprec + 2 * k.bit_length()
+    """Fraction bits of the roots table at (k, wprec): at least the
+    `_sine_bits(k, m, wprec)` of the recurrence step of
+    `_sine_product(h, k, m, wprec)` for every m < k."""
+    return wprec + 4 * k.bit_length()
 
 
 @lru_cache(maxsize=256)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -16,7 +17,7 @@ from mpmath import mp, mpf, pi
 
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
-from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, powers, shifted, unfix
+from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted, unfix
 from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
 from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
 from pfrac.series import exp, inv, log, mul
@@ -275,11 +276,20 @@ def test_power_walk_and_conversions_of_the_fixed_point_layer():
                 z *= step
         # a walk started at w is the walk from 1 without its first, exact step
         assert powers(c, s, F, n - 1, (c, s)) == tuple(p[1:] for p in (px, py))
+        # the binary power of the same w: within sqrt(2) (n - 1) units of
+        # 2^-F in modulus, up to n = 4,000
+        with mp.workprec(F + 64):
+            step = unfix(c, s, -F)
+            for t in (0, 1, 2, 3, 7, 64, 299, 1000, 2047, 4000):
+                x, y = power(c, s, F, t)
+                err = abs(mpmath.mpc(x, y) - step ** t * 2 ** F)
+                assert err <= math.sqrt(2) * max(t - 1, 0), (w, t)
     # no fraction bits: the exact powers of a Gaussian integer
     px, py = powers(12345, -6789, 0, 20)
     with mp.workprec(1000):
         assert all(mpmath.mpc(x, y) == mpmath.mpc(12345, -6789) ** j
                    for j, (x, y) in enumerate(zip(px, py)))
+    assert all(power(12345, -6789, 0, j) == (x, y) for j, (x, y) in enumerate(zip(px, py)))
     # shifted rounds down, also for negative v and s
     assert [shifted(v, t) for v, t in ((-5, -1), (5, -1), (-1, -10), (-5, 2))] == [-3, 2, -1, -20]
     # fix truncates each part toward zero, and unfix brings it back within 2^-F

@@ -268,6 +268,32 @@ def test_warm_integer_sigma_calls_no_elementary_function(monkeypatch):
     assert residue_sum(N, sigma, p).value == want_sum
 
 
+def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
+    # families A and D at an integer sigma: one e^{i pi/(2k)} per k serves
+    # both h of the pair, their phases and their sine step; no exp, log, sin
+    # or cos anywhere in the sum
+    N, sigma, p = 203, 1, PREC
+    calls = []
+    expjpi = mpmath.expjpi
+
+    def counting(x, **kwargs):
+        calls.append(x)
+        return expjpi(x, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elementary function in a simple-pole family sum")
+
+    monkeypatch.setattr(mpmath, "expjpi", counting)
+    for name in ("exp", "log", "sin", "cos"):
+        monkeypatch.setattr(mpmath, name, refuse)
+        monkeypatch.setattr(mp, name, refuse)
+    for tag in ("A", "D"):
+        sel = FamilySelector(tag, N)
+        calls.clear()
+        family_sum(sel, sigma, p)
+        assert len(calls) <= len({f.k for f in sel.fractions()}), tag
+
+
 def test_q_general_escalates_then_gives_up(monkeypatch):
     import pfrac.residues as residues
     h, k, sigma, N, p = 1, 3, 2, 11, PREC

@@ -63,7 +63,7 @@ def test_full_product_closed_form(rng):
 
 def test_roots_table_within_one_unit():
     # every 2k-th root within one unit of 2^-T, and entry h as the sine
-    # product's rotation step
+    # product's recurrence step
     for k in (1, 2, 3, 4, 7, 12, 97):
         for wprec in (64, 300):
             T = _root_bits(k, wprec)
@@ -75,11 +75,11 @@ def test_roots_table_within_one_unit():
                     assert abs(mpc(x, y) - z) <= 1, (k, wprec, r)
             for h in range(1, k):
                 if gcd(h, k) == 1:
-                    m = k - 1
-                    with mp.workprec(wprec + 32):
-                        a = _sine_product(h, k, m, wprec, (*table[h], T))
-                        b = _sine_product(h, k, m, wprec)
-                        assert abs(a - b) <= mpf(2) ** (2 - wprec) * abs(b), (k, h)
+                    for m in (k // 2, k - 1):
+                        with mp.workprec(wprec + 32):
+                            a = _sine_product(h, k, m, wprec, (*table[h], T))
+                            b = _sine_product(h, k, m, wprec)
+                            assert abs(a - b) <= mpf(2) ** (2 - wprec) * abs(b), (k, h, m)
 
 
 def test_sine_product_rejects_zero_factor():
@@ -107,9 +107,10 @@ def _log_sine_factors(h, k, m, prec):
 def test_sine_factors_meet_precision_contract():
     # value at p bits vs the log/sin oracle at p + 64 bits, relative 2^(16-p),
     # for h near 1, k/2 and k-1: there j h/k comes within 1/k of an integer
-    # (j = k-1, 2 and 1), where the factor is smallest and rotation error
+    # (j = k-1, 2 and 1), where the factor is smallest and recurrence error
     # counts most.  The integer product kernel is held to the same contract
-    # at p itself, sign exactly.
+    # at p itself, sign exactly, on both sides of its switch to the shorter
+    # complement k - 1 - m (m = 2k/3 and k - 2 walk the complement).
     for k in (12, 211, 600, 997, 1000):
         hs = [h for h in (1, 2, k // 2 - 1, k // 2, k // 2 + 1, k - 2, k - 1)
               if gcd(h, k) == 1]
@@ -121,7 +122,7 @@ def test_sine_factors_meet_precision_contract():
                     for f, (log_abs, sign) in zip(_sine_factors(h, k, k - 1, p), ref):
                         assert (f > 0) == (sign > 0)
                         assert abs(mpmath.log(abs(f)) - log_abs) <= tol
-                    for m in (1, k // 2, k - 1):
+                    for m in (1, k // 2, 2 * k // 3, k - 2, k - 1):
                         want = mpmath.fsum(la for la, _ in ref[:m])
                         sign = math.prod(sg for _, sg in ref[:m])
                         prod = _sine_product(h, k, m, p)

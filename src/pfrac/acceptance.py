@@ -267,11 +267,13 @@ def criterion_10_error_order():
     Ns = list(range(200, 1001, 100))
     with mp.workprec(A1_ORACLE_PREC):
         w0 = find_zero((0, -1), prec=A1_ORACLE_PREC).w.value
+        # sigma inside N: the family records a1_sum keeps for one N serve both
+        a1 = {(N, sigma): a1_sum(N, sigma, A1_ORACLE_PREC).value
+              for N in Ns for sigma in (1, 2)}
         for sigma in (1, 2):
             exp = b_coeffs(sigma, 4, EXPANSION_PREC)
-            a1 = {N: a1_sum(N, sigma, A1_ORACLE_PREC).value for N in Ns}
             for m in (1, 2, 3):
-                errs = [abs(a1[N] - evaluate_expansion(exp, N, m, EXPANSION_PREC).value)
+                errs = [abs(a1[N, sigma] - evaluate_expansion(exp, N, m, EXPANSION_PREC).value)
                         * abs(w0) ** N for N in Ns]
                 expo = decay_exponent(Ns, errs)
                 if expo < m + 1.7:

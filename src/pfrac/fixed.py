@@ -9,7 +9,7 @@ of sigma are built from.  `power` takes one power by binary powering: the
 simple-pole residues take their phases e^{i pi M/(2k)} and their sine
 steps e^{i pi h/k} as powers of one e^{i pi/(2k)}.  `exp_fixed` and
 `div_fixed` run the series exponential and division on fixed-point
-coefficients.
+coefficients; `exp_fixed` skips the zero coefficients of its argument.
 
 Each kernel keeps its own rounding rule, and the results depend on it: the
 walk, the power and `shifted` round down (`>>`), `fix` truncates toward zero,
@@ -20,8 +20,7 @@ Modern Computer Arithmetic (CUP 2010), ch. 3.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import mul as _imul, rshift as _rshift, sub as _isub
+from operator import mul as _imul
 
 import mpmath
 from mpmath import mpc, mpf
@@ -117,14 +116,16 @@ def exp_fixed(ka, n: int, frac_bits: int) -> list[int]:
     step adds half a unit of the last carried bit.  A series whose
     coefficients grow by thousands of bits then multiplies numbers of
     frac_bits + EXP_SLACK bits, not ever longer ones, and the result has
-    D_m low zero bits.
+    D_m low zero bits.  The dot products skip the zero entries of ka: in
+    the q = 1 Laurent core every odd k a_k above k = 1 is zero, and the
+    result does not change.
     """
+    nonzero = [(k, a) for k, a in enumerate(ka[1:n], 1) if a]
     out, shifts = [1 << frac_bits] + [0] * (n - 1), [0] * n
     for m in range(1, n):
         D = shifts[m] = shifts[m - 1] + max(0, out[m - 1].bit_length() - frac_bits - EXP_SLACK)
         d = m << frac_bits
-        terms = map(_imul, ka[1:m + 1], out[m - 1::-1])
-        acc = sum(map(_rshift, terms, map(_isub, repeat(D), shifts[m - 1::-1])))
+        acc = sum([(a * out[m - k]) >> (D - shifts[m - k]) for k, a in nonzero if k <= m])
         out[m] = (2 * acc + d) // (2 * d)
     return [g << D for g, D in zip(out, shifts)]
 

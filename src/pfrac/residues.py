@@ -9,11 +9,8 @@ The Laurent oracle takes the coefficients of exp(-Phat(x)) from
 `laurent._laurent_core` (see that module): it builds one core per N at 64
 bits above the label and checks each value against a shadow core built the
 same way, with the same cancellation guard, at a 64-bit target (`_oracle`).
-The simple-pole residues take their sine products from the integer product
-kernel `sine_products._sine_product` (the three-term sine recurrence), and
-`_simple_residues` makes one e^{i pi/(2k)} per k: for integer sigma each
-phase is a power of it, and the step e^{i pi h/k} of the sine recurrence is
-its 2h-th power (`fixed.power`), so a pair h, k - h costs one expjpi.
+The simple poles at each k share one sigma-free record (`_simple_record`),
+kept per family for the next sigma (`_family_records`).
 
 A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
@@ -125,9 +122,7 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
 
     Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
         e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k)),
-    with the sine product from the integer kernel `_sine_product` and, for
-    integer sigma, the phase and the sine step as powers of one e^{i pi/(2k)}
-    (`_simple_residues`).  sigma may be real.
+    by `_simple_record` and `_simple_total`.  sigma may be real.
     """
     if not (N / 2 < k <= N):
         raise ValueError("simple-pole residue needs N/2 < k <= N")
@@ -136,39 +131,53 @@ def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComple
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     with mp.workprec(prec + 16):
-        return HPComplex(_simple_residues(k, (h,), sigma, N, prec + 16)[0], prec)
+        total = _simple_total((_simple_record(k, (h,), N, prec + 16),), sigma)
+        return HPComplex(unfix(*total), prec)
 
 
-def _simple_residues(k: int, hs: tuple, sigma, N: int, wp: int) -> list:
-    """[Q_{h k sigma}(N) for h in hs] at wp bits, for simple poles h/k: one h,
-    or a pair h, k - h, which shares one sine product since
-    2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k).
+def _simple_record(k: int, hs: tuple, N: int, wp: int) -> tuple:
+    """(k, (c, s, F), man, e, ((h, M0), ...)): the sigma-free part of
+    Q_{h k sigma}(N) at wp bits for h in hs, one h or a pair h, k - h sharing
+    one sine product (2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k)).
 
-    The sign and the two phase factors of q_simple multiply to
-    e^{i pi M/(2k)}, M reduced mod 4k, and the sign (-1)^{m(m+3)/2} of the
-    partner's sine product, m = N - k, adds 2k m(m+3)/2 to its M.  One
-    expjpi gives w = e^{i pi/(2k)} in fixed point, with bitlen(4k) + 2 bits
-    above the sine recurrence's: for integer sigma each phase is the power
-    w^{M mod 4k} (`fixed.power`), and for every sigma the sine step
-    e^{i pi h/k} is w^{2h}.  A non-integer sigma takes one expjpi per
-    phase.  Each residue is then its phase times one 1/(k^2 prod).
+    w = e^{i pi/(2k)} ~ (c + i s) 2^-F, bitlen(4k) + 2 bits above the sine
+    recurrence's, whose step e^{i pi h/k} is w^{2h}; 1/(k^2 prod) = man 2^(e+F).
+    q_simple's sign and phases make e^{i pi M/(2k)}, M = M0 + 4 h sigma mod
+    4k; the partner's sign (-1)^{m(m+3)/2}, m = N - k, adds 2k m(m+3)/2.
     """
     m = N - k
     h = min(hs)
     F = _sine_bits(k, m, wp) + (4 * k).bit_length() + 2
     with mp.workprec(F + 8):
         c, s = fix(mpmath.expjpi(mpf(1) / (2 * k)), F)
-    scale = 1 / (k * k * _sine_product(h, k, m, wp, (*power(c, s, F, 2 * h), F)))
-    out = []
+    with mp.workprec(wp):
+        man, e = man_exp(1 / (k * k * _sine_product(h, k, m, wp, (*power(c, s, F, 2 * h), F))))
+    phases = []
     for g in hs:
         signs = k + 1 + (m * (m + 3) // 2 if g != h else 0)  # each sign is w^{2k} = -1
-        M = k * (2 * N * g + N + g + k - g * k + 2 * signs) - g * (N * N + N - 4 * sigma)
-        M %= 4 * k
-        if isinstance(sigma, int):
-            out.append(unfix(*power(c, s, F, M), -F) * scale)
-        else:
-            out.append(mpmath.expjpi(mpf(M) / (2 * k)) * scale)
-    return out
+        M0 = k * (2 * N * g + N + g + k - g * k + 2 * signs) - g * (N * N + N)
+        phases.append((g, M0 % (4 * k)))
+    return k, (c, s, F), man, e - F, tuple(phases)
+
+
+def _simple_total(records, sigma) -> tuple:
+    """(re, im, e): the records' residues at sigma, phase times man, added
+    exactly on their lowest exponent; the phase is w^{M mod 4k}
+    (`fixed.power`) for integer sigma, else fix(expjpi(M/(2k))).
+    """
+    low = min(r[3] for r in records)
+    re = im = 0
+    for k, (c, s, F), man, e, phases in records:
+        for h, M0 in phases:
+            M = (M0 + 4 * h * sigma) % (4 * k)
+            if isinstance(sigma, int):
+                x, y = power(c, s, F, M)
+            else:
+                with mp.workprec(F + 8):
+                    x, y = fix(mpmath.expjpi(M / (2 * k)), F)
+            re += x * man << (e - low)
+            im += y * man << (e - low)
+    return re, im, low
 
 
 def _norm_sigma(sigma):
@@ -328,12 +337,9 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
 
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
-    Q is zeta^{h sigma} times a polynomial of degree s - 1 in sigma whose
-    fixed-point coefficients `_pole_inverse` caches; `_q_fixed` evaluates it
-    exactly on integers for any sigma (an int, or a real or complex mpmath
-    number, all dyadic), with a cancellation monitor that retries at doubled
-    working precision (three times) before raising PrecisionLossError.  The
-    value is formed once, at the working precision.
+    `_q_fixed` evaluates `_pole_inverse`'s cached sigma-polynomial
+    exactly on integers for any sigma (int, real or complex), retrying at
+    doubled precision (three times) before PrecisionLossError.
     """
     if not (1 <= k <= N):
         raise ValueError("need 1 <= k <= N")
@@ -453,29 +459,32 @@ class FamilySelector:
         return sorted(out, key=lambda f: (f.k, f.h))
 
 
+@lru_cache(maxsize=1)
+def _family_records(sel: FamilySelector, wp: int) -> tuple:
+    """`_simple_record` per k of a simple-pole family; one entry: callers
+    ask for sigma = 1, 2 of one N in turn."""
+    return tuple(_simple_record(k, tuple(f.h for f in pair), sel.N, wp)
+                 for k, pair in groupby(sel.fractions(), key=lambda f: f.k))
+
+
 def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPReal:
     """Sum of Q_{h k sigma}(N) over the family; real by conjugate symmetry.
 
-    In families A, C and D the fractions at each k are a pair h, k - h (or
-    one h), evaluated together by `_simple_residues` from one sine product
-    and one e^{i pi/(2k)}; both residues are still formed, so the
-    imaginary-part check keeps testing their phases.
+    Families A, C and D add every residue of `_family_records` exactly
+    (`_simple_total`), both of a pair, so the imaginary-part check keeps
+    testing their phases.
     """
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
-    fractions = sel.fractions()
-    if not fractions:
-        raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
     wp = prec + 16
+    members = sel.fractions() if sel.tag == "E" else _family_records(sel, wp)
+    if not members:
+        raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
     with mp.workprec(wp):
-        total = mpc(0)
         if sel.tag == "E":
-            for f in fractions:
-                total += q_general(f.h, f.k, sigma, sel.N, wp).value
+            total = sum((q_general(f.h, f.k, sigma, sel.N, wp).value for f in members), mpc(0))
         else:
-            for k, pair in groupby(fractions, key=lambda f: f.k):
-                for q in _simple_residues(k, tuple(f.h for f in pair), sigma, sel.N, wp):
-                    total += q
+            total = unfix(*_simple_total(members, sigma))
         if abs(total.imag) > mpf(2) ** (-prec // 2) * (1 + abs(total.real)):
             raise PrecisionLossError(f"family {sel.tag} sum has a large imaginary part")
     return HPReal(total.real, prec)

@@ -21,7 +21,7 @@ pairs as numpy arrays.
 The pole inverses take their roots of unity e^{i pi r/k} from the
 fixed-point table `_roots_of_unity`, whose entry r = h is also the
 recurrence step of their sine products; the simple-pole residues take theirs
-as powers of one e^{i pi/(2k)} (`residues._simple_residues`).
+as powers of one e^{i pi/(2k)} (`residues._simple_record`).
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -314,11 +314,15 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
         raise ValueError("need (h, k) = 1 and 1 <= m < k "
                          "(zero factor at m >= k, infinite main term at m = 0)")
     prec = resolve_precision(prec)
+    return HPReal(_em_checked(h, k, m, L, prec)[1], prec)
+
+
+def _em_checked(h: int, k: int, m: int, L: int, prec: int) -> tuple:
+    """(log|prod(h/k)_m|, T_L) of `em_remainder`, rerun once past its
+    measured cancellation."""
     lp, T = _em_difference(h, k, m, L, prec)
     lost = mpmath.mag(lp) - mpmath.mag(T) if T else prec
-    if lost > 16:
-        _, T = _em_difference(h, k, m, L, prec + 32 + lost)
-    return HPReal(T, prec)
+    return _em_difference(h, k, m, L, prec + 32 + lost) if lost > 16 else (lp, T)
 
 
 def _em_difference(h: int, k: int, m: int, L: int, prec: int) -> tuple:
@@ -409,10 +413,10 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     masked to log 1, and every other step acts on the block's (k, m) pairs as
     one flat array.  Where the product e^{-log prod} amplifies double roundoff
     beyond the running maximum, |prod^{-1} T_L| is recomputed at 192 bits,
-    T_L by em_remainder, in decreasing order of a pair's log potential (its
-    |T_L| cap over prod, ties in (k, m) order); pairs whose rigorous |T_L|
-    bound already rules them out are skipped.  L above SCREEN_MAX_L raises
-    ValueError.
+    T_L and log|prod| by em_remainder's `_em_checked`, in decreasing order
+    of a pair's log potential (its |T_L| cap over prod, ties in (k, m)
+    order); pairs whose rigorous |T_L| bound already rules them out are
+    skipped.  L above SCREEN_MAX_L raises ValueError.
     """
     _checked_delta(delta)
     L = em_length(delta, s, h)
@@ -468,9 +472,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     for i in np.argsort(-potential, kind="stable"):
         if potential[i] <= math.log(max(max_PT, 1e-300)):
             break
-        k, m = int(pk[i]), int(pm[i])
-        T = em_remainder(h, k, m, L, _RECHECK_PREC).value
+        lp, T = _em_checked(h, int(pk[i]), int(pm[i]), L, _RECHECK_PREC)
         with mp.workprec(_RECHECK_PREC + 16):
-            lp = mpmath.log(abs(_sine_product(h, k, m, _RECHECK_PREC + 16)))
-        max_PT = max(max_PT, float(mpmath.exp(-lp) * abs(T)))
+            max_PT = max(max_PT, float(mpmath.exp(-lp) * abs(T)))
     return max_PT, max_T

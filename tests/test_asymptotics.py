@@ -398,14 +398,16 @@ def test_error_order_doubling_pairs():
     with mp.workprec(420):
         w0 = find_zero((0, -1), prec=420).w.value
         pairs = ((200, 400), (300, 600), (400, 800), (500, 1000))
+        # sigma inside N: a1_sum keeps one N's family records for both sigma
+        a1 = {(N, sigma): a1_sum(N, sigma, 420).value
+              for pair in pairs for N in pair for sigma in (1, 2)}
         for sigma in (1, 2):
             e = b_coeffs(sigma, 4, 320)
-            a1 = {N: a1_sum(N, sigma, 420).value for pair in pairs for N in pair}
             for m in (1, 2, 3):
                 best = -mpf("inf")
                 for Na, Nb in pairs:
-                    ea = abs(a1[Na] - evaluate_expansion(e, Na, m, 320).value) * abs(w0) ** Na
-                    eb = abs(a1[Nb] - evaluate_expansion(e, Nb, m, 320).value) * abs(w0) ** Nb
+                    ea = abs(a1[Na, sigma] - evaluate_expansion(e, Na, m, 320).value) * abs(w0) ** Na
+                    eb = abs(a1[Nb, sigma] - evaluate_expansion(e, Nb, m, 320).value) * abs(w0) ** Nb
                     best = max(best, mpmath.log(ea / eb) / mpmath.log(2))
                 assert best >= m + 2 - mpf("0.3")
 

@@ -248,6 +248,23 @@ def test_exp_fixed_carries_growing_coefficients_to_slack_bits():
     assert got[-1] % 2 ** 200 == 0
 
 
+def test_exp_fixed_skips_zero_terms_bit_for_bit():
+    # the dense recurrence over every k, zero terms included, against
+    # exp_fixed on a series shaped like the Laurent core's (odd k a_k zero
+    # above k = 1) whose coefficients grow past 2^EXP_SLACK
+    n, F = 90, 80
+    ka = [0, -(37 << F)] + [0 if k % 2 else (-1) ** k * ((k * k + 3) << (F - 2))
+                            for k in range(2, n)]
+    out, shifts = [1 << F] + [0] * (n - 1), [0] * n
+    for m in range(1, n):
+        D = shifts[m] = shifts[m - 1] + max(0, out[m - 1].bit_length() - F - EXP_SLACK)
+        acc = sum((ka[k] * out[m - k]) >> (D - shifts[m - k]) for k in range(1, m + 1))
+        out[m] = (2 * acc + (m << F)) // (2 * (m << F))
+    want = [g << D for g, D in zip(out, shifts)]
+    assert max(shifts) > 0
+    assert exp_fixed(ka, n, F) == want
+
+
 def test_div_fixed_matches_exact_quotient():
     # against a * (1/b) on Fractions: 1/b = 1/(1 - t/2 + t^2/6) has
     # coefficients below 1, so the inherited errors stay within a few units

@@ -1,5 +1,6 @@
 """Farey poles, residues, conversions, family sums, and the Laurent oracle."""
 
+import hashlib
 import math
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -11,6 +12,7 @@ from mpmath import mp, mpc, mpf, pi
 from pfrac import laurent, residues
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
+from pfrac.fixed import man_exp
 from pfrac.precision import set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
@@ -130,6 +132,20 @@ def test_q_simple_modulus_independent_of_real_sigma(rng):
             mags = [abs(q_simple(h, k, mpf(str(s)), N, PREC).value)
                     for s in ("0.0", "1.5", "-2.25", "7.125")]
             assert max(mags) - min(mags) < mpf(2) ** -230
+
+
+def test_q_simple_matches_q_general_at_real_sigma():
+    # a non-integer sigma takes its phases from expjpi into the same integer
+    # sum as an integer one
+    sigma = mpf("1.5")
+    with mp.workprec(PREC + 32):
+        for N in (9, 20, 33):
+            for k in range(N // 2 + 1, N + 1):
+                for h in {1, k - 1, k // 2}:
+                    if gcd(h, k) == 1:
+                        want = q_general(h, k, sigma, N, PREC).value
+                        got = q_simple(h, k, sigma, N, PREC).value
+                        assert abs(got - want) <= mpf(2) ** (16 - PREC) * abs(want), (h, k, N)
 
 
 def test_q_simple_range_check():
@@ -271,10 +287,11 @@ def test_warm_integer_sigma_calls_no_elementary_function(monkeypatch):
 def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
     # families A and D at an integer sigma: one e^{i pi/(2k)} per k serves
     # both h of the pair, their phases and their sine step; no exp, log, sin
-    # or cos anywhere in the sum
+    # or cos anywhere in the sum.  The next sigma of the same family reads
+    # the one cached record per k: no sine product and no expjpi
     N, sigma, p = 203, 1, PREC
-    calls = []
-    expjpi = mpmath.expjpi
+    calls, products = [], []
+    expjpi, sine_product = mpmath.expjpi, residues._sine_product
 
     def counting(x, **kwargs):
         calls.append(x)
@@ -284,14 +301,23 @@ def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
         raise AssertionError("elementary function in a simple-pole family sum")
 
     monkeypatch.setattr(mpmath, "expjpi", counting)
+    monkeypatch.setattr(residues, "_sine_product",
+                        lambda *args: products.append(args) or sine_product(*args))
     for name in ("exp", "log", "sin", "cos"):
         monkeypatch.setattr(mpmath, name, refuse)
         monkeypatch.setattr(mp, name, refuse)
+    records = residues._family_records
     for tag in ("A", "D"):
         sel = FamilySelector(tag, N)
+        records.cache_clear()
         calls.clear()
         family_sum(sel, sigma, p)
         assert len(calls) <= len({f.k for f in sel.fractions()}), tag
+        calls.clear()
+        products.clear()
+        family_sum(sel, sigma + 1, p)
+        assert not calls and not products, tag
+        assert records.cache_info().maxsize == 1 and records.cache_info().currsize == 1
 
 
 def test_q_general_escalates_then_gives_up(monkeypatch):
@@ -495,6 +521,17 @@ def test_laurent_oracle_matches_exact_rationals():
                     got = c01l_exact(N, ell, p)
                     assert got.precision == p
                     assert abs(got.value - want) <= tol * abs(want)
+
+
+def test_laurent_core_digests_are_pinned():
+    # the cores of c01l_exact(675, ell, 512) and of its 64-bit shadow, bit for
+    # bit: exp_fixed skips the zero odd terms without moving a bit
+    want = {576: "d93e7b2b70e729ecfa69830b21b8e9f244d8206c618f9488f08603473ec7a156",
+            64: "01f968ced5c6432e8c36f5a38b83c4063e3bcc7d0f8a45fef7eec81595186907"}
+    for wprec, digest in want.items():
+        core = _laurent_core.__wrapped__(675, wprec)
+        text = "\n".join(f"{m} {e}" for m, e in map(man_exp, core))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, wprec
 
 
 def test_c01l_default_precision_follows_the_default():

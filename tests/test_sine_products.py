@@ -486,17 +486,22 @@ def test_em_remainder_scan_refuses_what_float64_cannot_hold(monkeypatch):
 def test_em_remainder_scan_matches_brute_force(monkeypatch, screen):
     # brute force over the whole grid (Delta s/h = 0.2, so m starts at 1) at
     # 192 bits; with the roundoff estimate raised, the screen trusts no pair
-    # and every maximum comes from em_remainder
+    # and every maximum comes from em_remainder's route, which forms each
+    # recheck's sine product once (no pair here reruns past its cancellation)
     h, s, delta = 3, 100, 0.006
     L = em_length(delta, s, h)
-    rechecks = []
-    real = sine_products.em_remainder
-    monkeypatch.setattr(sine_products, "em_remainder",
-                        lambda *args: rechecks.append(args) or real(*args))
+    rechecks, products = [], []
+    real, sine_product = sine_products.em_remainder, sine_products._sine_product
+    checked = sine_products._em_checked
+    monkeypatch.setattr(sine_products, "_em_checked",
+                        lambda *args: rechecks.append(args) or checked(*args))
+    monkeypatch.setattr(sine_products, "_sine_product",
+                        lambda *args: products.append(args) or sine_product(*args))
     if screen != "float64":
         monkeypatch.setattr(sine_products, "SCREEN_ROUNDOFF", 1.0)
     pt, tmax = em_remainder_scan(h, s, delta)
     assert (len(rechecks) > 0) == (screen != "float64")
+    assert len(products) == len(rechecks)
     want_pt = want_t = mpf(0)
     for k in range(2, s + 1):
         if gcd(h, k) != 1:

@@ -48,15 +48,13 @@ def shifted(v: int, s: int) -> int:
     return v << s if s >= 0 else v >> -s
 
 
-def to_fixed(values, bits: int) -> tuple:
-    """(re, im, E): the complex values as integer pairs (re[i] + i im[i]) 2^E
-    on one exponent, E chosen so that each nonzero value keeps at least
-    `bits` bits below its leading bit; the parts are rounded down."""
-    parts = [(man_exp(v.real), man_exp(v.imag)) for v in values]
-    E = min((max(e + m.bit_length() for m, e in pair if m) for pair in parts
-             if pair[0][0] or pair[1][0]), default=bits) - bits
-    return (tuple(shifted(m, e - E) for (m, e), _ in parts),
-            tuple(shifted(m, e - E) for _, (m, e) in parts), E)
+def to_fixed(z, bits: int) -> tuple[int, int, int]:
+    """(x, y, E): the complex z as the integer pair (x + i y) 2^E, E chosen
+    so that the larger part keeps `bits` bits below its leading bit; the
+    parts are rounded down."""
+    parts = man_exp(z.real), man_exp(z.imag)
+    E = max((e + m.bit_length() for m, e in parts if m), default=bits) - bits
+    return (*(shifted(m, e - E) for m, e in parts), E)
 
 
 def powers(c: int, s: int, F: int, n: int, start=None) -> tuple[list, list]:
@@ -117,8 +115,9 @@ def exp_fixed(ka, n: int, frac_bits: int) -> list[int]:
     coefficients grow by thousands of bits then multiplies numbers of
     frac_bits + EXP_SLACK bits, not ever longer ones, and the result has
     D_m low zero bits.  The dot products skip the zero entries of ka: in
-    the q = 1 Laurent core every odd k a_k above k = 1 is zero, and the
-    result does not change.
+    the q = 1 Laurent core every odd k a_k above k = 1 is zero, and so is
+    every odd one of the pole series at 0/1 and 1/2; the result does not
+    change.
     """
     nonzero = [(k, a) for k, a in enumerate(ka[1:n], 1) if a]
     out, shifts = [1 << frac_bits] + [0] * (n - 1), [0] * n

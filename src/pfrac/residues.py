@@ -16,19 +16,23 @@ A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
 y = 2 pi i (z - h/k), the denominator is A(0) exp(L(y)), where the constant
 A(0) = k^s prod_{j <= N mod k} (1 - zeta^{hj}) is one sine product and a
-phase, the E factors add the Bernoulli terms of Phat with N -> s, x -> k y
-(B_{2l}/(2l)! from `sequences.bernoulli_table`, the table that the q = 1
-core and the dilogarithm share), and the analytic factors add, per residue
-class r = hj mod k, integer power sums of j times the cotangent derivatives
-cot^{(i)}(pi r/k) of one sweep (`sine_products._cot_sweep`, started from
-the roots-of-unity table).  One series exponential of length s then gives
-the inverse.  Q_{h k sigma}(N) is zeta^{h sigma} times a polynomial of
-degree s - 1 in sigma, and `_pole_inverse` caches its coefficients as
-fixed-point integers on one exponent, so `_q_fixed` evaluates it exactly on
-integers for every sigma mpmath holds (all dyadic) and `residue_sum` adds
-its poles exactly; each forms one mpc at the end.  The fixed-point table of
-the 2k-th roots e^{i pi r/k} (`sine_products._roots_of_unity`) serves
-zeta^{h sigma}, the phase of A(0) and the sine product's recurrence step.
+phase.  L(y) has the linear term N(N+1) y/4 and, in t = -i y, real
+coefficients otherwise: the E factors add the Bernoulli terms of Phat with
+N -> s, x -> k y, and the analytic factors add, per residue class
+r = hj mod k, integer power sums of j times the cotangent derivatives
+cot^{(i)}(pi r/k) of one sweep.  `laurent._pole_series` builds that real
+series on fixed-point integers, next to the q = 1 core and with the same
+E-factor loop, and one `fixed.exp_fixed` of length s gives the inverse.
+The linear term goes into sigma: Q_{h k sigma}(N) is zeta^{h sigma} times a
+polynomial of degree s - 1 in sigma' = sigma - N(N+1)/4, and
+`_pole_inverse` caches its coefficients as fixed-point integers on one
+exponent, so `_q_fixed` evaluates it exactly on integers for every sigma
+mpmath holds (all dyadic, and so is sigma') and `residue_sum` adds its
+poles exactly; each forms one mpc at the end, and `_c_from_q_all` combines
+the Q into the C on the same integers.  The fixed-point table of the
+2k-th roots e^{i pi r/k} (`sine_products._roots_of_unity`) serves
+zeta^{h sigma}, the powers of zeta in the C, the phase of A(0) and the
+sine product's recurrence step.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -47,12 +51,9 @@ import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .precision import HPComplex, HPReal, resolve_precision
-from .sequences import bernoulli_table, even_power_sums
-from .laurent import _laurent_core, _laurent_guard, _oracle_sum
-from .fixed import fix, man_exp, power, powers, to_fixed, unfix
-from .series import exp
-from .sine_products import (_cot_sweep, _root, _root_bits, _roots_of_unity, _sine_bits,
-                            _sine_product)
+from .laurent import _laurent_core, _laurent_guard, _oracle_sum, _pole_series
+from .fixed import exp_fixed, fix, man_exp, power, powers, to_fixed, unfix
+from .sine_products import _root, _root_bits, _roots_of_unity, _sine_bits, _sine_product
 
 class PrecisionLossError(RuntimeError):
     """Cancellation destroyed more than the allowed share of working bits."""
@@ -165,8 +166,7 @@ def _simple_total(records, sigma) -> tuple:
     exactly on their lowest exponent; the phase is w^{M mod 4k}
     (`fixed.power`) for integer sigma, else fix(expjpi(M/(2k))).
     """
-    low = min(r[3] for r in records)
-    re = im = 0
+    terms = []
     for k, (c, s, F), man, e, phases in records:
         for h, M0 in phases:
             M = (M0 + 4 * h * sigma) % (4 * k)
@@ -175,9 +175,15 @@ def _simple_total(records, sigma) -> tuple:
             else:
                 with mp.workprec(F + 8):
                     x, y = fix(mpmath.expjpi(M / (2 * k)), F)
-            re += x * man << (e - low)
-            im += y * man << (e - low)
-    return re, im, low
+            terms.append((x * man, y * man, e))
+    return _exact_sum(terms)
+
+
+def _exact_sum(terms) -> tuple:
+    """(re, im, low): the sum of the (x + i y) 2^e of terms, exact on their
+    lowest exponent."""
+    low = min(e for _, _, e in terms)
+    return sum(x << (e - low) for x, _, e in terms), sum(y << (e - low) for _, y, e in terms), low
 
 
 def _norm_sigma(sigma):
@@ -188,16 +194,16 @@ def _norm_sigma(sigma):
 
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
-    """Cached polynomial of the pole h/k, s = floor(N/k):
-    Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma^i, returned as
-    (re, im, E) with d_i = (re[i] + i im[i]) 2^E (`fixed.to_fixed` at
-    wprec + 8 bits), where
+    """Cached polynomial of the pole h/k, s = floor(N/k), centred at
+    c = N(N+1)/4: Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma'^i with
+    sigma' = sigma - c, returned as (re, im, E) with d_i = (re[i] + i im[i]) 2^E,
+    where, in t = -i y,
 
-        d_i = [y^{s-1-i}] (1/A(y)) / ((-k)^s s! i!),
+        d_i = (-i)^{s-1-i} G_{s-1-i} / (A(0) (-k)^s s! i!),  G = exp(-R(t)),
 
     A(y) = prod_{mu<=s} E(mu k y) * prod_{j<=N, j != 0 mod k} (1 - zeta^{hj} e^{jy}),
-    y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x and zeta = e^{2 pi i/k}.  The
-    inverse is exp(-L(y)) / A(0) with L = log(A/A(0)):
+    y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x, zeta = e^{2 pi i/k},
+    L = log(A/A(0)) and R(t) = L(i t) - i c t:
 
     * A(0) = k^s prod_{j<=m} (1 - zeta^{hj}), m = N mod k, because each of the
       s full cycles of residues gives prod_{r<k} (1 - zeta^r) = k; and
@@ -205,94 +211,76 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
       is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.  Both the
       phase and the sine product's recurrence step e^{pi i h/k} come from
       the roots table.
-    * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), so the E factors add
-      k^{2l} B_{2l} S_{2l}(s) / (2l (2l)!) at y^{2l}, S_r(s) = sum_{mu<=s} mu^r:
-      the mantissa of B_{2l}/(2l)! from `sequences.bernoulli_table` times
-      k^{2l} S_{2l}(s) is one exact integer, rounded once.
-    * [y^i] log(1 - w e^{jy}) = j^i lambda_i(w), and grouping j by
-      r = hj mod k gives sum_r lambda_i(zeta^r) P_i(r) with the integer power
-      sums P_i(r) = sum_{j<=N, j != 0 mod k, hj = r mod k} j^i.  From
+    * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), and
+      [y^i] log(1 - w e^{jy}) = j^i lambda_i(w) with, from
       1/(1 - e^{i phi}) = 1/2 + (i/2) cot(phi/2),
-      lambda_i(zeta^r) = [i = 1]/2 - (i/2)(-i/2)^{i-1} cot^{(i-1)}(pi r/k) / i!,
-      and one cot sweep per residue r, started from zeta^r out of the
-      roots-of-unity table, gives every order.  The y^1 halves add up with
-      the E factors' k s(s+1)/4 to N(N+1)/4.
+      lambda_i(zeta^r) = [i = 1]/2 - (i/2)(-i/2)^{i-1} cot^{(i-1)}(pi r/k) / i!.
+      The y^1 halves add up to c, which e^{sigma y} takes as sigma', and in
+      t every other coefficient is real, so `laurent._pole_series` builds
+      -R as fixed-point integers and one real `fixed.exp_fixed` gives G.
+    * The centred polynomial is the better conditioned one: its terms
+      cancel by far fewer bits over sigma in [-2N, N(N+1)/2 + 2N] than those
+      of the polynomial in sigma.  At 0/1 and 1/2, R is even, so every d_i
+      with s - 1 - i odd is an exact integer 0 and Q at N(N+1)/2 - sigma is
+      (-1)^{s-1} times Q at sigma, bit for bit.
 
-    Cost: O(N s) integer work for the power sums, O(k s) for their dot
-    products with the cot table (k - 1 sweeps of order s - 2, cached per k
-    and s by `_cot_table`), and one series exp of length s.
+    The q = 1 core `laurent._laurent_core` keeps its own variable x and its
+    linear term: moving that term into the oracle's weights would multiply
+    them by powers of N(N+1)/4.  The result is exact integer work on
+    to_fixed(1/(A(0) (-k)^s s! (s-1)!)) at wprec + 8 bits and the G_n at
+    wprec fraction bits, times the integers (s-1)!/i!.  Cost: O(N s)
+    integer work for the power sums, O(k s) for their dot products with the
+    cot table (k - 1 sweeps of order s - 2, cached per k and s by
+    `laurent._cot_table`), and one exp_fixed of length s.
     """
     s, m = divmod(N, k)
     roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
     x, y = roots[h * (m * (m + 1) // 2) % (2 * k)]
-    for _ in range(m % 4):
-        x, y = y, -x  # times -i
+    x, y = ((x, y), (y, -x), (-x, -y), (-y, x))[m % 4]  # times (-i)^m
     with mp.workprec(wprec):
-        # 1/(A(0) (-k)^s s!), with 1/phase = conj(phase)
-        sines = _sine_product(h, k, m, wprec, (*roots[h], T))
-        inverse = unfix(x, -y, -T) / (
-            sines * ((-1) ** s * k ** (2 * s) * math.factorial(s)))
-        if s == 1:
-            return to_fixed([inverse], wprec + 8)
-        L = [mpc(0)] * s  # [y^i] L(y)
-        L[1] = mpf(N * (N + 1)) / 4
-        S = even_power_sums((s - 1) // 2, s)
-        for l, (man, e) in enumerate(bernoulli_table((s - 1) // 2, wprec), 1):
-            term = mpmath.fdiv((-1) ** (l + 1) * man * k ** (2 * l) * S[l], 2 * l)
-            L[2 * l] += mpmath.ldexp(term, e)  # B_{2l} k^{2l} S_{2l}(s) / (2l (2l)!)
-        P = [[0] * s for _ in range(k)]  # P[r][i]
-        for j in range(1, N + 1):
-            if j % k:
-                row, jp = P[h * j % k], 1
-                for i in range(1, s):
-                    jp *= j
-                    row[i] += jp
-        cots = _cot_table(k, s - 2, wprec)
-        unit, scale = 1j, mpf(-1) / 2  # i (-i)^{i-1} and -1/(2^i i!)
-        for i in range(1, s):
-            L[i] += unit * scale * sum(P[r][i] * cots[r - 1][i - 1] for r in range(1, k))
-            unit, scale = unit * -1j, scale / (2 * (i + 1))
-        g = exp([-c for c in L], s)
-        return to_fixed([g[s - 1 - i] * (inverse / math.factorial(i)) for i in range(s)],
-                            wprec + 8)
-
-
-@lru_cache(maxsize=256)
-def _cot_table(k: int, n: int, wprec: int) -> tuple:
-    """(cot^{(0..n)}(pi r/k) for r = 1..k-1) at wprec bits, each row from one
-    cot sweep started at zeta^r out of the roots-of-unity table; shared by
-    every h and N with the same k and floor(N/k) - 2 = n."""
-    with mp.workprec(wprec):
-        # cot^{(i)} of a real argument is real: drop the sweep's imaginary noise
-        return tuple(tuple(c.real for c in _cot_sweep(n, pi * r / k, _root(k, wprec, 2 * r)))
-                     for r in range(1, k))
+        # 1/(A(0) (-k)^s s! (s-1)!), with 1/phase = conj(phase)
+        inverse = unfix(x, -y, -T) / (_sine_product(h, k, m, wprec, (*roots[h], T))
+                                      * ((-1) ** s * s * (k ** s * math.factorial(s - 1)) ** 2))
+    x, y, E = to_fixed(inverse, wprec + 8)
+    if s == 1:
+        return (x,), (y,), E
+    d = []  # d_{s-1-n} 2^(wprec-E) = (x + i y) (-i)^n G_n 2^wprec (s-1)!/(s-1-n)!
+    for n, g in enumerate(exp_fixed(_pole_series(h, k, N, wprec), s, wprec)):
+        u, v = ((x, y), (y, -x), (-x, -y), (-y, x))[n % 4]
+        d.append((u * g * math.perm(s - 1, n), v * g * math.perm(s - 1, n)))
+    return (*zip(*reversed(d)), E - wprec)
 
 
 def _work_prec(prec: int, s: int, N: int) -> int:
     return max(prec + 64, 64 + 8 * s + 2 * max(1, N).bit_length())
 
 
-def _sigma_powers(sigma, n: int) -> tuple:
-    """(px, py, F) with sigma = (a + i b) 2^-F for integers a, b and F >= 0,
-    and px[i] + i py[i] = (a + i b)^i for i < n.  Every number mpmath holds
-    is a dyadic rational, so the powers are exact (`fixed.powers` with no
-    fraction bits)."""
+def _sigma_powers(sigma, n: int, quarter: int = 0) -> tuple:
+    """(px, py, G): the powers (px[i] + i py[i]) 2^-G of sigma - quarter/4 for
+    i < n, on the one exponent of the last, G = F (n - 1) for
+    sigma - quarter/4 = (a + i b) 2^-F with integers a, b and F >= 0.  Every
+    number mpmath holds is a dyadic rational, and so is the shift, so the
+    powers are exact (`fixed.powers` from 2^G, each step exactly divisible
+    by 2^F).  The pole inverses take quarter = N(N+1), their centre; the
+    q = 1 oracle takes none."""
     if isinstance(sigma, int):
         a, b, F = sigma, 0, 0
     else:
         (a, ea), (b, eb) = man_exp(mpmath.re(sigma)), man_exp(mpmath.im(sigma))
         F = max(0, -ea if a else 0, -eb if b else 0)
         a, b = a << (ea + F), b << (eb + F)
-    return (*powers(a, b, 0, n), F)
+    a, b, F = (a << 2) - (quarter << F), b << 2, F + 2
+    return (*powers(a, b, F, n, (1 << F * (n - 1), 0)), F * (n - 1))
 
 
 def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
     """(re, im, e, wprec): Q_{h k sigma}(N) = (re + i im) 2^e, for a sigma
-    normalised by `_norm_sigma` and its `_sigma_powers` (at least s of them).
+    normalised by `_norm_sigma` and the `_sigma_powers` of
+    sigma' = sigma - N(N+1)/4 (at least s of them).
 
-    The sum zeta^{h sigma} sum_i sigma^i d_i over the pole's rounded
+    The sum zeta^{h sigma} sum_i sigma'^i d_i over the pole's rounded
     coefficients is exact integer arithmetic, so their rounding, about
-    2^-wprec of each |sigma^i d_i|, is the only error it adds.  The monitor
+    2^-wprec of each |sigma'^i d_i|, is the only error it adds.  The monitor
     takes that bound from the largest term: the result is accepted when it
     is below 2^-prec of the result's larger part or absolutely below
     2^-prec, and otherwise the coefficients are rebuilt at doubled working
@@ -301,11 +289,7 @@ def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
     exactly reduced; any other sigma takes one exp.
     """
     s = N // k
-    px, py, F = powers
-    px, py = px[:s], py[:s]
-    if F:  # sigma^i 2^{F(s-1)}: every term on the exponent of the last
-        px = [p << F * (s - 1 - i) for i, p in enumerate(px)]
-        py = [p << F * (s - 1 - i) for i, p in enumerate(py)]
+    px, py, G = powers
     for attempt in range(4):
         wprec = _work_prec(prec, s, N) << attempt
         re, im, E = _pole_inverse(h, k, N, wprec)
@@ -314,22 +298,29 @@ def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
         largest = max(map(add, map(abs, tx), map(abs, ty)))  # >= the largest |term|
         x, y = sum(tx), sum(ty)
         size = max(abs(x), abs(y))  # <= |sum|
-        e = E - F * (s - 1)
         if isinstance(sigma, int):
             zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
             ze, grow = -_root_bits(k, wprec), 0
         else:
             with mp.workprec(wprec):
                 z = mpmath.exp(2j * pi * h * sigma / k)
-            (zx,), (zy,), ze = to_fixed([z], wprec)
+            zx, zy, ze = to_fixed(z, wprec)
             grow = max(0, mpmath.mag(z)) if mpmath.im(sigma) else 0  # |zeta^{h sigma}| <= 2^grow
-        # error <= largest 2^(e + 8 - wprec): relative to the sum, or absolute
-        t, u = prec + 8 - wprec, wprec - prec - 8 - e - grow
+        # error <= largest 2^(E - G + 8 - wprec): relative to the sum, or absolute
+        t, u = prec + 8 - wprec, wprec - prec - 8 - E + G - grow
         if (not largest or (largest << t <= size if t >= 0 else largest <= size << -t)
                 or (u >= 0 and largest <= 1 << u)):
-            return x * zx - y * zy, x * zy + y * zx, e + ze, wprec
+            return x * zx - y * zy, x * zy + y * zx, E - G + ze, wprec
     lost = math.log2(largest) - math.log2(size) if size else wprec
     raise PrecisionLossError(f"residue at {h}/{k} lost {lost:.0f} of {wprec} bits")
+
+
+def _check_pole(h: int, k: int, N: int) -> None:
+    """ValueError unless h/k is a reduced fraction in [0, 1) and a pole at N."""
+    if not (1 <= k <= N):
+        raise ValueError("need 1 <= k <= N")
+    if gcd(h, k) != 1 or not 0 <= h < k:
+        raise ValueError("h/k must be a reduced fraction in [0, 1)")
 
 
 def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComplex:
@@ -337,17 +328,15 @@ def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPCompl
 
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
-    `_q_fixed` evaluates `_pole_inverse`'s cached sigma-polynomial
-    exactly on integers for any sigma (int, real or complex), retrying at
-    doubled precision (three times) before PrecisionLossError.
+    `_q_fixed` evaluates `_pole_inverse`'s cached polynomial in
+    sigma' = sigma - N(N+1)/4 exactly on integers for any sigma (int, real
+    or complex), retrying at doubled precision (three times) before
+    PrecisionLossError.
     """
-    if not (1 <= k <= N):
-        raise ValueError("need 1 <= k <= N")
-    if gcd(h, k) != 1 or not 0 <= h < k:
-        raise ValueError("h/k must be a reduced fraction in [0, 1)")
+    _check_pole(h, k, N)
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
-    re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k))
+    re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k, N * (N + 1)))
     with mp.workprec(wprec):
         return HPComplex(unfix(re, im, e), prec)
 
@@ -367,18 +356,15 @@ def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     prec = resolve_precision(prec)
     sigma = _norm_sigma(sigma)
     fold = isinstance(sigma, int)
-    powers = _sigma_powers(sigma, N)
+    powers = _sigma_powers(sigma, N, N * (N + 1))
     terms = []
     for f in farey(N):
         if fold and 2 * f.h > f.k:
             continue
         re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, prec + 16, powers)
         terms.append((re, 0, e + 1) if fold and 0 < 2 * f.h < f.k else (re, im, e))
-    low = min(e for _, _, e in terms)
-    re = sum(x << (e - low) for x, _, e in terms)
-    im = sum(y << (e - low) for _, y, e in terms)
     with mp.workprec(prec + 16):
-        return HPComplex(unfix(re, im, low), prec)
+        return HPComplex(unfix(*_exact_sum(terms)), prec)
 
 
 def residue_sum_expected(N: int, sigma: int) -> int:
@@ -393,13 +379,25 @@ def residue_sum_expected(N: int, sigma: int) -> int:
 
 
 def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
-    """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits, one Q_{h k sigma}(N) per
-    sigma <= ell: C_l = sum_{sigma<=l} C(l-1, sigma-1) (-zeta)^{l-sigma} Q_{h k sigma}(N)."""
-    with mp.workprec(wprec):
-        zeta = _root(k, wprec, 2 * h)
-        qs = [q_general(h, k, sigma, N, wprec).value for sigma in range(1, ell + 1)]
-        return [sum((comb(l - 1, sigma - 1) * (-zeta) ** (l - sigma) * qs[sigma - 1]
-                     for sigma in range(1, l + 1)), mpc(0)) for l in range(1, ell + 1)]
+    """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits from one Q_{h k sigma}(N)
+    per sigma <= ell, each as `_q_fixed`'s integers:
+    C_l = sum_{sigma<=l} C(l-1, sigma-1) (-1)^{l-sigma} zeta^{h(l-sigma)} Q_{h k sigma}(N),
+    added exactly with each power of zeta an entry of the roots table, and
+    rounded once per C_l."""
+    _check_pole(h, k, N)
+    roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
+    qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N * (N + 1)))
+          for sigma in range(1, ell + 1)]
+    out = []
+    for l in range(1, ell + 1):
+        terms = []
+        for sigma, (re, im, e, _) in enumerate(qs[:l], 1):
+            # C(l-1, sigma-1) (-zeta^h)^(l-sigma)
+            c, (zx, zy) = comb(l - 1, sigma - 1), roots[(2 * h + k) * (l - sigma) % (2 * k)]
+            terms.append((c * (re * zx - im * zy), c * (re * zy + im * zx), e - T))
+        with mp.workprec(wprec):
+            out.append(unfix(*_exact_sum(terms)))
+    return out
 
 
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
@@ -559,21 +557,16 @@ def q01_exact(N: int, sigma, prec: int | None = None) -> HPReal:
     if N < 1:
         raise ValueError("need N >= 1")
     prec = resolve_precision(prec)
-    px, py, F = _sigma_powers(_norm_sigma(sigma), N)
+    weights, py, G = _sigma_powers(_norm_sigma(sigma), N)  # sigma^a = weights[a] 2^-G
     if any(py):
         raise ValueError("q01_exact needs a real sigma")
-    # sigma^a 2^(F(N-1)): integers on the exponent of the last power
-    weights = [p << F * (N - 1 - a) for a, p in enumerate(px)]
-    return HPReal(mpmath.ldexp(_oracle(N, prec, weights, 1 << F * (N - 1)), -F * (N - 1)),
-                  prec)
+    return HPReal(mpmath.ldexp(_oracle(N, prec, weights, 1 << G), -G), prec)
 
 
 # -- reconstruction and reports -------------------------------------------------
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
-    if not (1 <= k <= N):
-        raise ValueError("need 1 <= k <= N")
     prec = resolve_precision(prec)
     return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 

@@ -221,7 +221,7 @@ def _cot_sweep(n: int, z, ez=None) -> list:
     s = 1 if z.imag >= 0 else -1
     F = mp.prec + n + (n + 1).bit_length() + 16
     if ez is not None:
-        return _cot_orders(n, s, 1 / ((ez if s > 0 else 1 / ez) - 1), F)[0]
+        return [unfix(*o) for o in _cot_orders(n, s, 1 / ((ez if s > 0 else 1 / ez) - 1), F)[0]]
     for _ in range(2):
         with mp.workprec(F):
             b = 1 / (mpmath.exp(2j * s * z) - 1)
@@ -229,12 +229,13 @@ def _cot_sweep(n: int, z, ez=None) -> list:
         if lost <= 16:
             break
         F += lost
-    return out
+    return [unfix(*o) for o in out]
 
 
 def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
     """(the sweep's orders 0..n, the bits the worst order's sum cancelled)
-    from b at F fraction bits; the cancellation is only measured on request."""
+    from b at F fraction bits, order j as the integers (x, y, j + 1 - F) of
+    (x + i y) 2^(j+1-F); the cancellation is only measured on request."""
     bx, by = fix(b, F)
     px, py = powers(bx, by, F, n + 1, (bx, by))  # b^r 2^F, r = 1..n+1
     mags = [abs(x) + abs(y) for x, y in zip(px, py)] if measure else None
@@ -248,7 +249,7 @@ def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
         x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[((j + 1) * (2 - s) + 2 * j) % 4]
         if j == 0:
             y += s << (F - 1)
-        out.append(unfix(x, y, j + 1 - F))
+        out.append((x, y, j + 1 - F))
         # a_{j+1,r} = r a_{j,r} + (r-1) a_{j,r-1}
         a = [(t + 1) * u + t * v for t, (u, v) in enumerate(zip(a + [0], [0] + a))]
     return out, lost

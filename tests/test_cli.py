@@ -61,6 +61,8 @@ USAGE_ERRORS = {
     "identity --n-max 0": "--n-max: must be at least 1, got 0",
     "identity --n-max 101": "--n-max: must be at most 100, got 101",
     "identity --sigma-set=3,-10001": "--sigma-set: |sigma| must be at most 10000, got -10001",
+    "residues --n 201": "--n: must be at most 200, got 201",
+    "residues --n 3 --sigma 10001": "--sigma: |sigma| must be at most 10000, got 10001",
     "table a1 --rows 1": "--rows: must be at least 2 for table a1, got 1",
     "table c011 --rows 0": "--rows: must be at least 1 for table c011, got 0",
     "table c014 --rows 3": "--rows: must be at least 4 for table c014, got 3",

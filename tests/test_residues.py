@@ -267,6 +267,49 @@ def test_q_general_precision_contract_at_the_sigma_edges(N):
                 assert abs(got.value - want) <= mpf(2) ** (16 - p) * abs(want), (f, sigma)
 
 
+def test_pole_inverse_is_even_at_0_and_1_2():
+    # R(t) is even at 0/1 and 1/2, so the polynomial in sigma' = sigma - N(N+1)/4
+    # has exact integer zeros wherever s - 1 - i is odd, and the reflection
+    # sigma -> N(N+1)/2 - sigma (sigma' -> -sigma') holds bit for bit at 0/1
+    for N in range(1, 27):
+        for h, k in ((0, 1), (1, 2)):
+            if k > N:
+                continue
+            s = N // k
+            re, im, _ = residues._pole_inverse(h, k, N, residues._work_prec(PREC, s, N))
+            for i in range(s):
+                if (s - 1 - i) % 2:
+                    assert re[i] == im[i] == 0, (h, k, N, i)
+                else:
+                    assert re[i] or im[i], (h, k, N, i)
+        M = N * (N + 1) // 2
+        for sigma in (-7, 0, 1, 3, 2.5):
+            got = q_general(0, 1, M - sigma, N, PREC).value
+            with mp.workprec(4 * PREC):  # the sign flip is exact
+                assert got == (-1) ** (N + 1) * q_general(0, 1, sigma, N, PREC).value, (N, sigma)
+
+
+def test_sigma_sums_cancel_by_under_32_bits():
+    # log2(largest term / |sum|) of _q_fixed's sum over the centred polynomial
+    # at every pole with N <= 26, sigma strided over [-2N, N(N+1)/2 + 2N];
+    # an exact zero of Q has every term an exact zero
+    for N in range(1, 27):
+        M = N * (N + 1) // 2
+        for f in farey(N):
+            s = N // f.k
+            re, im, _ = residues._pole_inverse(f.h, f.k, N, residues._work_prec(PREC, s, N))
+            for sigma in range(-2 * N, M + 2 * N + 1, max(1, N // 3)):
+                px, py, _ = residues._sigma_powers(sigma, s, N * (N + 1))
+                # sigma'^i d_i, every term on one exponent
+                terms = [(x * a - y * b, x * b + y * a) for x, y, a, b in zip(px, py, re, im)]
+                largest = max(abs(x) + abs(y) for x, y in terms)
+                size = max(abs(sum(x for x, _ in terms)), abs(sum(y for _, y in terms)))
+                if not size:
+                    assert not largest, (f, N, sigma)
+                    continue
+                assert math.log2(largest) - math.log2(size) < 32, (f, N, sigma)
+
+
 def test_warm_integer_sigma_calls_no_elementary_function(monkeypatch):
     # with the pole's coefficients and roots table cached, an integer sigma
     # costs integer arithmetic and one conversion, in q_general and residue_sum

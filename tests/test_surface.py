@@ -106,6 +106,15 @@ def test_fixed_point_conversions_live_in_pfrac_fixed():
         assert found == (list(patterns) if path.name == "fixed.py" else []), path.name
 
 
+def test_mpmath_power_series_serve_only_the_asymptotics():
+    # pfrac.series (power series on mpmath numbers) has one user: the saddle
+    # expansions; every Laurent inverse runs on fixed-point integers
+    pattern = re.compile(r"from \.series import|from pfrac\.series import|import pfrac\.series")
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        found = bool(pattern.search(path.read_text()))
+        assert found == (path.name == "asymptotics.py"), path.name
+
+
 def test_bernoulli_table_lives_in_pfrac_sequences():
     # B_{2i}/(2i)! past the exact Fractions has one home,
     # sequences.bernoulli_table, and no module takes them from zeta

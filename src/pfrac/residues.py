@@ -247,7 +247,8 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     d = []  # d_{s-1-n} 2^(wprec-E) = (x + i y) (-i)^n G_n 2^wprec (s-1)!/(s-1-n)!
     for n, g in enumerate(exp_fixed(_pole_series(h, k, N, wprec), s, wprec)):
         u, v = ((x, y), (y, -x), (-x, -y), (-y, x))[n % 4]
-        d.append((u * g * math.perm(s - 1, n), v * g * math.perm(s - 1, n)))
+        g *= math.perm(s - 1, n)
+        d.append((u * g, v * g))
     return (*zip(*reversed(d)), E - wprec)
 
 

@@ -17,7 +17,7 @@ from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint, claus
 from .sine_products import em_remainder, em_remainder_scan, psi, psi_table, t_l_bound
 from .residues import (FamilySelector, FareyFraction, PrecisionLossError, a1_sum,
                        c01l_exact, c_from_q, family_sum, farey, p_restricted,
-                       principal_part, q01_exact, q_general, q_simple,
+                       principal_part, q01_exact, q_general,
                        reconstruct_product, residue_report, residue_sum)
 from .asymptotics import (Expansion, LocalSeriesPair, a3_quadrature, b_coeffs,
                           c_coeffs, decay_exponent, evaluate_expansion,
@@ -32,7 +32,7 @@ __all__ = [
     "em_remainder", "em_remainder_scan", "psi", "psi_table", "t_l_bound",
     "FamilySelector", "FareyFraction", "PrecisionLossError", "a1_sum",
     "c01l_exact", "c_from_q", "family_sum", "farey", "p_restricted",
-    "principal_part", "q01_exact", "q_general", "q_simple",
+    "principal_part", "q01_exact", "q_general",
     "reconstruct_product", "residue_report", "residue_sum",
     "Expansion", "LocalSeriesPair", "a3_quadrature", "b_coeffs",
     "c_coeffs", "decay_exponent", "evaluate_expansion",

@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf, pi
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _check_off_cut, _li2_any, _phase_at, _v_at, find_saddle, find_zero,
                     p_d, q_func)
-from .precision import HPComplex, HPReal, resolve_precision, to_mpc
+from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
 from .sine_products import _g_sweep
@@ -311,13 +311,15 @@ def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
 
     b_t(sigma) = -4i sum_{s<=t} Gamma(s+1/2) a_{2s}(q u_{sigma,t-s}),
     b_0 = 2 z0 e^{-pi i z0}; evaluated against base w(0,-1) and power N^2.
+    sigma must be an integer (ValueError otherwise).
     """
+    sigma = checked_int(sigma, "sigma")
     if m < 1:
         raise ValueError("need m >= 1")
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("A1-b", zero, 2,
-                     _descent_values(_Frame.u_series, int(sigma), -4j, m, prec))
+                     _descent_values(_Frame.u_series, sigma, -4j, m, prec))
 
 
 def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
@@ -325,13 +327,15 @@ def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
 
     c_{ell,t} = 4i sum_{s<=t} Gamma(s+1/2) a_{2s}(q v*_{ell,t-s}),
     c_{ell,0} = -2 z0 e^{-pi i z0} (2 pi i z0)^{ell-1}; base w(0,-1), power ell+1.
+    ell must be an integer (ValueError otherwise).
     """
+    ell = checked_int(ell, "ell")
     if ell < 1 or m < 1:
         raise ValueError("need ell >= 1 and m >= 1")
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("C01-c", zero, ell + 1,
-                     _descent_values(_Frame.vstar_series, int(ell), 4j, m, prec))
+                     _descent_values(_Frame.vstar_series, ell, 4j, m, prec))
 
 
 def family_leading(tag: str, parity: int | None = None,

@@ -192,8 +192,10 @@ def find_zero(label: BranchLabel | tuple, prec: int | None = None) -> DilogZero:
 
     label is a BranchLabel or an (A, B) pair.  Starts near e^{2 pi i A/B};
     the A = 0 zeros sit close to 1 just off the real axis, so those start at
-    0.95 e^{-i sign(B) 0.2/|B|}.  A coarse grid search over the unit disk
-    backs up a failed start.
+    0.95 e^{-i sign(B) 0.2/|B|}.  Newton converges from that one start on
+    every admissible branch with |B| <= 30; one that fails to converge within
+    200 steps raises ConvergenceError, as does a residual of 2^(16-prec) or
+    more.
     """
     if not isinstance(label, BranchLabel):
         label = BranchLabel(*label)
@@ -217,28 +219,11 @@ def _zero(label: BranchLabel, prec: int) -> DilogZero:
                 w0 *= mpmath.exp(-1j * mpmath.sign(B) * mpf("0.1"))
         w = _zero_newton(A, B, w0, prec)
         if w is None:
-            w = _zero_newton(A, B, w0 * mpmath.exp(-1j * mpmath.sign(B) * mpf("0.15")), prec)
-        if w is None:
-            w = _grid_fallback(A, B, prec)
+            raise ConvergenceError(f"Newton failed for branch ({A},{B})")
         res = abs(_li2_branch(w, A, B))
         if res >= tolerance(prec):
             raise ConvergenceError(f"zero ({A},{B}) residual {mpmath.nstr(res, 5)} too large")
         return DilogZero(label, HPComplex(w, prec), HPReal(res, prec))
-
-
-def _grid_fallback(A, B, prec):
-    best, bestval = None, mpf("inf")
-    for ir in range(1, 20):
-        r = mpf(ir) / 20
-        for ia in range(48):
-            w0 = r * mpmath.exp(2j * pi * (mpf(ia) + mpf(1) / 2) / 48)
-            v = abs(_li2_branch(w0, A, B))
-            if v < bestval:
-                best, bestval = w0, v
-    w = _zero_newton(A, B, best, prec)
-    if w is None:
-        raise ConvergenceError(f"Newton failed for branch ({A},{B})")
-    return w
 
 
 def _check_off_cut(z):

@@ -4,12 +4,12 @@ A complex number is held as an integer pair (x, y) standing for
 (x + i y) 2^-F, F the fraction bits; a real one is the pair's x.  `fix`
 and `to_fixed` put mpmath numbers into the format, `unfix` takes a pair
 back out, and `powers` is the truncated complex power walk that the roots
-of unity, the cotangent sweep, the dilogarithm series and the exact powers
-of sigma are built from.  `power` takes one power by binary powering: the
-simple-pole residues take their phases e^{i pi M/(2k)} and their sine
-steps e^{i pi h/k} as powers of one e^{i pi/(2k)}.  `exp_fixed` and
-`div_fixed` run the series exponential and division on fixed-point
-coefficients; `exp_fixed` skips the zero coefficients of its argument.
+of unity, the cotangent sweep and the dilogarithm series are built from.
+`power` takes one power by binary powering: the simple-pole residues take
+their phases e^{i pi M/(2k)} and their sine steps e^{i pi h/k} as powers
+of one e^{i pi/(2k)}.  `exp_fixed` and `div_fixed` run the series
+exponential and division on fixed-point coefficients; `exp_fixed` skips
+the zero coefficients of its argument.
 
 Each kernel keeps its own rounding rule, and the results depend on it: the
 walk, the power and `shifted` round down (`>>`), `fix` truncates toward zero,

@@ -4,7 +4,8 @@ A public numeric function returns its mpmath value in a frozen record with the
 number of bits it vouches for: the value is within tolerance(precision) =
 2^(16 - precision) of the exact result.  The record is a label only; it does
 no arithmetic, and its value keeps the guard bits it was computed with.
-Public functions check `prec` with `resolve_precision` before any work.
+Public functions check `prec` with `resolve_precision` before any work, and
+an integer argument such as sigma with `checked_int`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ DEFAULT_PRECISION = 256
 MIN_PRECISION = 8
 
 _ENV_VAR = "PFRAC_PRECISION_BITS"
+
+
+def checked_int(value, name: str) -> int:
+    """`value` as an int, or ValueError naming `name` unless it is an integer:
+    `operator.index`, which refuses 2.0, mpf(2) and 2 + 0j alike."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_precision(bits, name: str = "precision") -> int:

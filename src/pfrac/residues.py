@@ -26,13 +26,15 @@ E-factor loop, and one `fixed.exp_fixed` of length s gives the inverse.
 The linear term goes into sigma: Q_{h k sigma}(N) is zeta^{h sigma} times a
 polynomial of degree s - 1 in sigma' = sigma - N(N+1)/4, and
 `_pole_inverse` caches its coefficients as fixed-point integers on one
-exponent, so `_q_fixed` evaluates it exactly on integers for every sigma
-mpmath holds (all dyadic, and so is sigma') and `residue_sum` adds its
-poles exactly; each forms one mpc at the end, and `_c_from_q_all` combines
-the Q into the C on the same integers.  The fixed-point table of the
-2k-th roots e^{i pi r/k} (`sine_products._roots_of_unity`) serves
-zeta^{h sigma}, the powers of zeta in the C, the phase of A(0) and the
-sine product's recurrence step.
+exponent, so `_q_fixed` evaluates it exactly on integers (4 sigma' is an
+integer) and `residue_sum` adds its poles exactly; each forms one mpc at
+the end, and `_c_from_q_all` combines the Q into the C on the same
+integers.  sigma is an integer everywhere, as in the paper: it indexes the
+C_{h k ell} (sigma = 1..ell) and the residue-sum identity, and every entry
+point refuses any other sigma with ValueError (`precision.checked_int`).
+The fixed-point table of the 2k-th roots e^{i pi r/k}
+(`sine_products._roots_of_unity`) serves zeta^{h sigma}, the powers of zeta
+in the C, the phase of A(0) and the sine product's recurrence step.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -43,16 +45,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby, repeat
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, mul
 
 import mpmath
-from mpmath import mp, mpc, mpf, pi
+from mpmath import mp, mpc, mpf
 
-from .precision import HPComplex, HPReal, resolve_precision
+from .precision import HPComplex, HPReal, checked_int, resolve_precision
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum, _pole_series
-from .fixed import exp_fixed, fix, man_exp, power, powers, to_fixed, unfix
+from .fixed import exp_fixed, fix, man_exp, power, to_fixed, unfix
 from .sine_products import _root, _root_bits, _roots_of_unity, _sine_bits, _sine_product
 
 class PrecisionLossError(RuntimeError):
@@ -118,24 +120,6 @@ def p_restricted(N: int, n: int) -> int:
 
 # -- residues -----------------------------------------------------------------
 
-def q_simple(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComplex:
-    """Q_{h k sigma}(N) for a simple pole (N/2 < k <= N), closed form.
-
-    Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
-        e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k)),
-    by `_simple_record` and `_simple_total`.  sigma may be real.
-    """
-    if not (N / 2 < k <= N):
-        raise ValueError("simple-pole residue needs N/2 < k <= N")
-    if gcd(h, k) != 1:
-        raise ValueError("h/k must be reduced")
-    prec = resolve_precision(prec)
-    sigma = _norm_sigma(sigma)
-    with mp.workprec(prec + 16):
-        total = _simple_total((_simple_record(k, (h,), N, prec + 16),), sigma)
-        return HPComplex(unfix(*total), prec)
-
-
 def _simple_record(k: int, hs: tuple, N: int, wp: int) -> tuple:
     """(k, (c, s, F), man, e, ((h, M0), ...)): the sigma-free part of
     Q_{h k sigma}(N) at wp bits for h in hs, one h or a pair h, k - h sharing
@@ -143,8 +127,11 @@ def _simple_record(k: int, hs: tuple, N: int, wp: int) -> tuple:
 
     w = e^{i pi/(2k)} ~ (c + i s) 2^-F, bitlen(4k) + 2 bits above the sine
     recurrence's, whose step e^{i pi h/k} is w^{2h}; 1/(k^2 prod) = man 2^(e+F).
-    q_simple's sign and phases make e^{i pi M/(2k)}, M = M0 + 4 h sigma mod
-    4k; the partner's sign (-1)^{m(m+3)/2}, m = N - k, adds 2k m(m+3)/2.
+    The closed form
+    Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
+        e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k))
+    makes its sign and phases e^{i pi M/(2k)}, M = M0 + 4 h sigma mod 4k; the
+    partner's sign (-1)^{m(m+3)/2}, m = N - k, adds 2k m(m+3)/2.
     """
     m = N - k
     h = min(hs)
@@ -161,20 +148,13 @@ def _simple_record(k: int, hs: tuple, N: int, wp: int) -> tuple:
     return k, (c, s, F), man, e - F, tuple(phases)
 
 
-def _simple_total(records, sigma) -> tuple:
-    """(re, im, e): the records' residues at sigma, phase times man, added
-    exactly on their lowest exponent; the phase is w^{M mod 4k}
-    (`fixed.power`) for integer sigma, else fix(expjpi(M/(2k))).
-    """
+def _simple_total(records, sigma: int) -> tuple:
+    """(re, im, e): the records' residues at sigma, phase w^{M mod 4k}
+    (`fixed.power`) times man, added exactly on their lowest exponent."""
     terms = []
     for k, (c, s, F), man, e, phases in records:
         for h, M0 in phases:
-            M = (M0 + 4 * h * sigma) % (4 * k)
-            if isinstance(sigma, int):
-                x, y = power(c, s, F, M)
-            else:
-                with mp.workprec(F + 8):
-                    x, y = fix(mpmath.expjpi(M / (2 * k)), F)
+            x, y = power(c, s, F, (M0 + 4 * h * sigma) % (4 * k))
             terms.append((x * man, y * man, e))
     return _exact_sum(terms)
 
@@ -186,18 +166,12 @@ def _exact_sum(terms) -> tuple:
     return sum(x << (e - low) for x, _, e in terms), sum(y << (e - low) for _, y, e in terms), low
 
 
-def _norm_sigma(sigma):
-    """sigma as an int when it is integral, else as an mpmath number."""
-    sigma = sigma if isinstance(sigma, int) else mpmath.mpmathify(sigma)
-    return int(sigma) if mpmath.isint(sigma) else sigma
-
-
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
     """Cached polynomial of the pole h/k, s = floor(N/k), centred at
     c = N(N+1)/4: Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma'^i with
-    sigma' = sigma - c, returned as (re, im, E) with d_i = (re[i] + i im[i]) 2^E,
-    where, in t = -i y,
+    sigma' = sigma - c (in Z/4 for the integer sigma), returned as (re, im, E)
+    with d_i = (re[i] + i im[i]) 2^E, where, in t = -i y,
 
         d_i = (-i)^{s-1-i} G_{s-1-i} / (A(0) (-k)^s s! i!),  G = exp(-R(t)),
 
@@ -256,28 +230,18 @@ def _work_prec(prec: int, s: int, N: int) -> int:
     return max(prec + 64, 64 + 8 * s + 2 * max(1, N).bit_length())
 
 
-def _sigma_powers(sigma, n: int, quarter: int = 0) -> tuple:
-    """(px, py, G): the powers (px[i] + i py[i]) 2^-G of sigma - quarter/4 for
-    i < n, on the one exponent of the last, G = F (n - 1) for
-    sigma - quarter/4 = (a + i b) 2^-F with integers a, b and F >= 0.  Every
-    number mpmath holds is a dyadic rational, and so is the shift, so the
-    powers are exact (`fixed.powers` from 2^G, each step exactly divisible
-    by 2^F).  The pole inverses take quarter = N(N+1), their centre; the
-    q = 1 oracle takes none."""
-    if isinstance(sigma, int):
-        a, b, F = sigma, 0, 0
-    else:
-        (a, ea), (b, eb) = man_exp(mpmath.re(sigma)), man_exp(mpmath.im(sigma))
-        F = max(0, -ea if a else 0, -eb if b else 0)
-        a, b = a << (ea + F), b << (eb + F)
-    a, b, F = (a << 2) - (quarter << F), b << 2, F + 2
-    return (*powers(a, b, F, n, (1 << F * (n - 1), 0)), F * (n - 1))
+def _sigma_powers(sigma: int, n: int, N: int) -> tuple:
+    """(p, G): the powers p[i] 2^-G of sigma' = sigma - N(N+1)/4, the pole
+    inverses' centre, for i < n, exact on the one exponent G = 2 (n - 1) of
+    the last: p[i] = a^i 4^(n-1-i) for the integer a = 4 sigma - N(N+1)."""
+    p = accumulate(repeat(4 * sigma - N * (N + 1), n - 1), mul, initial=1)
+    return [x << 2 * (n - 1 - i) for i, x in enumerate(p)], 2 * (n - 1)
 
 
-def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
-    """(re, im, e, wprec): Q_{h k sigma}(N) = (re + i im) 2^e, for a sigma
-    normalised by `_norm_sigma` and the `_sigma_powers` of
-    sigma' = sigma - N(N+1)/4 (at least s of them).
+def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tuple:
+    """(re, im, e, wprec): Q_{h k sigma}(N) = (re + i im) 2^e for an integer
+    sigma, from the `_sigma_powers` of sigma' = sigma - N(N+1)/4 (at least s
+    of them).
 
     The sum zeta^{h sigma} sum_i sigma'^i d_i over the pole's rounded
     coefficients is exact integer arithmetic, so their rounding, about
@@ -285,33 +249,24 @@ def _q_fixed(h: int, k: int, sigma, N: int, prec: int, powers: tuple) -> tuple:
     takes that bound from the largest term: the result is accepted when it
     is below 2^-prec of the result's larger part or absolutely below
     2^-prec, and otherwise the coefficients are rebuilt at doubled working
-    precision wprec (three times) before PrecisionLossError.  For integer
-    sigma, zeta^{h sigma} is read from the roots table at 2 h sigma mod 2k,
-    exactly reduced; any other sigma takes one exp.
+    precision wprec (three times) before PrecisionLossError.  zeta^{h sigma}
+    is read from the roots table at 2 h sigma mod 2k, exactly reduced.
     """
     s = N // k
-    px, py, G = powers
+    p, G = powers
     for attempt in range(4):
         wprec = _work_prec(prec, s, N) << attempt
         re, im, E = _pole_inverse(h, k, N, wprec)
-        tx = [*map(sub, map(mul, px, re), map(mul, py, im))]
-        ty = [*map(add, map(mul, px, im), map(mul, py, re))]
+        tx, ty = [*map(mul, p, re)], [*map(mul, p, im)]
         largest = max(map(add, map(abs, tx), map(abs, ty)))  # >= the largest |term|
         x, y = sum(tx), sum(ty)
         size = max(abs(x), abs(y))  # <= |sum|
-        if isinstance(sigma, int):
-            zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
-            ze, grow = -_root_bits(k, wprec), 0
-        else:
-            with mp.workprec(wprec):
-                z = mpmath.exp(2j * pi * h * sigma / k)
-            zx, zy, ze = to_fixed(z, wprec)
-            grow = max(0, mpmath.mag(z)) if mpmath.im(sigma) else 0  # |zeta^{h sigma}| <= 2^grow
+        zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
         # error <= largest 2^(E - G + 8 - wprec): relative to the sum, or absolute
-        t, u = prec + 8 - wprec, wprec - prec - 8 - E + G - grow
+        t, u = prec + 8 - wprec, wprec - prec - 8 - E + G
         if (not largest or (largest << t <= size if t >= 0 else largest <= size << -t)
                 or (u >= 0 and largest <= 1 << u)):
-            return x * zx - y * zy, x * zy + y * zx, E - G + ze, wprec
+            return x * zx - y * zy, x * zy + y * zx, E - G - _root_bits(k, wprec), wprec
     lost = math.log2(largest) - math.log2(size) if size else wprec
     raise PrecisionLossError(f"residue at {h}/{k} lost {lost:.0f} of {wprec} bits")
 
@@ -324,25 +279,25 @@ def _check_pole(h: int, k: int, N: int) -> None:
         raise ValueError("h/k must be a reduced fraction in [0, 1)")
 
 
-def q_general(h: int, k: int, sigma, N: int, prec: int | None = None) -> HPComplex:
+def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPComplex:
     """Q_{h k sigma}(N) = 2 pi i Res_{z=h/k} Q(z; N, sigma), any pole order.
 
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
     `_q_fixed` evaluates `_pole_inverse`'s cached polynomial in
-    sigma' = sigma - N(N+1)/4 exactly on integers for any sigma (int, real
-    or complex), retrying at doubled precision (three times) before
-    PrecisionLossError.
+    sigma' = sigma - N(N+1)/4 exactly on integers, retrying at doubled
+    precision (three times) before PrecisionLossError.  sigma must be an
+    integer (ValueError otherwise).
     """
     _check_pole(h, k, N)
     prec = resolve_precision(prec)
-    sigma = _norm_sigma(sigma)
-    re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k, N * (N + 1)))
+    sigma = checked_int(sigma, "sigma")
+    re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k, N))
     with mp.workprec(wprec):
         return HPComplex(unfix(re, im, e), prec)
 
 
-def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
+def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
     """Sum of Q_{h k sigma}(N) over all Farey fractions of order N.
 
     Equals 0 for 0 < sigma < N(N+1)/2, -p_N(-sigma) for sigma <= 0, and
@@ -350,20 +305,19 @@ def residue_sum(N: int, sigma, prec: int | None = None) -> HPComplex:
     prec + 16 bits as integers, and the poles are added exactly on one
     exponent, so the sum is formed once and does not depend on their order.
 
-    For integer sigma, Q_{(k-h) k sigma} = conj Q_{h k sigma}, so only the
-    poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole adds
-    2 Re Q.  A non-integer sigma breaks that symmetry and sums every pole.
+    sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma} and only
+    the poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole
+    adds 2 Re Q.
     """
     prec = resolve_precision(prec)
-    sigma = _norm_sigma(sigma)
-    fold = isinstance(sigma, int)
-    powers = _sigma_powers(sigma, N, N * (N + 1))
+    sigma = checked_int(sigma, "sigma")
+    powers = _sigma_powers(sigma, N, N)
     terms = []
     for f in farey(N):
-        if fold and 2 * f.h > f.k:
+        if 2 * f.h > f.k:
             continue
         re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, prec + 16, powers)
-        terms.append((re, 0, e + 1) if fold and 0 < 2 * f.h < f.k else (re, im, e))
+        terms.append((re, 0, e + 1) if 0 < 2 * f.h < f.k else (re, im, e))
     with mp.workprec(prec + 16):
         return HPComplex(unfix(*_exact_sum(terms)), prec)
 
@@ -387,7 +341,7 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
     rounded once per C_l."""
     _check_pole(h, k, N)
     roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
-    qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N * (N + 1)))
+    qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N))
           for sigma in range(1, ell + 1)]
     out = []
     for l in range(1, ell + 1):
@@ -474,7 +428,7 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
     testing their phases.
     """
     prec = resolve_precision(prec)
-    sigma = _norm_sigma(sigma)
+    sigma = checked_int(sigma, "sigma")
     wp = prec + 16
     members = sel.fractions() if sel.tag == "E" else _family_records(sel, wp)
     if not members:
@@ -548,20 +502,18 @@ def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
     return HPReal(_oracle(N, prec, weights), prec)
 
 
-def q01_exact(N: int, sigma, prec: int | None = None) -> HPReal:
-    """Q_{0 1 sigma}(N) = (-1)^N/N! [x^{N-1}] exp(sigma x - Phat(x)), real sigma.
+def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
+    """Q_{0 1 sigma}(N) = (-1)^N/N! [x^{N-1}] exp(sigma x - Phat(x)), integer sigma.
 
-    Checked by the shadow core like c01l_exact, but to 2^-48 of
-    max(|Q|, 1): Q is a polynomial in sigma with exact zeros (N = 4,
-    sigma = 5), where only an absolute error can be small.
+    The weights are the integers sigma^a.  Checked by the shadow core like
+    c01l_exact, but to 2^-48 of max(|Q|, 1): Q is a polynomial in sigma with
+    exact zeros (N = 4, sigma = 5), where only an absolute error can be small.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     prec = resolve_precision(prec)
-    weights, py, G = _sigma_powers(_norm_sigma(sigma), N)  # sigma^a = weights[a] 2^-G
-    if any(py):
-        raise ValueError("q01_exact needs a real sigma")
-    return HPReal(mpmath.ldexp(_oracle(N, prec, weights, 1 << G), -G), prec)
+    sigma = checked_int(sigma, "sigma")
+    return HPReal(_oracle(N, prec, [sigma ** a for a in range(N)], 1), prec)
 
 
 # -- reconstruction and reports -------------------------------------------------

@@ -286,19 +286,17 @@ def em_length(delta, s: int, h: int) -> int:
 
 
 def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
-    """log of the reciprocal-product main term with L-1 correction terms."""
+    """log of the reciprocal-product main term with L-1 correction terms,
+    sum_{l<L} Re g_l(m theta)/m^{2l-1} at theta = h/k (`_g_sweep`)."""
     with mp.workprec(prec + 16):
         theta = mpf(h) / k
         x = pi * m * theta
         lead = mpf(1) / 2 * mpmath.log(h / (2 * k * mpmath.sin(x)))
         cl = clausen(2 * x, prec + 16).value
         em = mpf(0)
-        cots = _cot_sweep(2 * L - 4, x) if L > 1 else []
-        for ell in range(1, L):
-            b = bernoulli_over_factorial_fraction(ell)
-            cd = cots[2 * ell - 2].real
-            em += mpf(b.numerator) / b.denominator * (pi * theta) ** (2 * ell - 1) * cd
-        return lead + k / (2 * pi * h) * cl - em
+        for ell, g in enumerate(_g_sweep(L - 1, m * theta) if L > 1 else [], 1):
+            em += g.real / m ** (2 * ell - 1)
+        return lead + k / (2 * pi * h) * cl + em
 
 
 def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPReal:

@@ -206,6 +206,15 @@ def test_b_t_is_degree_t_polynomial_in_sigma():
             assert abs(diff[0]) < mpf(2) ** -180 * max(1, abs(vals[-1]))
 
 
+@pytest.mark.parametrize("bad", [2.5, mpf("2.5"), 1 + 2j])
+def test_b_and_c_coeffs_refuse_a_non_integer_sigma_or_ell(bad):
+    # b_coeffs(2.5, 4) is not b_coeffs(2, 4): sigma and ell are integers
+    with pytest.raises(ValueError, match="sigma must be an integer"):
+        b_coeffs(bad, 4, PREC)
+    with pytest.raises(ValueError, match="ell must be an integer"):
+        c_coeffs(bad, 4, PREC)
+
+
 def test_c_coeffs_closed_forms():
     s, z0, w0 = _zw()
     with mp.workprec(300):

@@ -12,13 +12,12 @@ from mpmath import mp, mpc, mpf, pi
 from pfrac import laurent, residues
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
-from pfrac.fixed import man_exp
+from pfrac.fixed import man_exp, unfix
 from pfrac.precision import set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
-                            q_general, q_simple, reconstruct_product, residue_report,
-                            residue_sum)
+                            q_general, reconstruct_product, residue_report, residue_sum)
 from pfrac.sequences import bernoulli_over_factorial_fraction, bernoulli_table
 from pfrac.series import exp
 
@@ -90,9 +89,17 @@ def test_p_restricted_refuses_n_beyond_its_cap():
 
 # -- simple and general residues --------------------------------------------------------
 
+def _q_simple(h, k, sigma, N, prec=PREC):
+    """Q_{h k sigma}(N) at a simple pole by the closed form alone: the one-h
+    record of `_simple_record` (one sine product) and its phase at sigma."""
+    wp = prec + 16
+    with mp.workprec(wp):
+        return unfix(*residues._simple_total((residues._simple_record(k, (h,), N, wp),), sigma))
+
+
 def test_q_simple_at_k_equals_n():
     for N in (5, 9, 14):
-        v = q_simple(1, N, 3, N, PREC).value
+        v = _q_simple(1, N, 3, N)
         assert abs(abs(v) - mpf(1) / N ** 2) < mpf(2) ** -240
 
 
@@ -102,55 +109,25 @@ def test_q_simple_conjugate_pair(rng):
             N = rng.randint(6, 40)
             k = rng.randint(N // 2 + 1, N)
             sigma = rng.randint(-3, 5)
-            a = q_simple(1, k, sigma, N, PREC).value if k > 1 else None
+            a = _q_simple(1, k, sigma, N) if k > 1 else None
             if k == 1 or gcd(k - 1, k) != 1:
                 continue
-            b = q_simple(k - 1, k, sigma, N, PREC).value
+            b = _q_simple(k - 1, k, sigma, N)
             assert abs(b - mpmath.conj(a)) < mpf(2) ** -230
 
 
 def test_q_simple_matches_q_general():
     with mp.workprec(300):
-        assert abs(q_simple(1, 7, 1, 9, PREC).value
+        assert abs(_q_simple(1, 7, 1, 9)
                    - q_general(1, 7, 1, 9, PREC).value) < mpf(2) ** -230
         for N in range(4, 21):
             for k in range(N // 2 + 1, N + 1):
                 for h in (1, k - 1):
                     if not (1 <= h < k) or gcd(h, k) != 1:
                         continue
-                    d = abs(q_simple(h, k, 2, N, PREC).value
+                    d = abs(_q_simple(h, k, 2, N)
                             - q_general(h, k, 2, N, PREC).value)
                     assert d < mpf(2) ** -220
-
-
-def test_q_simple_modulus_independent_of_real_sigma(rng):
-    with mp.workprec(280):
-        for _ in range(10):
-            N = rng.randint(6, 30)
-            k = rng.randint(N // 2 + 1, N)
-            h = 1
-            mags = [abs(q_simple(h, k, mpf(str(s)), N, PREC).value)
-                    for s in ("0.0", "1.5", "-2.25", "7.125")]
-            assert max(mags) - min(mags) < mpf(2) ** -230
-
-
-def test_q_simple_matches_q_general_at_real_sigma():
-    # a non-integer sigma takes its phases from expjpi into the same integer
-    # sum as an integer one
-    sigma = mpf("1.5")
-    with mp.workprec(PREC + 32):
-        for N in (9, 20, 33):
-            for k in range(N // 2 + 1, N + 1):
-                for h in {1, k - 1, k // 2}:
-                    if gcd(h, k) == 1:
-                        want = q_general(h, k, sigma, N, PREC).value
-                        got = q_simple(h, k, sigma, N, PREC).value
-                        assert abs(got - want) <= mpf(2) ** (16 - PREC) * abs(want), (h, k, N)
-
-
-def test_q_simple_range_check():
-    with pytest.raises(ValueError):
-        q_simple(1, 4, 1, 9)
 
 
 def test_q_general_against_contour_oracle():
@@ -217,9 +194,9 @@ def test_residue_sum_examples():
         assert abs(residue_sum(5, 15, PREC).value + 1) < mpf("1e-20")
 
 
-@pytest.mark.parametrize("sigma", [-3, 0, 2, "M", 2.5])
+@pytest.mark.parametrize("sigma", [-3, 0, 2, "M"])
 def test_folded_residue_sum_matches_explicit_sum(sigma):
-    # integer sigma sums only 2h <= k through conjugation; 2.5 sums every pole
+    # residue_sum sums only 2h <= k through conjugation
     p = PREC
     for N in range(1, 13):
         s = N * (N + 1) // 2 if sigma == "M" else sigma
@@ -234,13 +211,13 @@ def test_folded_residue_sum_matches_explicit_sum(sigma):
 
 def test_q_general_precision_contract_at_every_pole_up_to_n_26():
     # each Q at p bits agrees with the same call at p + 128 bits within
-    # 2^(16-p) |Q|; at the simple poles the closed form q_simple is a second,
+    # 2^(16-p) |Q|; at the simple poles the closed form _q_simple is a second,
     # independent route (sine product and one phase, no pole inverse)
     p = PREC
     for N in range(1, 27):
         M = N * (N + 1) // 2
         for f in farey(N):
-            for sigma in (-7, 0, 1, 3, M + 2, 2.5):
+            for sigma in (-7, 0, 1, 3, M + 2):
                 got = q_general(f.h, f.k, sigma, N, p)
                 assert got.precision == p
                 with mp.workprec(p + 160):
@@ -248,16 +225,16 @@ def test_q_general_precision_contract_at_every_pole_up_to_n_26():
                     tol = mpf(2) ** (16 - p) * abs(want)
                     assert abs(got.value - want) <= tol, (f, N, sigma)
                     if 2 * f.k > N:
-                        assert abs(q_simple(f.h, f.k, sigma, N, p).value - want) <= tol
+                        assert abs(_q_simple(f.h, f.k, sigma, N, p) - want) <= tol
 
 
 @pytest.mark.parametrize("N", [5, 12, 26])
 def test_q_general_precision_contract_at_the_sigma_edges(N):
-    # sigma at the CLI cap, a dyadic non-integer and a complex sigma: each
-    # call agrees with p + 128 bits within 2^(16-p) |Q| or raises
+    # sigma at the CLI cap: each call agrees with p + 128 bits within
+    # 2^(16-p) |Q| or raises
     p = PREC
     for f in farey(N):
-        for sigma in (IDENTITY_SIGMA_MAX, -IDENTITY_SIGMA_MAX, -7.25, 1 + 2j):
+        for sigma in (IDENTITY_SIGMA_MAX, -IDENTITY_SIGMA_MAX):
             try:
                 got = q_general(f.h, f.k, sigma, N, p)
             except PrecisionLossError:
@@ -283,7 +260,7 @@ def test_pole_inverse_is_even_at_0_and_1_2():
                 else:
                     assert re[i] or im[i], (h, k, N, i)
         M = N * (N + 1) // 2
-        for sigma in (-7, 0, 1, 3, 2.5):
+        for sigma in (-7, 0, 1, 3):
             got = q_general(0, 1, M - sigma, N, PREC).value
             with mp.workprec(4 * PREC):  # the sign flip is exact
                 assert got == (-1) ** (N + 1) * q_general(0, 1, sigma, N, PREC).value, (N, sigma)
@@ -299,9 +276,9 @@ def test_sigma_sums_cancel_by_under_32_bits():
             s = N // f.k
             re, im, _ = residues._pole_inverse(f.h, f.k, N, residues._work_prec(PREC, s, N))
             for sigma in range(-2 * N, M + 2 * N + 1, max(1, N // 3)):
-                px, py, _ = residues._sigma_powers(sigma, s, N * (N + 1))
+                p, _ = residues._sigma_powers(sigma, s, N)
                 # sigma'^i d_i, every term on one exponent
-                terms = [(x * a - y * b, x * b + y * a) for x, y, a, b in zip(px, py, re, im)]
+                terms = [(x * a, x * b) for x, a, b in zip(p, re, im)]
                 largest = max(abs(x) + abs(y) for x, y in terms)
                 size = max(abs(sum(x for x, _ in terms)), abs(sum(y for _, y in terms)))
                 if not size:
@@ -450,12 +427,13 @@ def test_family_a_equals_a1_sum():
 
 
 def test_family_sum_matches_unshared_residues():
-    # one sine product per conjugate pair, against q_simple on every member:
-    # q_simple is the oracle for family_sum's shared-product route
+    # one sine product per conjugate pair, against q_general on every member:
+    # q_general (the pole inverse and the roots table) is the independent
+    # oracle for family_sum's shared-product route
     with mp.workprec(300):
         for tag, N in (("A", 2), ("A", 3), ("A", 40), ("C", 41), ("D", 41), ("D", 60)):
             sel = FamilySelector(tag, N)
-            want = mpmath.fsum(q_simple(f.h, f.k, 1, N, PREC).value for f in sel.fractions())
+            want = mpmath.fsum(q_general(f.h, f.k, 1, N, PREC).value for f in sel.fractions())
             got = family_sum(sel, 1, PREC).value
             assert abs(got - want) < mpf(2) ** (16 - PREC) * (1 + abs(want))
 
@@ -598,20 +576,28 @@ def test_q01_exact_matches_general(rng):
             assert abs(a - b) < mpf(2) ** -190 * (1 + abs(a))
 
 
-def test_q01_exact_takes_a_dyadic_sigma_and_an_exact_zero():
-    # a real dyadic sigma against q_general; at N = 4, sigma = 5 (the centre
-    # N(N+1)/4 of the symmetric polynomial) Q is exactly 0, and the shadow
-    # check accepts its absolute agreement instead of raising; at N = 300 the
-    # terms reach 2^370, and the escalation must size its guards from the
-    # floor, not from the full value's own noise
-    with mp.workprec(280):
-        a = q01_exact(9, mpf("2.5"), PREC).value
-        b = q_general(0, 1, mpf("2.5"), 9, PREC).value
-        assert abs(a - b) < mpf(2) ** -190 * (1 + abs(a))
+def test_q01_exact_at_its_exact_zeros():
+    # at N = 4, sigma = 5 (the centre N(N+1)/4 of the symmetric polynomial) Q
+    # is exactly 0, and the shadow check accepts its absolute agreement
+    # instead of raising; at N = 300 the terms reach 2^370, and the
+    # escalation must size its guards from the floor, not from the full
+    # value's own noise
     assert abs(q01_exact(4, 5, PREC).value) < mpf(2) ** (16 - PREC)
     assert abs(q01_exact(300, 300 * 301 // 4, 64).value) < mpf(2) ** (16 - 64)
-    with pytest.raises(ValueError):
-        q01_exact(4, mpc(1, 1), PREC)
+
+
+@pytest.mark.parametrize("sigma", [2.5, mpf("2.5"), 1 + 2j])
+def test_sigma_entry_points_refuse_a_non_integer(sigma):
+    # sigma is an integer, as in the paper: 2.5, mpf(2.5) and 1 + 2i are
+    # refused on entry with ValueError, not rounded to an integer or run
+    # into a PrecisionLossError
+    calls = (lambda: q_general(1, 3, sigma, 7), lambda: residue_sum(7, sigma),
+             lambda: residue_report(7, sigma), lambda: family_sum(FamilySelector("A", 40), sigma),
+             lambda: family_sum(FamilySelector("E", 40), sigma), lambda: a1_sum(40, sigma),
+             lambda: q01_exact(9, sigma))
+    for call in calls:
+        with pytest.raises(ValueError, match="sigma must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("N", [0, -3])

@@ -53,8 +53,6 @@ SURFACE = {
     "principal_part": "criterion 4: reconstruct_product",
     "q01_exact": "oracle of q_general at 0/1: test_residues::test_q01_exact_matches_general",
     "q_general": "pfrac residues",
-    "q_simple": ("oracle of family_sum's shared sine products: "
-                 "test_residues::test_family_sum_matches_unshared_residues"),
     "reconstruct_product": "criterion 4",
     "residue_report": "pfrac residues",
     "residue_sum": "pfrac identity",
@@ -113,6 +111,14 @@ def test_mpmath_power_series_serve_only_the_asymptotics():
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         found = bool(pattern.search(path.read_text()))
         assert found == (path.name == "asymptotics.py"), path.name
+
+
+def test_sigma_is_an_integer_everywhere():
+    # sigma has one domain, the integers of the paper: no module keeps a
+    # branch for a real or complex sigma or rounds one to an integer
+    pattern = re.compile(r"isinstance\(sigma, int\)|mpmathify\(sigma\)|\bint\(sigma\)")
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        assert not pattern.findall(path.read_text()), path.name
 
 
 def test_bernoulli_table_lives_in_pfrac_sequences():

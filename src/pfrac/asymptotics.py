@@ -481,6 +481,7 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     if N < 131:
         raise ValueError("the truncated integrand needs N >= 131")
     prec = resolve_precision(prec)
+    sigma = checked_int(sigma, "sigma")
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
 

@@ -22,8 +22,8 @@ from mpmath import mpf
 from . import acceptance
 from .asymptotics import b_coeffs, c_coeffs, family_leading
 from .dilog import BranchLabel, ConvergenceError, find_zero
-from .precision import default_precision, set_default_precision
-from .residues import PrecisionLossError, a1_sum, residue_report
+from .precision import PrecisionLossError, default_precision, set_default_precision
+from .residues import a1_sum, residue_report
 from .sine_products import psi_table
 
 # Usage limits of `pfrac identity`: `--n-max 100` with the default seven

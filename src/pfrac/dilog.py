@@ -26,7 +26,7 @@ import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .fixed import fix, powers, unfix
-from .precision import HPComplex, HPReal, resolve_precision, to_mpc, tolerance
+from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc, tolerance
 from .sequences import bernoulli_table
 
 
@@ -155,9 +155,14 @@ def clausen(theta, prec: int | None = None) -> HPReal:
 
 @dataclass(frozen=True)
 class BranchLabel:
-    """Branch indices (A, B) of the continued dilogarithm."""
+    """Branch indices (A, B) of the continued dilogarithm, integers
+    (ValueError otherwise)."""
     A: int
     B: int
+
+    def __post_init__(self):
+        checked_int(self.A, "A")
+        checked_int(self.B, "B")
 
     def admissible(self) -> bool:
         return self.B != 0 and -abs(self.B) / 2 < self.A <= abs(self.B) / 2

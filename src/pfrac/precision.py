@@ -6,6 +6,11 @@ number of bits it vouches for: the value is within tolerance(precision) =
 no arithmetic, and its value keeps the guard bits it was computed with.
 Public functions check `prec` with `resolve_precision` before any work, and
 an integer argument such as sigma with `checked_int`.
+
+A cancelling sum keeps its label by one rule, `rerun_short`: a value its
+own check finds short is computed once more with the shortfall plus
+GUARD_BITS extra bits, and a rerun that is still short raises
+PrecisionLossError.
 """
 
 from __future__ import annotations
@@ -20,6 +25,35 @@ DEFAULT_PRECISION = 256
 MIN_PRECISION = 8
 
 _ENV_VAR = "PFRAC_PRECISION_BITS"
+
+GUARD_BITS = 16
+"""Bits a rerun of `rerun_short` takes beyond the measured shortfall."""
+
+
+class PrecisionLossError(RuntimeError):
+    """Cancellation destroyed more than the allowed share of working bits."""
+
+
+def rerun_short(run, what: str):
+    """The value of `run`, rerun once if its own check finds it short.
+
+    run(extra) computes with `extra` more bits and returns (value, short),
+    short the bits by which the site's measure finds the value short of its
+    label (at most 0 when it holds).  A short first value is computed once
+    more with short + GUARD_BITS extra bits, and a rerun that is still
+    short raises PrecisionLossError naming `what` and both shortfalls: the
+    rerun-on-failed-test rule of Ziv, "Fast evaluation of elementary
+    mathematical functions with correctly rounded last bit", ACM TOMS 17
+    (1991)."""
+    value, short = run(0)
+    if short <= 0:
+        return value
+    extra = short + GUARD_BITS
+    value, still = run(extra)
+    if still > 0:
+        raise PrecisionLossError(f"{what} fell {short} bits short, and {still} bits short "
+                                 f"again with {extra} more")
+    return value
 
 
 def checked_int(value, name: str) -> int:

@@ -9,6 +9,8 @@ The Laurent oracle takes the coefficients of exp(-Phat(x)) from
 `laurent._laurent_core` (see that module): it builds one core per N at 64
 bits above the label and checks each value against a shadow core built the
 same way, with the same cancellation guard, at a 64-bit target (`_oracle`).
+That check, like `_q_fixed`'s rounding monitor at the other poles, reruns a
+short value once through `precision.rerun_short`.
 The simple poles at each k share one sigma-free record (`_simple_record`),
 kept per family for the next sigma (`_family_records`).
 
@@ -52,14 +54,11 @@ from operator import add, mul
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .precision import HPComplex, HPReal, checked_int, resolve_precision
+from .precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, checked_int,
+                        rerun_short, resolve_precision)
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum, _pole_series
 from .fixed import exp_fixed, fix, man_exp, power, to_fixed, unfix
 from .sine_products import _root, _root_bits, _roots_of_unity, _sine_bits, _sine_product
-
-class PrecisionLossError(RuntimeError):
-    """Cancellation destroyed more than the allowed share of working bits."""
-
 
 @dataclass(frozen=True, order=True)
 class FareyFraction:
@@ -246,29 +245,31 @@ def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tu
     The sum zeta^{h sigma} sum_i sigma'^i d_i over the pole's rounded
     coefficients is exact integer arithmetic, so their rounding, about
     2^-wprec of each |sigma'^i d_i|, is the only error it adds.  The monitor
-    takes that bound from the largest term: the result is accepted when it
-    is below 2^-prec of the result's larger part or absolutely below
-    2^-prec, and otherwise the coefficients are rebuilt at doubled working
-    precision wprec (three times) before PrecisionLossError.  zeta^{h sigma}
-    is read from the roots table at 2 h sigma mod 2k, exactly reduced.
+    bounds it by the largest term's bit length: the result is short by the
+    bits by which that bound exceeds the larger of 2^-prec of the result's
+    larger part and 2^-prec absolute, and `precision.rerun_short` rebuilds
+    the coefficients once with that many bits and GUARD_BITS more.
+    zeta^{h sigma} is read from the roots table at 2 h sigma mod 2k,
+    exactly reduced.
     """
     s = N // k
     p, G = powers
-    for attempt in range(4):
-        wprec = _work_prec(prec, s, N) << attempt
+
+    def run(extra):
+        wprec = _work_prec(prec, s, N) + extra
         re, im, E = _pole_inverse(h, k, N, wprec)
         tx, ty = [*map(mul, p, re)], [*map(mul, p, im)]
         largest = max(map(add, map(abs, tx), map(abs, ty)))  # >= the largest |term|
         x, y = sum(tx), sum(ty)
         size = max(abs(x), abs(y))  # <= |sum|
         zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
-        # error <= largest 2^(E - G + 8 - wprec): relative to the sum, or absolute
-        t, u = prec + 8 - wprec, wprec - prec - 8 - E + G
-        if (not largest or (largest << t <= size if t >= 0 else largest <= size << -t)
-                or (u >= 0 and largest <= 1 << u)):
-            return x * zx - y * zy, x * zy + y * zx, E - G - _root_bits(k, wprec), wprec
-    lost = math.log2(largest) - math.log2(size) if size else wprec
-    raise PrecisionLossError(f"residue at {h}/{k} lost {lost:.0f} of {wprec} bits")
+        # error <= largest 2^(E - G + 8 - wprec) < 2^(bitlen(largest) + E - G + 8 - wprec):
+        # within 2^-prec of the sum (>= 2^(bitlen(size) - 1 + E - G)) for
+        # bitlen(largest) <= r, and within 2^-prec absolutely for bitlen(largest) <= u
+        r, u = size.bit_length() - 9 - prec + wprec, wprec - prec - 8 - E + G
+        short = largest.bit_length() - max(u, r if size else u)
+        return (x * zx - y * zy, x * zy + y * zx, E - G - _root_bits(k, wprec), wprec), short
+    return rerun_short(run, f"residue at {h}/{k}")
 
 
 def _check_pole(h: int, k: int, N: int) -> None:
@@ -285,8 +286,9 @@ def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HP
     Expands every factor locally in y = 2 pi i (z - h/k): the s = floor(N/k)
     factors with k | j contribute the pole, everything else stays analytic.
     `_q_fixed` evaluates `_pole_inverse`'s cached polynomial in
-    sigma' = sigma - N(N+1)/4 exactly on integers, retrying at doubled
-    precision (three times) before PrecisionLossError.  sigma must be an
+    sigma' = sigma - N(N+1)/4 exactly on integers, and rebuilds it once,
+    sized by the measured shortfall, when its rounding misses the label
+    (PrecisionLossError if the rebuild misses it too).  sigma must be an
     integer (ValueError otherwise).
     """
     _check_pole(h, k, N)
@@ -311,9 +313,10 @@ def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
     """
     prec = resolve_precision(prec)
     sigma = checked_int(sigma, "sigma")
+    poles = farey(N)
     powers = _sigma_powers(sigma, N, N)
     terms = []
-    for f in farey(N):
+    for f in poles:
         if 2 * f.h > f.k:
             continue
         re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, prec + 16, powers)
@@ -357,7 +360,7 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
 
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
     """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
-    if ell < 1:
+    if checked_int(ell, "ell") < 1:
         raise ValueError("need ell >= 1")
     prec = resolve_precision(prec)
     return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
@@ -448,39 +451,35 @@ def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPRe
 _SHADOW_BITS = 64
 """Target of the shadow core that checks each full-precision oracle value."""
 
-_AGREE_BITS = 48
-"""Relative agreement the shadow must reach: _SHADOW_BITS - 16, so a guard
-that falls short by more than 16 bits fails the check."""
-
 
 def _oracle(N: int, prec: int, weights: list, floor: int = 0) -> mpf:
     """`_oracle_sum` on the full core (prec + 64 bits), accepted when the
-    shadow core (_SHADOW_BITS) agrees with it to 2^-_AGREE_BITS of
-    max(|value|, floor).
+    shadow core (_SHADOW_BITS) agrees with it to 2^(GUARD_BITS -
+    _SHADOW_BITS) of max(|value|, floor).
 
     Both cores share the cancellation guard, and cancellation costs both the
     same number of bits, so the shadow's shortfall from its 64-bit target is
-    the full value's; the check passes while that shortfall is under 16
-    bits, which leaves the full value within 2^(-prec-48) of the exact one.
-    When it fails, both guards are raised by the shortfall and the pair is
-    rebuilt, twice at most, before PrecisionLossError.  A full value within
-    its own error (err 2^-prec) of 0, as at an exact zero of q01_exact,
-    gives no scale: the shortfall is then taken against the floor.
+    the full value's; the check passes while that shortfall is under
+    GUARD_BITS, which leaves the full value within 2^(-prec-48) of the exact
+    one.  When it fails, the shortfall past GUARD_BITS is reported, and
+    `precision.rerun_short` rebuilds the pair once with both guards raised
+    by the whole shortfall.  A full value within its own error (err 2^-prec)
+    of 0, as at an exact zero of q01_exact, gives no scale: the shortfall is
+    then taken against the floor.
     """
-    guard, wprec = _laurent_guard(N), prec + 64
-    for _ in range(3):
+    def run(extra):
+        guard, wprec = _laurent_guard(N) + extra, prec + 64
         full = _oracle_sum(_laurent_core(N, wprec, guard), weights, N, wprec)
         shadow = _oracle_sum(_laurent_core(N, _SHADOW_BITS, guard), weights, N, _SHADOW_BITS)
         with mp.workprec(wprec):
             err, scale = abs(shadow - full), max(abs(full), floor)
-            if err <= mpmath.ldexp(scale, -_AGREE_BITS):
-                return full
+            if err <= mpmath.ldexp(scale, GUARD_BITS - _SHADOW_BITS):
+                return full, 0
             if abs(full) <= mpmath.ldexp(err, 16 - prec):
                 scale = floor
             lost = _SHADOW_BITS + mpmath.mag(err) - mpmath.mag(scale) if scale else guard
-        guard += lost
-    raise PrecisionLossError(f"Laurent oracle at N={N} lost {lost} of its {_SHADOW_BITS} "
-                             f"shadow bits with a guard of {guard - lost}")
+        return full, max(1, lost - GUARD_BITS)  # short by the exact check, whatever mag reads
+    return rerun_short(run, f"Laurent oracle at N={N}")
 
 
 def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
@@ -488,9 +487,10 @@ def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
 
     Evaluated as (-1)^N/N! [x^{N-1}] e^x (e^x-1)^{ell-1} exp(-Phat(x)) (see
     module docstring) from one Laurent core at prec + 64 bits, accepted when
-    a 64-bit shadow core agrees with it to 2^-48 relative (`_oracle`).
+    a 64-bit shadow core agrees with it to 2^-48 relative, and otherwise
+    rebuilt once with a guard raised by the shortfall (`_oracle`).
     """
-    if not 1 <= ell <= N:
+    if not 1 <= checked_int(ell, "ell") <= N:
         raise ValueError("need 1 <= ell <= N")
     prec = resolve_precision(prec)
     # e^x (e^x - 1)^{ell-1} = sum_i C(ell-1, i) (-1)^{ell-1-i} e^{(i+1)x}
@@ -520,6 +520,7 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
+    N = checked_int(N, "N")
     prec = resolve_precision(prec)
     return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 
@@ -543,20 +544,32 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
 def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30) -> list[dict]:
     """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma).
 
-    A real or imaginary part below 2^(16-prec) |Q| is rounding noise under
-    the precision contract and prints as 0.
+    sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma}: `_q_fixed`
+    runs only for 2h <= k, and the partner takes the same integers with the
+    imaginary part negated, exactly.  A real or imaginary part below
+    2^(16-prec) |Q| is rounding noise under the precision contract and
+    prints as 0.
     """
-    rows = []
-    for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
-        q = q_general(f.h, f.k, sigma, N, prec)
-        floor = mpmath.ldexp(abs(q.value), 16 - q.precision)
-        re, im = (part if abs(part) >= floor else mpf(0)
-                  for part in (q.value.real, q.value.imag))
-        rows.append({
-            "h": f.h,
-            "k": f.k,
-            "order": N // f.k,
-            "re": mpmath.nstr(re, digits),
-            "im": mpmath.nstr(im, digits),
-        })
-    return rows
+    prec = resolve_precision(prec)
+    sigma = checked_int(sigma, "sigma")
+    poles = farey(N)
+    powers, rows = _sigma_powers(sigma, N, N), []
+    for f in poles:
+        if 2 * f.h > f.k:
+            continue
+        x, y, e, wprec = _q_fixed(f.h, f.k, sigma, N, prec, powers)
+        with mp.workprec(wprec):
+            pair = {f.h: unfix(x, y, e)}
+            if 0 < 2 * f.h < f.k:
+                pair[f.k - f.h] = unfix(x, -y, e)
+        for h, q in pair.items():
+            floor = mpmath.ldexp(abs(q), 16 - prec)
+            re, im = (part if abs(part) >= floor else mpf(0) for part in (q.real, q.imag))
+            rows.append({
+                "h": h,
+                "k": f.k,
+                "order": N // f.k,
+                "re": mpmath.nstr(re, digits),
+                "im": mpmath.nstr(im, digits),
+            })
+    return sorted(rows, key=lambda row: (row["k"], row["h"]))

@@ -45,7 +45,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
 from .fixed import fix, powers, shifted, unfix
-from .precision import HPReal, resolve_precision
+from .precision import GUARD_BITS, HPReal, rerun_short, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
 
 def _sine_bits(k: int, m: int, prec: int) -> int:
@@ -212,9 +212,11 @@ def _cot_sweep(n: int, z, ez=None) -> list:
     Without a given ez, the exponential and b are computed at F bits, and
     the sweep checks its own cancellation: where |e^{2isz}| is small, b is
     near -1 and the terms of order n reach about n! while their sum stays
-    small (94 bits apart at n = 24, z = -0.3 - 5i).  If some order's sum is
-    more than 16 bits below the sum of its terms' magnitudes, the sweep runs
-    once more with that many more fraction bits.
+    small (94 bits apart at n = 24, z = -0.3 - 5i).  The cancellation `lost`,
+    the bits by which some order's sum falls below the sum of its terms'
+    magnitudes, does not shrink with more bits, so a sweep with `extra`
+    fraction bits is short by lost - GUARD_BITS - extra, and
+    `precision.rerun_short` runs a short sweep once more with `lost` more.
     """
     if z == 0:
         raise ValueError("cotangent pole at a multiple of pi")
@@ -222,14 +224,13 @@ def _cot_sweep(n: int, z, ez=None) -> list:
     F = mp.prec + n + (n + 1).bit_length() + 16
     if ez is not None:
         return [unfix(*o) for o in _cot_orders(n, s, 1 / ((ez if s > 0 else 1 / ez) - 1), F)[0]]
-    for _ in range(2):
-        with mp.workprec(F):
+
+    def run(extra):
+        with mp.workprec(F + extra):
             b = 1 / (mpmath.exp(2j * s * z) - 1)
-        out, lost = _cot_orders(n, s, b, F, measure=True)
-        if lost <= 16:
-            break
-        F += lost
-    return [unfix(*o) for o in out]
+        out, lost = _cot_orders(n, s, b, F + extra, measure=True)
+        return out, lost - GUARD_BITS - extra
+    return [unfix(*o) for o in rerun_short(run, f"cotangent sweep of order {n}")]
 
 
 def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
@@ -306,9 +307,10 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
     smaller than either: at (h, k, m, L) = (1, 211, 30, 25) they are about
     31 and T_L about 1.2e-51.  When the difference cancels more than the 16
     guard bits, that is lost = log2|log prod| - log2|T_L| > 16, it is taken
-    once more at prec + 32 + lost bits, so T_L keeps its relative
-    2^(16-prec) label.  m = 0 is refused: the main term's log(h/(2k sin 0))
-    has no finite value."""
+    once more at prec + 32 + lost bits, and PrecisionLossError is raised if
+    that rerun cancels past its own guard (`_em_checked`), so T_L keeps its
+    relative 2^(16-prec) label.  m = 0 is refused: the main term's
+    log(h/(2k sin 0)) has no finite value."""
     if math.gcd(h, k) != 1 or not 1 <= m < k:
         raise ValueError("need (h, k) = 1 and 1 <= m < k "
                          "(zero factor at m >= k, infinite main term at m = 0)")
@@ -318,10 +320,18 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
 
 def _em_checked(h: int, k: int, m: int, L: int, prec: int) -> tuple:
     """(log|prod(h/k)_m|, T_L) of `em_remainder`, rerun once past its
-    measured cancellation."""
-    lp, T = _em_difference(h, k, m, L, prec)
-    lost = mpmath.mag(lp) - mpmath.mag(T) if T else prec
-    return _em_difference(h, k, m, L, prec + 32 + lost) if lost > 16 else (lp, T)
+    measured cancellation by `precision.rerun_short`.
+
+    The cancellation lost = log2|log prod| - log2|T_L| does not shrink with
+    more bits, so a difference taken d bits above prec is short by
+    lost - GUARD_BITS - d.  A rerun, asked for lost extra bits, takes 32
+    more: a T_L at the first pass's noise floor understates lost."""
+    def run(extra):
+        wp = prec + extra + (32 if extra else 0)
+        lp, T = _em_difference(h, k, m, L, wp)
+        lost = mpmath.mag(lp) - mpmath.mag(T) if T else wp
+        return (lp, T), lost - GUARD_BITS - (wp - prec)
+    return rerun_short(run, f"T_L at {h}/{k}, m = {m}")
 
 
 def _em_difference(h: int, k: int, m: int, L: int, prec: int) -> tuple:

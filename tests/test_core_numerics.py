@@ -18,7 +18,8 @@ from mpmath import mp, mpf, pi
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
 from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted, unfix
-from pfrac.precision import HPComplex, HPReal, set_default_precision, tolerance
+from pfrac.precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, rerun_short,
+                             set_default_precision, tolerance)
 from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
 from pfrac.series import exp, inv, log, mul
 
@@ -63,6 +64,28 @@ def test_set_default_precision_rejects_bad_values():
     for bad in (7, 0, "abc", 256.0, None):
         with pytest.raises(ValueError, match="at least 8 bits"):
             set_default_precision(bad)
+
+
+def test_rerun_short_reruns_once_by_the_shortfall():
+    # run(extra) -> (value, bits short): accepted at once when not short, else
+    # one rerun with short + GUARD_BITS extra bits, and a short rerun raises
+    def fake(shorts):
+        asked = []
+
+        def run(extra):
+            asked.append(extra)
+            return f"value at +{extra}", shorts[len(asked) - 1]
+        return run, asked
+
+    run, asked = fake([0])
+    assert rerun_short(run, "site") == "value at +0" and asked == [0]
+    run, asked = fake([30, -5])
+    assert rerun_short(run, "site") == f"value at +{30 + GUARD_BITS}"
+    assert asked == [0, 30 + GUARD_BITS]
+    run, asked = fake([30, 7])
+    with pytest.raises(PrecisionLossError, match=r"site fell 30 bits short.* 7 bits short"):
+        rerun_short(run, "site")
+    assert asked == [0, 30 + GUARD_BITS]
 
 
 # -- Bernoulli ------------------------------------------------------------------

@@ -171,6 +171,10 @@ def test_find_zero_rejects_inadmissible():
     for label in ((0, 0), (2, -3), (-1, 2), (5, 3)):
         with pytest.raises(ValueError):
             find_zero(label)
+    # a branch index is an integer: (0, 0.5) names no branch at all
+    for label, name in (((0, 0.5), "B"), ((mpf(1), 3), "A")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            find_zero(label)
 
 
 def test_zero_conjugation_all_b_up_to_8():

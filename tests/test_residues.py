@@ -10,10 +10,11 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues
+from pfrac.asymptotics import a3_quadrature
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
 from pfrac.fixed import man_exp, unfix
-from pfrac.precision import set_default_precision
+from pfrac.precision import GUARD_BITS, set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
@@ -352,17 +353,33 @@ def test_q_general_escalates_then_gives_up(monkeypatch):
         return pole_inverse(*args)
 
     monkeypatch.setattr(residues, "_pole_inverse", recording)
-    monkeypatch.setattr(residues, "_work_prec", lambda prec, s, N: prec - 40)
-    got = q_general(h, k, sigma, N, p).value
-    assert asked == [p - 40, 2 * (p - 40)]
-    with mp.workprec(p + 32):
-        assert abs(got - want) < mpf(2) ** (16 - p) * abs(want)
+    # a starved first build reruns once, sized by its measured shortfall
+    # (44 + GUARD_BITS bits past 216, where doubling would ask for 432);
+    # from 8 bits the one rerun lands on the same width
+    for start in (p - 40, 8):
+        monkeypatch.setattr(residues, "_work_prec", lambda prec, s, N: start)
+        asked.clear()
+        got = q_general(h, k, sigma, N, p).value
+        assert asked == [start, 276]
+        with mp.workprec(p + 32):
+            assert abs(got - want) < mpf(2) ** (16 - p) * abs(want)
 
-    monkeypatch.setattr(residues, "_work_prec", lambda prec, s, N: 8)
+    # a kernel whose terms cancel by more than its working precision at any
+    # width: the rerun is short too, and the monitor gives up after it
+    monkeypatch.undo()
+    powers, _ = residues._sigma_powers(sigma, N // k, N)
+
+    def cancelling(h, k, N, wprec):
+        asked.append(wprec)
+        re, im, E = pole_inverse(h, k, N, wprec)
+        c = max(map(abs, re)) << wprec
+        return (re[0] + c * powers[1], re[1] - c * powers[0], *re[2:]), im, E
+
+    monkeypatch.setattr(residues, "_pole_inverse", cancelling)
     asked.clear()
-    with pytest.raises(residues.PrecisionLossError, match="residue at 1/3 lost"):
+    with pytest.raises(residues.PrecisionLossError, match="residue at 1/3 fell"):
         q_general(h, k, sigma, N, p)
-    assert asked == [8, 16, 32, 64]
+    assert len(asked) == 2 and asked[1] > asked[0]
 
 
 # -- conversions -------------------------------------------------------------------------
@@ -590,14 +607,27 @@ def test_q01_exact_at_its_exact_zeros():
 def test_sigma_entry_points_refuse_a_non_integer(sigma):
     # sigma is an integer, as in the paper: 2.5, mpf(2.5) and 1 + 2i are
     # refused on entry with ValueError, not rounded to an integer or run
-    # into a PrecisionLossError
+    # into a PrecisionLossError; so are a non-integer ell and N
     calls = (lambda: q_general(1, 3, sigma, 7), lambda: residue_sum(7, sigma),
              lambda: residue_report(7, sigma), lambda: family_sum(FamilySelector("A", 40), sigma),
              lambda: family_sum(FamilySelector("E", 40), sigma), lambda: a1_sum(40, sigma),
-             lambda: q01_exact(9, sigma))
+             lambda: q01_exact(9, sigma), lambda: a3_quadrature(200, sigma, 64))
     for call in calls:
         with pytest.raises(ValueError, match="sigma must be an integer"):
             call()
+    for call in (lambda: c01l_exact(10, sigma), lambda: c_from_q(0, 1, sigma, 10)):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            call()
+    with pytest.raises(ValueError, match="N must be an integer"):
+        principal_part(1, 3, 3 + sigma)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_farey_sums_refuse_N_below_1(N):
+    # refused on entry like farey's, not by a negative shift in the sigma powers
+    for call in (farey, lambda n: residue_sum(n, 1), lambda n: residue_report(n, 1)):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            call(N)
 
 
 @pytest.mark.parametrize("N", [0, -3])
@@ -627,8 +657,8 @@ def test_bernoulli_table_matches_exact_and_zeta_values():
 
 def test_laurent_shadow_check_fires_on_a_short_guard(monkeypatch):
     # with the guard cut to N//8 at N = 675, the 64-bit shadow misses the
-    # full core by far more than 2^-48; the oracle raises both guards by the
-    # shortfall and returns the value of the default guard
+    # full core by far more than 2^-48; the oracle reruns once with both
+    # guards raised by the shortfall and returns the value of the default guard
     N, prec = 675, 512
     want = c01l_exact(N, 1, prec).value
     monkeypatch.setattr(residues, "_laurent_guard", lambda n: n // 8)
@@ -637,7 +667,7 @@ def test_laurent_shadow_check_fires_on_a_short_guard(monkeypatch):
     shadow = laurent._oracle_sum(_laurent_core(N, residues._SHADOW_BITS, N // 8), weights, N,
                                  residues._SHADOW_BITS)
     with mp.workprec(prec + 64):
-        assert abs(shadow - full) > mpf(2) ** -residues._AGREE_BITS * abs(full)
+        assert abs(shadow - full) > mpf(2) ** (GUARD_BITS - residues._SHADOW_BITS) * abs(full)
         guards = []
         core = residues._laurent_core
 
@@ -651,8 +681,8 @@ def test_laurent_shadow_check_fires_on_a_short_guard(monkeypatch):
 
 
 def test_laurent_oracle_never_returns_a_failed_check(monkeypatch):
-    # a shadow that never agrees: two escalations, then PrecisionLossError,
-    # for both oracles that share the core
+    # a shadow that never agrees: one rerun, then PrecisionLossError, for
+    # both oracles that share the core
     core = residues._laurent_core
 
     def noisy(n, wprec, guard=None):

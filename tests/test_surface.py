@@ -17,6 +17,7 @@ SURFACE = {
     # precision
     "HPComplex": "pfrac residues: the record of every complex result",
     "HPReal": "pfrac table: the record of every real result",
+    "PrecisionLossError": "pfrac verify: exit code 5 of every command",
     "default_precision": "pfrac zeros: the working precision of every command",
     "set_default_precision": "pfrac --precision-bits",
     "tolerance": "criterion 1: find_zero's residual gate 2^(16-p)",
@@ -43,7 +44,6 @@ SURFACE = {
     # residues
     "FamilySelector": "criterion 7: the family-D reference sum",
     "FareyFraction": "pfrac residues: farey's poles",
-    "PrecisionLossError": "pfrac verify: exit code 5 of every command",
     "a1_sum": "pfrac a1",
     "c01l_exact": "criterion 6: the reference column of tables c011 and c014",
     "c_from_q": "oracle of c01l_exact: test_residues::test_c01l_cross_checks_pole_expansion",
@@ -129,3 +129,27 @@ def test_bernoulli_table_lives_in_pfrac_sequences():
         tables = re.findall(r"def (\w*bernoulli\w*table)\(", text)
         assert tables == (["bernoulli_table"] if path.name == "sequences.py" else []), path.name
         assert "mpmath.zeta(" not in text, path.name
+
+
+def test_one_rerun_rule_lives_in_pfrac_precision():
+    # a value short of its label is rerun by one rule, precision.rerun_short:
+    # PrecisionLossError is defined and raised there, and elsewhere raised
+    # only by family_sum's imaginary-part check; no module doubles a
+    # precision in a loop, and each cancelling sum's check calls the helper
+    doubling = re.compile(r"(prec|wp|guard)\w*\s*(\*=|<<=)"
+                          r"|(prec|wp|guard)\w*\s*=.*(<<|\b2 \*|\* 2\b)")
+    raisers = {"precision.py": {"rerun_short"}, "residues.py": {"family_sum"}}
+    checks = {"residues.py": {"_q_fixed", "_oracle"},
+              "sine_products.py": {"_cot_sweep", "_em_checked"}}
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        functions = {node.name: ast.get_source_segment(text, node)
+                     for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+        assert ("class PrecisionLossError" in text) == (path.name == "precision.py"), path.name
+        want = raisers.get(path.name, set())
+        assert text.count("raise PrecisionLossError(") == len(want), path.name
+        assert {name for name, body in functions.items()
+                if "raise PrecisionLossError(" in body} == want, path.name
+        assert not doubling.search(text), path.name
+        for name in checks.get(path.name, ()):
+            assert "rerun_short(" in functions[name], name

@@ -267,7 +267,7 @@ def criterion_10_error_order():
     Ns = list(range(200, 1001, 100))
     with mp.workprec(A1_ORACLE_PREC):
         w0 = find_zero((0, -1), prec=A1_ORACLE_PREC).w.value
-        # sigma inside N: the family records a1_sum keeps for one N serve both
+        # sigma inside N: the pole inverses a1_sum caches for one N serve both
         a1 = {(N, sigma): a1_sum(N, sigma, A1_ORACLE_PREC).value
               for N in Ns for sigma in (1, 2)}
         for sigma in (1, 2):

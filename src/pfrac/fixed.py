@@ -3,11 +3,12 @@
 A complex number is held as an integer pair (x, y) standing for
 (x + i y) 2^-F, F the fraction bits; a real one is the pair's x.  `fix`
 and `to_fixed` put mpmath numbers into the format, `unfix` takes a pair
-back out, and `powers` is the truncated complex power walk that the roots
-of unity, the cotangent sweep and the dilogarithm series are built from.
-`power` takes one power by binary powering: the simple-pole residues take
-their phases e^{i pi M/(2k)} and their sine steps e^{i pi h/k} as powers
-of one e^{i pi/(2k)}.  `exp_fixed` and `div_fixed` run the series
+back out, and `powers` is the truncated complex power walk that the cot
+table's roots of unity, the cotangent sweep and the dilogarithm series are
+built from.  `power` takes one power by binary powering from the kept
+`squares` of its base: every pole phase e^{i pi M/(2k)}, the sine steps
+e^{i pi h/k} among them, is a power of one e^{i pi/(2k)}
+(`sine_products._phase`).  `exp_fixed` and `div_fixed` run the series
 exponential and division on fixed-point coefficients; `exp_fixed` skips
 the zero coefficients of its argument.
 
@@ -75,24 +76,37 @@ def powers(c: int, s: int, F: int, n: int, start=None) -> tuple[list, list]:
     return px, py
 
 
-def power(c: int, s: int, F: int, n: int) -> tuple[int, int]:
-    """(x, y): w^n for w = (c + i s) 2^-F and n >= 0, as the fixed-point pair
-    x + i y on F bits, by binary powering (squarings of w times the powers
-    that the bits of n select).
+def squares(c: int, s: int, F: int, n: int) -> list:
+    """[w^(2^j) for j < n] for w = (c + i s) 2^-F, as fixed-point pairs on
+    F bits: the squarings of binary powering, each truncated by `>> F`, kept
+    so that `power` takes every w^m, m < 2^n, from one list."""
+    out = []
+    for _ in range(n):
+        out.append((c, s))
+        c, s = (c * c - s * s) >> F, (2 * c * s) >> F
+    return out
+
+
+def power(sq: list, F: int, n: int) -> tuple[int, int]:
+    """(x, y): w^n for 0 <= n < 2^len(sq) as the fixed-point pair x + i y on
+    F bits, by binary powering: the product of the `squares` sq[j] = w^(2^j)
+    that the bits of n select.
 
     Each product is truncated by `>> F` as in `powers`, and while |w| <= 1
     a product of two powers with errors a and b has an error under
     a + b + sqrt(2) units of 2^-F (to first order); so w^n is within
     sqrt(2) (n - 1) units of the exact n-th power of the given w, the bound
-    of the walk, in about 2 log2(n) products instead of n.  With F = 0 the
-    power is exact."""
+    of the walk, in at most bitlen(n) products on the kept squares instead
+    of n.  With F = 0 the power is exact."""
+    if n >> len(sq):
+        raise ValueError(f"w^{n} needs more than {len(sq)} squares")
     x, y = 1 << F, 0
-    while n:
+    for c, s in sq:
         if n & 1:
             x, y = (x * c - y * s) >> F, (x * s + y * c) >> F
         n >>= 1
-        if n:
-            c, s = (c * c - s * s) >> F, (2 * c * s) >> F
+        if not n:
+            break
     return x, y
 
 

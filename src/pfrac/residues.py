@@ -11,8 +11,6 @@ bits above the label and checks each value against a shadow core built the
 same way, with the same cancellation guard, at a 64-bit target (`_oracle`).
 That check, like `_q_fixed`'s rounding monitor at the other poles, reruns a
 short value once through `precision.rerun_short`.
-The simple poles at each k share one sigma-free record (`_simple_record`),
-kept per family for the next sigma (`_family_records`).
 
 A pole h/k of any order s = floor(N/k) takes its Laurent data from
 `_pole_inverse`, which runs the same construction locally: with
@@ -29,14 +27,17 @@ The linear term goes into sigma: Q_{h k sigma}(N) is zeta^{h sigma} times a
 polynomial of degree s - 1 in sigma' = sigma - N(N+1)/4, and
 `_pole_inverse` caches its coefficients as fixed-point integers on one
 exponent, so `_q_fixed` evaluates it exactly on integers (4 sigma' is an
-integer) and `residue_sum` adds its poles exactly; each forms one mpc at
-the end, and `_c_from_q_all` combines the Q into the C on the same
-integers.  sigma is an integer everywhere, as in the paper: it indexes the
-C_{h k ell} (sigma = 1..ell) and the residue-sum identity, and every entry
-point refuses any other sigma with ValueError (`precision.checked_int`).
-The fixed-point table of the 2k-th roots e^{i pi r/k}
-(`sine_products._roots_of_unity`) serves zeta^{h sigma}, the powers of zeta
-in the C, the phase of A(0) and the sine product's recurrence step.
+integer).  This is the one residue route: `_folded_sum` adds the poles of
+the residue-sum identity and of the dominant families A, C, D and E
+exactly, one conjugate pair per evaluation, and forms one mpc at the end,
+and `_c_from_q_all` combines the Q into the C on the same integers.  sigma
+is an integer everywhere, as in the paper: it indexes the C_{h k ell}
+(sigma = 1..ell) and the residue-sum identity, and every entry point
+refuses any other sigma with ValueError (`precision.checked_int`).
+Every phase e^{i pi M/(2k)} (zeta^{h sigma}, the powers of zeta in the C,
+the phase of A(0), the sine product's recurrence step and the poles of
+`reconstruct_product`) is a power of one fixed-point e^{i pi/(2k)},
+`sine_products._phase`.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from math import comb, gcd
 from operator import add, mul
 
@@ -57,8 +58,8 @@ from mpmath import mp, mpc, mpf
 from .precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, checked_int,
                         rerun_short, resolve_precision)
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum, _pole_series
-from .fixed import exp_fixed, fix, man_exp, power, to_fixed, unfix
-from .sine_products import _root, _root_bits, _roots_of_unity, _sine_bits, _sine_product
+from .fixed import exp_fixed, to_fixed, unfix
+from .sine_products import _phase, _phase_bits, _sine_product
 
 @dataclass(frozen=True, order=True)
 class FareyFraction:
@@ -75,7 +76,7 @@ class FareyFraction:
 
 def farey(N: int) -> list[FareyFraction]:
     """Farey fractions of order N in [0, 1), ascending (Stern-Brocot steps)."""
-    if N < 1:
+    if checked_int(N, "N") < 1:
         raise ValueError("need N >= 1")
     out = [FareyFraction(0, 1)]
     if N == 1:
@@ -100,7 +101,7 @@ def p_restricted(N: int, n: int) -> int:
 
     Raises ValueError for n > P_RESTRICTED_MAX_N before building a table.
     """
-    if N < 0 or n < 0:
+    if checked_int(N, "N") < 0 or checked_int(n, "n") < 0:
         raise ValueError("need N, n >= 0")
     if n > P_RESTRICTED_MAX_N:
         raise ValueError(f"n = {n} exceeds P_RESTRICTED_MAX_N = {P_RESTRICTED_MAX_N}")
@@ -119,45 +120,6 @@ def p_restricted(N: int, n: int) -> int:
 
 # -- residues -----------------------------------------------------------------
 
-def _simple_record(k: int, hs: tuple, N: int, wp: int) -> tuple:
-    """(k, (c, s, F), man, e, ((h, M0), ...)): the sigma-free part of
-    Q_{h k sigma}(N) at wp bits for h in hs, one h or a pair h, k - h sharing
-    one sine product (2 sin(pi j (k-h)/k) = (-1)^{j+1} 2 sin(pi j h/k)).
-
-    w = e^{i pi/(2k)} ~ (c + i s) 2^-F, bitlen(4k) + 2 bits above the sine
-    recurrence's, whose step e^{i pi h/k} is w^{2h}; 1/(k^2 prod) = man 2^(e+F).
-    The closed form
-    Q = ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)}
-        e^{(pi i/2)(2Nh+N+h+k-hk)} prod_{j<=N-k} 1/(2 sin(pi j h/k))
-    makes its sign and phases e^{i pi M/(2k)}, M = M0 + 4 h sigma mod 4k; the
-    partner's sign (-1)^{m(m+3)/2}, m = N - k, adds 2k m(m+3)/2.
-    """
-    m = N - k
-    h = min(hs)
-    F = _sine_bits(k, m, wp) + (4 * k).bit_length() + 2
-    with mp.workprec(F + 8):
-        c, s = fix(mpmath.expjpi(mpf(1) / (2 * k)), F)
-    with mp.workprec(wp):
-        man, e = man_exp(1 / (k * k * _sine_product(h, k, m, wp, (*power(c, s, F, 2 * h), F))))
-    phases = []
-    for g in hs:
-        signs = k + 1 + (m * (m + 3) // 2 if g != h else 0)  # each sign is w^{2k} = -1
-        M0 = k * (2 * N * g + N + g + k - g * k + 2 * signs) - g * (N * N + N)
-        phases.append((g, M0 % (4 * k)))
-    return k, (c, s, F), man, e - F, tuple(phases)
-
-
-def _simple_total(records, sigma: int) -> tuple:
-    """(re, im, e): the records' residues at sigma, phase w^{M mod 4k}
-    (`fixed.power`) times man, added exactly on their lowest exponent."""
-    terms = []
-    for k, (c, s, F), man, e, phases in records:
-        for h, M0 in phases:
-            x, y = power(c, s, F, (M0 + 4 * h * sigma) % (4 * k))
-            terms.append((x * man, y * man, e))
-    return _exact_sum(terms)
-
-
 def _exact_sum(terms) -> tuple:
     """(re, im, low): the sum of the (x + i y) 2^e of terms, exact on their
     lowest exponent."""
@@ -168,11 +130,12 @@ def _exact_sum(terms) -> tuple:
 @lru_cache(maxsize=4096)
 def _pole_inverse(h: int, k: int, N: int, wprec: int):
     """Cached polynomial of the pole h/k, s = floor(N/k), centred at
-    c = N(N+1)/4: Q_{h k sigma}(N) = zeta^{h sigma} sum_{i<s} d_i sigma'^i with
-    sigma' = sigma - c (in Z/4 for the integer sigma), returned as (re, im, E)
-    with d_i = (re[i] + i im[i]) 2^E, where, in t = -i y,
+    c = N(N+1)/4: Q_{h k sigma}(N) = zeta^{h sigma} e^{-i pi M/(2k)}
+    sum_{i<s} d_i sigma'^i with sigma' = sigma - c (in Z/4 for the integer
+    sigma), returned as (re, im, E) with d_i = (re[i] + i im[i]) 2^E, where,
+    in t = -i y, with A(0) = k^s P e^{i pi M/(2k)} below,
 
-        d_i = (-i)^{s-1-i} G_{s-1-i} / (A(0) (-k)^s s! i!),  G = exp(-R(t)),
+        d_i = (-i)^{s-1-i} G_{s-1-i} / (k^s P (-k)^s s! i!),  G = exp(-R(t)),
 
     A(y) = prod_{mu<=s} E(mu k y) * prod_{j<=N, j != 0 mod k} (1 - zeta^{hj} e^{jy}),
     y = 2 pi i (z - h/k), E(x) = (e^x - 1)/x, zeta = e^{2 pi i/k},
@@ -181,9 +144,10 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     * A(0) = k^s prod_{j<=m} (1 - zeta^{hj}), m = N mod k, because each of the
       s full cycles of residues gives prod_{r<k} (1 - zeta^r) = k; and
       1 - zeta^{hj} = -i 2 sin(pi h j/k) e^{pi i h j/k}, so the partial product
-      is the sine product times (-i)^m e^{pi i h m(m+1)/(2k)}.  Both the
-      phase and the sine product's recurrence step e^{pi i h/k} come from
-      the roots table.
+      is the sine product P times (-i)^m e^{pi i h m(m+1)/(2k)}, the phase
+      e^{i pi M/(2k)} of M = h m(m+1) - k m.  `_q_fixed` takes that phase
+      with zeta^{h sigma}, so each d_i is real or imaginary; the sine
+      product's recurrence step e^{i pi h/k} is the `_phase` of 2h.
     * log E(x) = x/2 + sum_l B_{2l} x^{2l} / (2l (2l)!), and
       [y^i] log(1 - w e^{jy}) = j^i lambda_i(w) with, from
       1/(1 - e^{i phi}) = 1/2 + (i/2) cot(phi/2),
@@ -200,26 +164,24 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     The q = 1 core `laurent._laurent_core` keeps its own variable x and its
     linear term: moving that term into the oracle's weights would multiply
     them by powers of N(N+1)/4.  The result is exact integer work on
-    to_fixed(1/(A(0) (-k)^s s! (s-1)!)) at wprec + 8 bits and the G_n at
+    to_fixed(1/(k^s P (-k)^s s! (s-1)!)) at wprec + 8 bits and the G_n at
     wprec fraction bits, times the integers (s-1)!/i!.  Cost: O(N s)
     integer work for the power sums, O(k s) for their dot products with the
     cot table (k - 1 sweeps of order s - 2, cached per k and s by
     `laurent._cot_table`), and one exp_fixed of length s.
     """
     s, m = divmod(N, k)
-    roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
-    x, y = roots[h * (m * (m + 1) // 2) % (2 * k)]
-    x, y = ((x, y), (y, -x), (-x, -y), (-y, x))[m % 4]  # times (-i)^m
-    with mp.workprec(wprec):
-        # 1/(A(0) (-k)^s s! (s-1)!), with 1/phase = conj(phase)
-        inverse = unfix(x, -y, -T) / (_sine_product(h, k, m, wprec, (*roots[h], T))
-                                      * ((-1) ** s * s * (k ** s * math.factorial(s - 1)) ** 2))
-    x, y, E = to_fixed(inverse, wprec + 8)
+    wp, T = wprec + 8, _phase_bits(k, wprec)
+    with mp.workprec(wp):
+        # 1/(k^s P (-k)^s s! (s-1)!), real, to the wp bits to_fixed keeps
+        inverse = 1 / (_sine_product(h, k, m, wp, (*_phase(k, 2 * h, T), T))
+                       * ((-1) ** s * s * (k ** s * math.factorial(s - 1)) ** 2))
+    x, _, E = to_fixed(inverse, wp)
     if s == 1:
-        return (x,), (y,), E
-    d = []  # d_{s-1-n} 2^(wprec-E) = (x + i y) (-i)^n G_n 2^wprec (s-1)!/(s-1-n)!
+        return (x,), (0,), E
+    d = []  # d_{s-1-n} 2^(wprec-E) = x (-i)^n G_n 2^wprec (s-1)!/(s-1-n)!
     for n, g in enumerate(exp_fixed(_pole_series(h, k, N, wprec), s, wprec)):
-        u, v = ((x, y), (y, -x), (-x, -y), (-y, x))[n % 4]
+        u, v = ((x, 0), (0, -x), (-x, 0), (0, x))[n % 4]
         g *= math.perm(s - 1, n)
         d.append((u * g, v * g))
     return (*zip(*reversed(d)), E - wprec)
@@ -249,10 +211,11 @@ def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tu
     bits by which that bound exceeds the larger of 2^-prec of the result's
     larger part and 2^-prec absolute, and `precision.rerun_short` rebuilds
     the coefficients once with that many bits and GUARD_BITS more.
-    zeta^{h sigma} is read from the roots table at 2 h sigma mod 2k,
-    exactly reduced.
+    zeta^{h sigma} e^{-i pi M/(2k)}, with the phase M = h m(m+1) - k m,
+    m = N mod k, of A(0) (see `_pole_inverse`), is the `_phase` of the
+    exactly reduced 4 h sigma - M mod 4k.
     """
-    s = N // k
+    s, m = divmod(N, k)
     p, G = powers
 
     def run(extra):
@@ -262,13 +225,14 @@ def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tu
         largest = max(map(add, map(abs, tx), map(abs, ty)))  # >= the largest |term|
         x, y = sum(tx), sum(ty)
         size = max(abs(x), abs(y))  # <= |sum|
-        zx, zy = _roots_of_unity(k, wprec)[2 * h * sigma % (2 * k)]
+        T = _phase_bits(k, wprec)
+        zx, zy = _phase(k, (4 * h * sigma - h * m * (m + 1) + k * m) % (4 * k), T)
         # error <= largest 2^(E - G + 8 - wprec) < 2^(bitlen(largest) + E - G + 8 - wprec):
         # within 2^-prec of the sum (>= 2^(bitlen(size) - 1 + E - G)) for
         # bitlen(largest) <= r, and within 2^-prec absolutely for bitlen(largest) <= u
         r, u = size.bit_length() - 9 - prec + wprec, wprec - prec - 8 - E + G
         short = largest.bit_length() - max(u, r if size else u)
-        return (x * zx - y * zy, x * zy + y * zx, E - G - _root_bits(k, wprec), wprec), short
+        return (x * zx - y * zy, x * zy + y * zx, E - G - T, wprec), short
     return rerun_short(run, f"residue at {h}/{k}")
 
 
@@ -299,30 +263,36 @@ def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HP
         return HPComplex(unfix(re, im, e), prec)
 
 
-def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
-    """Sum of Q_{h k sigma}(N) over all Farey fractions of order N.
-
-    Equals 0 for 0 < sigma < N(N+1)/2, -p_N(-sigma) for sigma <= 0, and
-    (-1)^N p_N(sigma - N(N+1)/2) above.  Each Q comes from `_q_fixed` at
-    prec + 16 bits as integers, and the poles are added exactly on one
-    exponent, so the sum is formed once and does not depend on their order.
+def _folded_sum(poles, sigma: int, N: int, wp: int) -> tuple:
+    """(re, im, e): the sum of Q_{h k sigma}(N) over the poles, a set closed
+    under h -> k - h, exact on integers on one exponent (`_exact_sum`).
 
     sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma} and only
-    the poles with 2h <= k are evaluated: 0/1 and 1/2 add Q, every other pole
-    adds 2 Re Q.
-    """
-    prec = resolve_precision(prec)
-    sigma = checked_int(sigma, "sigma")
-    poles = farey(N)
-    powers = _sigma_powers(sigma, N, N)
+    the poles with 2h <= k are evaluated, each by `_q_fixed` at wp bits:
+    0/1 and 1/2 add Q, every other pole adds 2 Re Q.  So the sum does not
+    depend on the poles' order, and it is real but for the imaginary parts
+    of 0/1 and 1/2."""
+    powers = _sigma_powers(sigma, max(N // f.k for f in poles), N)
     terms = []
     for f in poles:
         if 2 * f.h > f.k:
             continue
-        re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, prec + 16, powers)
+        re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, wp, powers)
         terms.append((re, 0, e + 1) if 0 < 2 * f.h < f.k else (re, im, e))
+    return _exact_sum(terms)
+
+
+def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
+    """Sum of Q_{h k sigma}(N) over all Farey fractions of order N.
+
+    Equals 0 for 0 < sigma < N(N+1)/2, -p_N(-sigma) for sigma <= 0, and
+    (-1)^N p_N(sigma - N(N+1)/2) above.  The poles are folded in conjugate
+    pairs and added exactly at prec + 16 bits (`_folded_sum`).
+    """
+    prec = resolve_precision(prec)
+    sigma = checked_int(sigma, "sigma")
     with mp.workprec(prec + 16):
-        return HPComplex(unfix(*_exact_sum(terms)), prec)
+        return HPComplex(unfix(*_folded_sum(farey(N), sigma, N, prec + 16)), prec)
 
 
 def residue_sum_expected(N: int, sigma: int) -> int:
@@ -340,10 +310,10 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
     """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits from one Q_{h k sigma}(N)
     per sigma <= ell, each as `_q_fixed`'s integers:
     C_l = sum_{sigma<=l} C(l-1, sigma-1) (-1)^{l-sigma} zeta^{h(l-sigma)} Q_{h k sigma}(N),
-    added exactly with each power of zeta an entry of the roots table, and
-    rounded once per C_l."""
+    added exactly with each power of -zeta^h the `_phase` of
+    2 (2h + k)(l - sigma) mod 4k, and rounded once per C_l."""
     _check_pole(h, k, N)
-    roots, T = _roots_of_unity(k, wprec), _root_bits(k, wprec)
+    T = _phase_bits(k, wprec)
     qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N))
           for sigma in range(1, ell + 1)]
     out = []
@@ -351,7 +321,8 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
         terms = []
         for sigma, (re, im, e, _) in enumerate(qs[:l], 1):
             # C(l-1, sigma-1) (-zeta^h)^(l-sigma)
-            c, (zx, zy) = comb(l - 1, sigma - 1), roots[(2 * h + k) * (l - sigma) % (2 * k)]
+            c = comb(l - 1, sigma - 1)
+            zx, zy = _phase(k, 2 * (2 * h + k) * (l - sigma) % (4 * k), T)
             terms.append((c * (re * zx - im * zy), c * (re * zy + im * zx), e - T))
         with mp.workprec(wprec):
             out.append(unfix(*_exact_sum(terms)))
@@ -412,38 +383,19 @@ class FamilySelector:
                         out.add(FareyFraction(h, k))
         else:
             raise ValueError(f"unknown family tag {self.tag!r}")
+        if not out:
+            raise ValueError(f"family {self.tag} is empty at N={N}")
         return sorted(out, key=lambda f: (f.k, f.h))
 
 
-@lru_cache(maxsize=1)
-def _family_records(sel: FamilySelector, wp: int) -> tuple:
-    """`_simple_record` per k of a simple-pole family; one entry: callers
-    ask for sigma = 1, 2 of one N in turn."""
-    return tuple(_simple_record(k, tuple(f.h for f in pair), sel.N, wp)
-                 for k, pair in groupby(sel.fractions(), key=lambda f: f.k))
-
-
 def family_sum(sel: FamilySelector, sigma: int, prec: int | None = None) -> HPReal:
-    """Sum of Q_{h k sigma}(N) over the family; real by conjugate symmetry.
-
-    Families A, C and D add every residue of `_family_records` exactly
-    (`_simple_total`), both of a pair, so the imaginary-part check keeps
-    testing their phases.
-    """
+    """Sum of Q_{h k sigma}(N) over the family, which is closed under
+    h -> k - h: the conjugate pairs folded and added exactly at prec + 16
+    bits (`_folded_sum`), the same route as `residue_sum`."""
     prec = resolve_precision(prec)
     sigma = checked_int(sigma, "sigma")
-    wp = prec + 16
-    members = sel.fractions() if sel.tag == "E" else _family_records(sel, wp)
-    if not members:
-        raise ValueError(f"family {sel.tag} is empty at N={sel.N}")
-    with mp.workprec(wp):
-        if sel.tag == "E":
-            total = sum((q_general(f.h, f.k, sigma, sel.N, wp).value for f in members), mpc(0))
-        else:
-            total = unfix(*_simple_total(members, sigma))
-        if abs(total.imag) > mpf(2) ** (-prec // 2) * (1 + abs(total.real)):
-            raise PrecisionLossError(f"family {sel.tag} sum has a large imaginary part")
-    return HPReal(total.real, prec)
+    with mp.workprec(prec + 16):
+        return HPReal(unfix(*_folded_sum(sel.fractions(), sigma, sel.N, prec + 16)).real, prec)
 
 
 # -- the Laurent oracle at q = 1 -----------------------------------------------
@@ -527,15 +479,23 @@ def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPCo
 
 def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
     """Evaluate the full partial-fraction expansion of prod_{j<=N} 1/(1-q^j)
-    at the point q, summing every pole's principal part."""
+    at the point q, summing every pole's principal part.  Each pole
+    e^{2 pi i h/k} is the `_phase` of 4h on T fraction bits, within one unit
+    of 2^-T, and a q within two units of it in each part lies on the pole
+    as far as that phase can tell: ValueError."""
     prec = resolve_precision(prec)
-    with mp.workprec(prec + 16):
+    wp = prec + 16
+    with mp.workprec(wp):
         qv = mpc(q)
         total = mpc(0)
         for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
-            base = 1 / (qv - _root(f.k, prec + 16, 2 * f.h))
+            T = _phase_bits(f.k, wp)
+            d = qv - unfix(*_phase(f.k, 4 * f.h, T), -T)
+            if max(abs(d.real), abs(d.imag)) <= mpmath.ldexp(1, 1 - T):
+                raise ValueError(f"q = {q} lies on the pole e^(2 pi i {f})")
+            base = 1 / d
             power = mpc(1)
-            for coeff in principal_part(f.h, f.k, N, prec + 16):
+            for coeff in principal_part(f.h, f.k, N, wp):
                 power *= base
                 total += coeff.value * power
     return HPComplex(total, prec)

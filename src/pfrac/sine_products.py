@@ -18,10 +18,10 @@ one exponential and the power walk of one number (`_cot_sweep`), and the
 g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).  The
 float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
 pairs as numpy arrays.
-The pole inverses take their roots of unity e^{i pi r/k} from the
-fixed-point table `_roots_of_unity`, whose entry r = h is also the
-recurrence step of their sine products; the simple-pole residues take theirs
-as powers of one e^{i pi/(2k)} (`residues._simple_record`).
+Every pole phase e^{i pi M/(2k)} is a power of one fixed-point
+e^{i pi/(2k)} (`_phase`): the roots of unity of the residues, the C and
+the cot table, and the recurrence step e^{i pi h/k} of the pole inverses'
+sine products.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -41,10 +41,10 @@ from operator import mul as _imul
 
 import mpmath
 import numpy as np
-from mpmath import mp, mpc, mpf, pi
+from mpmath import mp, mpf, pi
 
 from .dilog import clausen
-from .fixed import fix, powers, shifted, unfix
+from .fixed import fix, power, powers, shifted, squares, unfix
 from .precision import GUARD_BITS, HPReal, rerun_short, resolve_precision
 from .sequences import bernoulli_over_factorial_fraction
 
@@ -116,37 +116,46 @@ def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
         return +product if n == m else (-1) ** ((h - 1) * (k - 1) // 2 + (h + 1) * n) * k / product
 
 
-def _root_bits(k: int, wprec: int) -> int:
-    """Fraction bits of the roots table at (k, wprec): at least the
-    `_sine_bits(k, m, wprec)` of the recurrence step of
-    `_sine_product(h, k, m, wprec)` for every m < k."""
-    return wprec + 4 * k.bit_length()
+def _phase_bits(k: int, wprec: int) -> int:
+    """Fraction bits of the pole phases at (k, wprec): at least the
+    `_sine_bits(k, m, wprec + 8)` of the recurrence step of the pole
+    inverse's `_sine_product(h, k, m, wprec + 8)` for every m < k."""
+    return wprec + 8 + 4 * k.bit_length()
 
 
-@lru_cache(maxsize=256)
-def _roots_of_unity(k: int, wprec: int) -> tuple:
-    """(e^{i pi r/k} 2^T as integer pairs (x, y) for r = 0..2k-1), within one
-    unit of 2^-T, T = _root_bits(k, wprec); zeta^r = e^{2 pi i r/k} is
-    entry 2r.
-
-    One expjpi gives the step e^{i pi/k}; the entries r <= k/2 are rotated
-    in fixed point with bitlen(k) + 2 guard bits and rounded, and the rest
-    follow exactly from e^{i pi (k-r)/k} = -conj e^{i pi r/k} and
-    e^{i pi (k+r)/k} = -e^{i pi r/k}.
-    """
-    guard = k.bit_length() + 2
-    wp = _root_bits(k, wprec) + guard
-    with mp.workprec(wp):
-        px, py = powers(*fix(mpmath.expjpi(mpf(1) / k), wp), wp, k // 2 + 1)
-    half = 1 << (guard - 1)
-    quarter = [((x + half) >> guard, (y + half) >> guard) for x, y in zip(px, py)]
-    upper = quarter + [(-x, y) for x, y in reversed(quarter[:k - k // 2])]  # r = 0..k
-    return tuple(upper + [(-x, -y) for x, y in upper[1:k]])
+@lru_cache(maxsize=4096)
+def _phase_squares(k: int, G: int) -> list:
+    """`fixed.squares` of w = e^{i pi/(2k)} 2^G, each part truncated toward
+    zero (`fixed.fix`), so |w| <= 1, as far as the exponents n <= k/2 of
+    `_phase` need: the one expjpi behind every phase of the poles with
+    denominator k."""
+    with mp.workprec(G + 8):
+        return squares(*fix(mpmath.expjpi(mpf(1) / (2 * k)), G), G, (k // 2).bit_length())
 
 
-def _root(k: int, wprec: int, r: int) -> mpc:
-    """e^{i pi r/k} from the roots table, as an mpc at the ambient precision."""
-    return unfix(*_roots_of_unity(k, wprec)[r % (2 * k)], -_root_bits(k, wprec))
+@lru_cache(maxsize=1024)
+def _phase(k: int, M: int, F: int) -> tuple:
+    """e^{i pi M/(2k)} 2^F as an integer pair (x, y) within one unit of 2^-F
+    in modulus, for a reduced exponent 0 <= M < 4k, from w = e^{i pi/(2k)}
+    on G = F + bitlen(k) + 3 bits: M = qk + r gives i^q w^r, and
+    w^r = i conj(w^(k-r)) for r > k/2, so one power w^n, n <= k/2
+    (`fixed.power` on `_phase_squares`), is rotated exactly and rounded to F.
+
+    w is within sqrt(2) units of 2^-G and the power adds under sqrt(2) (n - 1),
+    so w^n is within 2 sqrt(2) n <= sqrt(2) k units of 2^-G, under a fifth
+    of a unit of 2^-F, and rounding both parts adds under 0.71.  Every pole
+    phase is one: zeta^{h sigma} = e^{2 pi i h sigma/k} is M = 4 h sigma
+    mod 4k, and the sine step e^{i pi h/k} is M = 2h.  The memo keeps the
+    reduced exponents that repeat over a dense run of sigma and across N."""
+    G = F + k.bit_length() + 3
+    q, r = divmod(M, k)
+    if 2 * r > k:  # w^r = i conj(w^(k-r))
+        y, x = power(_phase_squares(k, G), G, k - r)
+    else:
+        x, y = power(_phase_squares(k, G), G, r)
+    x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[q % 4]  # times i^q
+    half = 1 << (G - F - 1)
+    return (x + half) >> (G - F), (y + half) >> (G - F)
 
 
 def _psi_bits(k: int, prec: int) -> int:

@@ -407,7 +407,7 @@ def test_error_order_doubling_pairs():
     with mp.workprec(420):
         w0 = find_zero((0, -1), prec=420).w.value
         pairs = ((200, 400), (300, 600), (400, 800), (500, 1000))
-        # sigma inside N: a1_sum keeps one N's family records for both sigma
+        # sigma inside N: the pole inverses a1_sum caches for one N serve both
         a1 = {(N, sigma): a1_sum(N, sigma, 420).value
               for pair in pairs for N in pair for sigma in (1, 2)}
         for sigma in (1, 2):

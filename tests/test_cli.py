@@ -186,7 +186,7 @@ def test_table_c011_row_is_pinned(capsys):
 
 
 def test_a1_rows_are_pinned(capsys):
-    # the simple-pole family sum, whose phases _simple_total forms
+    # the simple-pole family sum, folded through the pole inverses (_folded_sum)
     code, out = run_cli(capsys, "a1", "--rows", "400,600")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()

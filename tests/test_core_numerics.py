@@ -17,7 +17,8 @@ from mpmath import mp, mpf, pi
 
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
-from pfrac.fixed import EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted, unfix
+from pfrac.fixed import (EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted, squares,
+                         unfix)
 from pfrac.precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, rerun_short,
                              set_default_precision, tolerance)
 from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
@@ -321,7 +322,7 @@ def test_power_walk_and_conversions_of_the_fixed_point_layer():
         with mp.workprec(F + 64):
             step = unfix(c, s, -F)
             for t in (0, 1, 2, 3, 7, 64, 299, 1000, 2047, 4000):
-                x, y = power(c, s, F, t)
+                x, y = power(squares(c, s, F, t.bit_length()), F, t)
                 err = abs(mpmath.mpc(x, y) - step ** t * 2 ** F)
                 assert err <= math.sqrt(2) * max(t - 1, 0), (w, t)
     # no fraction bits: the exact powers of a Gaussian integer
@@ -329,7 +330,10 @@ def test_power_walk_and_conversions_of_the_fixed_point_layer():
     with mp.workprec(1000):
         assert all(mpmath.mpc(x, y) == mpmath.mpc(12345, -6789) ** j
                    for j, (x, y) in enumerate(zip(px, py)))
-    assert all(power(12345, -6789, 0, j) == (x, y) for j, (x, y) in enumerate(zip(px, py)))
+    sq = squares(12345, -6789, 0, 5)
+    assert all(power(sq, 0, j) == (x, y) for j, (x, y) in enumerate(zip(px, py)))
+    with pytest.raises(ValueError, match="needs more than 5 squares"):
+        power(sq, 0, 32)
     # shifted rounds down, also for negative v and s
     assert [shifted(v, t) for v, t in ((-5, -1), (5, -1), (-1, -10), (-5, 2))] == [-3, 2, -1, -20]
     # fix truncates each part toward zero, and unfix brings it back within 2^-F

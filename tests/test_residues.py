@@ -3,17 +3,18 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac import laurent, residues
+from pfrac import laurent, residues, sine_products
 from pfrac.asymptotics import a3_quadrature
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
-from pfrac.fixed import man_exp, unfix
+from pfrac.fixed import man_exp
 from pfrac.precision import GUARD_BITS, set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
@@ -91,11 +92,22 @@ def test_p_restricted_refuses_n_beyond_its_cap():
 # -- simple and general residues --------------------------------------------------------
 
 def _q_simple(h, k, sigma, N, prec=PREC):
-    """Q_{h k sigma}(N) at a simple pole by the closed form alone: the one-h
-    record of `_simple_record` (one sine product) and its phase at sigma."""
-    wp = prec + 16
+    """Q_{h k sigma}(N) at a simple pole by the closed form alone, in plain
+    mpmath (no fixed point, no sine-product kernel):
+    ((-1)^{k+1}/k^2) e^{-pi i h (N^2+N-4 sigma)/(2k)} e^{(pi i/2)(2Nh+N+h+k-hk)}
+    / prod_{j<=N-k} 2 sin(pi j h/k)."""
+    with mp.workprec(prec + 32):
+        phase = mpmath.exp(1j * pi * (mpf(-h * (N * N + N - 4 * sigma)) / (2 * k)
+                                      + mpf(2 * N * h + N + h + k - h * k) / 2))
+        return (-1) ** (k + 1) * phase / (k * k * _mp_sine_product(h, k, N - k, prec + 32))
+
+
+@lru_cache(maxsize=None)
+def _mp_sine_product(h, k, m, wp):
+    """prod_{j<=m} 2 sin(pi j h/k) by mpmath's sin at wp bits; shared by
+    every sigma of the pole."""
     with mp.workprec(wp):
-        return unfix(*residues._simple_total((residues._simple_record(k, (h,), N, wp),), sigma))
+        return mpmath.fprod(2 * mpmath.sin(pi * j * h / k) for j in range(1, m + 1))
 
 
 def test_q_simple_at_k_equals_n():
@@ -213,7 +225,7 @@ def test_folded_residue_sum_matches_explicit_sum(sigma):
 def test_q_general_precision_contract_at_every_pole_up_to_n_26():
     # each Q at p bits agrees with the same call at p + 128 bits within
     # 2^(16-p) |Q|; at the simple poles the closed form _q_simple is a second,
-    # independent route (sine product and one phase, no pole inverse)
+    # independent route (mpmath sines and one exp, no pole inverse)
     p = PREC
     for N in range(1, 27):
         M = N * (N + 1) // 2
@@ -289,7 +301,7 @@ def test_sigma_sums_cancel_by_under_32_bits():
 
 
 def test_warm_integer_sigma_calls_no_elementary_function(monkeypatch):
-    # with the pole's coefficients and roots table cached, an integer sigma
+    # with the pole's coefficients and phases cached, an integer sigma
     # costs integer arithmetic and one conversion, in q_general and residue_sum
     h, k, sigma, N, p = 2, 7, -5, 20, PREC
     want = q_general(h, k, sigma, N, p).value
@@ -309,7 +321,7 @@ def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
     # families A and D at an integer sigma: one e^{i pi/(2k)} per k serves
     # both h of the pair, their phases and their sine step; no exp, log, sin
     # or cos anywhere in the sum.  The next sigma of the same family reads
-    # the one cached record per k: no sine product and no expjpi
+    # the cached pole inverses and phase units: no sine product and no expjpi
     N, sigma, p = 203, 1, PREC
     calls, products = [], []
     expjpi, sine_product = mpmath.expjpi, residues._sine_product
@@ -327,10 +339,10 @@ def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
     for name in ("exp", "log", "sin", "cos"):
         monkeypatch.setattr(mpmath, name, refuse)
         monkeypatch.setattr(mp, name, refuse)
-    records = residues._family_records
     for tag in ("A", "D"):
         sel = FamilySelector(tag, N)
-        records.cache_clear()
+        for cache in (residues._pole_inverse, sine_products._phase, sine_products._phase_squares):
+            cache.cache_clear()
         calls.clear()
         family_sum(sel, sigma, p)
         assert len(calls) <= len({f.k for f in sel.fractions()}), tag
@@ -338,7 +350,6 @@ def test_simple_pole_families_take_one_expjpi_per_k(monkeypatch):
         products.clear()
         family_sum(sel, sigma + 1, p)
         assert not calls and not products, tag
-        assert records.cache_info().maxsize == 1 and records.cache_info().currsize == 1
 
 
 def test_q_general_escalates_then_gives_up(monkeypatch):
@@ -416,11 +427,15 @@ def test_principal_part_matches_c_from_q():
 
 
 def test_principal_part_refuses_a_pole_beyond_N():
-    # 1/3 is no pole at N = 2: the same ValueError as q_general and c_from_q
+    # 1/3 is no pole at N = 2: the same ValueError as q_general and c_from_q;
+    # and the expansion is not evaluated on a pole (q = 1 and -1 at N = 3)
     for call in (lambda: principal_part(1, 3, 2), lambda: q_general(1, 3, 1, 2),
                  lambda: c_from_q(1, 3, 1, 2)):
         with pytest.raises(ValueError, match="need 1 <= k <= N"):
             call()
+    for q, pole in ((1, "0/1"), (-1, "1/2")):
+        with pytest.raises(ValueError, match=f"lies on the pole e\\^\\(2 pi i {pole}\\)"):
+            reconstruct_product(3, q)
 
 
 def test_c011_of_one():
@@ -444,15 +459,27 @@ def test_family_a_equals_a1_sum():
 
 
 def test_family_sum_matches_unshared_residues():
-    # one sine product per conjugate pair, against q_general on every member:
-    # q_general (the pole inverse and the roots table) is the independent
-    # oracle for family_sum's shared-product route
+    # the fold (one evaluation per conjugate pair, 2 Re Q added exactly)
+    # against q_general on every member, both of each pair, summed by fsum
     with mp.workprec(300):
         for tag, N in (("A", 2), ("A", 3), ("A", 40), ("C", 41), ("D", 41), ("D", 60)):
             sel = FamilySelector(tag, N)
             want = mpmath.fsum(q_general(f.h, f.k, 1, N, PREC).value for f in sel.fractions())
             got = family_sum(sel, 1, PREC).value
             assert abs(got - want) < mpf(2) ** (16 - PREC) * (1 + abs(want))
+
+
+@pytest.mark.parametrize("call, p", [(lambda p: a1_sum(1000, 1, p), 420),
+                                     (lambda p: a1_sum(400, 2, p), 420),
+                                     (lambda p: family_sum(FamilySelector("D", 1001), 1, p), 256)],
+                         ids=["a1_sum-1000-1", "a1_sum-400-2", "family_D-1001-1"])
+def test_dominant_sums_keep_their_label(call, p):
+    # each sum at p bits agrees with the same call at p + 128 bits to
+    # p - 16 bits; the cross-pole cancellation grows with N, by about 0.1 N
+    # bits in family A and 0.05 N in family D
+    got, want = call(p).value, call(p + 128).value
+    with mp.workprec(p + 160):
+        assert abs(got - want) <= mpf(2) ** (16 - p) * abs(want)
 
 
 def test_family_d_ratio_approaches_one():
@@ -618,8 +645,12 @@ def test_sigma_entry_points_refuse_a_non_integer(sigma):
     for call in (lambda: c01l_exact(10, sigma), lambda: c_from_q(0, 1, sigma, 10)):
         with pytest.raises(ValueError, match="ell must be an integer"):
             call()
-    with pytest.raises(ValueError, match="N must be an integer"):
-        principal_part(1, 3, 3 + sigma)
+    for call in (lambda: principal_part(1, 3, 3 + sigma), lambda: farey(3 + sigma),
+                 lambda: p_restricted(3 + sigma, 3)):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            call()
+    with pytest.raises(ValueError, match="n must be an integer"):
+        p_restricted(3, 3 + sigma)
 
 
 @pytest.mark.parametrize("N", [0, -3])

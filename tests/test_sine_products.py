@@ -19,7 +19,7 @@ from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
 from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sweep,
-                                 _min_pair_product, _root_bits, _roots_of_unity, _sine_factors,
+                                 _min_pair_product, _phase, _phase_bits, _sine_factors,
                                  _sine_product, em_length, em_remainder, em_remainder_scan,
                                  psi, t_l_bound)
 
@@ -61,23 +61,21 @@ def test_full_product_closed_form(rng):
             assert abs(recip - want) < mpf(2) ** -220
 
 
-def test_roots_table_within_one_unit():
-    # every 2k-th root within one unit of 2^-T, and entry h as the sine
-    # product's recurrence step
+def test_phase_within_one_unit():
+    # every e^{i pi M/(2k)}, M < 4k, within one unit of 2^-T in modulus,
+    # and M = 2h as the sine product's recurrence step
     for k in (1, 2, 3, 4, 7, 12, 97):
         for wprec in (64, 300):
-            T = _root_bits(k, wprec)
-            table = _roots_of_unity(k, wprec)
-            assert len(table) == 2 * k
+            T = _phase_bits(k, wprec)
             with mp.workprec(T + 32):
-                for r, (x, y) in enumerate(table):
-                    z = mpmath.expjpi(mpf(r) / k) * 2 ** T
-                    assert abs(mpc(x, y) - z) <= 1, (k, wprec, r)
+                for M in range(4 * k):
+                    z = mpmath.expjpi(mpf(M) / (2 * k)) * 2 ** T
+                    assert abs(mpc(*_phase(k, M, T)) - z) <= 1, (k, wprec, M)
             for h in range(1, k):
                 if gcd(h, k) == 1:
                     for m in (k // 2, k - 1):
                         with mp.workprec(wprec + 32):
-                            a = _sine_product(h, k, m, wprec, (*table[h], T))
+                            a = _sine_product(h, k, m, wprec, (*_phase(k, 2 * h, T), T))
                             b = _sine_product(h, k, m, wprec)
                             assert abs(a - b) <= mpf(2) ** (2 - wprec) * abs(b), (k, h, m)
 

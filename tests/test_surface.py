@@ -131,14 +131,28 @@ def test_bernoulli_table_lives_in_pfrac_sequences():
         assert "mpmath.zeta(" not in text, path.name
 
 
+def test_pole_phases_live_in_sine_products_phase():
+    # every phase e^{i pi M/(2k)} of the poles is a power of one
+    # e^{i pi/(2k)}: mpmath.expjpi is called only for its squares and by
+    # the default step of the sine recurrence
+    want = {"sine_products.py": {"_phase_squares", "_sines"}}
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        callers = {node.name for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef)
+                   and "mpmath.expjpi(" in ast.get_source_segment(text, node)}
+        assert callers == want.get(path.name, set()), path.name
+        assert text.count("mpmath.expjpi(") == len(callers), path.name
+
+
 def test_one_rerun_rule_lives_in_pfrac_precision():
     # a value short of its label is rerun by one rule, precision.rerun_short:
-    # PrecisionLossError is defined and raised there, and elsewhere raised
-    # only by family_sum's imaginary-part check; no module doubles a
-    # precision in a loop, and each cancelling sum's check calls the helper
+    # PrecisionLossError is defined and raised there and nowhere else; no
+    # module doubles a precision in a loop, and each cancelling sum's check
+    # calls the helper
     doubling = re.compile(r"(prec|wp|guard)\w*\s*(\*=|<<=)"
                           r"|(prec|wp|guard)\w*\s*=.*(<<|\b2 \*|\* 2\b)")
-    raisers = {"precision.py": {"rerun_short"}, "residues.py": {"family_sum"}}
+    raisers = {"precision.py": {"rerun_short"}}
     checks = {"residues.py": {"_q_fixed", "_oracle"},
               "sine_products.py": {"_cot_sweep", "_em_checked"}}
     for path in Path(pfrac.__file__).parent.glob("*.py"):

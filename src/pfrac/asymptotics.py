@@ -13,7 +13,9 @@ All local series are produced by closed-form series arithmetic (exp, log,
 reciprocal, integration), never numerical differentiation.
 
 The contour quadrature runs on a fused integrand (`_a3_integrand`): one
-e^{i pi z} per node feeds p, v and q, and one exp and one sqrt finish it.
+e^{i pi z} per node feeds p, v and q, v's sum over g_l is one fixed-point
+accumulation, and one exp and one sqrt finish it.  The Gauss-Legendre nodes
+come from Newton's method on integers (`_gauss_legendre`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from mpmath import mp, mpc, mpf, pi
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _check_off_cut, _li2_any, _phase_at, _v_at, find_saddle, find_zero,
                     p_d, q_func)
+from .fixed import fix
 from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
@@ -372,7 +375,9 @@ def family_leading(tag: str, parity: int | None = None,
 
 def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
                        prec: int | None = None) -> HPReal:
-    """Evaluate the m-term truncation of an Expansion at N."""
+    """Evaluate the m-term truncation of an Expansion at N, an integer >= 1."""
+    if checked_int(N, "N") < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     m = len(e.coeffs) if m is None else m
     if m > len(e.coeffs):
         raise ValueError(f"only {len(e.coeffs)} coefficients available, m={m} requested")
@@ -396,27 +401,44 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(n: int, prec: int) -> tuple:
-    """Nodes (descending) and weights on [-1, 1], by Newton on the Legendre
-    recurrence for the ceil(n/2) nonnegative roots, mirrored to x -> -x."""
+    """Nodes (descending) and weights on [-1, 1] of the n-point rule, n >= 1,
+    as mpf at prec + 16 bits, by Newton on the Legendre recurrence for the
+    ceil(n/2) nonnegative roots, mirrored to x -> -x.
+
+    The recurrence P_k = ((2k-1) x P_{k-1} - (k-1) P_{k-2})/k, the derivative
+    P_n' = n (x P_n - P_{n-1})/(x^2 - 1) and each Newton step run on integers
+    at F = prec + 16 + 2 bitlen(n) fraction bits, each product and quotient
+    rounded down: the recurrence is stable on [-1, 1], so P_n carries under
+    about n^2 units of 2^-F.  Newton starts from the float estimate
+    cos(pi (i - 1/4)/(n + 1/2)) and stops once a step is below 2^(-prec-8);
+    the weight 2/((1 - x^2) P_n'(x)^2) takes the last step's derivative.  The
+    mirror negates the integers, so each node and weight is one mpf, rounded
+    once.
+    """
+    n = checked_int(n, "n")
+    if n < 1:
+        raise ValueError(f"need n >= 1 nodes, got {n}")
+    F = prec + 16 + 2 * n.bit_length()
+    one, tol = 1 << F, 1 << (F - prec - 8)
+    nodes, weights = [], []
+    for i in range(1, (n + 1) // 2 + 1):
+        x = fix(mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5))), F)[0]
+        for _ in range(100):
+            p0, p1 = one, x
+            for kk in range(2, n + 1):
+                p0, p1 = p1, ((2 * kk - 1) * (x * p1 >> F) - (kk - 1) * p0) // kk
+            dp = (n * ((x * p1 >> F) - p0) << F) // ((x * x >> F) - one)
+            dx = (p1 << F) // dp
+            x -= dx
+            if abs(dx) < tol:
+                break
+        weights.append((2 << 4 * F) // ((one - (x * x >> F)) * dp * dp))
+        nodes.append(x)
+    half = n // 2  # the roots with a mirror image; odd n keeps 0 once
+    nodes += [-x for x in reversed(nodes[:half])]
+    weights += weights[:half][::-1]
     with mp.workprec(prec + 16):
-        nodes, weights = [], []
-        for i in range(1, (n + 1) // 2 + 1):
-            x = mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
-            dp = mpf(1)
-            for _ in range(100):
-                p0, p1 = mpf(1), x
-                for kk in range(2, n + 1):
-                    p0, p1 = p1, ((2 * kk - 1) * x * p1 - (kk - 1) * p0) / kk
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpf(2) ** (-prec - 8):
-                    break
-            weights.append(2 / ((1 - x * x) * dp * dp))
-            nodes.append(x)
-        half = n // 2  # the roots with a mirror image; odd n keeps 0 once
-        return (tuple(nodes + [-x for x in reversed(nodes[:half])]),
-                tuple(weights + weights[:half][::-1]))
+        return tuple(mpf((x, -F)) for x in nodes), tuple(mpf((w, -F)) for w in weights)
 
 
 def saddle_path(prec: int | None = None) -> tuple:
@@ -462,8 +484,9 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
 
 def _a3_integrand(z, N: int, sigma, prec: int):
     """e^{-N p(z)} q(z) e^{v(z;N,sigma)} at prec + 24 bits from one u = e^{i pi z}:
-    e = u^2 feeds Li2(e) in p = p_0 and the cot sweep of v, 2 sin(pi (z - 1))
-    = i (u - 1/u) feeds q, and one exp(-N p + v - i pi z/2) finishes."""
+    e = u^2 feeds Li2(e) in p = p_0 and the sum over g_l in v (`_v_at`),
+    2 sin(pi (z - 1)) = i (u - 1/u) feeds q, and one exp(-N p + v - i pi z/2)
+    finishes."""
     with mp.workprec(prec + 24):
         _check_off_cut(z)
         u = mpmath.exp(1j * pi * z)

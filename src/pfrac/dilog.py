@@ -11,9 +11,12 @@ expansions in this package.
 
 The power series sum z^n/n^2 (`_li2_series`) and the Bernoulli series in
 mu = log z (`_li2_log_series`, the one series behind the annulus and
-Clausen's integral) run on complex fixed-point integers.  `_phase_at` and
-`_v_at` (p_d and v) take a precomputed e^{2 pi i z}, so the contour
-integrand shares one exponential among them.
+Clausen's integral) run on complex fixed-point integers; Clausen's
+integral takes the imaginary part alone, on one real power walk.
+`_phase_at` and `_v_at` (p_d and v) take a precomputed e^{2 pi i z}, so the
+contour integrand shares one exponential among them, and v's sum over g_l
+is `sine_products._g_sum`, the one sum the Euler-Maclaurin main term adds
+too.
 """
 
 from __future__ import annotations
@@ -73,22 +76,27 @@ def _li2_log_series(mu, logneg):
     Li2(e^mu) = zeta(2) + mu - mu log(-mu) - mu^2/4
                 - sum_{k>=1} B_{2k} mu^{2k+1} / (2k (2k)! (2k+1)).
     The sum runs in complex fixed point at F = prec + 24 fraction bits: the
-    mu^{2k+1} come from one power walk in mu^2, each times the mantissa of
-    |B_{2k}/(2k)!| from `sequences.bernoulli_table` and one floor division.
-    The terms fall like (|mu|/2 pi)^{2k}, which fixes their count up front;
-    the table is built once per precision for the annulus bound on |mu| and
-    read as a prefix.
+    mu^{2k+1} come from one power walk in mu^2, each part summed by
+    `_bernoulli_sum`.  The terms fall like (|mu|/2 pi)^{2k}, which fixes
+    their count up front.
     """
     F = mp.prec + 24
-    table = bernoulli_table(_log_series_terms(F, _ANNULUS_BITS), F)
     K = _log_series_terms(F, -mpmath.log(abs(mu) / (2 * pi), 2))
     px, py = powers(*fix(mu * mu, F), F, K + 1, start=fix(mu, F))  # mu^{2k+1} 2^F
-    sx = sy = 0
-    for k, (man, e), x, y in zip(range(1, K + 1), table, px[1:], py[1:]):
-        d = (-1) ** (k + 1) * 2 * k * (2 * k + 1)
-        sx += (man * x >> -e) // d
-        sy += (man * y >> -e) // d
-    return _zeta2() + mu - mu * logneg - mu ** 2 / 4 - unfix(sx, sy, -F)
+    return (_zeta2() + mu - mu * logneg - mu ** 2 / 4
+            - unfix(_bernoulli_sum(px, F, K), _bernoulli_sum(py, F, K), -F))
+
+
+def _bernoulli_sum(p, F: int, K: int) -> int:
+    """sum_{k<=K} B_{2k} p[k] / (2k (2k)! (2k+1)) on F fraction bits, each
+    term the mantissa of |B_{2k}/(2k)!| from `sequences.bernoulli_table`
+    times p[k] and one floor division.  The table is built once per
+    precision for the annulus bound on |mu| and read as a prefix."""
+    table = bernoulli_table(_log_series_terms(F, _ANNULUS_BITS), F)
+    total = 0
+    for k, (man, e), x in zip(range(1, K + 1), table, p[1:]):
+        total += (man * x >> -e) // ((-1) ** (k + 1) * 2 * k * (2 * k + 1))
+    return total
 
 
 def _li2_any(z):
@@ -134,23 +142,30 @@ def clausen(theta, prec: int | None = None) -> HPReal:
     """Clausen's integral Cl2(theta) = Im Li2(e^{i theta}); odd, 2pi-periodic.
 
     theta is reduced to (0, pi], where Cl2 is the imaginary part of
-    `_li2_log_series` at mu = i theta."""
+    `_li2_log_series` at mu = i theta, taken on reals alone:
+    Im(zeta(2) + mu - mu log(-mu) - mu^2/4) = theta - theta log theta, and
+    mu^{2k+1} = i (-theta^2)^k theta, one real power walk in -theta^2, the
+    same integers as the imaginary parts of the complex walk."""
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         t = to_mpc(theta).real
-        twopi = 2 * pi
-        t = mpmath.fmod(t, twopi)
-        if t > pi:
-            t -= twopi
-        elif t < -pi:
-            t += twopi
+        if abs(t) > pi:
+            t = mpmath.fmod(t, 2 * pi)
+            if t > pi:
+                t -= 2 * pi
+            elif t < -pi:
+                t += 2 * pi
         sign = 1
         if t < 0:
             sign, t = -1, -t
         if t == 0:
             return HPReal(mpf(0), prec)
-        mu = mpc(0, t)
-        return HPReal(sign * _li2_log_series(mu, mpmath.log(-mu)).imag, prec)
+        F = mp.prec + 24
+        frac, ex = mpmath.frexp(t / (2 * pi))
+        K = _log_series_terms(F, -ex - math.log2(frac))
+        # Im mu^{2k+1} 2^F: the real parts of the walk stay 0
+        py = powers(-fix(t * t, F)[0], 0, F, K + 1, start=(0, fix(t, F)[0]))[1]
+        return HPReal(sign * (t - t * mpmath.log(t) - mpf((_bernoulli_sum(py, F, K), -F))), prec)
 
 
 @dataclass(frozen=True)
@@ -303,8 +318,7 @@ def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
     """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
 
     L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
-    Delta = 0.006 and h = 1 that the integral representation uses; every
-    g_l comes from one cotangent sweep (`sine_products._g_sweep`).
+    Delta = 0.006 and h = 1 that the integral representation uses (`_v_at`).
     """
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
@@ -312,14 +326,12 @@ def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
 
 
 def _v_at(zv, N: int, sigma, e=None):
-    """v_func at the ambient precision; e, when given, is e^{2 pi i z}."""
-    from .sine_products import _g_sweep, em_length
+    """v_func at the ambient precision, for v_func and the contour integrand
+    alike; e, when given, is e^{2 pi i z} and saves the exponential of the
+    sum over g_l, which is one fixed-point accumulation
+    (`sine_products._g_sum`)."""
+    from .sine_products import _g_sum, em_length
     L = em_length(0.006, N, 1)
     if L < 2:
         raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")
-    total = 2j * pi * sigma * zv / N
-    Nf = mpf(N)
-    for ell, g in enumerate(_g_sweep(L - 1, zv, e), 1):
-        total += g / Nf ** (2 * ell - 1)
-    return total
-
+    return 2j * pi * sigma * zv / N + _g_sum(L - 1, zv, N, e)

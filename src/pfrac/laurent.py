@@ -35,7 +35,7 @@ from mpmath import mp, mpf
 
 from .fixed import exp_fixed, man_exp, powers, shifted, unfix
 from .sequences import bernoulli_table, even_power_sums
-from .sine_products import _cot_orders, _phase, _phase_bits
+from .sine_products import _cot_bits, _cot_orders, _phase, _phase_bits
 
 
 def _laurent_guard(N: int) -> int:
@@ -122,14 +122,14 @@ def _pole_series(h: int, k: int, N: int, F: int) -> list:
 def _cot_table(k: int, n: int, wprec: int) -> tuple:
     """(Fc, rows): cot^{(j)}(pi r/k) = rows[r-1][j] 2^(j+1-Fc) for j <= n and
     r = 1..k-1, each row the real parts of one cot sweep (`_cot_orders`)
-    from b = 1/(zeta^r - 1), at the Fc = wprec + n + bitlen(n+1) + 16
-    fraction bits `_cot_sweep` takes at wprec.  The k - 1 roots zeta^r are
+    from b = 1/(zeta^r - 1), at the Fc = `_cot_bits(wprec, n)` fraction
+    bits `_cot_sweep` takes at wprec.  The k - 1 roots zeta^r are
     one `fixed.powers` walk of the phase zeta = e^{2 pi i/k} (`_phase`) on
     T = `_phase_bits(k, wprec)` fraction bits, within about (1 + sqrt(2)) r
     units of 2^-T: far below the 2^-wprec at which b is formed.  At
     r/k = 1/2, b = -1/2 is exact and so are the zeros of the even orders.
     Shared by every h and N with the same k and floor(N/k) - 2 = n."""
-    Fc, T = wprec + n + (n + 1).bit_length() + 16, _phase_bits(k, wprec)
+    Fc, T = _cot_bits(wprec, n), _phase_bits(k, wprec)
     px, py = powers(*_phase(k, 4 % (4 * k), T), T, k)
     with mp.workprec(wprec):
         bs = [1 / (unfix(x, y, -T) - 1) for x, y in zip(px[1:], py[1:])]

@@ -16,6 +16,9 @@ walk is a run of exact integer prefix sums over a fixed-point table of
 -log 2 sin(pi r/k).  Cotangent derivatives of every order up to n come from
 one exponential and the power walk of one number (`_cot_sweep`), and the
 g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).  The
+sum over l of g_l(z)/n^{2l-1}, which the main term of T_L and the contour's
+v add, is one exact integer accumulation on the same powers (`_g_sum`), and
+like the sweep it measures its own cancellation.  The
 float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
 pairs as numpy arrays.
 Every pole phase e^{i pi M/(2k)} is a power of one fixed-point
@@ -44,9 +47,9 @@ import numpy as np
 from mpmath import mp, mpf, pi
 
 from .dilog import clausen
-from .fixed import fix, power, powers, shifted, squares, unfix
-from .precision import GUARD_BITS, HPReal, rerun_short, resolve_precision
-from .sequences import bernoulli_over_factorial_fraction
+from .fixed import fix, power, powers, shifted, squares, to_fixed, unfix
+from .precision import GUARD_BITS, HPReal, checked_int, rerun_short, resolve_precision
+from .sequences import bernoulli_over_factorial_fraction, stirling2
 
 def _sine_bits(k: int, m: int, prec: int) -> int:
     """Fraction bits of the sine recurrence for m factors of step pi h/k good
@@ -192,7 +195,10 @@ def psi(h: int, k: int, prec: int | None = None) -> HPReal:
 
 
 def psi_table(k: int, prec: int | None = None) -> list:
-    """Rows (h, Psi(h/k), D(h, k)) for 1 <= h < k with (h, k) = 1."""
+    """Rows (h, Psi(h/k), D(h, k)) for 1 <= h < k with (h, k) = 1; k is an
+    integer >= 2 (ValueError otherwise)."""
+    if checked_int(k, "k") < 2:
+        raise ValueError(f"need k >= 2, got {k}")
     return [(h, psi(h, k, prec), _min_pair_product(h, k))
             for h in range(1, k) if math.gcd(h, k) == 1]
 
@@ -209,30 +215,28 @@ def _min_pair_product(h: int, k: int) -> int:
 
 # -- cotangent derivatives ---------------------------------------------------
 
-def _cot_sweep(n: int, z, ez=None) -> list:
+def _cot_sweep(n: int, z) -> list:
     """[cot(z), cot'(z), ..., cot^{(n)}(z)] at the ambient precision, from one
-    exponential ez = e^{2iz} (a caller may pass it) and the closed form
+    exponential e^{2iz} and the closed form
     cot^{(j)}(z) = (-1)^j (2i)^{j+1} sum_{r<=j+1} a_{j,r} b^r (+ i at j = 0),
     b = 1/(e^{2iz} - 1), a_{j,r} = (r-1)! S(j+1, r); i -> -i and e^{-2iz} for
     Im z < 0, so |b| >= 1/2.  The powers of b are held in complex fixed point
-    with F = prec + n + bitlen(n+1) + 16 fraction bits, so each order is one
-    exact integer dot product and one conversion to mpc.
+    with F = prec + n + bitlen(n+1) + 16 fraction bits (`_cot_bits`), so each
+    order is one exact integer dot product and one conversion to mpc.
 
-    Without a given ez, the exponential and b are computed at F bits, and
-    the sweep checks its own cancellation: where |e^{2isz}| is small, b is
-    near -1 and the terms of order n reach about n! while their sum stays
-    small (94 bits apart at n = 24, z = -0.3 - 5i).  The cancellation `lost`,
-    the bits by which some order's sum falls below the sum of its terms'
-    magnitudes, does not shrink with more bits, so a sweep with `extra`
-    fraction bits is short by lost - GUARD_BITS - extra, and
-    `precision.rerun_short` runs a short sweep once more with `lost` more.
+    The exponential and b are computed at F bits, and the sweep checks its
+    own cancellation: where |e^{2isz}| is small, b is near -1 and the terms
+    of order n reach about n! while their sum stays small (94 bits apart at
+    n = 24, z = -0.3 - 5i).  The cancellation `lost`, the bits by which some
+    order's sum falls below the sum of its terms' magnitudes, does not shrink
+    with more bits, so a sweep with `extra` fraction bits is short by
+    lost - GUARD_BITS - extra, and `precision.rerun_short` runs a short sweep
+    once more with `lost` more.
     """
     if z == 0:
         raise ValueError("cotangent pole at a multiple of pi")
     s = 1 if z.imag >= 0 else -1
-    F = mp.prec + n + (n + 1).bit_length() + 16
-    if ez is not None:
-        return [unfix(*o) for o in _cot_orders(n, s, 1 / ((ez if s > 0 else 1 / ez) - 1), F)[0]]
+    F = _cot_bits(mp.prec, n)
 
     def run(extra):
         with mp.workprec(F + extra):
@@ -242,42 +246,130 @@ def _cot_sweep(n: int, z, ez=None) -> list:
     return [unfix(*o) for o in rerun_short(run, f"cotangent sweep of order {n}")]
 
 
+def _cot_bits(prec: int, n: int) -> int:
+    """Fraction bits of a cot sweep to order n at prec bits: n + bitlen(n+1)
+    for the powers b^r, |b| >= 1/2, r <= n + 1, and 16 guard bits."""
+    return prec + n + (n + 1).bit_length() + 16
+
+
+@lru_cache(maxsize=64)
+def _cot_weights(n: int) -> tuple:
+    """The weights a_{j,r} = (r-1)! S(j+1, r), r = 1..j+1, of the closed form
+    of cot^{(j)}, one row per order j = 0..n."""
+    return tuple(tuple(math.factorial(r - 1) * stirling2(j + 1, r) for r in range(1, j + 2))
+                 for j in range(n + 1))
+
+
+def _b_sums(n: int, b, F: int, step: int = 1, measure: bool = False):
+    """(j, x, y, mag) for j = 0, step, 2 step, ... <= n: the sum
+    sum_{r<=j+1} a_{j,r} b^r 2^F = x + i y of the closed form of cot^{(j)}
+    (`_cot_weights`), as one exact integer dot product over the powers of b
+    at F fraction bits, and, on request, mag, the same sum over the
+    magnitudes |Re b^r| + |Im b^r| (0 otherwise)."""
+    bx, by = fix(b, F)
+    px, py = powers(bx, by, F, n + 1, (bx, by))  # b^r 2^F, r = 1..n+1
+    mags = [abs(x) + abs(y) for x, y in zip(px, py)] if measure else None
+    weights = _cot_weights(n)
+    for j in range(0, n + 1, step):
+        a = weights[j]
+        yield (j, sum(map(_imul, a, px)), sum(map(_imul, a, py)),
+               sum(map(_imul, a, mags)) if measure else 0)
+
+
 def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
     """(the sweep's orders 0..n, the bits the worst order's sum cancelled)
     from b at F fraction bits, order j as the integers (x, y, j + 1 - F) of
     (x + i y) 2^(j+1-F); the cancellation is only measured on request."""
-    bx, by = fix(b, F)
-    px, py = powers(bx, by, F, n + 1, (bx, by))  # b^r 2^F, r = 1..n+1
-    mags = [abs(x) + abs(y) for x, y in zip(px, py)] if measure else None
-    out, lost, a = [], 0, [1]  # a_{j,r}, r = 1..j+1
-    for j in range(n + 1):
-        x, y = sum(map(_imul, a, px)), sum(map(_imul, a, py))
+    out, lost = [], 0
+    for j, x, y, mag in _b_sums(n, b, F, measure=measure):
         if measure:
-            size = max(abs(x), abs(y)).bit_length()
-            lost = max(lost, sum(map(_imul, a, mags)).bit_length() - size)
+            lost = max(lost, mag.bit_length() - max(abs(x), abs(y)).bit_length())
         # (-1)^j (2is)^{j+1} = 2^{j+1} i^m: rotate by i^m, scale by the exponent
         x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[((j + 1) * (2 - s) + 2 * j) % 4]
         if j == 0:
             y += s << (F - 1)
         out.append((x, y, j + 1 - F))
-        # a_{j+1,r} = r a_{j,r} + (r-1) a_{j,r-1}
-        a = [(t + 1) * u + t * v for t, (u, v) in enumerate(zip(a + [0], [0] + a))]
     return out, lost
 
 
-def _g_sweep(lmax: int, z, ez=None) -> list:
+def _g_sweep(lmax: int, z) -> list:
     """[g_1(z), ..., g_lmax(z)] at the ambient precision from one cot sweep at
-    pi z; ez, when given, is e^{2 pi i z}."""
+    pi z: the single g_l, where a caller needs them apart (`_g_sum` adds
+    them)."""
     if z.imag == 0 and z.real == mpmath.floor(z.real):
         raise ValueError("pole at integer z")
     piz = pi * z
-    cots = _cot_sweep(2 * lmax - 2, piz, ez)
+    cots = _cot_sweep(2 * lmax - 2, piz)
     out, power, sq = [], piz, piz * piz  # power = (pi z)^{2l-1}
     for ell in range(1, lmax + 1):
         b = bernoulli_over_factorial_fraction(ell)
         out.append(-mpf(b.numerator) / b.denominator * power * cots[2 * ell - 2])
         power *= sq
     return out
+
+
+def _g_sum(lmax: int, z, n: int, ez=None):
+    """sum_{l<=lmax} g_l(z)/n^{2l-1} for lmax >= 1 as an mpc at the ambient
+    precision, g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z), from
+    one exact integer accumulation and one conversion.
+
+    With w = pi z, s = sign Im z (s = 1 on the real axis) and the sums
+    D_j = sum_r a_{j,r} b^r of the cot sweep (`_b_sums`, even j only),
+    cot^{(2l-2)}(w) = (-1)^{l-1} 2^{2l-1} s i D_{2l-2} (+ s i at l = 1) and
+    (-1)^{l-1} B_{2l} = |B_{2l}|, so the sum is -s i T with
+    T = sum_l |B_{2l}/(2l)!| 2^{2l-1} (w/n)^{2l-1} D'_{2l-2}, D'_0 = D_0 + 1/2.
+    The powers w^{2l-1} are one `fixed.powers` walk of w^2, w scaled by a
+    power of 2 to between 1 and 2 sqrt(2) in modulus (`fixed.to_fixed`), and
+    each term's rational factor |B_{2l}|/((2l)! n^{2l-1}) and that scale go
+    into one floor division, exact but for under one unit of 2^-F; walking
+    w/n instead leaves a small number few significant bits.  F is the
+    `_cot_bits` of the sweep of order 2 lmax - 2.  ez, if given, is
+    e^{2 pi i z} at the ambient precision and saves the exponential of the
+    first pass.
+
+    The sum checks its own cancellation as `_cot_sweep` does, by the bits
+    lost = log2(sum |term| / |T|) over every product a_{j,r} b^r of every
+    term; |x| + |y| stands for the modulus of x + i y.  A first pass with
+    `extra` fraction bits is short by lost - GUARD_BITS - extra, and
+    `precision.rerun_short` runs a short sum once more from a fresh
+    exponential at lost more bits.
+    """
+    if z.imag == 0 and z.real == mpmath.floor(z.real):
+        raise ValueError("pole at integer z")
+    s = 1 if z.imag >= 0 else -1
+    F = _cot_bits(mp.prec, 2 * lmax - 2)
+
+    def run(extra):
+        G = F + extra
+        with mp.workprec(G):
+            w = pi * z
+            if ez is None or extra:
+                e = mpmath.exp(2j * s * w)
+            else:
+                e = ez if s > 0 else 1 / ez
+            b = 1 / (e - 1)
+        wx, wy, E = to_fixed(w, G)  # w = (wx + i wy) 2^-G 2^(E + G)
+        sqx, sqy = (wx * wx - wy * wy) >> G, (2 * wx * wy) >> G
+        Wx, Wy = powers(sqx, sqy, G, lmax, (wx, wy))  # (w 2^-(E+G))^{2l-1} 2^G
+        tx = ty = mag = 0
+        n2, npow = n * n, n
+        for ell, (j, dx, dy, dm), x, y in zip(range(1, lmax + 1),
+                                              _b_sums(2 * lmax - 2, b, G, 2, True), Wx, Wy):
+            if j == 0:
+                dx, dm = dx + (1 << (G - 1)), dm + (1 << (G - 1))  # D'_0 = D_0 + 1/2
+            c = bernoulli_over_factorial_fraction(ell)
+            num, den = abs(c.numerator), c.denominator * npow
+            shift = (2 * ell - 1) * (E + G + 1) - G  # 2^{2l-1}, the scale, 2^-2G 2^G
+            parts = (x * dx - y * dy, x * dy + y * dx, (abs(x) + abs(y)) * dm)
+            if shift >= 0:
+                parts = [(num * v << shift) // den for v in parts]
+            else:
+                parts = [num * v // (den << -shift) for v in parts]
+            tx, ty, mag = tx + parts[0], ty + parts[1], mag + parts[2]
+            npow *= n2
+        lost = mag.bit_length() - max(abs(tx), abs(ty)).bit_length()
+        return unfix(s * ty, -s * tx, -G), lost - GUARD_BITS - extra
+    return rerun_short(run, f"Euler-Maclaurin sum of {lmax} terms")
 
 
 # -- Euler-Maclaurin main term and remainder ----------------------------------
@@ -297,15 +389,14 @@ def em_length(delta, s: int, h: int) -> int:
 
 def _em_main_log(h: int, k: int, m: int, L: int, prec: int) -> mpf:
     """log of the reciprocal-product main term with L-1 correction terms,
-    sum_{l<L} Re g_l(m theta)/m^{2l-1} at theta = h/k (`_g_sweep`)."""
+    sum_{l<L} Re g_l(m theta)/m^{2l-1} at theta = h/k, the one sum of
+    `_g_sum` that the contour's v adds too."""
     with mp.workprec(prec + 16):
         theta = mpf(h) / k
         x = pi * m * theta
         lead = mpf(1) / 2 * mpmath.log(h / (2 * k * mpmath.sin(x)))
         cl = clausen(2 * x, prec + 16).value
-        em = mpf(0)
-        for ell, g in enumerate(_g_sweep(L - 1, m * theta) if L > 1 else [], 1):
-            em += g.real / m ** (2 * ell - 1)
+        em = _g_sum(L - 1, m * theta, m).real if L > 1 else 0
         return lead + k / (2 * pi * h) * cl + em
 
 
@@ -434,8 +525,12 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     T_L and log|prod| by em_remainder's `_em_checked`, in decreasing order
     of a pair's log potential (its |T_L| cap over prod, ties in (k, m)
     order); pairs whose rigorous |T_L| bound already rules them out are
-    skipped.  L above SCREEN_MAX_L raises ValueError.
+    skipped.  h and s are integers >= 1, and L above SCREEN_MAX_L raises
+    ValueError.
     """
+    for value, name in ((h, "h"), (s, "s")):
+        if checked_int(value, name) < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
     _checked_delta(delta)
     L = em_length(delta, s, h)
     if L > SCREEN_MAX_L:

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _bell_powers, _frame,
-                               a3_quadrature, b_coeffs, c_coeffs,
+                               _gauss_legendre, a3_quadrature, b_coeffs, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
                                path_positivity_check, saddle_path, u_weight,
@@ -17,6 +17,7 @@ from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _bell_powers, _fr
 from pfrac.dilog import find_saddle, find_zero, p_d, q_func, v_func
 from pfrac.precision import HPComplex, tolerance
 from pfrac.residues import a1_sum
+from pfrac.sine_products import _g_sweep, em_length
 
 PREC = 256
 
@@ -284,6 +285,9 @@ def test_evaluate_expansion_guards():
     d = family_leading("D", 0, PREC)
     with pytest.raises(ValueError):
         evaluate_expansion(d, 1001, 1)
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            evaluate_expansion(e, N, 2)
 
 
 def test_family_leading_values_and_negative_control():
@@ -350,10 +354,22 @@ def test_path_positivity():
     assert chk["vertical_max"].value < mpf("0.06")
 
 
+def _v_oracle(z, N, sigma, prec):
+    """v(z; N, sigma) summed in mpmath at prec bits from the single g_l of
+    `_g_sweep`, apart from the one fixed-point sum that v_func and the
+    integrand share."""
+    with mp.workprec(prec):
+        g = _g_sweep(em_length(0.006, N, 1) - 1, mpc(z))
+        return 2j * pi * sigma * z / N + mpmath.fsum(gl / mpf(N) ** (2 * ell - 1)
+                                                     for ell, gl in enumerate(g, 1))
+
+
 def test_a3_integrand_matches_its_pieces():
     # the fused integrand at p bits against exp(-N p_d) q exp(v) composed
-    # from the public pieces at p + 64, on all three edges of the path:
-    # q_func and v_func are the oracles of _a3_integrand
+    # at p + 64 from p_d, q_func and a v summed from the single g_l, on all
+    # three edges of the path; v_func, which reads the integrand's sum over
+    # g_l, is held to that v at p bits: q_func and v_func are the oracles
+    # of _a3_integrand
     p = 192
     verts = saddle_path(p)
     for N in (131, 200, 449):
@@ -363,10 +379,34 @@ def test_a3_integrand_matches_its_pieces():
                     with mp.workprec(p + 16):
                         z = verts[e] + (verts[e + 1] - verts[e]) * mpf(t)
                     got = _a3_integrand(z, N, sigma, p)
+                    v = _v_oracle(z, N, sigma, p + 64)
                     with mp.workprec(p + 64):
                         want = (mpmath.exp(-N * p_d(z, 0, p + 64).value) * q_func(z, p + 64).value
-                                * mpmath.exp(v_func(z, N, sigma, p + 64).value))
+                                * mpmath.exp(v))
                         assert abs(got - want) <= tolerance(p) * abs(want)
+                        assert abs(v_func(z, N, sigma, p).value - v) <= tolerance(p) * abs(v)
+
+
+@pytest.mark.parametrize("n", [40, 41, 80])
+def test_gauss_legendre_rule(n):
+    # every node is a root of P_n to the 2^(-p-8) of Newton's stop, by
+    # mpmath.legendre at p + 64 (|P_n(x)| against |P_n'(x)|, from
+    # P_n' = n (x P_n - P_{n-1})/(x^2 - 1)); the weights sum to 2 and the
+    # rule is exact on x^{2n-2}; the nodes descend and mirror exactly
+    p = 128
+    nodes, weights = _gauss_legendre(n, p)
+    assert len(nodes) == len(weights) == n
+    assert list(nodes) == sorted(nodes, reverse=True)
+    assert all(x + y == 0 for x, y in zip(nodes[:n // 2], reversed(nodes)))
+    with mp.workprec(p + 64):
+        for x in nodes:
+            pn, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            assert abs(pn) <= mpf(2) ** (-p - 8) * abs(n * (x * pn - pm) / (x * x - 1))
+        assert abs(mpmath.fsum(weights) - 2) <= tolerance(p)
+        moment = mpmath.fsum(w * x ** (2 * n - 2) for x, w in zip(nodes, weights))
+        assert abs(moment - mpf(2) / (2 * n - 1)) <= tolerance(p) * moment
+    with pytest.raises(ValueError, match="need n >= 1"):
+        _gauss_legendre(0, 64)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import a3_quadrature
+from pfrac.asymptotics import _gauss_legendre, a3_quadrature, b_coeffs, evaluate_expansion
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_zero
 from pfrac.fixed import man_exp
@@ -651,6 +651,14 @@ def test_sigma_entry_points_refuse_a_non_integer(sigma):
             call()
     with pytest.raises(ValueError, match="n must be an integer"):
         p_restricted(3, 3 + sigma)
+    # and the sizes of the scans and of the quadrature rule
+    for call, name in ((lambda: sine_products.psi_table(3 + sigma), "k"),
+                       (lambda: sine_products.em_remainder_scan(3 + sigma, 50), "h"),
+                       (lambda: sine_products.em_remainder_scan(3, 50 + sigma), "s"),
+                       (lambda: _gauss_legendre(40 + sigma, 64), "n"),
+                       (lambda: evaluate_expansion(b_coeffs(1, 2, 64), 200 + sigma, 2), "N")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("N", [0, -3])

@@ -1,9 +1,10 @@
 """Sine products, Psi statistic, cotangent derivatives, Euler-Maclaurin.
 
 The sine products, cotangent derivatives and g_l are held to their contracts
-at the kernels every caller shares: `_sine_product`, `_cot_sweep` and
-`_g_sweep`.  `cot_derivative` and `g_ell` below run the sweeps with the 16
-guard bits a public caller adds."""
+at the kernels every caller shares: `_sine_product`, `_cot_sweep`,
+`_g_sweep` and `_g_sum`, the last against the single g_l of the one before.
+`cot_derivative` and `g_ell` below run the sweeps with the 16 guard bits a
+public caller adds."""
 
 import math
 from math import gcd
@@ -18,10 +19,10 @@ from pfrac.dilog import clausen
 from pfrac.precision import tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sweep,
-                                 _min_pair_product, _phase, _phase_bits, _sine_factors,
-                                 _sine_product, em_length, em_remainder, em_remainder_scan,
-                                 psi, t_l_bound)
+from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sum,
+                                 _g_sweep, _min_pair_product, _phase, _phase_bits,
+                                 _sine_factors, _sine_product, em_length, em_remainder,
+                                 em_remainder_scan, psi, psi_table, t_l_bound)
 
 PREC = 256
 
@@ -92,6 +93,19 @@ def test_em_remainder_refuses_m_zero():
     # T_L(0) has no finite value: the main term's lead is log(h/(2k sin 0))
     with pytest.raises(ValueError, match="infinite main term at m = 0"):
         em_remainder(1, 7, 0, 2, 64)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_scans_refuse_a_size_below_their_range(size):
+    # refused on entry, not by a division by zero in the scan's grid or by
+    # an empty table
+    with pytest.raises(ValueError, match="need h >= 1"):
+        em_remainder_scan(size)
+    with pytest.raises(ValueError, match="need s >= 1"):
+        em_remainder_scan(1, size)
+    for k in (size, 1):
+        with pytest.raises(ValueError, match="need k >= 2"):
+            psi_table(k)
 
 
 def _log_sine_factors(h, k, m, prec):
@@ -295,6 +309,38 @@ def test_g_tail_decays_with_truncation_depth():
                                for l in range(d, L))
         assert abs(tail(5)) < abs(tail(2)) * mpf(10) ** -5
         assert abs(tail(2)) < mpf(N) ** -3 * 10
+
+
+def _g_sum_oracle(lmax, z, n, prec):
+    """sum_{l<=lmax} g_l(z)/n^{2l-1} summed in mpmath from `_g_sweep`'s
+    single g_l at prec + 64 bits."""
+    with mp.workprec(prec + 64):
+        return mpmath.fsum(g / mpf(n) ** (2 * ell - 1)
+                           for ell, g in enumerate(_g_sweep(lmax, mpc(z)), 1))
+
+
+@pytest.mark.parametrize("p", [64, 216])
+def test_g_sum_matches_the_sum_of_single_g(p):
+    # on the contour of a3_quadrature at the N and L of v, with and without
+    # the caller's e^{2 pi i z}, off the contour, where the sum cancels by
+    # 67 and 80 bits and reruns (0.3 -+ 1.2i at n = 2 and 1), and at real
+    # m theta for the main term of T_L, with m = 1 taking w^{2l-1} far below 1
+    from pfrac.asymptotics import saddle_path
+    verts = saddle_path(p)
+    points = [(verts[e] + (verts[e + 1] - verts[e]) * mpf(t), N, em_length(0.006, N, 1) - 1)
+              for N in (131, 219, 449) for e in range(3) for t in ("0.02", "0.5", "0.97")]
+    points += [(mpc("0.3", "-1.2"), 2, 12), (mpc("0.3", "1.2"), 1, 12)]
+    points += [(mpf(m * h) / k, m, L) for h, k, m, L in
+               ((1, 211, 30, 24), (1, 400, 1, 24), (3, 500, 80, 9), (1, 211, 105, 11))]
+    for z, n, lmax in points:
+        want = _g_sum_oracle(lmax, z, n, p)
+        with mp.workprec(p):
+            got = [_g_sum(lmax, z, n)]
+            if z.imag:
+                got.append(_g_sum(lmax, z, n, mpmath.exp(2j * pi * z)))
+        with mp.workprec(p + 64):
+            for value in got:
+                assert abs(value - want) <= tolerance(p) * abs(want), (z, n, lmax)
 
 
 # -- root-of-unity identities ---------------------------------------------------------

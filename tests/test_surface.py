@@ -34,7 +34,7 @@ SURFACE = {
     "find_zero": "criterion 1",
     "p_d": "criterion 11: path_positivity_check",
     "q_func": "oracle of _a3_integrand: test_asymptotics::test_a3_integrand_matches_its_pieces",
-    "v_func": "oracle of _a3_integrand: test_asymptotics::test_a3_integrand_matches_its_pieces",
+    "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     # sine_products
     "em_remainder": "criterion 9: em_remainder_scan's recheck",
     "em_remainder_scan": "criterion 9",
@@ -154,7 +154,7 @@ def test_one_rerun_rule_lives_in_pfrac_precision():
                           r"|(prec|wp|guard)\w*\s*=.*(<<|\b2 \*|\* 2\b)")
     raisers = {"precision.py": {"rerun_short"}}
     checks = {"residues.py": {"_q_fixed", "_oracle"},
-              "sine_products.py": {"_cot_sweep", "_em_checked"}}
+              "sine_products.py": {"_cot_sweep", "_em_checked", "_g_sum"}}
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         text = path.read_text()
         functions = {node.name: ast.get_source_segment(text, node)
@@ -167,3 +167,22 @@ def test_one_rerun_rule_lives_in_pfrac_precision():
         assert not doubling.search(text), path.name
         for name in checks.get(path.name, ()):
             assert "rerun_short(" in functions[name], name
+
+
+def test_one_sum_over_g_l():
+    # sum_l g_l(z)/n^{2l-1} has one implementation, sine_products._g_sum:
+    # v (the contour integrand and v_func) and the Euler-Maclaurin main term
+    # call it, the single g_l of _g_sweep serve only the u weights, and no
+    # module divides by a power n^{2l-1} of its own
+    callers = {"_g_sum": {"dilog.py": {"_v_at"}, "sine_products.py": {"_em_main_log"}},
+               "_g_sweep": {"asymptotics.py": {"_u_scalar"}}}
+    divide = re.compile(r"/\s*\w+\s*\*\*\s*\(2\s*\*\s*\w+\s*-\s*1\)")
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        calls = {node.name: {c.func.id for c in ast.walk(node)
+                             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                 for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+        for callee, want in callers.items():
+            found = {name for name, called in calls.items() if callee in called}
+            assert found == want.get(path.name, set()), (callee, path.name)
+        assert not divide.search(text), path.name

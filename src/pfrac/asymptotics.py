@@ -12,10 +12,15 @@ e^{-p(z0)} = 1/w0, which is what turns every expansion into powers of w0^{-N}.
 All local series are produced by closed-form series arithmetic (exp, log,
 reciprocal, integration), never numerical differentiation.
 
-The contour quadrature runs on a fused integrand (`_a3_integrand`): one
-e^{i pi z} per node feeds p, v and q, v's sum over g_l is one fixed-point
-accumulation, and one exp and one sqrt finish it.  The Gauss-Legendre nodes
-come from Newton's method on integers (`_gauss_legendre`).
+The contour quadrature's integrand e^{-N p(z)} q(z) e^{v(z;N,sigma)} is
+split at each node in two.  The N- and sigma-free node (`_a3_node`) takes
+one e^{i pi z}, which feeds p and q and whose square v reads later, and
+keeps p, i pi z/2 and q's square root; one table per rule and precision
+(`_a3_nodes`) holds every node of the path with its weight, for every N and
+sigma.  The value at (N, sigma) (`_a3_value`) adds v, whose sum over g_l
+is one fixed-point accumulation, and one exp finishes it.  The
+Gauss-Legendre nodes come from Newton's method on integers
+(`_gauss_legendre`).
 """
 
 from __future__ import annotations
@@ -482,17 +487,43 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
                 "vertical_max": HPReal(vertical_max, prec)}
 
 
-def _a3_integrand(z, N: int, sigma, prec: int):
-    """e^{-N p(z)} q(z) e^{v(z;N,sigma)} at prec + 24 bits from one u = e^{i pi z}:
-    e = u^2 feeds Li2(e) in p = p_0 and the sum over g_l in v (`_v_at`),
-    2 sin(pi (z - 1)) = i (u - 1/u) feeds q, and one exp(-N p + v - i pi z/2)
-    finishes."""
+def _a3_node(z, prec: int) -> tuple:
+    """The N- and sigma-free part of the integrand at z, at prec + 24 bits:
+    (z, e, p_0(z), i pi z/2, sqrt(z/(i (u - 1/u)))) from one u = e^{i pi z},
+    e = u^2 feeding Li2(e) in p_0 (`_phase_at`) and, later, v's sum over g_l;
+    i (u - 1/u) = 2 sin(pi (z - 1)) is q's denominator."""
     with mp.workprec(prec + 24):
         _check_off_cut(z)
         u = mpmath.exp(1j * pi * z)
         e = u * u
-        expo = -N * _phase_at(z, e, 0, 0)[0] + _v_at(z, N, sigma, e) - 1j * pi * z / 2
-        return mpmath.exp(expo) * mpmath.sqrt(z / (1j * (u - 1 / u)))
+        return (z, e, _phase_at(z, e, 0, 0)[0], 1j * pi * z / 2,
+                mpmath.sqrt(z / (1j * (u - 1 / u))))
+
+
+def _a3_value(node, N: int, sigma: int, prec: int):
+    """e^{-N p(z)} q(z) e^{v(z;N,sigma)} at prec + 24 bits at one `_a3_node`:
+    v from `_v_at` on the node's e, and one exp(-N p + v - i pi z/2) times
+    the node's square root."""
+    z, e, p0, ipz, root = node
+    with mp.workprec(prec + 24):
+        return mpmath.exp(-N * p0 + _v_at(z, N, sigma, e) - ipz) * root
+
+
+@lru_cache(maxsize=8)
+def _a3_nodes(n: int, prec: int) -> tuple:
+    """((w half, `_a3_node`), ...) of the n-point Gauss-Legendre rule on each
+    of the three edges of `saddle_path(prec)`, at prec + 16 bits: everything
+    a3_quadrature's sum needs but the N and sigma of `_a3_value`."""
+    nodes, weights = _gauss_legendre(n, prec)
+    verts = saddle_path(prec)
+    out = []
+    with mp.workprec(prec + 16):
+        for e in range(3):
+            a, b = verts[e], verts[e + 1]
+            mid, half = (a + b) / 2, (b - a) / 2
+            for x, w in zip(nodes, weights):
+                out.append((w * half, _a3_node(mid + half * x, prec)))
+    return tuple(out)
 
 
 def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
@@ -500,22 +531,19 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     descent path, by Gauss-Legendre per edge from 40 nodes, doubling the
     node count until two successive results agree to a relative 1e-8.  The
     label is 16 + floor(-log2) of their scaled difference, at most prec.
+    The rules' nodes, weights and N-free node values are one table per
+    (n, prec) (`_a3_nodes`), shared by every N and sigma.
     """
     if N < 131:
         raise ValueError("the truncated integrand needs N >= 131")
     prec = resolve_precision(prec)
     sigma = checked_int(sigma, "sigma")
     with mp.workprec(prec + 16):
-        verts = saddle_path(prec)
 
         def total(n):
-            nodes, weights = _gauss_legendre(n, prec)
             acc = mpc(0)
-            for e in range(3):
-                a, b = verts[e], verts[e + 1]
-                mid, half = (a + b) / 2, (b - a) / 2
-                for x, w in zip(nodes, weights):
-                    acc += w * half * _a3_integrand(mid + half * x, N, sigma, prec)
+            for wh, node in _a3_nodes(n, prec):
+                acc += wh * _a3_value(node, N, sigma, prec)
             return acc
 
         n = 40

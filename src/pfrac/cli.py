@@ -39,6 +39,19 @@ RESIDUES_N_MAX = 200
 # zeros: `--max-b 30` takes about 28 s (same VM).
 PSI_K_MAX = 2800
 ZEROS_MAX_B = 30
+# Each size below takes about 4 s at its cap, one value at a time, at the
+# default 256 bits (same VM); a list such as `--rows` is capped per value.
+# Working precision: `--precision-bits 1536` takes about 3.1 s for `zeros`
+# and 3.7 s for `table a1`.  A table row: `table c014 --rows 1500` about
+# 4.4 s, the slowest of the four tables.  A row of `pfrac a1`: `--rows 4000`
+# about 3.8 s.  Expansion terms: `expansion c01 --m 14` about 3.7 s, and
+# each further term costs about 1.5 times the one before.  The pole-at-1
+# order: `expansion c01 --ell 2000` about 4.5 s.
+PRECISION_BITS_MAX = 1536
+TABLE_N_MAX = 1500
+A1_N_MAX = 4000
+EXPANSION_M_MAX = 14
+EXPANSION_ELL_MAX = 2000
 
 
 def _write(text, out):
@@ -187,8 +200,27 @@ def _sigma_list(text):
     return [_sigma(x) for x in text.split(",") if x.strip()]
 
 
+def _precision_bits(text):
+    """argparse type: an integer of at most PRECISION_BITS_MAX; the floor is
+    set_default_precision's."""
+    bits = int(text)
+    if bits > PRECISION_BITS_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {PRECISION_BITS_MAX}, got {bits}")
+    return bits
+
+
+def _table_rows(text):
+    """argparse type: comma-separated rows N of at most TABLE_N_MAX; each
+    table's floor is checked once the table is known."""
+    rows = _int_list(text)
+    for N in rows:
+        if N > TABLE_N_MAX:
+            raise argparse.ArgumentTypeError(f"must be at most {TABLE_N_MAX}, got {N}")
+    return rows
+
+
 def _a1_rows(text):
-    return [_at_least(2)(x) for x in text.split(",") if x.strip()]
+    return [_at_least(2, A1_N_MAX)(x) for x in text.split(",") if x.strip()]
 
 
 def main(argv=None) -> int:
@@ -196,7 +228,7 @@ def main(argv=None) -> int:
         prog="pfrac",
         description="Partial-fraction coefficients of the restricted partition "
                     "generating function: exact residues and their asymptotics.")
-    parser.add_argument("--precision-bits", type=int, default=None,
+    parser.add_argument("--precision-bits", type=_precision_bits, default=None,
                         help="default working precision in bits "
                              "(or set PFRAC_PRECISION_BITS)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -211,7 +243,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("table", help="reproduce a published table")
     p.add_argument("name", choices=sorted(acceptance.TABLES))
-    p.add_argument("--rows", type=_int_list, default=None)
+    p.add_argument("--rows", type=_table_rows, default=None)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("psi", help="maximum statistic Psi(h/k) with D(h,k)")
@@ -226,8 +258,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("expansion", help="dump expansion coefficients as JSON")
     p.add_argument("kind", choices=("a1", "c01", "C", "D", "E"))
     p.add_argument("--sigma", type=int, default=1)
-    p.add_argument("--ell", type=_at_least(1), default=1)
-    p.add_argument("--m", type=_at_least(1), default=4)
+    p.add_argument("--ell", type=_at_least(1, EXPANSION_ELL_MAX), default=1)
+    p.add_argument("--m", type=_at_least(1, EXPANSION_M_MAX), default=4)
     p.add_argument("--parity", type=int, choices=(0, 1), default=0)
     p.set_defaults(fn=cmd_expansion)
 

@@ -44,7 +44,7 @@ from operator import mul as _imul
 
 import mpmath
 import numpy as np
-from mpmath import mp, mpf, pi
+from mpmath import mp, mpc, mpf, pi
 
 from .dilog import clausen
 from .fixed import fix, power, powers, shifted, squares, to_fixed, unfix
@@ -230,8 +230,8 @@ def _cot_sweep(n: int, z) -> list:
     n = 24, z = -0.3 - 5i).  The cancellation `lost`, the bits by which some
     order's sum falls below the sum of its terms' magnitudes, does not shrink
     with more bits, so a sweep with `extra` fraction bits is short by
-    lost - GUARD_BITS - extra, and `precision.rerun_short` runs a short sweep
-    once more with `lost` more.
+    lost - GUARD_BITS - extra (`_short`), and `precision.rerun_short` runs a
+    short sweep once more with `lost` more.
     """
     if z == 0:
         raise ValueError("cotangent pole at a multiple of pi")
@@ -242,7 +242,7 @@ def _cot_sweep(n: int, z) -> list:
         with mp.workprec(F + extra):
             b = 1 / (mpmath.exp(2j * s * z) - 1)
         out, lost = _cot_orders(n, s, b, F + extra, measure=True)
-        return out, lost - GUARD_BITS - extra
+        return out, _short(lost, F + extra, extra)
     return [unfix(*o) for o in rerun_short(run, f"cotangent sweep of order {n}")]
 
 
@@ -250,6 +250,22 @@ def _cot_bits(prec: int, n: int) -> int:
     """Fraction bits of a cot sweep to order n at prec bits: n + bitlen(n+1)
     for the powers b^r, |b| >= 1/2, r <= n + 1, and 16 guard bits."""
     return prec + n + (n + 1).bit_length() + 16
+
+
+def _short(lost: int, G: int, extra: int) -> int:
+    """Bits by which a sum over the powers of b at G fraction bits, `extra`
+    of them above `_cot_bits`, falls short of its label, from the
+    cancellation `lost` it measured: lost - GUARD_BITS - extra.
+
+    The measure reads the computed sum, whose rounding noise is about
+    2^-G of the sum of magnitudes, so it cannot see past about G bits: where
+    lost comes within GUARD_BITS of G the sum is at its own noise floor and
+    lost is only a floor of the cancellation (at 64 bits,
+    _g_sum(12, -0.3 - 5i, 1) reads 110 of a true 128).  Such a pass also
+    counts the G bits it could not see, so its rerun takes G more than the
+    floor asks for."""
+    short = lost - GUARD_BITS - extra
+    return short + G if lost > G - GUARD_BITS else short
 
 
 @lru_cache(maxsize=64)
@@ -330,12 +346,17 @@ def _g_sum(lmax: int, z, n: int, ez=None):
     The sum checks its own cancellation as `_cot_sweep` does, by the bits
     lost = log2(sum |term| / |T|) over every product a_{j,r} b^r of every
     term; |x| + |y| stands for the modulus of x + i y.  A first pass with
-    `extra` fraction bits is short by lost - GUARD_BITS - extra, and
-    `precision.rerun_short` runs a short sum once more from a fresh
+    `extra` fraction bits is short by lost - GUARD_BITS - extra (`_short`),
+    and `precision.rerun_short` runs a short sum once more from a fresh
     exponential at lost more bits.
+
+    At a real half-integer z the sum is an exact 0: every even derivative
+    of cot vanishes at pi/2 + j pi, where no cancellation check could pass.
     """
-    if z.imag == 0 and z.real == mpmath.floor(z.real):
-        raise ValueError("pole at integer z")
+    if z.imag == 0 and 2 * z.real == mpmath.floor(2 * z.real):
+        if z.real == mpmath.floor(z.real):
+            raise ValueError("pole at integer z")
+        return mpc(0)
     s = 1 if z.imag >= 0 else -1
     F = _cot_bits(mp.prec, 2 * lmax - 2)
 
@@ -368,7 +389,7 @@ def _g_sum(lmax: int, z, n: int, ez=None):
             tx, ty, mag = tx + parts[0], ty + parts[1], mag + parts[2]
             npow *= n2
         lost = mag.bit_length() - max(abs(tx), abs(ty)).bit_length()
-        return unfix(s * ty, -s * tx, -G), lost - GUARD_BITS - extra
+        return unfix(s * ty, -s * tx, -G), _short(lost, G, extra)
     return rerun_short(run, f"Euler-Maclaurin sum of {lmax} terms")
 
 
@@ -410,7 +431,8 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
     once more at prec + 32 + lost bits, and PrecisionLossError is raised if
     that rerun cancels past its own guard (`_em_checked`), so T_L keeps its
     relative 2^(16-prec) label.  m = 0 is refused: the main term's
-    log(h/(2k sin 0)) has no finite value."""
+    log(h/(2k sin 0)) has no finite value.  At 2hm = k, so h = 1, T_L is an
+    exact 0 (`_em_checked`)."""
     if math.gcd(h, k) != 1 or not 1 <= m < k:
         raise ValueError("need (h, k) = 1 and 1 <= m < k "
                          "(zero factor at m >= k, infinite main term at m = 0)")
@@ -425,7 +447,17 @@ def _em_checked(h: int, k: int, m: int, L: int, prec: int) -> tuple:
     The cancellation lost = log2|log prod| - log2|T_L| does not shrink with
     more bits, so a difference taken d bits above prec is short by
     lost - GUARD_BITS - d.  A rerun, asked for lost extra bits, takes 32
-    more: a T_L at the first pass's noise floor understates lost."""
+    more: a T_L at the first pass's noise floor understates lost.
+
+    At 2hm = k, which gcd(h, k) = 1 allows only for h = 1, both are exact:
+    |prod_{j<=k/2} 2 sin(pi j/k)| = sqrt(2k), which cancels the main term's
+    (1/2) log(1/(2k)), and Clausen's integral at pi and every even cot
+    derivative at pi/2 vanish, so T_L = 0, where no relative check could
+    pass."""
+    if 2 * h * m == k:
+        with mp.workprec(prec + 32):
+            return mpmath.log(2 * k) / 2, mpf(0)
+
     def run(extra):
         wp = prec + extra + (32 if extra else 0)
         lp, T = _em_difference(h, k, m, L, wp)

@@ -8,8 +8,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac.asymptotics import (LocalSeriesPair, _a3_integrand, _bell_powers, _frame,
-                               _gauss_legendre, a3_quadrature, b_coeffs, c_coeffs,
+from pfrac import dilog
+from pfrac.asymptotics import (LocalSeriesPair, _a3_node, _a3_nodes, _a3_value, _bell_powers,
+                               _frame, _gauss_legendre, a3_quadrature, b_coeffs, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
                                path_positivity_check, saddle_path, u_weight,
@@ -365,26 +366,30 @@ def _v_oracle(z, N, sigma, prec):
 
 
 def test_a3_integrand_matches_its_pieces():
-    # the fused integrand at p bits against exp(-N p_d) q exp(v) composed
-    # at p + 64 from p_d, q_func and a v summed from the single g_l, on all
-    # three edges of the path; v_func, which reads the integrand's sum over
-    # g_l, is held to that v at p bits: q_func and v_func are the oracles
-    # of _a3_integrand
+    # the integrand, an N-free _a3_node and its _a3_value at (N, sigma), at
+    # p bits against exp(-N p_d) q exp(v) composed at p + 64 from p_d,
+    # q_func and a v summed from the single g_l, on all three edges of the
+    # path, one node serving every (N, sigma); v_func, which reads the
+    # integrand's sum over g_l, is held to that v at p bits: q_func and
+    # v_func are the oracles of _a3_node and _a3_value
     p = 192
     verts = saddle_path(p)
+    points = []
+    for e in range(3):
+        for t in ("0.13", "0.5", "0.91"):
+            with mp.workprec(p + 16):
+                z = verts[e] + (verts[e + 1] - verts[e]) * mpf(t)
+            points.append((z, _a3_node(z, p)))
     for N in (131, 200, 449):
         for sigma in (1, 2, -3):
-            for e in range(3):
-                for t in ("0.13", "0.5", "0.91"):
-                    with mp.workprec(p + 16):
-                        z = verts[e] + (verts[e + 1] - verts[e]) * mpf(t)
-                    got = _a3_integrand(z, N, sigma, p)
-                    v = _v_oracle(z, N, sigma, p + 64)
-                    with mp.workprec(p + 64):
-                        want = (mpmath.exp(-N * p_d(z, 0, p + 64).value) * q_func(z, p + 64).value
-                                * mpmath.exp(v))
-                        assert abs(got - want) <= tolerance(p) * abs(want)
-                        assert abs(v_func(z, N, sigma, p).value - v) <= tolerance(p) * abs(v)
+            for z, node in points:
+                got = _a3_value(node, N, sigma, p)
+                v = _v_oracle(z, N, sigma, p + 64)
+                with mp.workprec(p + 64):
+                    want = (mpmath.exp(-N * p_d(z, 0, p + 64).value) * q_func(z, p + 64).value
+                            * mpmath.exp(v))
+                    assert abs(got - want) <= tolerance(p) * abs(want)
+                    assert abs(v_func(z, N, sigma, p).value - v) <= tolerance(p) * abs(v)
 
 
 @pytest.mark.parametrize("n", [40, 41, 80])
@@ -423,7 +428,7 @@ def test_a3_matches_a1(a3_200):
 def test_a3_label_holds_against_tanh_sinh(a3_200):
     # node doubling stops at a relative 1e-8, so the label is far below 192
     # bits; an independent rule on the same integrand, composed from the
-    # oracles q_func and v_func instead of _a3_integrand, confirms it
+    # oracles q_func and v_func instead of _a3_node and _a3_value, confirms it
     N, p = 200, 96
     with mp.workprec(p):
         def integrand(z):
@@ -432,6 +437,49 @@ def test_a3_label_holds_against_tanh_sinh(a3_200):
         ref = 2 / mpf(N) ** mpf("1.5") * mpmath.quad(integrand, saddle_path(p)).imag
     assert a3_200.precision < 64
     assert abs(a3_200.value - ref) <= tolerance(a3_200.precision)
+
+
+# (N, sigma) -> (mantissa, exponent, label) of a3_quadrature at 192 bits
+A3_PINNED = {(219, 1): (38014822211797191496796701749254082599260541105433684916880895, -198, 51),
+             (216, 2): (29035683210735219868531494499747229628561965850774331108793103, -198, 51)}
+
+
+def _a3_digits(N, sigma, prec):
+    got = a3_quadrature(N, sigma, prec)
+    return got.value.man, got.value.exp, got.precision
+
+
+def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
+    # the first call builds the N- and sigma-free table, at least one Li2
+    # per node of the 40- and 80-node rules on three edges; a call at
+    # another (N, sigma) reads the table and takes no Li2 at all, and both
+    # values are the pinned digits
+    calls = []
+    li2 = dilog._li2_any
+
+    def counted(z):
+        calls.append(z)
+        return li2(z)
+    monkeypatch.setattr(dilog, "_li2_any", counted)
+    _a3_nodes.cache_clear()
+    assert _a3_digits(219, 1, 192) == A3_PINNED[219, 1]
+    built = len(calls)
+    assert built >= 3 * (40 + 80)
+    assert _a3_digits(216, 2, 192) == A3_PINNED[216, 2]
+    assert len(calls) == built
+
+
+def test_a3_does_not_read_the_ambient_precision():
+    # the table built under one ambient mp.prec and read under another, and
+    # a table built under the second, give the same digits
+    _a3_nodes.cache_clear()
+    with mp.workprec(20):
+        low = _a3_digits(219, 1, 64)
+    with mp.workprec(400):
+        reread = _a3_digits(219, 1, 64)
+        _a3_nodes.cache_clear()
+        high = _a3_digits(219, 1, 64)
+    assert low == reread == high
 
 
 def test_a3_requires_large_n():

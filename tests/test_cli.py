@@ -67,6 +67,11 @@ USAGE_ERRORS = {
     "table c011 --rows 0": "--rows: must be at least 1 for table c011, got 0",
     "table c014 --rows 3": "--rows: must be at least 4 for table c014, got 3",
     "table c121 --rows 2": "--rows: must be at least 3 for table c121, got 2",
+    "--precision-bits 1537 psi --k 11": "--precision-bits: must be at most 1536, got 1537",
+    "table c014 --rows 200,1501": "--rows: must be at most 1500, got 1501",
+    "a1 --rows 200,4001": "--rows: must be at most 4000, got 4001",
+    "expansion a1 --m 15": "--m: must be at most 14, got 15",
+    "expansion c01 --ell 2001": "--ell: must be at most 2000, got 2001",
 }
 
 

@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from pfrac import sine_products
 from pfrac.dilog import clausen
-from pfrac.precision import tolerance
+from pfrac.precision import HPReal, tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
 from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sum,
@@ -448,6 +448,40 @@ def test_em_remainder_keeps_its_label_through_cancellation(p):
     with mp.workprec(600):
         assert abs(got.value - want) <= tolerance(p) * abs(want)
         assert abs(want - mpf("1.197269039691e-51")) < mpf("1e-62")
+
+
+@pytest.mark.parametrize("k", [10, 212])
+def test_em_remainder_is_zero_where_m_theta_is_one_half(k):
+    # at 2hm = k (so h = 1) T_L is an exact 0: |prod_{j<=k/2} 2 sin(pi j/k)|
+    # = sqrt(2k) cancels the main term's (1/2) log(1/(2k)), Clausen's
+    # integral vanishes at pi, and so does the sum over g_l at every real
+    # half-integer, where no relative check could pass
+    for L in (1, 3, 25):
+        assert em_remainder(1, k, k // 2, L, 64) == HPReal(mpf(0), 64)
+    with mp.workprec(256):
+        lp = mpmath.log(_sine_product(1, k, k // 2, 256))
+        main = mpmath.log(mpf(1) / (2 * k)) / 2 + k / (2 * pi) * clausen(pi, 256).value
+        assert abs(lp + main) < mpf(2) ** -230
+    with mp.workprec(64):
+        for z in (mpf(k // 2) / k, mpf(-5) / 2, mpc(7, 0) / 2):
+            assert _g_sum(12, z, k // 2) == 0
+        with pytest.raises(ValueError, match="pole at integer z"):
+            _g_sum(12, mpf(3), k // 2)
+
+
+@pytest.mark.parametrize("lmax, z", [(12, mpc("-0.3", -5)), (16, mpc("-0.3", -10))])
+def test_g_sum_rerun_reads_past_a_saturated_measure(lmax, z):
+    # at 64 bits the first pass's cancellation figure reaches its own
+    # fraction bits (110 of a true 128 bits at lmax = 12, 117 of 215 at
+    # lmax = 16), so the rerun also takes the bits the figure could not
+    # see; the same call at p + 200 bits is the oracle
+    p = 64
+    with mp.workprec(p + 200):
+        want = _g_sum(lmax, z, 1)
+    with mp.workprec(p):
+        got = _g_sum(lmax, z, 1)
+    with mp.workprec(p + 200):
+        assert abs(got - want) <= tolerance(p) * abs(want)
 
 
 def test_em_remainder_below_rigorous_bound():

@@ -33,7 +33,8 @@ SURFACE = {
     "find_saddle": "criterion 2",
     "find_zero": "criterion 1",
     "p_d": "criterion 11: path_positivity_check",
-    "q_func": "oracle of _a3_integrand: test_asymptotics::test_a3_integrand_matches_its_pieces",
+    "q_func": ("oracle of _a3_node and _a3_value: "
+               "test_asymptotics::test_a3_integrand_matches_its_pieces"),
     "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     # sine_products
     "em_remainder": "criterion 9: em_remainder_scan's recheck",

@@ -243,15 +243,17 @@ def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
 
 
 def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:
-    """u_{sigma,j}(z): 1/N^j coefficient of exp(v(z; N, sigma)); u_{sigma,0} = 1."""
+    """u_{sigma,j}(z): 1/N^j coefficient of exp(v(z; N, sigma)); u_{sigma,0} = 1.
+    sigma is an integer and j an integer >= 0 (ValueError otherwise)."""
+    sigma, j = checked_int(sigma, "sigma"), checked_int(j, "j", 0)
     prec = resolve_precision(prec)
     return HPComplex(_u_scalar(sigma, j, z, prec)[j], prec)
 
 
 def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
-    """v*_{ell,j}(z) = sum_t Bhat_{ell-1+t,ell-1}(1/1!,...) (2 pi i z)^{ell-1+t} u_{1,j-t}(z)."""
-    if ell < 1:
-        raise ValueError("need ell >= 1")
+    """v*_{ell,j}(z) = sum_t Bhat_{ell-1+t,ell-1}(1/1!,...) (2 pi i z)^{ell-1+t} u_{1,j-t}(z),
+    for integers ell >= 1 and j >= 0 (ValueError otherwise)."""
+    ell, j = checked_int(ell, "ell", 1), checked_int(j, "j", 0)
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
@@ -319,11 +321,9 @@ def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
 
     b_t(sigma) = -4i sum_{s<=t} Gamma(s+1/2) a_{2s}(q u_{sigma,t-s}),
     b_0 = 2 z0 e^{-pi i z0}; evaluated against base w(0,-1) and power N^2.
-    sigma must be an integer (ValueError otherwise).
+    sigma must be an integer and m an integer >= 1 (ValueError otherwise).
     """
-    sigma = checked_int(sigma, "sigma")
-    if m < 1:
-        raise ValueError("need m >= 1")
+    sigma, m = checked_int(sigma, "sigma"), checked_int(m, "m", 1)
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("A1-b", zero, 2,
@@ -335,11 +335,9 @@ def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
 
     c_{ell,t} = 4i sum_{s<=t} Gamma(s+1/2) a_{2s}(q v*_{ell,t-s}),
     c_{ell,0} = -2 z0 e^{-pi i z0} (2 pi i z0)^{ell-1}; base w(0,-1), power ell+1.
-    ell must be an integer (ValueError otherwise).
+    ell and m must be integers >= 1 (ValueError otherwise).
     """
-    ell = checked_int(ell, "ell")
-    if ell < 1 or m < 1:
-        raise ValueError("need ell >= 1 and m >= 1")
+    ell, m = checked_int(ell, "ell", 1), checked_int(m, "m", 1)
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("C01-c", zero, ell + 1,
@@ -367,8 +365,7 @@ def family_leading(tag: str, parity: int | None = None,
             z1 = find_saddle(2, 0, prec).z.value
             return Expansion("familyE", zero, 2, (-3 * z1 * mpmath.exp(-1j * pi * z1) / 2,))
         if tag == "D":
-            if parity not in (0, 1):
-                raise ValueError("family D needs parity 0 or 1")
+            parity = checked_int(parity, "parity", 0, 1)
             zero = find_zero(BranchLabel(0, -1), prec=prec)
             z0 = find_saddle(1, 0, prec).z.value
             e = mpmath.exp(-1j * pi * z0)
@@ -380,12 +377,10 @@ def family_leading(tag: str, parity: int | None = None,
 
 def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
                        prec: int | None = None) -> HPReal:
-    """Evaluate the m-term truncation of an Expansion at N, an integer >= 1."""
-    if checked_int(N, "N") < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    m = len(e.coeffs) if m is None else m
-    if m > len(e.coeffs):
-        raise ValueError(f"only {len(e.coeffs)} coefficients available, m={m} requested")
+    """Evaluate the m-term truncation of an Expansion at N, an integer >= 1;
+    m, all of e's coefficients by default, is an integer from 1 to their count."""
+    N = checked_int(N, "N", 1)
+    m = len(e.coeffs) if m is None else checked_int(m, "m", 1, len(e.coeffs))
     if e.parity is not None and N % 2 != e.parity:
         raise ValueError(f"expansion was built for N % 2 == {e.parity}")
     prec = resolve_precision(prec)
@@ -404,7 +399,6 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
 
 # -- contour integration ---------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _gauss_legendre(n: int, prec: int) -> tuple:
     """Nodes (descending) and weights on [-1, 1] of the n-point rule, n >= 1,
     as mpf at prec + 16 bits, by Newton on the Legendre recurrence for the
@@ -420,9 +414,7 @@ def _gauss_legendre(n: int, prec: int) -> tuple:
     mirror negates the integers, so each node and weight is one mpf, rounded
     once.
     """
-    n = checked_int(n, "n")
-    if n < 1:
-        raise ValueError(f"need n >= 1 nodes, got {n}")
+    n = checked_int(n, "n", 1)
     F = prec + 16 + 2 * n.bit_length()
     one, tol = 1 << F, 1 << (F - prec - 8)
     nodes, weights = [], []
@@ -532,12 +524,12 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     node count until two successive results agree to a relative 1e-8.  The
     label is 16 + floor(-log2) of their scaled difference, at most prec.
     The rules' nodes, weights and N-free node values are one table per
-    (n, prec) (`_a3_nodes`), shared by every N and sigma.
+    (n, prec) (`_a3_nodes`), shared by every N and sigma.  N is an integer
+    >= 131, where the truncated integrand holds, and sigma an integer
+    (ValueError otherwise).
     """
-    if N < 131:
-        raise ValueError("the truncated integrand needs N >= 131")
+    N, sigma = checked_int(N, "N", 131), checked_int(sigma, "sigma")
     prec = resolve_precision(prec)
-    sigma = checked_int(sigma, "sigma")
     with mp.workprec(prec + 16):
 
         def total(n):

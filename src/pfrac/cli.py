@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import mpmath
@@ -22,7 +23,8 @@ from mpmath import mpf
 from . import acceptance
 from .asymptotics import b_coeffs, c_coeffs, family_leading
 from .dilog import BranchLabel, ConvergenceError, find_zero
-from .precision import PrecisionLossError, default_precision, set_default_precision
+from .precision import (_ENV_VAR, MIN_PRECISION, PrecisionLossError, checked_int,
+                        default_precision, set_default_precision)
 from .residues import a1_sum, residue_report
 from .sine_products import psi_table
 
@@ -169,58 +171,23 @@ def cmd_verify(args) -> int:
     return failed[0].exit_code if failed else acceptance.EXIT_OK
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _at_least(low, high=None):
-    """argparse type: an integer no smaller than low and, if given, no larger
-    than high."""
+def _bounded(name, low, high):
+    """argparse type: an integer in [low, high], checked by `checked_int`,
+    whose message names `name`."""
     def integer(text):
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
-        return value
+        try:
+            return checked_int(value, name, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return integer
 
 
-def _sigma(text):
-    """argparse type: an integer of magnitude at most IDENTITY_SIGMA_MAX."""
-    sigma = int(text)
-    if abs(sigma) > IDENTITY_SIGMA_MAX:
-        raise argparse.ArgumentTypeError(
-            f"|sigma| must be at most {IDENTITY_SIGMA_MAX}, got {sigma}")
-    return sigma
-
-
-def _sigma_list(text):
-    """argparse type: comma-separated integers of magnitude at most IDENTITY_SIGMA_MAX."""
-    return [_sigma(x) for x in text.split(",") if x.strip()]
-
-
-def _precision_bits(text):
-    """argparse type: an integer of at most PRECISION_BITS_MAX; the floor is
-    set_default_precision's."""
-    bits = int(text)
-    if bits > PRECISION_BITS_MAX:
-        raise argparse.ArgumentTypeError(f"must be at most {PRECISION_BITS_MAX}, got {bits}")
-    return bits
-
-
-def _table_rows(text):
-    """argparse type: comma-separated rows N of at most TABLE_N_MAX; each
-    table's floor is checked once the table is known."""
-    rows = _int_list(text)
-    for N in rows:
-        if N > TABLE_N_MAX:
-            raise argparse.ArgumentTypeError(f"must be at most {TABLE_N_MAX}, got {N}")
-    return rows
-
-
-def _a1_rows(text):
-    return [_at_least(2, A1_N_MAX)(x) for x in text.split(",") if x.strip()]
+def _list_of(item):
+    """argparse type: comma-separated values, each read by the type `item`."""
+    def integers(text):
+        return [item(x) for x in text.split(",") if x.strip()]
+    return integers
 
 
 def main(argv=None) -> int:
@@ -228,48 +195,51 @@ def main(argv=None) -> int:
         prog="pfrac",
         description="Partial-fraction coefficients of the restricted partition "
                     "generating function: exact residues and their asymptotics.")
-    parser.add_argument("--precision-bits", type=_precision_bits, default=None,
-                        help="default working precision in bits "
-                             "(or set PFRAC_PRECISION_BITS)")
+    # a PFRAC_PRECISION_BITS string is the default, which argparse reads
+    # through the same type, so it exits 2 out of range before any work
+    parser.add_argument("--precision-bits", default=os.environ.get(_ENV_VAR),
+                        type=_bounded("precision", MIN_PRECISION, PRECISION_BITS_MAX),
+                        help=f"default working precision in bits (or set {_ENV_VAR})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to a file")
     parser.add_argument("--seed", type=int, default=20240,
                         help="seed of verify's partial-fraction reconstruction criterion")
     sub = parser.add_subparsers(dest="command", required=True)
+    sigma = _bounded("sigma", -IDENTITY_SIGMA_MAX, IDENTITY_SIGMA_MAX)
 
     p = sub.add_parser("zeros", help="continued-dilogarithm zeros w(A,B)")
-    p.add_argument("--max-b", type=_at_least(1, ZEROS_MAX_B), default=3)
+    p.add_argument("--max-b", type=_bounded("|B|", 1, ZEROS_MAX_B), default=3)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("table", help="reproduce a published table")
     p.add_argument("name", choices=sorted(acceptance.TABLES))
-    p.add_argument("--rows", type=_table_rows, default=None)
+    p.add_argument("--rows", type=_list_of(_bounded("N", None, TABLE_N_MAX)), default=None)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("psi", help="maximum statistic Psi(h/k) with D(h,k)")
-    p.add_argument("--k", type=_at_least(2, PSI_K_MAX), default=211)
+    p.add_argument("--k", type=_bounded("k", 2, PSI_K_MAX), default=211)
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("identity", help="residue-sum identity sweep")
-    p.add_argument("--n-max", type=_at_least(1, IDENTITY_N_MAX), default=25)
-    p.add_argument("--sigma-set", type=_sigma_list, default=None)
+    p.add_argument("--n-max", type=_bounded("N", 1, IDENTITY_N_MAX), default=25)
+    p.add_argument("--sigma-set", type=_list_of(sigma), default=None)
     p.set_defaults(fn=cmd_identity)
 
     p = sub.add_parser("expansion", help="dump expansion coefficients as JSON")
     p.add_argument("kind", choices=("a1", "c01", "C", "D", "E"))
     p.add_argument("--sigma", type=int, default=1)
-    p.add_argument("--ell", type=_at_least(1, EXPANSION_ELL_MAX), default=1)
-    p.add_argument("--m", type=_at_least(1, EXPANSION_M_MAX), default=4)
+    p.add_argument("--ell", type=_bounded("ell", 1, EXPANSION_ELL_MAX), default=1)
+    p.add_argument("--m", type=_bounded("m", 1, EXPANSION_M_MAX), default=4)
     p.add_argument("--parity", type=int, choices=(0, 1), default=0)
     p.set_defaults(fn=cmd_expansion)
 
     p = sub.add_parser("residues", help="dump all residues for (N, sigma) as JSON")
-    p.add_argument("--n", type=_at_least(1, RESIDUES_N_MAX), required=True)
-    p.add_argument("--sigma", type=_sigma, default=1)
+    p.add_argument("--n", type=_bounded("N", 1, RESIDUES_N_MAX), required=True)
+    p.add_argument("--sigma", type=sigma, default=1)
     p.set_defaults(fn=cmd_residues)
 
     p = sub.add_parser("a1", help="dominant simple-pole sum sweep (CSV)")
-    p.add_argument("--rows", type=_a1_rows, default=None)
+    p.add_argument("--rows", type=_list_of(_bounded("N", 2, A1_N_MAX)), default=None)
     p.add_argument("--sigma", type=int, default=1)
     p.set_defaults(fn=cmd_a1)
 
@@ -277,18 +247,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.command == "table" and args.rows:
-        low = acceptance.TABLES[args.name][2]
-        for N in args.rows:
-            if N < low:
-                parser.error(f"argument --rows: must be at least {low} for table "
-                             f"{args.name}, got {N}")
+    if args.command == "table":
+        try:  # each table's floor, once the table is known
+            for N in args.rows or ():
+                checked_int(N, "N", acceptance.TABLES[args.name][2])
+        except ValueError as exc:
+            parser.error(f"argument --rows: table {args.name}: {exc}")
     previous = default_precision()
     if args.precision_bits is not None:
-        try:
-            set_default_precision(args.precision_bits)
-        except ValueError as exc:
-            parser.error(f"--precision-bits: {exc}")
+        set_default_precision(args.precision_bits)
     try:
         return args.fn(args)
     except (ConvergenceError, PrecisionLossError) as exc:

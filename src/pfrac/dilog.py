@@ -103,35 +103,30 @@ def _li2_any(z):
     """Principal-branch Li2(z) at the ambient precision, holomorphic on C
     minus [1, oo).
 
-    For |z| <= 1/2 the defining power series is summed directly; larger
-    arguments are mapped into convergent regions with the inversion and
-    reflection functional equations, falling back to the Bernoulli series
-    in log(z) on the annulus they cannot reach.  Points on the cut [1, oo)
-    are evaluated as the limit from the upper half plane.
+    For |z| <= 1/2 the defining power series is summed directly, for
+    |z| >= 2 the inversion functional equation maps z to 1/z, and the
+    annulus between them, the disk |1 - z| <= 1/2 (|log z| <= log 2)
+    included, takes the Bernoulli series in log(z).  Points on the cut
+    [1, oo) are evaluated as the limit from the upper half plane.
     """
     zeta2 = _zeta2()
     if z == 0:
         return mpc(0)
     if z == 1:
         return mpc(zeta2)
-    on_cut = (z.imag == 0 and z.real > 1)
     if abs(z) <= mpf(1) / 2:
         return _li2_series(z)
     if abs(z) >= 2:
         # Li2(z) = -Li2(1/z) - zeta(2) - log^2(-z)/2, limit from above on the cut
-        if on_cut:
+        if z.imag == 0 and z.real > 1:
             logneg = mpmath.log(z.real) - 1j * pi
         else:
             logneg = mpmath.log(-z)
         return -_li2_any(1 / z) - zeta2 - logneg ** 2 / 2
-    if abs(1 - z) <= mpf(1) / 2 and not on_cut:
-        # Li2(z) = -Li2(1-z) + zeta(2) - log(z) log(1-z)
-        return -_li2_any(1 - z) + zeta2 - mpmath.log(z) * mpmath.log(1 - z)
-    # annulus: expand around the unit circle in mu = log z
+    # annulus: expand around the unit circle in mu = log z, which is real
+    # and positive on the cut
     mu = mpmath.log(z)
-    if on_cut:
-        logneg = mpmath.log(mu) - 1j * pi
-    elif mu.imag == 0 and mu.real > 0:
+    if mu.imag == 0 and mu.real > 0:
         logneg = mpmath.log(mu) - 1j * pi
     else:
         logneg = mpmath.log(-mu)
@@ -288,8 +283,10 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
 
     Constructed from the dilogarithm zero as
     z* = m + log(1 - w(d, -m)) / (2 pi i), then certified by checking that
-    p_d'(z*) vanishes and p_d(z*) = log w(d, -m).
+    p_d'(z*) vanishes and p_d(z*) = log w(d, -m).  m and d are integers
+    (ValueError otherwise).
     """
+    m, d = checked_int(m, "m"), checked_int(d, "d")
     if not BranchLabel(d, -m).admissible():
         raise ValueError(f"no saddle point for (m={m}, d={d})")
     prec = resolve_precision(prec)
@@ -314,12 +311,14 @@ def q_func(z, prec: int | None = None) -> HPComplex:
     return HPComplex(val, prec)
 
 
-def v_func(z, N: int, sigma, prec: int | None = None) -> HPComplex:
+def v_func(z, N: int, sigma: int, prec: int | None = None) -> HPComplex:
     """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
 
     L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
     Delta = 0.006 and h = 1 that the integral representation uses (`_v_at`).
+    N and sigma are integers (ValueError otherwise).
     """
+    N, sigma = checked_int(N, "N"), checked_int(sigma, "sigma")
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         return HPComplex(_v_at(to_mpc(z), N, sigma), prec)

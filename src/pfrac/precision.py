@@ -5,7 +5,7 @@ number of bits it vouches for: the value is within tolerance(precision) =
 2^(16 - precision) of the exact result.  The record is a label only; it does
 no arithmetic, and its value keeps the guard bits it was computed with.
 Public functions check `prec` with `resolve_precision` before any work, and
-an integer argument such as sigma with `checked_int`.
+every integer argument, such as sigma, and its range with `checked_int`.
 
 A cancelling sum keeps its label by one rule, `rerun_short`: a value its
 own check finds short is computed once more with the shortfall plus
@@ -56,27 +56,37 @@ def rerun_short(run, what: str):
     return value
 
 
-def checked_int(value, name: str) -> int:
-    """`value` as an int, or ValueError naming `name` unless it is an integer:
-    `operator.index`, which refuses 2.0, mpf(2) and 2 + 0j alike."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def checked_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` as an int in [low, high] (a bound of None is open), or
+    ValueError naming `name`: the one check of every integer argument.
+
+    A non-integer is refused by `operator.index`, which refuses 2.0, mpf(2)
+    and 2 + 0j alike, and so is a bool, which counts as no integer of the
+    paper.  A value out of range reads `need {name} >= {low}, got {value}` or
+    `need {name} <= {high}, got {value}`."""
+    if type(value) is not int:  # an int, the common case, skips the protocol
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"need {name} <= {high}, got {value}")
+    return value
 
 
 def _checked_precision(bits, name: str = "precision") -> int:
-    """`bits` as an int, or ValueError unless it is an integer >= MIN_PRECISION.
-
-    Accepts Python integers and decimal strings (the environment variable)."""
-    try:
-        value = int(bits, 10) if isinstance(bits, str) else operator.index(bits)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value < MIN_PRECISION:
-        raise ValueError(f"{name} must be an integer of at least {MIN_PRECISION} bits, "
-                         f"got {bits!r}")
-    return value
+    """`bits` as an int of at least MIN_PRECISION (`checked_int`); a decimal
+    string, as the environment variable holds, is read as its integer."""
+    if isinstance(bits, str):
+        try:
+            bits = int(bits, 10)
+        except ValueError:
+            pass  # checked_int names the string
+    return checked_int(bits, name, MIN_PRECISION)
 
 
 _default_bits = _checked_precision(os.environ.get(_ENV_VAR, DEFAULT_PRECISION), _ENV_VAR)

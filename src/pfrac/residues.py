@@ -67,8 +67,9 @@ class FareyFraction:
     k: int
 
     def __post_init__(self):
-        if not (0 <= self.h < self.k) or gcd(self.h, self.k) != 1:
-            raise ValueError(f"{self.h}/{self.k} is not a reduced fraction in [0, 1)")
+        k = checked_int(self.k, "k", 1)
+        if gcd(checked_int(self.h, "h", 0, k - 1), k) != 1:
+            raise ValueError(f"{self.h}/{self.k} is not a reduced fraction")
 
     def __str__(self):
         return f"{self.h}/{self.k}"
@@ -76,8 +77,7 @@ class FareyFraction:
 
 def farey(N: int) -> list[FareyFraction]:
     """Farey fractions of order N in [0, 1), ascending (Stern-Brocot steps)."""
-    if checked_int(N, "N") < 1:
-        raise ValueError("need N >= 1")
+    N = checked_int(N, "N", 1)
     out = [FareyFraction(0, 1)]
     if N == 1:
         return out
@@ -101,10 +101,7 @@ def p_restricted(N: int, n: int) -> int:
 
     Raises ValueError for n > P_RESTRICTED_MAX_N before building a table.
     """
-    if checked_int(N, "N") < 0 or checked_int(n, "n") < 0:
-        raise ValueError("need N, n >= 0")
-    if n > P_RESTRICTED_MAX_N:
-        raise ValueError(f"n = {n} exceeds P_RESTRICTED_MAX_N = {P_RESTRICTED_MAX_N}")
+    N, n = checked_int(N, "N", 0), checked_int(n, "n", 0, P_RESTRICTED_MAX_N)
     if N == 0:
         return 1 if n == 0 else 0
     table = _partition_tables.get(N)
@@ -236,12 +233,12 @@ def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tu
     return rerun_short(run, f"residue at {h}/{k}")
 
 
-def _check_pole(h: int, k: int, N: int) -> None:
-    """ValueError unless h/k is a reduced fraction in [0, 1) and a pole at N."""
-    if not (1 <= k <= N):
-        raise ValueError("need 1 <= k <= N")
-    if gcd(h, k) != 1 or not 0 <= h < k:
-        raise ValueError("h/k must be a reduced fraction in [0, 1)")
+def _check_pole(h: int, k: int, N: int) -> tuple:
+    """(h, k, N) as ints, or ValueError unless h/k is a reduced fraction in
+    [0, 1) and a pole at N >= 1."""
+    N = checked_int(N, "N", 1)
+    f = FareyFraction(checked_int(h, "h"), checked_int(k, "k", 1, N))
+    return f.h, f.k, N
 
 
 def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HPComplex:
@@ -255,7 +252,7 @@ def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HP
     (PrecisionLossError if the rebuild misses it too).  sigma must be an
     integer (ValueError otherwise).
     """
-    _check_pole(h, k, N)
+    h, k, N = _check_pole(h, k, N)
     prec = resolve_precision(prec)
     sigma = checked_int(sigma, "sigma")
     re, im, e, wprec = _q_fixed(h, k, sigma, N, prec, _sigma_powers(sigma, N // k, N))
@@ -312,7 +309,7 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
     C_l = sum_{sigma<=l} C(l-1, sigma-1) (-1)^{l-sigma} zeta^{h(l-sigma)} Q_{h k sigma}(N),
     added exactly with each power of -zeta^h the `_phase` of
     2 (2h + k)(l - sigma) mod 4k, and rounded once per C_l."""
-    _check_pole(h, k, N)
+    h, k, N = _check_pole(h, k, N)
     T = _phase_bits(k, wprec)
     qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N))
           for sigma in range(1, ell + 1)]
@@ -331,8 +328,7 @@ def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
 
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
     """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
-    if checked_int(ell, "ell") < 1:
-        raise ValueError("need ell >= 1")
+    ell = checked_int(ell, "ell", 1)
     prec = resolve_precision(prec)
     return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
 
@@ -359,6 +355,9 @@ class FamilySelector:
     """
     tag: str
     N: int
+
+    def __post_init__(self):
+        checked_int(self.N, "N", 1)
 
     def fractions(self) -> list[FareyFraction]:
         N = self.N
@@ -442,8 +441,8 @@ def c01l_exact(N: int, ell: int, prec: int | None = None) -> HPReal:
     a 64-bit shadow core agrees with it to 2^-48 relative, and otherwise
     rebuilt once with a guard raised by the shortfall (`_oracle`).
     """
-    if not 1 <= checked_int(ell, "ell") <= N:
-        raise ValueError("need 1 <= ell <= N")
+    N = checked_int(N, "N", 1)
+    ell = checked_int(ell, "ell", 1, N)
     prec = resolve_precision(prec)
     # e^x (e^x - 1)^{ell-1} = sum_i C(ell-1, i) (-1)^{ell-1-i} e^{(i+1)x}
     signed = [comb(ell - 1, i) * (-1) ** (ell - 1 - i) for i in range(ell)]
@@ -461,10 +460,8 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
     c01l_exact, but to 2^-48 of max(|Q|, 1): Q is a polynomial in sigma with
     exact zeros (N = 4, sigma = 5), where only an absolute error can be small.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N, sigma = checked_int(N, "N", 1), checked_int(sigma, "sigma")
     prec = resolve_precision(prec)
-    sigma = checked_int(sigma, "sigma")
     return HPReal(_oracle(N, prec, [sigma ** a for a in range(N)], 1), prec)
 
 
@@ -472,7 +469,7 @@ def q01_exact(N: int, sigma: int, prec: int | None = None) -> HPReal:
 
 def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPComplex]:
     """[C_{h k 1}(N), ..., C_{h k s}(N)] for the pole of order s at h/k."""
-    N = checked_int(N, "N")
+    h, k, N = _check_pole(h, k, N)
     prec = resolve_precision(prec)
     return [HPComplex(c, prec) for c in _c_from_q_all(h, k, N // k, N, prec + 16)]
 

@@ -21,6 +21,7 @@ from operator import mul
 from mpmath.libmp import pi_fixed
 
 from .fixed import div_fixed
+from .precision import checked_int
 
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
 _stirling2: list[list[int]] = [[1]]                 # triangle rows
@@ -31,8 +32,7 @@ def bernoulli(n: int) -> Fraction:
 
     Computed from sum_{j=0}^{n} C(n+1, j) B_j = 0 and cached.
     """
-    if n < 0:
-        raise ValueError("Bernoulli numbers need n >= 0")
+    n = checked_int(n, "n", 0)
     while len(_bernoulli) <= n:
         m = len(_bernoulli)
         acc = Fraction(0)
@@ -87,8 +87,7 @@ def bernoulli_table(imax: int, F: int) -> tuple[tuple[int, int], ...]:
 
 def stirling2(n: int, r: int) -> int:
     """Stirling set number: partitions of an n-set into r nonempty blocks."""
-    if n < 0 or r < 0:
-        raise ValueError("stirling2 needs nonnegative arguments")
+    n, r = checked_int(n, "n", 0), checked_int(r, "r", 0)
     if r > n:
         return 0
     while len(_stirling2) <= n:
@@ -106,8 +105,7 @@ def stirling2(n: int, r: int) -> int:
 
 def binom_half_fraction(s: int, j: int) -> Fraction:
     """Exact value of C(-s - 1/2, j)."""
-    if s < 0 or j < 0:
-        raise ValueError("binom_half_fraction needs nonnegative arguments")
+    s, j = checked_int(s, "s", 0), checked_int(j, "j", 0)
     num = Fraction(1)
     for i in range(j):
         num *= Fraction(-2 * s - 1 - 2 * i, 2)

@@ -184,9 +184,11 @@ def psi(h: int, k: int, prec: int | None = None) -> HPReal:
 
     The partial sums of log|prod^{-1}| are the exact integer prefix sums of
     the fixed-point table taken in the order r = j h mod k, so the walk is
-    k - 1 integer additions and one conversion to mpf."""
-    if not (1 <= h < k) or math.gcd(h, k) != 1:
-        raise ValueError("need 1 <= h < k with (h, k) = 1")
+    k - 1 integer additions and one conversion to mpf.  k is an integer >= 2
+    and h one of 1 <= h < k prime to it (ValueError otherwise)."""
+    k = checked_int(k, "k", 2)
+    if math.gcd(checked_int(h, "h", 1, k - 1), k) != 1:
+        raise ValueError(f"need (h, k) = 1, got ({h}, {k})")
     prec = resolve_precision(prec)
     table = _neg_log_sine_table(k, prec)
     best = max(0, table[np.arange(1, k) * h % k - 1].cumsum().max())
@@ -197,8 +199,7 @@ def psi(h: int, k: int, prec: int | None = None) -> HPReal:
 def psi_table(k: int, prec: int | None = None) -> list:
     """Rows (h, Psi(h/k), D(h, k)) for 1 <= h < k with (h, k) = 1; k is an
     integer >= 2 (ValueError otherwise)."""
-    if checked_int(k, "k") < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    k = checked_int(k, "k", 2)
     return [(h, psi(h, k, prec), _min_pair_product(h, k))
             for h in range(1, k) if math.gcd(h, k) == 1]
 
@@ -430,12 +431,15 @@ def em_remainder(h: int, k: int, m: int, L: int, prec: int | None = None) -> HPR
     guard bits, that is lost = log2|log prod| - log2|T_L| > 16, it is taken
     once more at prec + 32 + lost bits, and PrecisionLossError is raised if
     that rerun cancels past its own guard (`_em_checked`), so T_L keeps its
-    relative 2^(16-prec) label.  m = 0 is refused: the main term's
-    log(h/(2k sin 0)) has no finite value.  At 2hm = k, so h = 1, T_L is an
-    exact 0 (`_em_checked`)."""
-    if math.gcd(h, k) != 1 or not 1 <= m < k:
-        raise ValueError("need (h, k) = 1 and 1 <= m < k "
-                         "(zero factor at m >= k, infinite main term at m = 0)")
+    relative 2^(16-prec) label.  The domain is h, m, L >= 1 with h m < k and
+    (h, k) = 1, so that sin(pi m h/k) > 0: the main term's
+    log(h/(2k sin(pi m h/k))) has no finite value at m = 0 and takes the log
+    of a negative sine past h m = k.  At 2hm = k, so h = 1, T_L is an exact
+    0 (`_em_checked`)."""
+    h, k = checked_int(h, "h", 1), checked_int(k, "k", 2)
+    m, L = checked_int(m, "m", 1, (k - 1) // h), checked_int(L, "L", 1)
+    if math.gcd(h, k) != 1:
+        raise ValueError(f"need (h, k) = 1, got ({h}, {k})")
     prec = resolve_precision(prec)
     return HPReal(_em_checked(h, k, m, L, prec)[1], prec)
 
@@ -459,25 +463,21 @@ def _em_checked(h: int, k: int, m: int, L: int, prec: int) -> tuple:
             return mpmath.log(2 * k) / 2, mpf(0)
 
     def run(extra):
+        # log|prod| at wp + 32 bits, and T_L with 16 guard bits on its terms
         wp = prec + extra + (32 if extra else 0)
-        lp, T = _em_difference(h, k, m, L, wp)
+        with mp.workprec(wp + 32):
+            lp = mpmath.log(abs(_sine_product(h, k, m, wp + 32)))
+        with mp.workprec(wp + 16):
+            T = lp + _em_main_log(h, k, m, L, wp)
         lost = mpmath.mag(lp) - mpmath.mag(T) if T else wp
         return (lp, T), lost - GUARD_BITS - (wp - prec)
     return rerun_short(run, f"T_L at {h}/{k}, m = {m}")
 
 
-def _em_difference(h: int, k: int, m: int, L: int, prec: int) -> tuple:
-    """(log|prod(h/k)_m|, T_L) with 16 guard bits on the terms of T_L."""
-    with mp.workprec(prec + 32):
-        lp = mpmath.log(abs(_sine_product(h, k, m, prec + 32)))
-    with mp.workprec(prec + 16):
-        return lp, lp + _em_main_log(h, k, m, L, prec)
-
-
 def t_l_bound(L: int, m: int, prec: int | None = None) -> HPReal:
-    """Rigorous bound (pi^3/2) ((2L-1)/(2 pi e m))^{2L-1} on |T_L(m, theta)|."""
-    if L < 1 or m < 1:
-        raise ValueError("need L >= 1 and m >= 1")
+    """Rigorous bound (pi^3/2) ((2L-1)/(2 pi e m))^{2L-1} on |T_L(m, theta)|,
+    for integers L, m >= 1 (ValueError otherwise)."""
+    L, m = checked_int(L, "L", 1), checked_int(m, "m", 1)
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         val = pi ** 3 / 2 * ((2 * L - 1) / (2 * pi * mpmath.e * m)) ** (2 * L - 1)
@@ -557,16 +557,12 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     T_L and log|prod| by em_remainder's `_em_checked`, in decreasing order
     of a pair's log potential (its |T_L| cap over prod, ties in (k, m)
     order); pairs whose rigorous |T_L| bound already rules them out are
-    skipped.  h and s are integers >= 1, and L above SCREEN_MAX_L raises
-    ValueError.
+    skipped.  h and s are integers >= 1, and L above SCREEN_MAX_L, which
+    the float64 screen holds, raises ValueError.
     """
-    for value, name in ((h, "h"), (s, "s")):
-        if checked_int(value, name) < 1:
-            raise ValueError(f"need {name} >= 1, got {value}")
+    h, s = checked_int(h, "h", 1), checked_int(s, "s", 1)
     _checked_delta(delta)
-    L = em_length(delta, s, h)
-    if L > SCREEN_MAX_L:
-        raise ValueError(f"the float64 screen holds L <= {SCREEN_MAX_L}, got L = {L}")
+    L = checked_int(em_length(delta, s, h), "L", high=SCREEN_MAX_L)
     polys_float = _cot_poly_float(2 * L - 2)
     bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]
     m_lo = max(1, math.ceil(delta * s / h - 1e-12))

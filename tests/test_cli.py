@@ -4,11 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
-from pfrac.cli import main
+import pfrac
+from pfrac.cli import PRECISION_BITS_MAX, main
 from pfrac.precision import default_precision, tolerance
 from pfrac.refdata import PSI_211
 
@@ -25,7 +30,21 @@ def test_precision_bits_below_limit_is_a_usage_error(capsys, bits):
         main(["--precision-bits", bits, "psi", "--k", "11"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"--precision-bits: precision must be an integer of at least 8 bits, got {bits}" in err
+    assert f"argument --precision-bits: need precision >= 8, got {bits}" in err
+
+
+def test_precision_environment_above_the_cap_is_a_usage_error():
+    # PFRAC_PRECISION_BITS is read through --precision-bits' own type, so a
+    # value past PRECISION_BITS_MAX exits 2 before any work, as the option does
+    src = str(Path(pfrac.__file__).resolve().parents[1])
+    env = {**os.environ, "PFRAC_PRECISION_BITS": str(PRECISION_BITS_MAX + 1),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pfrac.cli", "zeros"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert (f"argument --precision-bits: need precision <= {PRECISION_BITS_MAX}, "
+            f"got {PRECISION_BITS_MAX + 1}" in proc.stderr)
 
 
 def test_precision_bits_do_not_leak_into_the_process_default(capsys):
@@ -49,29 +68,29 @@ def test_psi_211_output_is_pinned(capsys):
 
 
 USAGE_ERRORS = {
-    "residues --n 0": "--n: must be at least 1, got 0",
-    "a1 --rows 200,1": "--rows: must be at least 2, got 1",
-    "expansion a1 --m 0": "--m: must be at least 1, got 0",
-    "expansion c01 --ell 0": "--ell: must be at least 1, got 0",
+    "residues --n 0": "--n: need N >= 1, got 0",
+    "a1 --rows 200,1": "--rows: need N >= 2, got 1",
+    "expansion a1 --m 0": "--m: need m >= 1, got 0",
+    "expansion c01 --ell 0": "--ell: need ell >= 1, got 0",
     "expansion D --parity 2": "--parity: invalid choice: 2 (choose from 0, 1)",
-    "psi --k 1": "--k: must be at least 2, got 1",
-    "psi --k -3": "--k: must be at least 2, got -3",
-    "psi --k 2801": "--k: must be at most 2800, got 2801",
-    "zeros --max-b 31": "--max-b: must be at most 30, got 31",
-    "identity --n-max 0": "--n-max: must be at least 1, got 0",
-    "identity --n-max 101": "--n-max: must be at most 100, got 101",
-    "identity --sigma-set=3,-10001": "--sigma-set: |sigma| must be at most 10000, got -10001",
-    "residues --n 201": "--n: must be at most 200, got 201",
-    "residues --n 3 --sigma 10001": "--sigma: |sigma| must be at most 10000, got 10001",
-    "table a1 --rows 1": "--rows: must be at least 2 for table a1, got 1",
-    "table c011 --rows 0": "--rows: must be at least 1 for table c011, got 0",
-    "table c014 --rows 3": "--rows: must be at least 4 for table c014, got 3",
-    "table c121 --rows 2": "--rows: must be at least 3 for table c121, got 2",
-    "--precision-bits 1537 psi --k 11": "--precision-bits: must be at most 1536, got 1537",
-    "table c014 --rows 200,1501": "--rows: must be at most 1500, got 1501",
-    "a1 --rows 200,4001": "--rows: must be at most 4000, got 4001",
-    "expansion a1 --m 15": "--m: must be at most 14, got 15",
-    "expansion c01 --ell 2001": "--ell: must be at most 2000, got 2001",
+    "psi --k 1": "--k: need k >= 2, got 1",
+    "psi --k -3": "--k: need k >= 2, got -3",
+    "psi --k 2801": "--k: need k <= 2800, got 2801",
+    "zeros --max-b 31": "--max-b: need |B| <= 30, got 31",
+    "identity --n-max 0": "--n-max: need N >= 1, got 0",
+    "identity --n-max 101": "--n-max: need N <= 100, got 101",
+    "identity --sigma-set=3,-10001": "--sigma-set: need sigma >= -10000, got -10001",
+    "residues --n 201": "--n: need N <= 200, got 201",
+    "residues --n 3 --sigma 10001": "--sigma: need sigma <= 10000, got 10001",
+    "table a1 --rows 1": "--rows: table a1: need N >= 2, got 1",
+    "table c011 --rows 0": "--rows: table c011: need N >= 1, got 0",
+    "table c014 --rows 3": "--rows: table c014: need N >= 4, got 3",
+    "table c121 --rows 2": "--rows: table c121: need N >= 3, got 2",
+    "--precision-bits 1537 psi --k 11": "--precision-bits: need precision <= 1536, got 1537",
+    "table c014 --rows 200,1501": "--rows: need N <= 1500, got 1501",
+    "a1 --rows 200,4001": "--rows: need N <= 4000, got 4001",
+    "expansion a1 --m 15": "--m: need m <= 14, got 15",
+    "expansion c01 --ell 2001": "--ell: need ell <= 2000, got 2001",
 }
 
 
@@ -104,7 +123,7 @@ def test_zeros_output_is_pinned(capsys):
     code, out = run_cli(capsys, "zeros")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "c222acd1476b578189bdf6f1730e523b3af53baac0991fa4a0e4b8159ba86299")
+            == "899d3b83e7742102bd8e2afc5f2308174212d94281735949b1ad80d90cb6322b")
     rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
     assert rows and all(mpf(r["residual"]) < tolerance(default_precision()) for r in rows)
 
@@ -114,7 +133,7 @@ def test_zeros_max_b_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeros", "--max-b", "0"])
     assert exc.value.code == 2
-    assert "argument --max-b: must be at least 1, got 0" in capsys.readouterr().err
+    assert "argument --max-b: need |B| >= 1, got 0" in capsys.readouterr().err
 
 
 def test_zeros_max_b_one(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -11,16 +12,17 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import _gauss_legendre, a3_quadrature, b_coeffs, evaluate_expansion
+from pfrac.asymptotics import (_gauss_legendre, a3_quadrature, b_coeffs, evaluate_expansion,
+                               u_weight, vstar_weight)
 from pfrac.cli import IDENTITY_SIGMA_MAX
-from pfrac.dilog import find_zero
+from pfrac.dilog import find_saddle, find_zero
 from pfrac.fixed import man_exp
 from pfrac.precision import GUARD_BITS, set_default_precision
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
                             q_general, reconstruct_product, residue_report, residue_sum)
-from pfrac.sequences import bernoulli_over_factorial_fraction, bernoulli_table
+from pfrac.sequences import bernoulli_over_factorial_fraction, bernoulli_table, stirling2
 from pfrac.series import exp
 
 PREC = 256
@@ -85,7 +87,7 @@ def test_p_restricted_examples():
 
 
 def test_p_restricted_refuses_n_beyond_its_cap():
-    with pytest.raises(ValueError, match=f"exceeds P_RESTRICTED_MAX_N = {P_RESTRICTED_MAX_N}"):
+    with pytest.raises(ValueError, match=f"need n <= {P_RESTRICTED_MAX_N}, got"):
         p_restricted(3, P_RESTRICTED_MAX_N + 1)
 
 
@@ -431,7 +433,7 @@ def test_principal_part_refuses_a_pole_beyond_N():
     # and the expansion is not evaluated on a pole (q = 1 and -1 at N = 3)
     for call in (lambda: principal_part(1, 3, 2), lambda: q_general(1, 3, 1, 2),
                  lambda: c_from_q(1, 3, 1, 2)):
-        with pytest.raises(ValueError, match="need 1 <= k <= N"):
+        with pytest.raises(ValueError, match="need k <= 2, got 3"):
             call()
     for q, pole in ((1, "0/1"), (-1, "1/2")):
         with pytest.raises(ValueError, match=f"lies on the pole e\\^\\(2 pi i {pole}\\)"):
@@ -630,34 +632,46 @@ def test_q01_exact_at_its_exact_zeros():
     assert abs(q01_exact(300, 300 * 301 // 4, 64).value) < mpf(2) ** (16 - 64)
 
 
-@pytest.mark.parametrize("sigma", [2.5, mpf("2.5"), 1 + 2j])
-def test_sigma_entry_points_refuse_a_non_integer(sigma):
-    # sigma is an integer, as in the paper: 2.5, mpf(2.5) and 1 + 2i are
-    # refused on entry with ValueError, not rounded to an integer or run
-    # into a PrecisionLossError; so are a non-integer ell and N
-    calls = (lambda: q_general(1, 3, sigma, 7), lambda: residue_sum(7, sigma),
-             lambda: residue_report(7, sigma), lambda: family_sum(FamilySelector("A", 40), sigma),
-             lambda: family_sum(FamilySelector("E", 40), sigma), lambda: a1_sum(40, sigma),
-             lambda: q01_exact(9, sigma), lambda: a3_quadrature(200, sigma, 64))
-    for call in calls:
-        with pytest.raises(ValueError, match="sigma must be an integer"):
-            call()
-    for call in (lambda: c01l_exact(10, sigma), lambda: c_from_q(0, 1, sigma, 10)):
-        with pytest.raises(ValueError, match="ell must be an integer"):
-            call()
-    for call in (lambda: principal_part(1, 3, 3 + sigma), lambda: farey(3 + sigma),
-                 lambda: p_restricted(3 + sigma, 3)):
-        with pytest.raises(ValueError, match="N must be an integer"):
-            call()
-    with pytest.raises(ValueError, match="n must be an integer"):
-        p_restricted(3, 3 + sigma)
-    # and the sizes of the scans and of the quadrature rule
-    for call, name in ((lambda: sine_products.psi_table(3 + sigma), "k"),
-                       (lambda: sine_products.em_remainder_scan(3 + sigma, 50), "h"),
-                       (lambda: sine_products.em_remainder_scan(3, 50 + sigma), "s"),
-                       (lambda: _gauss_legendre(40 + sigma, 64), "n"),
-                       (lambda: evaluate_expansion(b_coeffs(1, 2, 64), 200 + sigma, 2), "N")):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+@pytest.mark.parametrize("value", [2.5, mpf("2.5"), 1 + 2j, True])
+def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
+    # sigma, ell, N, h/k, m, L and every size are integers, as in the paper:
+    # 2.5, mpf(2.5), 1 + 2i and a bool are refused on entry by
+    # precision.checked_int with a ValueError naming the argument, not
+    # rounded to an integer, run into a TypeError or PrecisionLossError, or
+    # read as 1
+    z = mpc("1.2", "0.3")
+    e = b_coeffs(1, 2, 64)
+    rows = (("sigma", lambda x: q_general(1, 3, x, 7)), ("sigma", lambda x: residue_sum(7, x)),
+            ("sigma", lambda x: residue_report(7, x)),
+            ("sigma", lambda x: family_sum(FamilySelector("A", 40), x)),
+            ("sigma", lambda x: family_sum(FamilySelector("E", 40), x)),
+            ("sigma", lambda x: a1_sum(40, x)), ("N", lambda x: a1_sum(x, 1)),
+            ("sigma", lambda x: q01_exact(9, x)),
+            ("sigma", lambda x: a3_quadrature(200, x, 64)), ("sigma", lambda x: u_weight(x, 1, z)),
+            ("ell", lambda x: c01l_exact(10, x)), ("ell", lambda x: c_from_q(0, 1, x, 10)),
+            ("N", lambda x: principal_part(1, 3, x)), ("N", farey),
+            ("N", lambda x: p_restricted(x, 3)), ("n", lambda x: p_restricted(3, x)),
+            ("N", lambda x: q01_exact(x, 1)), ("N", lambda x: a3_quadrature(x, 1)),
+            ("N", lambda x: q_general(1, 3, 1, x)), ("k", lambda x: q_general(1, x, 1, 5)),
+            ("m", lambda x: b_coeffs(1, x)), ("m", lambda x: find_saddle(x, 0)),
+            ("k", lambda x: sine_products.psi(1, x)), ("n", lambda x: stirling2(x, 1)),
+            ("L", lambda x: sine_products.t_l_bound(x, 3)),
+            ("L", lambda x: sine_products.em_remainder(1, 10, 3, x)),
+            # and the sizes of the scans and of the quadrature rule
+            ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
+            ("s", lambda x: sine_products.em_remainder_scan(3, x)),
+            ("n", lambda x: _gauss_legendre(x, 64)), ("N", lambda x: evaluate_expansion(e, x, 2)))
+    for name, call in rows:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            call(value)
+    # an integer out of its range is refused on entry as well: past h m < k
+    # the main term of T_L takes the log of a negative sine
+    for call, message in ((lambda: sine_products.em_remainder(3, 10, 5, 2), "need m <= 3, got 5"),
+                          (lambda: sine_products.em_remainder(1, 10, 3, 0), "need L >= 1, got 0"),
+                          (lambda: u_weight(1, -1, z), "need j >= 0, got -1"),
+                          (lambda: vstar_weight(1, -1, z), "need j >= 0, got -1"),
+                          (lambda: evaluate_expansion(e, 400, -1), "need m >= 1, got -1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
 
@@ -672,10 +686,9 @@ def test_farey_sums_refuse_N_below_1(N):
 @pytest.mark.parametrize("N", [0, -3])
 def test_laurent_oracle_refuses_N_below_1(N):
     # refused on entry, not by a math domain error inside the Laurent core
-    with pytest.raises(ValueError, match="need N >= 1"):
-        q01_exact(N, 1)
-    with pytest.raises(ValueError, match="need 1 <= ell <= N"):
-        c01l_exact(N, 1)
+    for call in (q01_exact, c01l_exact):
+        with pytest.raises(ValueError, match=f"need N >= 1, got {N}"):
+            call(N, 1)
 
 
 def test_bernoulli_table_matches_exact_and_zeta_values():

@@ -83,15 +83,15 @@ def test_phase_within_one_unit():
 
 def test_sine_product_rejects_zero_factor():
     # em_remainder, the one public caller that takes (h, k, m) as given
-    with pytest.raises(ValueError, match="zero factor"):
+    with pytest.raises(ValueError, match="need m <= 5, got 6"):
         em_remainder(1, 6, 6, 2)
-    with pytest.raises(ValueError, match="zero factor"):
+    with pytest.raises(ValueError, match=r"need \(h, k\) = 1, got \(2, 6\)"):
         em_remainder(2, 6, 1, 2)  # not reduced
 
 
 def test_em_remainder_refuses_m_zero():
     # T_L(0) has no finite value: the main term's lead is log(h/(2k sin 0))
-    with pytest.raises(ValueError, match="infinite main term at m = 0"):
+    with pytest.raises(ValueError, match="need m >= 1, got 0"):
         em_remainder(1, 7, 0, 2, 64)
 
 
@@ -556,7 +556,7 @@ def test_em_remainder_scan_refuses_what_float64_cannot_hold(monkeypatch):
             assert np.isfinite(acc) == (L == SCREEN_MAX_L)
     # L = 51 raises before the scan builds its first polynomial
     monkeypatch.setattr(sine_products, "_cot_poly_float", None)
-    with pytest.raises(ValueError, match=f"holds L <= {SCREEN_MAX_L}, got L = 51"):
+    with pytest.raises(ValueError, match=f"need L <= {SCREEN_MAX_L}, got 51"):
         em_remainder_scan(1, 1000)
 
 

@@ -187,3 +187,38 @@ def test_one_sum_over_g_l():
             found = {name for name, called in calls.items() if callee in called}
             assert found == want.get(path.name, set()), (callee, path.name)
         assert not divide.search(text), path.name
+
+
+def test_integer_ranges_live_in_checked_int():
+    # an integer argument and its range have one check,
+    # precision.checked_int(value, name, low, high), and one message
+    # template: no module compares a checked_int result and raises on its
+    # own, and the CLI defines one integer argparse type, which calls it,
+    # and one comma-list wrapper
+    def calls(node, name):
+        return any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == name
+                   for c in ast.walk(node))
+
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            checked = {t.id for a in ast.walk(func) if isinstance(a, ast.Assign)
+                       and calls(a.value, "checked_int")
+                       for target in a.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+                    continue
+                for cmp in (c for c in ast.walk(node.test) if isinstance(c, ast.Compare)):
+                    for operand in (cmp.left, *cmp.comparators):
+                        own = (isinstance(operand, ast.Name) and operand.id in checked
+                               or isinstance(operand, ast.Call)
+                               and getattr(operand.func, "id", None) == "checked_int")
+                        assert not own, (path.name, func.name, ast.unparse(node.test))
+    tree = ast.parse((Path(pfrac.__file__).parent / "cli.py").read_text())
+    top = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    assert [f.name for f in top if calls(f, "int")] == ["_bounded"]
+    assert calls(next(f for f in top if f.name == "_bounded"), "checked_int")
+    splits = [f.name for f in top for c in ast.walk(f) if isinstance(c, ast.Call)
+              and getattr(c.func, "attr", None) == "split"
+              and [ast.unparse(x) for x in c.args] == ["','"]]
+    assert splits == ["_list_of"]

@@ -234,7 +234,10 @@ def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPCom
 
 
 def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
-    """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N."""
+    """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N,
+    with the single g_l of `sine_products._g_sweep`: the derivative
+    polynomials P_j(cot) at one cot(pi z), apart from the eps-series of cot
+    that `_Frame.u_series` differentiates and this oracle checks."""
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         g = _g_sweep(max(1, (jmax + 1) // 2), zv)

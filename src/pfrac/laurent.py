@@ -121,9 +121,9 @@ def _pole_series(h: int, k: int, N: int, F: int) -> list:
 @lru_cache(maxsize=256)
 def _cot_table(k: int, n: int, wprec: int) -> tuple:
     """(Fc, rows): cot^{(j)}(pi r/k) = rows[r-1][j] 2^(j+1-Fc) for j <= n and
-    r = 1..k-1, each row the real parts of one cot sweep (`_cot_orders`)
-    from b = 1/(zeta^r - 1), at the Fc = `_cot_bits(wprec, n)` fraction
-    bits `_cot_sweep` takes at wprec.  The k - 1 roots zeta^r are
+    r = 1..k-1, each row the real parts of the closed form `_cot_orders`
+    from b = 1/(zeta^r - 1) at Fc = `_cot_bits(wprec, n)` fraction bits,
+    the closed form's guard bits above wprec.  The k - 1 roots zeta^r are
     one `fixed.powers` walk of the phase zeta = e^{2 pi i/k} (`_phase`) on
     T = `_phase_bits(k, wprec)` fraction bits, within about (1 + sqrt(2)) r
     units of 2^-T: far below the 2^-wprec at which b is formed.  At
@@ -133,7 +133,7 @@ def _cot_table(k: int, n: int, wprec: int) -> tuple:
     px, py = powers(*_phase(k, 4 % (4 * k), T), T, k)
     with mp.workprec(wprec):
         bs = [1 / (unfix(x, y, -T) - 1) for x, y in zip(px[1:], py[1:])]
-    return Fc, tuple(tuple(x for x, _, _ in _cot_orders(n, 1, b, Fc)[0]) for b in bs)
+    return Fc, tuple(tuple(x for x, _, _ in _cot_orders(n, 1, b, Fc)) for b in bs)
 
 
 def _oracle_sum(g: tuple, weights: list, N: int, wprec: int) -> mpf:

@@ -14,13 +14,15 @@ complement k - 1 - m, and builds a single mpf at the end, so the products
 Psi table come from the same recurrence (`_sine_factors`), and each Psi
 walk is a run of exact integer prefix sums over a fixed-point table of
 -log 2 sin(pi r/k).  Cotangent derivatives of every order up to n come from
-one exponential and the power walk of one number (`_cot_sweep`), and the
-g_l of the Euler-Maclaurin expansion from one such sweep (`_g_sweep`).  The
-sum over l of g_l(z)/n^{2l-1}, which the main term of T_L and the contour's
-v add, is one exact integer accumulation on the same powers (`_g_sum`), and
-like the sweep it measures its own cancellation.  The
-float64 screen of `em_remainder_scan` runs over whole blocks of (k, m)
-pairs as numpy arrays.
+one closed form on the integer powers of one number b (`_cot_orders`, which
+the cot table of the pole series reads), and the sum over l of the
+Euler-Maclaurin terms g_l(z)/n^{2l-1}, which the main term of T_L and the
+contour's v add, is one exact integer accumulation on the same powers
+(`_g_sum`), which measures its own cancellation.  The single g_l, the
+oracle of that sum, stand apart from it on the integer derivative
+polynomials cot^{(j)} = P_j(cot) of `_cot_polynomials`, evaluated at one
+cotangent (`_g_sweep`); the float64 screen of `em_remainder_scan` reads the
+same table and runs over whole blocks of (k, m) pairs as numpy arrays.
 Every pole phase e^{i pi M/(2k)} is a power of one fixed-point
 e^{i pi/(2k)} (`_phase`): the roots of unity of the residues, the C and
 the cot table, and the recurrence step e^{i pi h/k} of the pole inverses'
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul as _imul
 
@@ -216,47 +217,17 @@ def _min_pair_product(h: int, k: int) -> int:
 
 # -- cotangent derivatives ---------------------------------------------------
 
-def _cot_sweep(n: int, z) -> list:
-    """[cot(z), cot'(z), ..., cot^{(n)}(z)] at the ambient precision, from one
-    exponential e^{2iz} and the closed form
-    cot^{(j)}(z) = (-1)^j (2i)^{j+1} sum_{r<=j+1} a_{j,r} b^r (+ i at j = 0),
-    b = 1/(e^{2iz} - 1), a_{j,r} = (r-1)! S(j+1, r); i -> -i and e^{-2iz} for
-    Im z < 0, so |b| >= 1/2.  The powers of b are held in complex fixed point
-    with F = prec + n + bitlen(n+1) + 16 fraction bits (`_cot_bits`), so each
-    order is one exact integer dot product and one conversion to mpc.
-
-    The exponential and b are computed at F bits, and the sweep checks its
-    own cancellation: where |e^{2isz}| is small, b is near -1 and the terms
-    of order n reach about n! while their sum stays small (94 bits apart at
-    n = 24, z = -0.3 - 5i).  The cancellation `lost`, the bits by which some
-    order's sum falls below the sum of its terms' magnitudes, does not shrink
-    with more bits, so a sweep with `extra` fraction bits is short by
-    lost - GUARD_BITS - extra (`_short`), and `precision.rerun_short` runs a
-    short sweep once more with `lost` more.
-    """
-    if z == 0:
-        raise ValueError("cotangent pole at a multiple of pi")
-    s = 1 if z.imag >= 0 else -1
-    F = _cot_bits(mp.prec, n)
-
-    def run(extra):
-        with mp.workprec(F + extra):
-            b = 1 / (mpmath.exp(2j * s * z) - 1)
-        out, lost = _cot_orders(n, s, b, F + extra, measure=True)
-        return out, _short(lost, F + extra, extra)
-    return [unfix(*o) for o in rerun_short(run, f"cotangent sweep of order {n}")]
-
-
 def _cot_bits(prec: int, n: int) -> int:
-    """Fraction bits of a cot sweep to order n at prec bits: n + bitlen(n+1)
-    for the powers b^r, |b| >= 1/2, r <= n + 1, and 16 guard bits."""
+    """Fraction bits of the closed form of `_cot_orders` to order n at prec
+    bits: n + bitlen(n+1) for the powers b^r, |b| >= 1/2, r <= n + 1, and
+    16 guard bits."""
     return prec + n + (n + 1).bit_length() + 16
 
 
 def _short(lost: int, G: int, extra: int) -> int:
-    """Bits by which a sum over the powers of b at G fraction bits, `extra`
-    of them above `_cot_bits`, falls short of its label, from the
-    cancellation `lost` it measured: lost - GUARD_BITS - extra.
+    """Bits by which a sum at G bits, `extra` of them above `_cot_bits`,
+    falls short of its label, from the cancellation `lost` it measured:
+    lost - GUARD_BITS - extra.
 
     The measure reads the computed sum, whose rounding noise is about
     2^-G of the sum of magnitudes, so it cannot see past about G bits: where
@@ -293,36 +264,72 @@ def _b_sums(n: int, b, F: int, step: int = 1, measure: bool = False):
                sum(map(_imul, a, mags)) if measure else 0)
 
 
-def _cot_orders(n: int, s: int, b, F: int, measure: bool = False) -> tuple:
-    """(the sweep's orders 0..n, the bits the worst order's sum cancelled)
-    from b at F fraction bits, order j as the integers (x, y, j + 1 - F) of
-    (x + i y) 2^(j+1-F); the cancellation is only measured on request."""
-    out, lost = [], 0
-    for j, x, y, mag in _b_sums(n, b, F, measure=measure):
-        if measure:
-            lost = max(lost, mag.bit_length() - max(abs(x), abs(y)).bit_length())
+def _cot_orders(n: int, s: int, b, F: int) -> list:
+    """[cot(z), cot'(z), ..., cot^{(n)}(z)] from b at F fraction bits, order
+    j as the integers (x, y, j + 1 - F) of (x + i y) 2^(j+1-F), by the closed
+    form cot^{(j)}(z) = (-1)^j (2si)^{j+1} sum_{r<=j+1} a_{j,r} b^r (+ si at
+    j = 0) with s = sign Im z, b = 1/(e^{2isz} - 1), so |b| >= 1/2, and
+    a_{j,r} = (r-1)! S(j+1, r) (`_b_sums`).  Each order is one exact integer
+    dot product over the powers of b; F = `_cot_bits(prec, n)` holds them to
+    prec bits where the sums do not cancel."""
+    out = []
+    for j, x, y, _ in _b_sums(n, b, F):
         # (-1)^j (2is)^{j+1} = 2^{j+1} i^m: rotate by i^m, scale by the exponent
         x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[((j + 1) * (2 - s) + 2 * j) % 4]
         if j == 0:
             y += s << (F - 1)
         out.append((x, y, j + 1 - F))
-    return out, lost
+    return out
+
+
+@lru_cache(maxsize=64)
+def _cot_polynomials(n: int) -> tuple:
+    """The integer coefficients, lowest degree first, of the derivative
+    polynomials P_j, j = 0..n, with cot^{(j)}(x) = P_j(cot x): P_0(c) = c and
+    P_{j+1}(c) = -(1 + c^2) P_j'(c) (M. E. Hoffman, "Derivative polynomials
+    for tangent and secant", Amer. Math. Monthly 102, 1995).  The nonzero
+    coefficients of P_j all have the sign (-1)^j, so |P_j(|c|)| is the sum
+    of the magnitudes of the terms of P_j(c)."""
+    polys = [(0, 1)]
+    for _ in range(n):
+        d = [i * a for i, a in enumerate(polys[-1])][1:]  # P_j'
+        polys.append(tuple(-a - b for a, b in zip(d + [0, 0], [0, 0] + d)))  # -(1 + c^2) P_j'
+    return tuple(polys)
 
 
 def _g_sweep(lmax: int, z) -> list:
-    """[g_1(z), ..., g_lmax(z)] at the ambient precision from one cot sweep at
-    pi z: the single g_l, where a caller needs them apart (`_g_sum` adds
-    them)."""
+    """[g_1(z), ..., g_lmax(z)] at the ambient precision: the single g_l,
+    where a caller needs them apart, and the oracle of their sum `_g_sum`.
+    Each cot^{(2l-2)}(pi z) is P_{2l-2}(c) of `_cot_polynomials` at one
+    c = cot(pi z), so no step shares the closed form that `_g_sum` sums.
+
+    Near c = +-i, where |Im z| is large, every P_j with j >= 1 nearly
+    vanishes (1 + c^2 divides it) while its terms do not: the pass measures
+    the bits lost = log2(|P_j(|c|)| / |P_j(c)|) of the worst order, and
+    `precision.rerun_short` runs a pass short of its label (`_short`) once
+    more with more bits.  A pass runs at the `_cot_bits` of order
+    2 lmax - 2 plus its extra bits, so its first pass sees a cancellation
+    as deep as `_g_sum`'s does.  A P_j(c) that cancels to an exact 0, as
+    where c rounds to +-i itself, lost every bit of its pass."""
     if z.imag == 0 and z.real == mpmath.floor(z.real):
         raise ValueError("pole at integer z")
-    piz = pi * z
-    cots = _cot_sweep(2 * lmax - 2, piz)
-    out, power, sq = [], piz, piz * piz  # power = (pi z)^{2l-1}
-    for ell in range(1, lmax + 1):
-        b = bernoulli_over_factorial_fraction(ell)
-        out.append(-mpf(b.numerator) / b.denominator * power * cots[2 * ell - 2])
-        power *= sq
-    return out
+    F, polys = _cot_bits(mp.prec, 2 * lmax - 2), _cot_polynomials(2 * lmax - 2)
+
+    def run(extra):
+        with mp.workprec(F + extra):
+            w = pi * z
+            c = mpmath.cot(w)
+            out, lost, power = [], 0, w  # power = (pi z)^{2l-1}
+            for ell in range(1, lmax + 1):
+                p = polys[2 * ell - 2][::-1]
+                cot = mpmath.polyval(p, c)
+                lost = max(lost, (mpmath.mag(mpmath.polyval(p, abs(c))) - mpmath.mag(cot))
+                           if cot else F + extra)  # an exact 0 lost every bit
+                b = bernoulli_over_factorial_fraction(ell)
+                out.append(-mpf(b.numerator) / b.denominator * power * cot)
+                power *= w * w
+        return out, _short(lost, F + extra, extra)
+    return rerun_short(run, f"{lmax} single terms g_l")
 
 
 def _g_sum(lmax: int, z, n: int, ez=None):
@@ -331,8 +338,9 @@ def _g_sum(lmax: int, z, n: int, ez=None):
     one exact integer accumulation and one conversion.
 
     With w = pi z, s = sign Im z (s = 1 on the real axis) and the sums
-    D_j = sum_r a_{j,r} b^r of the cot sweep (`_b_sums`, even j only),
-    cot^{(2l-2)}(w) = (-1)^{l-1} 2^{2l-1} s i D_{2l-2} (+ s i at l = 1) and
+    D_j = sum_r a_{j,r} b^r of the closed form of `_cot_orders` (`_b_sums`,
+    even j only), cot^{(2l-2)}(w) = (-1)^{l-1} 2^{2l-1} s i D_{2l-2} (+ s i
+    at l = 1) and
     (-1)^{l-1} B_{2l} = |B_{2l}|, so the sum is -s i T with
     T = sum_l |B_{2l}/(2l)!| 2^{2l-1} (w/n)^{2l-1} D'_{2l-2}, D'_0 = D_0 + 1/2.
     The powers w^{2l-1} are one `fixed.powers` walk of w^2, w scaled by a
@@ -340,11 +348,13 @@ def _g_sum(lmax: int, z, n: int, ez=None):
     each term's rational factor |B_{2l}|/((2l)! n^{2l-1}) and that scale go
     into one floor division, exact but for under one unit of 2^-F; walking
     w/n instead leaves a small number few significant bits.  F is the
-    `_cot_bits` of the sweep of order 2 lmax - 2.  ez, if given, is
+    `_cot_bits` of the closed form of order 2 lmax - 2.  ez, if given, is
     e^{2 pi i z} at the ambient precision and saves the exponential of the
     first pass.
 
-    The sum checks its own cancellation as `_cot_sweep` does, by the bits
+    The sum checks its own cancellation, which does not shrink with more
+    bits: where |e^{2isw}| is small, b is near -1 and the terms of order j
+    reach about j! while their sum stays small.  It counts the bits
     lost = log2(sum |term| / |T|) over every product a_{j,r} b^r of every
     term; |x| + |y| stands for the modulus of x + i y.  A first pass with
     `extra` fraction bits is short by lost - GUARD_BITS - extra (`_short`),
@@ -499,21 +509,6 @@ SCREEN_MAX_L = max(L for L in range(1, 100)
                    < math.log(sys.float_info.max))
 
 
-@lru_cache(maxsize=1)
-def _cot_poly_float(jmax: int) -> list:
-    """cot^{(j)}(x) = P_j(cot x); float64 coefficient arrays for j <= jmax."""
-    polys = [[Fraction(0), Fraction(1)]]
-    for _ in range(jmax):
-        p = polys[-1]
-        dp = [i * p[i] for i in range(1, len(p))]
-        new = [Fraction(0)] * (len(dp) + 2)
-        for i, c in enumerate(dp):
-            new[i] -= c
-            new[i + 2] -= c
-        polys.append(new)
-    return [np.array([float(c) for c in p]) for p in polys]
-
-
 def _cl2_float(theta):
     """Clausen's integral on [0, pi], vectorized double precision."""
     th = np.asarray(theta, dtype=float)
@@ -563,7 +558,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     h, s = checked_int(h, "h", 1), checked_int(s, "s", 1)
     _checked_delta(delta)
     L = checked_int(em_length(delta, s, h), "L", high=SCREEN_MAX_L)
-    polys_float = _cot_poly_float(2 * L - 2)
+    polys_float = [np.array(p, dtype=float) for p in _cot_polynomials(2 * L - 2)]
     bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]
     m_lo = max(1, math.ceil(delta * s / h - 1e-12))
     # log of the rigorous bound t_l_bound(L, m), m = 1..s/(2h); entry 0 is unused

@@ -1,10 +1,11 @@
 """Sine products, Psi statistic, cotangent derivatives, Euler-Maclaurin.
 
 The sine products, cotangent derivatives and g_l are held to their contracts
-at the kernels every caller shares: `_sine_product`, `_cot_sweep`,
-`_g_sweep` and `_g_sum`, the last against the single g_l of the one before.
-`cot_derivative` and `g_ell` below run the sweeps with the 16 guard bits a
-public caller adds."""
+at the kernels every caller shares: `_sine_product`, the closed form of
+`_cot_orders` that the pole series' cot table and `_g_sum` read, `_g_sweep`
+and `_g_sum`, the last against the single g_l of the one before, which
+stand on the derivative polynomials P_j(cot) instead.  `cot_orders` and
+`g_ell` below run them with the 16 guard bits a public caller adds."""
 
 import math
 from math import gcd
@@ -16,21 +17,28 @@ from mpmath import mp, mpc, mpf, pi
 
 from pfrac import sine_products
 from pfrac.dilog import clausen
-from pfrac.precision import HPReal, tolerance
+from pfrac.fixed import unfix
+from pfrac.precision import HPReal, PrecisionLossError, tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_sweep, _em_main_log, _g_sum,
-                                 _g_sweep, _min_pair_product, _phase, _phase_bits,
+from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_bits, _cot_orders, _em_main_log,
+                                 _g_sum, _g_sweep, _min_pair_product, _phase, _phase_bits,
                                  _sine_factors, _sine_product, em_length, em_remainder,
                                  em_remainder_scan, psi, psi_table, t_l_bound)
 
 PREC = 256
 
 
-def cot_derivative(n, z, prec=PREC):
-    """cot^{(n)}(z): the last entry of one cot sweep."""
-    with mp.workprec(prec + 16):
-        return _cot_sweep(n, mpc(z))[n]
+def cot_orders(n, z, prec=PREC):
+    """[cot(z), ..., cot^{(n)}(z)] from the closed form of `_cot_orders` at
+    the `_cot_bits` of prec + 16 bits, with b = 1/(e^{2isz} - 1),
+    s = sign Im z, formed as `_g_sum` forms it."""
+    z = mpc(z)
+    s = 1 if z.imag >= 0 else -1
+    F = _cot_bits(prec + 16, n)
+    with mp.workprec(F):
+        b = 1 / (mpmath.exp(2j * s * z) - 1)
+        return [unfix(*order) for order in _cot_orders(n, s, b, F)]
 
 
 def g_ell(ell, z, prec=PREC):
@@ -209,13 +217,13 @@ def test_cot_derivative_first_identity(rng):
     with mp.workprec(300):
         for _ in range(8):
             z = mpc(rng.uniform(0.1, 2.9), rng.uniform(-1.5, 1.5))
-            lhs = cot_derivative(1, z)
+            lhs = cot_orders(1, z)[1]
             assert abs(lhs + 1 + mpmath.cot(z) ** 2) < mpf(2) ** -230
 
 
 def test_cot_derivative_vs_series_oracle():
     # oracle: cot(z0 + eps) = cos/sin as a ratio of shifted Taylor series,
-    # differentiated termwise; the sweep gives every order <= 24 from one call
+    # differentiated termwise; the closed form gives every order <= 24 from one b
     with mp.workprec(340):
         z0 = mpc("0.7", "0.4")
         n = 25
@@ -229,12 +237,12 @@ def test_cot_derivative_vs_series_oracle():
             cot = mul(cos_c, inv(sin_c, n), n)
         for order in (1, 2, 3):
             want = cot[order] * mpmath.factorial(order)
-            got = cot_derivative(order, z0)
+            got = cot_orders(order, z0)[order]
             assert abs(got - want) < mpf(2) ** -230
-        # below the real axis the sweep takes the e^{-2iz} mirror; cot(conj z) = conj cot(z)
-        with mp.workprec(PREC + 16):
-            sweep = sine_products._cot_sweep(n - 1, z0)
-            mirror = sine_products._cot_sweep(n - 1, mpmath.conj(z0))
+        # below the real axis the closed form takes the e^{-2iz} mirror;
+        # cot(conj z) = conj cot(z)
+        sweep = cot_orders(n - 1, z0)
+        mirror = cot_orders(n - 1, mpmath.conj(z0))
         assert len(sweep) == len(mirror) == n
         for order, (got, got_conj) in enumerate(zip(sweep, mirror)):
             want = cot[order] * mpmath.factorial(order)
@@ -252,26 +260,37 @@ def test_cot_derivative_bound_spotcheck():
                     bound = ((1 if k == 0 else 0)
                              + mpmath.factorial(k) / pi ** (k + 1)
                              * (mpf("4.01") / y) ** (k + 1) * mpmath.exp(-pi * y))
-                    assert abs(cot_derivative(k, pi * z, 192)) <= bound
+                    assert abs(cot_orders(k, pi * z, 192)[k]) <= bound
 
 
 @pytest.mark.parametrize("p", [64, 192])
-@pytest.mark.parametrize("value, n, z", [(cot_derivative, 24, -0.3 - 5j),
-                                         (g_ell, 12, 0.3 + 1.2j)])
-def test_cot_sweep_keeps_its_label_where_b_is_near_minus_one(value, n, z, p):
-    # |e^{2isz}| is small at both points, so the sums of order n cancel by
-    # tens of bits; a 600-bit run of the same call is the oracle
-    got = value(n, z, p)
-    want = value(n, z, 600)
-    with mp.workprec(640):
-        assert abs(got - want) <= tolerance(p) * abs(want)
+def test_g_sweep_keeps_its_label_where_cot_is_near_i(p):
+    # cot(pi z) is near -+i at 0.3 +- 1.2i, where 1 + c^2 divides every
+    # P_j(c) with j >= 1, so P_22 cancels by tens of bits and the first
+    # pass reruns; a 600-bit run of the same call is the oracle
+    for z in (0.3 + 1.2j, 0.3 - 1.2j):
+        got = g_ell(12, z, p)
+        want = g_ell(12, z, 600)
+        with mp.workprec(640):
+            assert abs(got - want) <= tolerance(p) * abs(want), z
+
+
+def test_g_sweep_reports_a_cancellation_to_zero():
+    # at z = 1000i, cot(pi z) = -i coth(1000 pi) rounds to -i itself, so
+    # P_2(c) = 2c(1 + c^2) is an exact 0 where g_2 is about e^{-2000 pi}:
+    # both passes lose every bit, which is a loss of precision, not a value
+    with mp.workprec(80), pytest.raises(PrecisionLossError, match="2 single terms g_l"):
+        _g_sweep(2, mpc(0, 1000))
 
 
 def test_cot_derivative_pole():
-    with pytest.raises(ValueError):
-        cot_derivative(2, 0)
-    with pytest.raises(ValueError):
-        g_ell(1, 3)
+    # cot has its poles at the multiples of pi, so g_l at the integers z:
+    # both routes to g_l refuse them before forming b or cot(pi z)
+    for z in (0, 3, -2):
+        with pytest.raises(ValueError, match="pole at integer z"):
+            g_ell(1, z)
+        with mp.workprec(64), pytest.raises(ValueError, match="pole at integer z"):
+            _g_sum(2, mpc(z), 1)
 
 
 # -- g_l -----------------------------------------------------------------------------
@@ -551,11 +570,11 @@ def test_em_remainder_scan_refuses_what_float64_cannot_hold(monkeypatch):
     with np.errstate(over="ignore"):
         for L in (SCREEN_MAX_L, SCREEN_MAX_L + 1):
             acc = np.float64(0)
-            for coef in sine_products._cot_poly_float(2 * L - 2)[-1][::-1]:
+            for coef in np.array(sine_products._cot_polynomials(2 * L - 2)[-1], dtype=float)[::-1]:
                 acc = acc * c + coef
             assert np.isfinite(acc) == (L == SCREEN_MAX_L)
-    # L = 51 raises before the scan builds its first polynomial
-    monkeypatch.setattr(sine_products, "_cot_poly_float", None)
+    # L = 51 raises before the scan reads its first polynomial
+    monkeypatch.setattr(sine_products, "_cot_polynomials", None)
     with pytest.raises(ValueError, match=f"need L <= {SCREEN_MAX_L}, got 51"):
         em_remainder_scan(1, 1000)
 
@@ -569,7 +588,7 @@ def test_em_remainder_scan_matches_brute_force(monkeypatch, screen):
     h, s, delta = 3, 100, 0.006
     L = em_length(delta, s, h)
     rechecks, products = [], []
-    real, sine_product = sine_products.em_remainder, sine_products._sine_product
+    sine_product = sine_products._sine_product
     checked = sine_products._em_checked
     monkeypatch.setattr(sine_products, "_em_checked",
                         lambda *args: rechecks.append(args) or checked(*args))
@@ -585,7 +604,7 @@ def test_em_remainder_scan_matches_brute_force(monkeypatch, screen):
         if gcd(h, k) != 1:
             continue
         for m in range(1, k // (2 * h) + 1):
-            T = abs(real(h, k, m, L, 192).value)
+            T = abs(em_remainder(h, k, m, L, 192).value)
             with mp.workprec(208):
                 lp = mpmath.log(abs(_sine_product(h, k, m, 208)))
             want_pt, want_t = max(want_pt, mpmath.exp(-lp) * T), max(want_t, T)

@@ -37,7 +37,8 @@ SURFACE = {
                "test_asymptotics::test_a3_integrand_matches_its_pieces"),
     "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     # sine_products
-    "em_remainder": "criterion 9: em_remainder_scan's recheck",
+    "em_remainder": ("oracle of em_remainder_scan: "
+                     "test_sine_products::test_em_remainder_scan_matches_brute_force"),
     "em_remainder_scan": "criterion 9",
     "psi": "criterion 8",
     "psi_table": "pfrac psi",
@@ -53,7 +54,7 @@ SURFACE = {
     "p_restricted": "pfrac identity: the exact side of the residue-sum identity",
     "principal_part": "criterion 4: reconstruct_product",
     "q01_exact": "oracle of q_general at 0/1: test_residues::test_q01_exact_matches_general",
-    "q_general": "pfrac residues",
+    "q_general": "oracle of _folded_sum: test_residues::test_family_sum_matches_unshared_residues",
     "reconstruct_product": "criterion 4",
     "residue_report": "pfrac residues",
     "residue_sum": "pfrac identity",
@@ -155,7 +156,7 @@ def test_one_rerun_rule_lives_in_pfrac_precision():
                           r"|(prec|wp|guard)\w*\s*=.*(<<|\b2 \*|\* 2\b)")
     raisers = {"precision.py": {"rerun_short"}}
     checks = {"residues.py": {"_q_fixed", "_oracle"},
-              "sine_products.py": {"_cot_sweep", "_em_checked", "_g_sum"}}
+              "sine_products.py": {"_em_checked", "_g_sum", "_g_sweep"}}
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         text = path.read_text()
         functions = {node.name: ast.get_source_segment(text, node)
@@ -170,6 +171,22 @@ def test_one_rerun_rule_lives_in_pfrac_precision():
             assert "rerun_short(" in functions[name], name
 
 
+def _calls(text):
+    """{function: the plain names it calls} for every function in `text`."""
+    return {node.name: {c.func.id for c in ast.walk(node)
+                        if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+
+
+def _assert_callers(callers, text, module):
+    """Each callee of `callers` is called in `module` by exactly the functions
+    that `callers[callee]` lists for it."""
+    calls = _calls(text)
+    for callee, want in callers.items():
+        found = {name for name, called in calls.items() if callee in called}
+        assert found == want.get(module, set()), (callee, module)
+
+
 def test_one_sum_over_g_l():
     # sum_l g_l(z)/n^{2l-1} has one implementation, sine_products._g_sum:
     # v (the contour integrand and v_func) and the Euler-Maclaurin main term
@@ -180,13 +197,28 @@ def test_one_sum_over_g_l():
     divide = re.compile(r"/\s*\w+\s*\*\*\s*\(2\s*\*\s*\w+\s*-\s*1\)")
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         text = path.read_text()
-        calls = {node.name: {c.func.id for c in ast.walk(node)
-                             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
-                 for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
-        for callee, want in callers.items():
-            found = {name for name, called in calls.items() if callee in called}
-            assert found == want.get(path.name, set()), (callee, path.name)
+        _assert_callers(callers, text, path.name)
         assert not divide.search(text), path.name
+
+
+def test_one_closed_form_of_cot_and_an_oracle_apart_from_it():
+    # cotangent derivatives have one integer closed form, summed by
+    # _b_sums for _cot_orders (the pole series' cot table) and _g_sum; the
+    # single g_l of _g_sweep, the oracle of _g_sum, reach none of it and
+    # stand on the derivative polynomials P_j(cot) of _cot_polynomials,
+    # whose only other reader is the float64 screen
+    callers = {"_b_sums": {"sine_products.py": {"_cot_orders", "_g_sum"}},
+               "_cot_polynomials": {"sine_products.py": {"_g_sweep", "em_remainder_scan"}}}
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        _assert_callers(callers, path.read_text(), path.name)
+    calls = _calls((Path(pfrac.__file__).parent / "sine_products.py").read_text())
+    reached, todo = set(), ["_g_sweep"]
+    while todo:
+        new = calls.get(todo.pop(), set()) - reached
+        reached |= new
+        todo.extend(new)
+    assert "_cot_polynomials" in reached
+    assert not reached & {"_b_sums", "_cot_orders", "_cot_weights", "_g_sum"}, reached
 
 
 def test_integer_ranges_live_in_checked_int():

@@ -13,7 +13,7 @@ from .precision import (HPComplex, HPReal, PrecisionLossError, default_precision
                         set_default_precision, tolerance)
 from .sequences import bernoulli, stirling2
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint, clausen,
-                    find_saddle, find_zero, p_d, q_func, v_func)
+                    find_saddle, find_zero, p_d, q_func)
 from .sine_products import em_remainder, em_remainder_scan, psi, psi_table, t_l_bound
 from .residues import (FamilySelector, FareyFraction, a1_sum, c01l_exact, c_from_q,
                        family_sum, farey, p_restricted, principal_part, q01_exact,
@@ -21,14 +21,14 @@ from .residues import (FamilySelector, FareyFraction, a1_sum, c01l_exact, c_from
 from .asymptotics import (Expansion, LocalSeriesPair, a3_quadrature, b_coeffs,
                           c_coeffs, decay_exponent, evaluate_expansion,
                           family_leading, local_series, path_positivity_check,
-                          saddle_path, u_weight, vstar_weight, wojdylo_a2s)
+                          saddle_path, u_weight, v_func, vstar_weight, wojdylo_a2s)
 
 __all__ = [
     "HPComplex", "HPReal", "PrecisionLossError", "default_precision", "set_default_precision",
     "tolerance",
     "bernoulli", "stirling2",
     "BranchLabel", "ConvergenceError", "DilogZero", "SaddlePoint", "clausen",
-    "find_saddle", "find_zero", "p_d", "q_func", "v_func",
+    "find_saddle", "find_zero", "p_d", "q_func",
     "em_remainder", "em_remainder_scan", "psi", "psi_table", "t_l_bound",
     "FamilySelector", "FareyFraction", "a1_sum", "c01l_exact", "c_from_q",
     "family_sum", "farey", "p_restricted", "principal_part", "q01_exact",
@@ -36,7 +36,7 @@ __all__ = [
     "Expansion", "LocalSeriesPair", "a3_quadrature", "b_coeffs",
     "c_coeffs", "decay_exponent", "evaluate_expansion",
     "family_leading", "local_series", "path_positivity_check",
-    "saddle_path", "u_weight", "vstar_weight", "wojdylo_a2s",
+    "saddle_path", "u_weight", "v_func", "vstar_weight", "wojdylo_a2s",
 ]
 
 __version__ = "0.1.0"

@@ -34,13 +34,13 @@ import mpmath
 from mpmath import mp, mpc, mpf, pi
 
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
-                    _check_off_cut, _li2_any, _phase_at, _v_at, find_saddle, find_zero,
-                    p_d, q_func)
+                    _check_off_cut, _li2_any, _phase_at, find_saddle, find_zero, p_d,
+                    q_func)
 from .fixed import fix
 from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
-from .sine_products import _g_sweep
+from .sine_products import _g_sum, _g_sweep, em_length
 
 
 def _bell_powers(p, n: int, jmax: int) -> list:
@@ -480,6 +480,30 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
         return {"min_rise": HPReal(min_rise, prec),
                 "saddle_height": HPReal((-pz0).real, prec),
                 "vertical_max": HPReal(vertical_max, prec)}
+
+
+def v_func(z, N: int, sigma: int, prec: int | None = None) -> HPComplex:
+    """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
+
+    L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
+    Delta = 0.006 and h = 1 that the integral representation uses (`_v_at`).
+    N and sigma are integers (ValueError otherwise).
+    """
+    N, sigma = checked_int(N, "N"), checked_int(sigma, "sigma")
+    prec = resolve_precision(prec)
+    with mp.workprec(prec + 24):
+        return HPComplex(_v_at(to_mpc(z), N, sigma), prec)
+
+
+def _v_at(zv, N: int, sigma, e=None):
+    """v_func at the ambient precision, for v_func and the contour integrand
+    alike; e, when given, is e^{2 pi i z} and saves the exponential of the
+    sum over g_l, which is one fixed-point accumulation
+    (`sine_products._g_sum`)."""
+    L = em_length(0.006, N, 1)
+    if L < 2:
+        raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")
+    return 2j * pi * sigma * zv / N + _g_sum(L - 1, zv, N, e)
 
 
 def _a3_node(z, prec: int) -> tuple:

@@ -1,6 +1,6 @@
 """Dilogarithm machinery: the principal branch (`_li2_any`), Clausen's
 integral, certified zeros on non-principal branches, the phase p_d and the
-associated saddle points, and the strip functions q and v.
+associated saddle points, and the strip function q.
 
 The analytically continued dilogarithm on any branch equals
 Li2(z) + 4 pi^2 A + 2 pi i B log(z) for integers A, B.  For B != 0 that
@@ -13,10 +13,8 @@ The power series sum z^n/n^2 (`_li2_series`) and the Bernoulli series in
 mu = log z (`_li2_log_series`, the one series behind the annulus and
 Clausen's integral) run on complex fixed-point integers; Clausen's
 integral takes the imaginary part alone, on one real power walk.
-`_phase_at` and `_v_at` (p_d and v) take a precomputed e^{2 pi i z}, so the
-contour integrand shares one exponential among them, and v's sum over g_l
-is `sine_products._g_sum`, the one sum the Euler-Maclaurin main term adds
-too.
+`_phase_at` (p_d) takes a precomputed e^{2 pi i z}, so the contour
+integrand shares one exponential between p and v (`asymptotics._v_at`).
 """
 
 from __future__ import annotations
@@ -309,28 +307,3 @@ def q_func(z, prec: int | None = None) -> HPComplex:
         zv = to_mpc(z)
         val = mpmath.sqrt(zv / (2 * mpmath.sin(pi * (zv - 1)))) * mpmath.exp(-1j * pi * zv / 2)
     return HPComplex(val, prec)
-
-
-def v_func(z, N: int, sigma: int, prec: int | None = None) -> HPComplex:
-    """v(z; N, sigma) = 2 pi i sigma z / N + sum_{l=1}^{L-1} g_l(z) / N^{2l-1}.
-
-    L = floor(0.006 pi e N), the Euler-Maclaurin truncation length with
-    Delta = 0.006 and h = 1 that the integral representation uses (`_v_at`).
-    N and sigma are integers (ValueError otherwise).
-    """
-    N, sigma = checked_int(N, "N"), checked_int(sigma, "sigma")
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 24):
-        return HPComplex(_v_at(to_mpc(z), N, sigma), prec)
-
-
-def _v_at(zv, N: int, sigma, e=None):
-    """v_func at the ambient precision, for v_func and the contour integrand
-    alike; e, when given, is e^{2 pi i z} and saves the exponential of the
-    sum over g_l, which is one fixed-point accumulation
-    (`sine_products._g_sum`)."""
-    from .sine_products import _g_sum, em_length
-    L = em_length(0.006, N, 1)
-    if L < 2:
-        raise ValueError("v needs L = floor(0.006 pi e N) >= 2 terms")
-    return 2j * pi * sigma * zv / N + _g_sum(L - 1, zv, N, e)

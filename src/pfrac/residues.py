@@ -27,17 +27,20 @@ The linear term goes into sigma: Q_{h k sigma}(N) is zeta^{h sigma} times a
 polynomial of degree s - 1 in sigma' = sigma - N(N+1)/4, and
 `_pole_inverse` caches its coefficients as fixed-point integers on one
 exponent, so `_q_fixed` evaluates it exactly on integers (4 sigma' is an
-integer).  This is the one residue route: `_folded_sum` adds the poles of
-the residue-sum identity and of the dominant families A, C, D and E
-exactly, one conjugate pair per evaluation, and forms one mpc at the end,
-and `_c_from_q_all` combines the Q into the C on the same integers.  sigma
-is an integer everywhere, as in the paper: it indexes the C_{h k ell}
-(sigma = 1..ell) and the residue-sum identity, and every entry point
-refuses any other sigma with ValueError (`precision.checked_int`).
-Every phase e^{i pi M/(2k)} (zeta^{h sigma}, the powers of zeta in the C,
-the phase of A(0), the sine product's recurrence step and the poles of
-`reconstruct_product`) is a power of one fixed-point e^{i pi/(2k)},
-`sine_products._phase`.
+integer).  This is the one residue route: `_folded` evaluates one pole
+per conjugate pair on one set of sigma'-powers, `_folded_sum` adds the
+poles of the residue-sum identity and of the dominant families A, C, D and
+E exactly on integers and forms one mpc at the end, and `residue_report`
+prints them.  The C come from the same polynomial: the binomial transform
+of the Q is a forward difference in sigma, so `_c_from_q_all` evaluates
+the differenced powers once per order through `_q_fixed`, one rotation and
+one monitored rounding per C.  sigma is an integer everywhere, as in the
+paper: it indexes the C_{h k ell} (sigma = 1..ell) and the residue-sum
+identity, and every entry point refuses any other sigma with ValueError
+(`precision.checked_int`).  Every phase e^{i pi M/(2k)} (zeta^{h sigma}
+and the phase of A(0), taken together by `_q_fixed`, the sine product's
+recurrence step and the poles of `reconstruct_product`) is a power of one
+fixed-point e^{i pi/(2k)}, `sine_products._phase`.
 
 Single-threaded: all of it runs in mpmath's global `mp` context, and the
 module caches take no locks.
@@ -168,10 +171,10 @@ def _pole_inverse(h: int, k: int, N: int, wprec: int):
     `laurent._cot_table`), and one exp_fixed of length s.
     """
     s, m = divmod(N, k)
-    wp, T = wprec + 8, _phase_bits(k, wprec)
+    wp = wprec + 8
     with mp.workprec(wp):
         # 1/(k^s P (-k)^s s! (s-1)!), real, to the wp bits to_fixed keeps
-        inverse = 1 / (_sine_product(h, k, m, wp, (*_phase(k, 2 * h, T), T))
+        inverse = 1 / (_sine_product(h, k, m, wp)
                        * ((-1) ** s * s * (k ** s * math.factorial(s - 1)) ** 2))
     x, _, E = to_fixed(inverse, wp)
     if s == 1:
@@ -196,21 +199,23 @@ def _sigma_powers(sigma: int, n: int, N: int) -> tuple:
     return [x << 2 * (n - 1 - i) for i, x in enumerate(p)], 2 * (n - 1)
 
 
-def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tuple:
-    """(re, im, e, wprec): Q_{h k sigma}(N) = (re + i im) 2^e for an integer
-    sigma, from the `_sigma_powers` of sigma' = sigma - N(N+1)/4 (at least s
-    of them).
+def _q_fixed(h: int, k: int, j: int, N: int, prec: int, powers: tuple) -> tuple:
+    """(re, im, e, wprec): zeta^{h j} e^{-i pi M/(2k)} sum_i p_i 2^-G d_i =
+    (re + i im) 2^e for the pole's coefficients d_i and powers = (p, G), at
+    least s values p_i 2^-G.  The one place where a pole polynomial is
+    evaluated, rotated and checked: with the `_sigma_powers` of
+    sigma' = sigma - N(N+1)/4 and j = sigma it is Q_{h k sigma}(N), and
+    `_c_from_q_all` passes the differences of those powers and j = ell.
 
-    The sum zeta^{h sigma} sum_i sigma'^i d_i over the pole's rounded
-    coefficients is exact integer arithmetic, so their rounding, about
-    2^-wprec of each |sigma'^i d_i|, is the only error it adds.  The monitor
-    bounds it by the largest term's bit length: the result is short by the
-    bits by which that bound exceeds the larger of 2^-prec of the result's
-    larger part and 2^-prec absolute, and `precision.rerun_short` rebuilds
-    the coefficients once with that many bits and GUARD_BITS more.
-    zeta^{h sigma} e^{-i pi M/(2k)}, with the phase M = h m(m+1) - k m,
-    m = N mod k, of A(0) (see `_pole_inverse`), is the `_phase` of the
-    exactly reduced 4 h sigma - M mod 4k.
+    The sum over the pole's rounded coefficients is exact integer
+    arithmetic, so their rounding, about 2^-wprec of each |p_i 2^-G d_i|, is
+    the only error it adds.  The monitor bounds it by the largest term's bit
+    length: the result is short by the bits by which that bound exceeds the
+    larger of 2^-prec of the result's larger part and 2^-prec absolute, and
+    `precision.rerun_short` rebuilds the coefficients once with that many
+    bits and GUARD_BITS more.  zeta^{h j} e^{-i pi M/(2k)}, with the phase
+    M = h m(m+1) - k m, m = N mod k, of A(0) (see `_pole_inverse`), is the
+    one `_phase` of the exactly reduced 4 h j - M mod 4k.
     """
     s, m = divmod(N, k)
     p, G = powers
@@ -223,7 +228,7 @@ def _q_fixed(h: int, k: int, sigma: int, N: int, prec: int, powers: tuple) -> tu
         x, y = sum(tx), sum(ty)
         size = max(abs(x), abs(y))  # <= |sum|
         T = _phase_bits(k, wprec)
-        zx, zy = _phase(k, (4 * h * sigma - h * m * (m + 1) + k * m) % (4 * k), T)
+        zx, zy = _phase(k, (4 * h * j - h * m * (m + 1) + k * m) % (4 * k), T)
         # error <= largest 2^(E - G + 8 - wprec) < 2^(bitlen(largest) + E - G + 8 - wprec):
         # within 2^-prec of the sum (>= 2^(bitlen(size) - 1 + E - G)) for
         # bitlen(largest) <= r, and within 2^-prec absolutely for bitlen(largest) <= u
@@ -260,23 +265,28 @@ def q_general(h: int, k: int, sigma: int, N: int, prec: int | None = None) -> HP
         return HPComplex(unfix(re, im, e), prec)
 
 
+def _folded(poles, sigma: int, N: int, prec: int):
+    """(f, paired, `_q_fixed`'s (re, im, e, wprec)) for each pole f with
+    2h <= k of a set closed under h -> k - h, on one `_sigma_powers`.
+
+    sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma}: the
+    pole k - h is the partner of every f with 0 < 2h < k (paired) and takes
+    the same integers with the imaginary part negated, exactly, and 0/1 and
+    1/2 stand alone."""
+    powers = _sigma_powers(sigma, max(N // f.k for f in poles), N)
+    for f in poles:
+        if 2 * f.h <= f.k:
+            yield f, 0 < 2 * f.h < f.k, _q_fixed(f.h, f.k, sigma, N, prec, powers)
+
+
 def _folded_sum(poles, sigma: int, N: int, wp: int) -> tuple:
     """(re, im, e): the sum of Q_{h k sigma}(N) over the poles, a set closed
-    under h -> k - h, exact on integers on one exponent (`_exact_sum`).
-
-    sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma} and only
-    the poles with 2h <= k are evaluated, each by `_q_fixed` at wp bits:
-    0/1 and 1/2 add Q, every other pole adds 2 Re Q.  So the sum does not
-    depend on the poles' order, and it is real but for the imaginary parts
-    of 0/1 and 1/2."""
-    powers = _sigma_powers(sigma, max(N // f.k for f in poles), N)
-    terms = []
-    for f in poles:
-        if 2 * f.h > f.k:
-            continue
-        re, im, e, _ = _q_fixed(f.h, f.k, sigma, N, wp, powers)
-        terms.append((re, 0, e + 1) if 0 < 2 * f.h < f.k else (re, im, e))
-    return _exact_sum(terms)
+    under h -> k - h, exact on integers on one exponent (`_exact_sum`):
+    each pole of `_folded` at wp bits adds Q alone and 2 Re Q with its
+    partner.  So the sum does not depend on the poles' order, and it is
+    real but for the imaginary parts of 0/1 and 1/2."""
+    return _exact_sum([(re, 0, e + 1) if paired else (re, im, e)
+                       for _, paired, (re, im, e, _) in _folded(poles, sigma, N, wp)])
 
 
 def residue_sum(N: int, sigma: int, prec: int | None = None) -> HPComplex:
@@ -304,30 +314,42 @@ def residue_sum_expected(N: int, sigma: int) -> int:
 
 
 def _c_from_q_all(h: int, k: int, ell: int, N: int, wprec: int) -> list:
-    """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits from one Q_{h k sigma}(N)
-    per sigma <= ell, each as `_q_fixed`'s integers:
-    C_l = sum_{sigma<=l} C(l-1, sigma-1) (-1)^{l-sigma} zeta^{h(l-sigma)} Q_{h k sigma}(N),
-    added exactly with each power of -zeta^h the `_phase` of
-    2 (2h + k)(l - sigma) mod 4k, and rounded once per C_l."""
+    """[C_{h k 1}(N), ..., C_{h k ell}(N)] at wprec bits, one `_q_fixed` each.
+
+    C_l = sum_{sigma<=l} C(l-1, sigma-1) (-zeta^h)^{l-sigma} Q_{h k sigma}(N)
+    with Q_{h k sigma} = zeta^{h sigma} e^{-i pi M/(2k)} P(sigma'), P the pole
+    polynomial and sigma' = sigma - N(N+1)/4, so the transform is a forward
+    difference: C_l = zeta^{h l} e^{-i pi M/(2k)} (Delta^{l-1} P)(a/4),
+    a = 4 - N(N+1), and `_q_fixed` at j = l evaluates it on the powers
+    Delta^{l-1}[x^i](a/4), held in `_sigma_powers`' scaling.  With
+    E_{t,i} = 4^i Delta^t[x^i](a/4), the Leibniz rule
+    Delta^t(x g) = (x + t) Delta^t g + t Delta^{t-1} g gives
+
+        E_{0,i} = a^i,  E_{t,i} = (a + 4t) E_{t,i-1} + 4t E_{t-1,i-1},
+
+    exact on the scaled E_{t,i} 4^(s-1-i) after a shift by 2, so it costs
+    O(ell s) and E_{t,i} = 0 for i < t: C_l is an exact 0 for l > s.  Each
+    C_l is then one exact sum, one rotation and one rounding, and
+    `_q_fixed`'s monitor measures it.  The one rotation is what keeps the
+    label: summing the ell(ell+1)/2 terms of the transform, each rotated by
+    its own rounded phase, would leave phase errors that the transform's
+    cancellation, about (l-1) log2(N^2/4) bits, amplifies past the label
+    where no monitor sees them."""
     h, k, N = _check_pole(h, k, N)
-    T = _phase_bits(k, wprec)
-    qs = [_q_fixed(h, k, sigma, N, wprec, _sigma_powers(sigma, N // k, N))
-          for sigma in range(1, ell + 1)]
-    out = []
+    a, out = 4 - N * (N + 1), []
+    p, G = _sigma_powers(1, N // k, N)  # E_{0,i} 4^(s-1-i)
     for l in range(1, ell + 1):
-        terms = []
-        for sigma, (re, im, e, _) in enumerate(qs[:l], 1):
-            # C(l-1, sigma-1) (-zeta^h)^(l-sigma)
-            c = comb(l - 1, sigma - 1)
-            zx, zy = _phase(k, 2 * (2 * h + k) * (l - sigma) % (4 * k), T)
-            terms.append((c * (re * zx - im * zy), c * (re * zy + im * zx), e - T))
+        re, im, e, _ = _q_fixed(h, k, l, N, wprec, (p, G))
         with mp.workprec(wprec):
-            out.append(unfix(*_exact_sum(terms)))
+            out.append(unfix(re, im, e))
+        t = 4 * l  # E_{l,i} from E_{l-1,i}
+        p = [*accumulate(p[:-1], lambda r, x: ((a + t) * r + t * x) >> 2, initial=0)]
     return out
 
 
 def c_from_q(h: int, k: int, ell: int, N: int, prec: int | None = None) -> HPComplex:
-    """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta)^{ell-sigma} Q_{h k sigma}(N)."""
+    """C_{h k ell}(N) = sum_{sigma<=ell} C(ell-1, sigma-1) (-zeta^h)^{ell-sigma} Q_{h k sigma}(N),
+    as one forward difference of the pole polynomial (`_c_from_q_all`)."""
     ell = checked_int(ell, "ell", 1)
     prec = resolve_precision(prec)
     return HPComplex(_c_from_q_all(h, k, ell, N, prec + 16)[-1], prec)
@@ -501,23 +523,19 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
 def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30) -> list[dict]:
     """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma).
 
-    sigma is an integer, so Q_{(k-h) k sigma} = conj Q_{h k sigma}: `_q_fixed`
-    runs only for 2h <= k, and the partner takes the same integers with the
-    imaginary part negated, exactly.  A real or imaginary part below
+    The poles fold as in `_folded_sum` (`_folded`): `_q_fixed` runs only for
+    2h <= k, and the partner k - h takes the conjugate, exactly, before the
+    one conversion at working precision.  A real or imaginary part below
     2^(16-prec) |Q| is rounding noise under the precision contract and
     prints as 0.
     """
     prec = resolve_precision(prec)
     sigma = checked_int(sigma, "sigma")
-    poles = farey(N)
-    powers, rows = _sigma_powers(sigma, N, N), []
-    for f in poles:
-        if 2 * f.h > f.k:
-            continue
-        x, y, e, wprec = _q_fixed(f.h, f.k, sigma, N, prec, powers)
+    rows = []
+    for f, paired, (x, y, e, wprec) in _folded(farey(N), sigma, N, prec):
         with mp.workprec(wprec):
             pair = {f.h: unfix(x, y, e)}
-            if 0 < 2 * f.h < f.k:
+            if paired:
                 pair[f.k - f.h] = unfix(x, -y, e)
         for h, q in pair.items():
             floor = mpmath.ldexp(abs(q), 16 - prec)

@@ -25,8 +25,7 @@ cotangent (`_g_sweep`); the float64 screen of `em_remainder_scan` reads the
 same table and runs over whole blocks of (k, m) pairs as numpy arrays.
 Every pole phase e^{i pi M/(2k)} is a power of one fixed-point
 e^{i pi/(2k)} (`_phase`): the roots of unity of the residues, the C and
-the cot table, and the recurrence step e^{i pi h/k} of the pole inverses'
-sine products.
+the cot table, and the recurrence step e^{i pi h/k} of every sine.
 
 Psi convention: the figure data published for k = 211 corresponds to
 max_{0<=m<k} (1/k) log|prod^{-1}(h/k)_m|, the log of the *reciprocal*
@@ -58,13 +57,12 @@ def _sine_bits(k: int, m: int, prec: int) -> int:
     return prec + m.bit_length() + 3 * k.bit_length()
 
 
-def _sines(h: int, k: int, m: int, wp: int, step=None) -> list:
-    """[sin(j theta) 2^wp for j = 1..m] as integers, theta = pi h/k, by
-    Goertzel's three-term recurrence
+def _sines(h: int, k: int, m: int, prec: int) -> list:
+    """[sin(j theta) 2^wp for j = 1..m] as integers, theta = pi h/k and
+    wp = `_sine_bits(k, m, prec)`, by Goertzel's three-term recurrence
     sin((j+1) theta) = 2 cos theta sin(j theta) - sin((j-1) theta):
     one real product truncated by `>> wp` per sine.  The step e^{i pi h/k}
-    costs one expjpi unless a caller passes it as fixed-point integers
-    step = (x, y, bits), e^{i pi h/k} ~ (x + i y) 2^-bits with bits >= wp.
+    is the `_phase` of 2h on prec + 4 bitlen(k) >= wp fraction bits.
 
     A unit of rounding at step i reaches step j multiplied by
     sin((j-i) theta)/sin theta, and the step's own error shifts theta by
@@ -73,10 +71,8 @@ def _sines(h: int, k: int, m: int, wp: int, step=None) -> list:
     Against sines no smaller than 2/k, and summed over the factors of a
     product, that fits the bitlen(m) + 3 bitlen(k) guard bits of
     `_sine_bits`."""
-    if step is None:
-        with mp.workprec(wp + 8):
-            step = (*fix(mpmath.expjpi(mpf(h) / k), wp), wp)
-    x, y, bits = step
+    wp, bits = _sine_bits(k, m, prec), prec + 4 * k.bit_length()
+    x, y = _phase(k, 2 * h, bits)
     c2, s = shifted(x, wp + 1 - bits), shifted(y, wp - bits)  # 2 cos theta, sin theta
     out, prev = [], 0
     for _ in range(m):
@@ -89,10 +85,10 @@ def _sine_factors(h: int, k: int, m: int, prec: int) -> list:
     """Signed factors 2 sin(pi j h/k), j = 1..m, good to `prec` bits each."""
     wp = _sine_bits(k, m, prec)
     with mp.workprec(wp):
-        return [mpf((y, 1 - wp)) for y in _sines(h, k, m, wp)]
+        return [mpf((y, 1 - wp)) for y in _sines(h, k, m, prec)]
 
 
-def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
+def _sine_product(h: int, k: int, m: int, prec: int) -> mpf:
     """prod_{j<=m} 2 sin(pi j h/k) for (h, k) = 1 and 0 <= m < k, as an mpf of
     `prec` bits, good to `prec` bits.
 
@@ -103,13 +99,12 @@ def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
     prod_{j<k} 2 sin(pi j h/k) = (-1)^{(h-1)(k-1)/2} k and
     2 sin(pi (k-i) h/k) = (-1)^{h+1} 2 sin(pi i h/k), so
     prod_{j<=m} = (-1)^{(h-1)(k-1)/2 + (h+1)(k-1-m)} k / prod_{j<=k-1-m},
-    rounded once.  `step`, if given, is e^{i pi h/k} as in `_sines`, with
-    at least `_sine_bits(k, m, prec)` bits.
+    rounded once.
     """
     n = min(m, k - 1 - m)
     wp = _sine_bits(k, n, prec)
     acc, shift = 1 << wp, 0
-    for y in _sines(h, k, n, wp, step) if n else ():
+    for y in _sines(h, k, n, prec) if n else ():
         acc *= y
         excess = acc.bit_length() - wp
         acc >>= excess
@@ -121,9 +116,9 @@ def _sine_product(h: int, k: int, m: int, prec: int, step=None) -> mpf:
 
 
 def _phase_bits(k: int, wprec: int) -> int:
-    """Fraction bits of the pole phases at (k, wprec): at least the
-    `_sine_bits(k, m, wprec + 8)` of the recurrence step of the pole
-    inverse's `_sine_product(h, k, m, wprec + 8)` for every m < k."""
+    """Fraction bits of the pole phases at (k, wprec): the bits of the
+    recurrence step that `_sines` takes for the pole inverse's
+    `_sine_product(h, k, m, wprec + 8)`, so that phase is shared."""
     return wprec + 8 + 4 * k.bit_length()
 
 
@@ -132,7 +127,7 @@ def _phase_squares(k: int, G: int) -> list:
     """`fixed.squares` of w = e^{i pi/(2k)} 2^G, each part truncated toward
     zero (`fixed.fix`), so |w| <= 1, as far as the exponents n <= k/2 of
     `_phase` need: the one expjpi behind every phase of the poles with
-    denominator k."""
+    denominator k and every sine step e^{i pi h/k}."""
     with mp.workprec(G + 8):
         return squares(*fix(mpmath.expjpi(mpf(1) / (2 * k)), G), G, (k // 2).bit_length())
 
@@ -207,12 +202,18 @@ def psi_table(k: int, prec: int | None = None) -> list:
 
 def _min_pair_product(h: int, k: int) -> int:
     """D(h, k) = min |beta gamma| over 1 <= |beta| < k, 1 <= gamma < k with
-    beta h = gamma mod k, by brute force over beta in exact int64 arithmetic:
-    beta and -beta give gamma and k - gamma; (h, k) = 1 makes every gamma
-    nonzero."""
-    beta = np.arange(1, k, dtype=np.int64)
-    gamma = beta * h % k
-    return int(min((beta * gamma).min(), (beta * (k - gamma)).min()))
+    beta h = gamma mod k: beta and -beta give gamma and k - gamma, so D is
+    the least beta |beta h - p k| over 0 < beta < k and integers p.  By the
+    best-approximation property of the convergents p_n/q_n of h/k,
+    |beta h - p k| >= |q_n h - p_n k| for every 0 < beta < q_{n+1}, so the
+    least is taken at a convergent with q_n < k (Hardy and Wright, ch. 10):
+    O(log k) exact integer steps of Euclid's algorithm."""
+    best, p, q, p0, q0, num, den = k * k, 0, 1, 1, 0, k, h  # p/q = 0/1, h/k = 1/(k/h)
+    while q < k:
+        best = min(best, q * abs(q * h - p * k))
+        a, num, den = num // den, den, num % den
+        p, q, p0, q0 = a * p + p0, a * q + q0, p, q
+    return best
 
 
 # -- cotangent derivatives ---------------------------------------------------

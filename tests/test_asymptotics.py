@@ -13,9 +13,9 @@ from pfrac.asymptotics import (LocalSeriesPair, _a3_node, _a3_nodes, _a3_value, 
                                _frame, _gauss_legendre, a3_quadrature, b_coeffs, c_coeffs,
                                decay_exponent, evaluate_expansion,
                                family_leading, local_series,
-                               path_positivity_check, saddle_path, u_weight,
+                               path_positivity_check, saddle_path, u_weight, v_func,
                                vstar_weight, wojdylo_a2s)
-from pfrac.dilog import find_saddle, find_zero, p_d, q_func, v_func
+from pfrac.dilog import find_saddle, find_zero, p_d, q_func
 from pfrac.precision import HPComplex, tolerance
 from pfrac.residues import a1_sum
 from pfrac.sine_products import _g_sweep, em_length

@@ -428,6 +428,30 @@ def test_principal_part_matches_c_from_q():
                 assert abs(c.value - c_from_q(h, k, ell, N, PREC).value) < mpf(2) ** -230
 
 
+@pytest.mark.parametrize("call, p", [
+    (lambda p: principal_part(2, 3, 120, p), 256),
+    (lambda p: principal_part(1, 5, 100, p), 128),
+    (lambda p: [c_from_q(1, 3, 67, 201, p)], 64),
+], ids=["principal_part-2/3-N120", "principal_part-1/5-N100", "c_from_q-1/3-ell67-N201"])
+def test_c_keeps_its_label_at_higher_order_poles(call, p):
+    # the binomial transform Q -> C cancels by about (ell - 1) log2(N^2/4)
+    # bits; each C is one rotated sum that _q_fixed's monitor measures, so
+    # every order agrees with the same call at p + 128 to 2^(16-p) relative
+    got, ref = call(p), call(p + 128)
+    assert len(got) == len(ref)
+    with mp.workprec(p + 256):
+        for ell, (c, d) in enumerate(zip(got, ref), 1):
+            assert abs(c.value - d.value) <= mpf(2) ** (16 - p) * abs(d.value), ell
+
+
+def test_c_vanishes_exactly_past_the_pole_order():
+    # 1/3 is a pole of order 3 at N = 10: the differences of order ell - 1 of
+    # a polynomial of degree 2 are exact zeros for ell > 3
+    assert c_from_q(1, 3, 3, 10, 64).value != 0
+    for ell in (4, 5, 9):
+        assert c_from_q(1, 3, ell, 10, 64).value == 0, ell
+
+
 def test_principal_part_refuses_a_pole_beyond_N():
     # 1/3 is no pole at N = 2: the same ValueError as q_general and c_from_q;
     # and the expansion is not evaluated on a pole (q = 1 and -1 at N = 3)

@@ -35,7 +35,6 @@ SURFACE = {
     "p_d": "criterion 11: path_positivity_check",
     "q_func": ("oracle of _a3_node and _a3_value: "
                "test_asymptotics::test_a3_integrand_matches_its_pieces"),
-    "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     # sine_products
     "em_remainder": ("oracle of em_remainder_scan: "
                      "test_sine_products::test_em_remainder_scan_matches_brute_force"),
@@ -71,6 +70,7 @@ SURFACE = {
     "path_positivity_check": "criterion 11",
     "saddle_path": "criterion 11: the contour of a3_quadrature",
     "u_weight": "oracle of _Frame.u_series: test_asymptotics::test_frame_weights_match_scalar_oracles",
+    "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     "vstar_weight": ("oracle of _Frame.vstar_series: "
                      "test_asymptotics::test_frame_weights_match_scalar_oracles"),
     "wojdylo_a2s": "pfrac expansion a1: the descent coefficients a_{2s}",
@@ -134,10 +134,10 @@ def test_bernoulli_table_lives_in_pfrac_sequences():
 
 
 def test_pole_phases_live_in_sine_products_phase():
-    # every phase e^{i pi M/(2k)} of the poles is a power of one
-    # e^{i pi/(2k)}: mpmath.expjpi is called only for its squares and by
-    # the default step of the sine recurrence
-    want = {"sine_products.py": {"_phase_squares", "_sines"}}
+    # every phase e^{i pi M/(2k)} of the poles, and every step e^{i pi h/k}
+    # of the sine recurrence, is a power of one e^{i pi/(2k)}:
+    # mpmath.expjpi is called only for its squares
+    want = {"sine_products.py": {"_phase_squares"}}
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         text = path.read_text()
         callers = {node.name for node in ast.walk(ast.parse(text))
@@ -192,13 +192,36 @@ def test_one_sum_over_g_l():
     # v (the contour integrand and v_func) and the Euler-Maclaurin main term
     # call it, the single g_l of _g_sweep serve only the u weights, and no
     # module divides by a power n^{2l-1} of its own
-    callers = {"_g_sum": {"dilog.py": {"_v_at"}, "sine_products.py": {"_em_main_log"}},
+    callers = {"_g_sum": {"asymptotics.py": {"_v_at"}, "sine_products.py": {"_em_main_log"}},
                "_g_sweep": {"asymptotics.py": {"_u_scalar"}}}
     divide = re.compile(r"/\s*\w+\s*\*\*\s*\(2\s*\*\s*\w+\s*-\s*1\)")
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         text = path.read_text()
         _assert_callers(callers, text, path.name)
         assert not divide.search(text), path.name
+
+
+def test_one_rotated_evaluation_per_pole_value():
+    # a pole polynomial is evaluated, rotated and checked in one place,
+    # residues._q_fixed: the conversion Q -> C takes one _q_fixed per order
+    # on differenced powers, with no phase or binomial of its own, and the
+    # only other phase of the residues is reconstruct_product's pole
+    calls = _calls((Path(pfrac.__file__).parent / "residues.py").read_text())
+    assert {name for name, called in calls.items() if "_phase" in called} == {
+        "_q_fixed", "reconstruct_product"}
+    assert "_q_fixed" in calls["_c_from_q_all"]
+    assert not calls["_c_from_q_all"] & {"_phase", "comb"}
+
+
+def test_no_function_imports():
+    # every import of pfrac sits at the top of its module: a function-level
+    # import would hide a cycle between modules
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = [n.lineno for n in ast.walk(func)
+                         if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not found, (path.name, func.name, found)
 
 
 def test_one_closed_form_of_cot_and_an_oracle_apart_from_it():

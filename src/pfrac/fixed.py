@@ -10,13 +10,16 @@ built from.  `power` takes one power by binary powering from the kept
 e^{i pi h/k} among them, is a power of one e^{i pi/(2k)}
 (`sine_products._phase`).  `exp_fixed` and `div_fixed` run the series
 exponential and division on fixed-point coefficients; `exp_fixed` skips
-the zero coefficients of its argument.
+the zero coefficients of its argument and forms short products.
 
 Each kernel keeps its own rounding rule, and the results depend on it: the
 walk, the power and `shifted` round down (`>>`), `fix` truncates toward zero,
-`to_fixed` rounds down, and `exp_fixed`/`div_fixed` round to nearest.
-The truncating multiply and the conversions follow Brent & Zimmermann,
-Modern Computer Arithmetic (CUP 2010), ch. 3.
+`to_fixed` rounds down, `div_fixed` rounds each coefficient to nearest from
+an exact dot product, and `exp_fixed` rounds each to nearest from a dot
+product of short products, each term rounded down twice, EXP_GUARD bits
+below the coefficient's last carried bit.  The truncating multiply, the
+short products and the conversions follow Brent & Zimmermann, Modern
+Computer Arithmetic (CUP 2010), ch. 3.
 """
 
 from __future__ import annotations
@@ -113,34 +116,51 @@ def power(sq: list, F: int, n: int) -> tuple[int, int]:
 EXP_SLACK = 32
 """Bits `exp_fixed` carries above frac_bits in a coefficient that has grown."""
 
+EXP_GUARD = EXP_SLACK + 12
+"""Guard bits of `exp_fixed`'s short products below the last carried bit."""
+
 
 def exp_fixed(ka, n: int, frac_bits: int) -> list[int]:
     """exp(a) for a_0 = 0 in fixed point: `ka[k]` is the integer k a_k 2^frac_bits
     (ka[0] is ignored), and the result is [g_m 2^frac_bits for m < n].
 
-    Each g_m is one exact integer dot product of the recurrence of
-    `series.exp` and one division rounded to nearest, so while
-    |g_m| < 2^EXP_SLACK a step adds at most half a unit of 2^-frac_bits to
-    the errors it inherits.  Larger g_m are carried to frac_bits + EXP_SLACK
-    significant bits, as out[m] 2^(D_m - frac_bits) with D_m raised by the
-    excess of the previous coefficient: each product of the dot product is
-    shifted down to D_m (2^-frac_bits of a unit below the rounding), and a
-    step adds half a unit of the last carried bit.  A series whose
-    coefficients grow by thousands of bits then multiplies numbers of
-    frac_bits + EXP_SLACK bits, not ever longer ones, and the result has
-    D_m low zero bits.  The dot products skip the zero entries of ka: in
-    the q = 1 Laurent core every odd k a_k above k = 1 is zero, and so is
-    every odd one of the pole series at 0/1 and 1/2; the result does not
-    change.
+    Each g_m comes from the recurrence m g_m = sum_k k a_k g_{m-k} of
+    `series.exp`, one dot product and one division rounded to nearest.
+    While |g_m| < 2^EXP_SLACK its last carried bit is 2^-frac_bits.  Larger
+    g_m are carried to frac_bits + EXP_SLACK significant bits (more while the
+    series grows by more than a bit a step), as out[m] 2^(D_m - frac_bits)
+    with D_m raised by the excess of the previous coefficient, so a series
+    whose coefficients grow by thousands of bits multiplies numbers of about
+    frac_bits + EXP_SLACK bits, not ever longer ones, and the result has D_m
+    low zero bits.
+
+    The products are short (Brent & Zimmermann, Modern Computer Arithmetic,
+    CUP 2010, 3.3).  The dot product is summed in units of 2^-(c+1)/m of the
+    last bit out[m] carries, c = min(EXP_GUARD, frac_bits - 1), and one
+    division by m 2^(c+1) rounds it.  Before its multiply, each
+    k a_k 2^frac_bits drops the low bits that would reach only below that
+    unit times 2^-bitlen(out[m-k]): the drop is sized by the bits out[m-k]
+    actually carries, not by a fixed length, so each of the at most m terms
+    is off by under one unit for its dropped bits and one for its floor.  A
+    step then adds at most half a unit of the last carried bit, plus 2^-c
+    of it, to the errors it inherits, however fast the series grows.  The
+    dot products skip the zero entries of ka: in the q = 1 Laurent core
+    every odd k a_k above k = 1 is zero, and so is every odd one of the
+    pole series at 0/1 and 1/2; the result does not change.
     """
     nonzero = [(k, a) for k, a in enumerate(ka[1:n], 1) if a]
-    out, shifts = [1 << frac_bits] + [0] * (n - 1), [0] * n
+    low = max(0, frac_bits - EXP_GUARD - 1)
+    rows = [(1 << frac_bits, 0, frac_bits + 1)]  # (out[j], D_j, D_j + bitlen out[j])
     for m in range(1, n):
-        D = shifts[m] = shifts[m - 1] + max(0, out[m - 1].bit_length() - frac_bits - EXP_SLACK)
-        d = m << frac_bits
-        acc = sum([(a * out[m - k]) >> (D - shifts[m - k]) for k, a in nonzero if k <= m])
-        out[m] = (2 * acc + d) // (2 * d)
-    return [g << D for g, D in zip(out, shifts)]
+        _, D, top = rows[-1]
+        D += max(0, top - D - frac_bits - EXP_SLACK)
+        E = D + low  # the term of k is (k a_k 2^frac_bits out[m-k]) >> (E - D_{m-k})
+        d = m << frac_bits - low
+        acc = sum([(a * o) >> E - Dj if t >= E else (a >> E - t) * o >> t - Dj
+                   for k, a in nonzero if k <= m for o, Dj, t in (rows[m - k],)])
+        g = (2 * acc + d) // (2 * d)
+        rows.append((g, D, D + g.bit_length()))
+    return [g << D for g, D, _ in rows]
 
 
 def div_fixed(a, b, n: int, frac_bits: int) -> list[int]:

@@ -69,13 +69,16 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     relative bits; with r + 2 some drop below 1, and tens of bits are lost
     at N = 120.  They grow to about 2^1800 at N = 1000, and exp_fixed
     carries each to F + fixed.EXP_SLACK significant bits: the values agree
-    with whole fixed-point integers to a bit at N = 40 .. 1000, in about two
-    thirds of the time.  The terms of the recurrence cancel by up to 0.28 N
-    bits.  With F = wprec + guard fraction bits, and B_{2i}/(2i)! from
-    `sequences.bernoulli_table` at F bits (built past its cache, which would
-    only hold tables no one asks for again), every coefficient stays within
-    2 bits of wprec at the default guard (measured against wprec + 400 bits
-    for N = 20 .. 1000).  Only k f_k for k = 1 and even k are nonzero:
+    with whole fixed-point integers to a bit at N = 40 .. 1000.  Its short
+    products drop the low bits of each k f_k that reach only below
+    fixed.EXP_GUARD guard bits, and leave every coefficient as close to a
+    core built 300 bits wider as full-length products did.  The terms of
+    the recurrence cancel by up to 0.28 N bits.  With F = wprec + guard
+    fraction bits, and B_{2i}/(2i)! from `sequences.bernoulli_table` at F
+    bits (built past its cache, which would only hold tables no one asks
+    for again), every coefficient stays within 2 bits of wprec at the
+    default guard (measured against wprec + 400 bits for N = 20 .. 1000).
+    Only k f_k for k = 1 and even k are nonzero:
     -S_1/2 and -B_{2i}/(2i)! S_{2i}.  Each g_n is returned as an mpf of F
     bits, so a larger guard also buys bits against cancellation in a sum
     over the g_n.  The same construction at a 64-bit target is the shadow

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from math import comb, factorial
 from operator import mul
 
@@ -114,12 +115,23 @@ def binom_half_fraction(s: int, j: int) -> Fraction:
 
 @lru_cache(maxsize=4)
 def even_power_sums(kmax: int, n: int) -> tuple[int, ...]:
-    """(S_0(n), S_2(n), ..., S_{2 kmax}(n)) with S_r = sum_{j<=n} j^r, stepping
-    the powers of j^2."""
-    squares = [j * j for j in range(1, n + 1)]
-    powers = [1] * n
+    """(S_0(n), S_2(n), ..., S_{2 kmax}(n)) with S_r = sum_{j<=n} j^r, exact.
+
+    Every j <= n is 2^a j' for an odd j' <= n >> a, so
+    S_{2l}(n) = sum_a 4^{la} O_{2l}(n >> a), O_r(x) the sum of j'^r over odd
+    j' <= x: the powers of the odd j' only are stepped by their squares,
+    each O is a prefix sum of them, and the 4^{la} are shifts (Horner in
+    4^l), about half the multiplications and additions of stepping every
+    j."""
+    cuts = [0] + [(n >> a) + 1 >> 1 for a in reversed(range(n.bit_length()))]  # odd j' <= n >> a
+    squares = [j * j for j in range(1, n + 1, 2)]
+    powers = [1] * len(squares)
     out = [n]
-    for _ in range(kmax):
+    for l in range(1, kmax + 1):
         powers = list(map(mul, powers, squares))
-        out.append(sum(powers))
+        total = odd = 0
+        for lo, hi in pairwise(cuts):
+            odd += sum(powers[lo:hi])  # O_{2l}(n >> a)
+            total = (total << 2 * l) + odd
+        out.append(total)
     return tuple(out)

@@ -18,8 +18,8 @@ from mpmath import mp, mpf, pi
 
 import pfrac
 from pfrac import a1_sum, b_coeffs, c01l_exact, find_zero, psi, q_general
-from pfrac.fixed import (EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted, squares,
-                         unfix)
+from pfrac.fixed import (EXP_GUARD, EXP_SLACK, div_fixed, exp_fixed, fix, power, powers, shifted,
+                         squares, unfix)
 from pfrac.precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, rerun_short,
                              set_default_precision, tolerance)
 from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
@@ -183,6 +183,11 @@ def test_power_sum():
     assert even_power_sums(3, 7) == tuple(sum(j ** r for j in range(1, 8)) for r in (0, 2, 4, 6))
     assert even_power_sums(1, 100) == (100, 338350)
     assert even_power_sums(0, 5) == (5,)
+    # the odd-j walk with its shifted 4^{la} prefix sums against brute force,
+    # at n = 1, 2, a power of two and its neighbours
+    for n in (1, 2, 3, 31, 32, 33, 100, 675):
+        want = tuple(sum(j ** (2 * l) for j in range(1, n + 1)) for l in range(9))
+        assert even_power_sums.__wrapped__(8, n) == want, n
 
 
 # -- truncated series --------------------------------------------------------------
@@ -275,20 +280,49 @@ def test_exp_fixed_carries_growing_coefficients_to_slack_bits():
     assert got[-1] % 2 ** 200 == 0
 
 
+def test_exp_fixed_carries_series_that_outgrow_the_guard():
+    # 1/(1 - c x) = exp(-log(1 - c x)), k a_k = c^k: each g_m = c^m grows by
+    # 64 bits a step, past EXP_SLACK + EXP_GUARD, so out[m] carries about
+    # F + EXP_SLACK + 64 bits and the short products drop most of each
+    # k a_k 2^F.  A drop sized by a fixed length, F + EXP_SLACK or
+    # F + EXP_SLACK + 12, not by the bits out[m-k] carries, is off by as much
+    # as 351,000 or 87 units of the last carried bit here; the derived one
+    # stays under one unit for either sign of c, and is held to two
+    n, F = 40, 64
+    for c in (3 ** 40, -3 ** 40):
+        got = exp_fixed([0] + [c ** k << F for k in range(1, n)], n, F)
+        D = 0
+        for m, g in enumerate(got):
+            assert abs(g - (c ** m << F)) <= 2 ** (D + 1), (c, m)
+            D += max(0, (g >> D).bit_length() - F - EXP_SLACK)  # D_{m+1}
+        assert D > 2000
+
+
 def test_exp_fixed_skips_zero_terms_bit_for_bit():
-    # the dense recurrence over every k, zero terms included, against
-    # exp_fixed on a series shaped like the Laurent core's (odd k a_k zero
-    # above k = 1) whose coefficients grow past 2^EXP_SLACK
+    # the short-product rule written as a dense loop over every k, zero terms
+    # included, against exp_fixed on a series shaped like the Laurent core's
+    # (odd k a_k zero above k = 1) whose coefficients grow past 2^EXP_SLACK
+    # fast enough that some products drop low bits of k a_k 2^F
     n, F = 90, 80
-    ka = [0, -(37 << F)] + [0 if k % 2 else (-1) ** k * ((k * k + 3) << (F - 2))
-                            for k in range(2, n)]
-    out, shifts = [1 << F] + [0] * (n - 1), [0] * n
+    ka = [0, -(3000 << F)] + [0 if k % 2 else (-1) ** k * ((k * k + 3) << (F - 2))
+                              for k in range(2, n)]
+    low = F - EXP_GUARD - 1
+    out, shifts, dropped = [1 << F] + [0] * (n - 1), [0] * n, 0
     for m in range(1, n):
         D = shifts[m] = shifts[m - 1] + max(0, out[m - 1].bit_length() - F - EXP_SLACK)
-        acc = sum((ka[k] * out[m - k]) >> (D - shifts[m - k]) for k in range(1, m + 1))
-        out[m] = (2 * acc + (m << F)) // (2 * (m << F))
+        acc = 0
+        for k in range(1, m + 1):
+            o, Dk = out[m - k], shifts[m - k]
+            drop = D + low - Dk - o.bit_length()
+            if drop > 0:
+                dropped += ka[k] != 0
+                acc += (ka[k] >> drop) * o >> o.bit_length()
+            else:
+                acc += ka[k] * o >> D + low - Dk
+        d = m << F - low
+        out[m] = (2 * acc + d) // (2 * d)
     want = [g << D for g, D in zip(out, shifts)]
-    assert max(shifts) > 0
+    assert max(shifts) > 0 and dropped > 0
     assert exp_fixed(ka, n, F) == want
 
 

@@ -614,9 +614,23 @@ def test_laurent_oracle_matches_exact_rationals():
                     assert abs(got.value - want) <= tol * abs(want)
 
 
+def test_laurent_core_keeps_its_bits_against_a_wider_core():
+    # every core coefficient against the same core built 300 bits wider; the
+    # bounds (log2 of the worst relative error) are those of whole products,
+    # so exp_fixed's short products may cost the core no bit
+    worst = {(200, 64): -95.7, (200, 576): -608.1, (431, 64): -75.4,
+             (431, 576): -587.9, (675, 64): -89.0, (675, 576): -600.6}
+    for (N, wprec), bound in worst.items():
+        wide = _laurent_core.__wrapped__(N, wprec, laurent._laurent_guard(N) + 300)
+        with mp.workprec(wprec + 600):
+            err = max(abs(g - w) / abs(w) for g, w in zip(_laurent_core(N, wprec), wide))
+            assert err <= mpf(2) ** bound, (N, wprec, float(mpmath.log(err, 2)))
+
+
 def test_laurent_core_digests_are_pinned():
     # the cores of c01l_exact(675, ell, 512) and of its 64-bit shadow, bit for
-    # bit: exp_fixed skips the zero odd terms without moving a bit
+    # bit: skipping the zero odd terms moves no bit, and on these two cores the
+    # short products of exp_fixed round every coefficient as whole products do
     want = {576: "d93e7b2b70e729ecfa69830b21b8e9f244d8206c618f9488f08603473ec7a156",
             64: "01f968ced5c6432e8c36f5a38b83c4063e3bcc7d0f8a45fef7eec81595186907"}
     for wprec, digest in want.items():

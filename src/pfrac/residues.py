@@ -77,16 +77,27 @@ class FareyFraction:
     def __str__(self):
         return f"{self.h}/{self.k}"
 
+    @classmethod
+    def _reduced(cls, h: int, k: int) -> FareyFraction:
+        """h/k without __post_init__'s checks, for a fraction that is
+        reduced and in [0, 1) by construction."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "h", h)
+        object.__setattr__(f, "k", k)
+        return f
+
 
 def farey(N: int) -> list[FareyFraction]:
-    """Farey fractions of order N in [0, 1), ascending (Stern-Brocot steps)."""
+    """Farey fractions of order N in [0, 1), ascending.  The Stern-Brocot
+    steps make only reduced fractions, so they skip FareyFraction's
+    checks."""
     N = checked_int(N, "N", 1)
     out = [FareyFraction(0, 1)]
     if N == 1:
         return out
     a, b, c, d = 0, 1, 1, N
     while (c, d) != (1, 1):
-        out.append(FareyFraction(c, d))
+        out.append(FareyFraction._reduced(c, d))
         step = (N + b) // d
         a, b, c, d = c, d, step * c - a, step * d - b
     return out
@@ -498,25 +509,34 @@ def principal_part(h: int, k: int, N: int, prec: int | None = None) -> list[HPCo
 
 def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
     """Evaluate the full partial-fraction expansion of prod_{j<=N} 1/(1-q^j)
-    at the point q, summing every pole's principal part.  Each pole
-    e^{2 pi i h/k} is the `_phase` of 4h on T fraction bits, within one unit
-    of 2^-T, and a q within two units of it in each part lies on the pole
-    as far as that phase can tell: ValueError."""
+    at the point q, summing every pole's principal part.  The principal
+    parts are computed once per conjugate pair, as C_{(k-h) k l} =
+    conj C_{h k l}, and each pole's terms are evaluated at its own q - pole.
+    Each pole e^{2 pi i h/k} is the `_phase` of 4h on T fraction bits,
+    within one unit of 2^-T, and a q within two units of it in each part
+    lies on the pole as far as that phase can tell: ValueError."""
     prec = resolve_precision(prec)
     wp = prec + 16
     with mp.workprec(wp):
         qv = mpc(q)
         total = mpc(0)
-        for f in sorted(farey(N), key=lambda fr: (fr.k, fr.h)):
+        for f in farey(N):
+            if 2 * f.h > f.k:
+                continue
             T = _phase_bits(f.k, wp)
-            d = qv - unfix(*_phase(f.k, 4 * f.h, T), -T)
-            if max(abs(d.real), abs(d.imag)) <= mpmath.ldexp(1, 1 - T):
-                raise ValueError(f"q = {q} lies on the pole e^(2 pi i {f})")
-            base = 1 / d
-            power = mpc(1)
-            for coeff in principal_part(f.h, f.k, N, wp):
-                power *= base
-                total += coeff.value * power
+            part = [c.value for c in principal_part(f.h, f.k, N, wp)]
+            poles = {f.h: part}
+            if 0 < 2 * f.h < f.k:
+                poles[f.k - f.h] = [c.conjugate() for c in part]
+            for h, coeffs in poles.items():
+                d = qv - unfix(*_phase(f.k, 4 * h, T), -T)
+                if max(abs(d.real), abs(d.imag)) <= mpmath.ldexp(1, 1 - T):
+                    raise ValueError(f"q = {q} lies on the pole e^(2 pi i {h}/{f.k})")
+                base = 1 / d
+                power = mpc(1)
+                for coeff in coeffs:
+                    power *= base
+                    total += coeff * power
     return HPComplex(total, prec)
 
 

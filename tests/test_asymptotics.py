@@ -8,14 +8,14 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac import dilog
+from pfrac import asymptotics, dilog
 from pfrac.asymptotics import (LocalSeriesPair, _a3_node, _a3_nodes, _a3_value, _bell_powers,
-                               _frame, _gauss_legendre, a3_quadrature, b_coeffs, c_coeffs,
-                               decay_exponent, evaluate_expansion,
+                               _frame, _gauss_kronrod, _gauss_legendre, a3_quadrature, b_coeffs,
+                               c_coeffs, decay_exponent, evaluate_expansion,
                                family_leading, local_series,
                                path_positivity_check, saddle_path, u_weight, v_func,
                                vstar_weight, wojdylo_a2s)
-from pfrac.dilog import find_saddle, find_zero, p_d, q_func
+from pfrac.dilog import ConvergenceError, find_saddle, find_zero, p_d, q_func
 from pfrac.precision import HPComplex, tolerance
 from pfrac.residues import a1_sum
 from pfrac.sine_products import _g_sweep, em_length
@@ -414,6 +414,73 @@ def test_gauss_legendre_rule(n):
         _gauss_legendre(0, 64)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 80])
+def test_gauss_kronrod_rule(n):
+    # 2n + 1 nodes, strictly descending and mirrored exactly, the n Gauss
+    # nodes and their weights those of _gauss_legendre bit for bit, each
+    # between two new ones; the Kronrod weights are positive, sum to 2 and
+    # make the rule exact on x^{2j} through degree 3n + 1
+    p = 192
+    nodes, kronrod, gauss = _gauss_kronrod(n, p)
+    assert len(nodes) == len(kronrod) == len(gauss) == 2 * n + 1
+    assert all(x > y for x, y in zip(nodes, nodes[1:]))
+    assert all(x + y == 0 for x, y in zip(nodes, reversed(nodes)))
+    assert list(kronrod) == list(reversed(kronrod)) and list(gauss) == list(reversed(gauss))
+    assert [bool(w) for w in gauss] == [i % 2 == 1 for i in range(2 * n + 1)]
+    assert (tuple(x for x, w in zip(nodes, gauss) if w),
+            tuple(w for w in gauss if w)) == _gauss_legendre(n, p)
+    assert min(kronrod) > 0
+    with mp.workprec(p + 64):
+        assert abs(mpmath.fsum(kronrod) - 2) <= tolerance(p)
+        for j in range(1, (3 * n + 1) // 2 + 1):
+            moment = mpmath.fsum(w * x ** (2 * j) for x, w in zip(nodes, kronrod))
+            assert abs(moment - mpf(2) / (2 * j + 1)) <= tolerance(p), j
+    with pytest.raises(ValueError, match="need n >= 1"):
+        _gauss_kronrod(0, 64)
+
+
+def test_a3_builds_each_kronrod_node_once(monkeypatch):
+    # the first call builds the 3 (2 * 40 + 1) nodes of the first pair, each
+    # once, and a call at another (N, sigma) builds none
+    built = []
+    node = asymptotics._a3_node
+    monkeypatch.setattr(asymptotics, "_a3_node", lambda z, prec: built.append(z) or node(z, prec))
+    _a3_nodes.cache_clear()
+    a3_quadrature(219, 1, 192)
+    assert len(built) == len(set(built)) == 243
+    a3_quadrature(249, 2, 192)
+    assert len(built) == 243
+    _a3_nodes.cache_clear()
+
+
+def test_a3_reads_the_next_pair_only_when_one_misses(monkeypatch):
+    # stand-in tables of one node i n: the pair of n gives K = i n and
+    # G = i n (1 - miss(n)); a pair with |K - G| > 1e-8 |K| hands over to
+    # the next n, the first pair within it gives K and the label of |K - G|,
+    # and with no pair within it ConvergenceError follows n = 320 without a
+    # further table
+    built = []
+
+    def tables(miss):
+        def table(n, prec):
+            built.append(n)
+            return ((mpf(1), 1 - miss(n), mpc(0, n)),)
+        return table
+    monkeypatch.setattr(asymptotics, "_a3_value", lambda node, N, sigma, prec: node)
+    monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: mpf("1e-9") if n == 80 else 1))
+    got = a3_quadrature(200, 1, 192)
+    assert built == [40, 80]
+    with mp.workprec(192 + 16):
+        scale = 2 / mpf(200) ** mpf("1.5")
+        assert got.value == scale * 80
+        assert got.precision == 16 + int(mpmath.floor(-mpmath.log(scale * 80 * mpf("1e-9"), 2)))
+    built.clear()
+    monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: mpf("1e-7")))
+    with pytest.raises(ConvergenceError):
+        a3_quadrature(200, 1, 192)
+    assert built == [40, 80, 160, 320]
+
+
 @pytest.fixture(scope="module")
 def a3_200():
     return a3_quadrature(200, 1, 192)
@@ -440,8 +507,8 @@ def test_a3_label_holds_against_tanh_sinh(a3_200):
 
 
 # (N, sigma) -> (mantissa, exponent, label) of a3_quadrature at 192 bits
-A3_PINNED = {(219, 1): (38014822211797191496796701749254082599260541105433684916880895, -198, 51),
-             (216, 2): (29035683210735219868531494499747229628561965850774331108793103, -198, 51)}
+A3_PINNED = {(219, 1): (304118577694377532008581583297714921394737578183827104038667071, -201, 51),
+             (216, 2): (29035683210735219863178621125727704163068854485563568972001579, -198, 51)}
 
 
 def _a3_digits(N, sigma, prec):
@@ -451,7 +518,7 @@ def _a3_digits(N, sigma, prec):
 
 def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
     # the first call builds the N- and sigma-free table, at least one Li2
-    # per node of the 40- and 80-node rules on three edges; a call at
+    # per node of the 81-node Gauss-Kronrod rule on three edges; a call at
     # another (N, sigma) reads the table and takes no Li2 at all, and both
     # values are the pinned digits
     calls = []
@@ -464,7 +531,7 @@ def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
     _a3_nodes.cache_clear()
     assert _a3_digits(219, 1, 192) == A3_PINNED[219, 1]
     built = len(calls)
-    assert built >= 3 * (40 + 80)
+    assert built >= 3 * 81
     assert _a3_digits(216, 2, 192) == A3_PINNED[216, 2]
     assert len(calls) == built
 

@@ -12,12 +12,12 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import (_gauss_legendre, a3_quadrature, b_coeffs, evaluate_expansion,
-                               u_weight, vstar_weight)
+from pfrac.asymptotics import (_gauss_kronrod, _gauss_legendre, a3_quadrature, b_coeffs,
+                               evaluate_expansion, u_weight, vstar_weight)
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_saddle, find_zero
 from pfrac.fixed import man_exp
-from pfrac.precision import GUARD_BITS, set_default_precision
+from pfrac.precision import GUARD_BITS, set_default_precision, tolerance
 from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
                             PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
                             family_sum, farey, p_restricted, principal_part, q01_exact,
@@ -58,6 +58,19 @@ def test_farey_fraction_validation():
         FareyFraction(2, 4)
     with pytest.raises(ValueError):
         FareyFraction(3, 3)
+
+
+def test_farey_matches_the_validated_construction():
+    # farey skips FareyFraction's checks, so each N <= 40 is held to the
+    # checked fractions of every reduced h/k in [0, 1), sorted; the checks
+    # still refuse a fraction from outside
+    for N in range(1, 41):
+        want = sorted((FareyFraction(h, k) for k in range(1, N + 1) for h in range(k)
+                       if gcd(h, k) == 1), key=lambda f: Fraction(f.h, f.k))
+        assert farey(N) == want, N
+    for h, k in ((2, 4), (1, 0)):
+        with pytest.raises(ValueError):
+            FareyFraction(h, k)
 
 
 # -- restricted partitions -----------------------------------------------------------
@@ -698,7 +711,8 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
             # and the sizes of the scans and of the quadrature rule
             ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
             ("s", lambda x: sine_products.em_remainder_scan(3, x)),
-            ("n", lambda x: _gauss_legendre(x, 64)), ("N", lambda x: evaluate_expansion(e, x, 2)))
+            ("n", lambda x: _gauss_legendre(x, 64)), ("n", lambda x: _gauss_kronrod(x, 64)),
+            ("N", lambda x: evaluate_expansion(e, x, 2)))
     for name, call in rows:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             call(value)
@@ -809,6 +823,28 @@ def test_residue_report_shape():
     assert len(rows) == len(farey(6))
     assert rows[0]["h"] == 0 and rows[0]["k"] == 1 and rows[0]["order"] == 6
     assert {"h", "k", "order", "re", "im"} <= set(rows[0])
+
+
+def test_reconstruction_folds_conjugate_pairs():
+    # reconstruct_product takes each pair's principal part once, as
+    # C_{(k-h) k l} = conj C_{h k l}, which holds bit for bit; it agrees
+    # with the unfolded sum of every pole's own principal part for N <= 12
+    for N in range(1, 13):
+        for f in farey(N):
+            if 0 < 2 * f.h < f.k:
+                pair = principal_part(f.k - f.h, f.k, N, PREC)
+                with mp.workprec(PREC + 64):  # wide enough that conj is exact
+                    assert [c.value for c in pair] == [
+                        c.value.conjugate() for c in principal_part(f.h, f.k, N, PREC)]
+        for q in (mpc("0.31", "-0.17"), mpc("-0.6", "0.55")):
+            with mp.workprec(PREC + 16):
+                want = mpc(0)
+                for f in farey(N):
+                    base = 1 / (q - mpmath.expjpi(mpf(2 * f.h) / f.k))
+                    want += mpmath.fsum(c.value * base ** ell for ell, c in
+                                        enumerate(principal_part(f.h, f.k, N, PREC), 1))
+            got = reconstruct_product(N, q, PREC).value
+            assert abs(got - want) <= tolerance(PREC) * abs(want), (N, q)
 
 
 def test_reconstruction_spot():

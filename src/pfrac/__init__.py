@@ -18,10 +18,9 @@ from .sine_products import em_remainder, em_remainder_scan, psi, psi_table, t_l_
 from .residues import (FamilySelector, FareyFraction, a1_sum, c01l_exact, c_from_q,
                        family_sum, farey, p_restricted, principal_part, q01_exact,
                        q_general, reconstruct_product, residue_report, residue_sum)
-from .asymptotics import (Expansion, LocalSeriesPair, a3_quadrature, b_coeffs,
-                          c_coeffs, decay_exponent, evaluate_expansion,
-                          family_leading, local_series, path_positivity_check,
-                          saddle_path, u_weight, v_func, vstar_weight, wojdylo_a2s)
+from .asymptotics import (Expansion, a3_quadrature, b_coeffs, c_coeffs, decay_exponent,
+                          evaluate_expansion, family_leading, path_positivity_check,
+                          saddle_path, u_weight, v_func, vstar_weight)
 
 __all__ = [
     "HPComplex", "HPReal", "PrecisionLossError", "default_precision", "set_default_precision",
@@ -33,10 +32,9 @@ __all__ = [
     "FamilySelector", "FareyFraction", "a1_sum", "c01l_exact", "c_from_q",
     "family_sum", "farey", "p_restricted", "principal_part", "q01_exact",
     "q_general", "reconstruct_product", "residue_report", "residue_sum",
-    "Expansion", "LocalSeriesPair", "a3_quadrature", "b_coeffs",
-    "c_coeffs", "decay_exponent", "evaluate_expansion",
-    "family_leading", "local_series", "path_positivity_check",
-    "saddle_path", "u_weight", "v_func", "vstar_weight", "wojdylo_a2s",
+    "Expansion", "a3_quadrature", "b_coeffs", "c_coeffs", "decay_exponent",
+    "evaluate_expansion", "family_leading", "path_positivity_check",
+    "saddle_path", "u_weight", "v_func", "vstar_weight",
 ]
 
 __version__ = "0.1.0"

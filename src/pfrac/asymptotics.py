@@ -58,22 +58,10 @@ def _bell_powers(p, n: int, jmax: int) -> list:
     return powers
 
 
-@dataclass(frozen=True)
-class LocalSeriesPair:
-    """Local data at a saddle, in eps = z - z*: the phase coefficients p,
-    with p(z) - p(z*) = sum_s p[s] eps^{s+2}, the weight coefficients q,
-    the saddle itself, and the path direction omega."""
-    p: tuple
-    q: tuple
-    center: SaddlePoint
-    omega: HPComplex
-
-
 class _Frame:
     """Shared series scaffolding at a saddle point, in eps = z - z*."""
 
     def __init__(self, saddle: SaddlePoint, depth: int, prec: int):
-        self.saddle = saddle
         self.prec = prec
         self.depth = depth
         # each cot differentiation consumes one coefficient, so the cot series
@@ -186,54 +174,42 @@ def _bhat_exp(ell: int, t: int) -> mpf:
 
 
 @lru_cache(maxsize=64)
-def _frame(m: int, d: int, depth: int, prec: int) -> _Frame:
-    return _Frame(find_saddle(m, d, prec), depth, prec + 32)
+def _frame(depth: int, prec: int) -> _Frame:
+    """The frame at z0, the saddle of (1, 0): the one saddle the expansions read."""
+    return _Frame(find_saddle(1, 0, prec), depth, prec + 32)
 
 
-def local_series(saddle: SaddlePoint, weight=None, depth: int = 12,
-                 prec: int | None = None) -> LocalSeriesPair:
-    """Local phase/amplitude series at a saddle, to eps^{depth-1}.
+def _descent_kernel(p, omega, smax: int) -> list:
+    """[[K_{s,0}, ..., K_{s,2s}] for s = 0..smax] at the ambient precision:
+    the weights of Wojdylo's descent coefficients
+    a_{2s}(f) = sum_{i<=2s} f_{2s-i} K_{s,i} of an amplitude f, for the
+    phase p(z) - p(z*) = sum_r p[r] eps^{r+2} and the path direction omega,
 
-    weight is None for the amplitude q itself, or the eps-series
-    coefficients [w_0, w_1, ...] of a weight w (such as a row of the saddle
-    frame's u_series or vstar_series) for the amplitude q * w.
+    K_{s,i} = (omega / (2 (omega^2 p0)^{1/2})) *
+              sum_{j<=i} p0^{-s-j} C(-s-1/2, j) Bhat_{i,j}(p1, ...),
+
+    with the square root chosen so Re((omega^2 p0)^{1/2}) > 0
+    (J. Wojdylo, SIAM Review 48, 2006).  One table of the partial ordinary
+    Bell polynomials of p_1..p_{2 smax} (`_bell_powers`) serves every s.
     """
-    prec = resolve_precision(prec)
-    frame = _frame(saddle.m, saddle.d, depth, prec)
-    with mp.workprec(frame.prec):
-        w = frame.Q if weight is None else mul(frame.Q, weight, depth)
-    return LocalSeriesPair(frame.p, tuple(w), frame.saddle, HPComplex(frame.z0, prec))
-
-
-def wojdylo_a2s(pair: LocalSeriesPair, s: int, prec: int | None = None) -> HPComplex:
-    """Descent coefficient
-
-    a_{2s} = (omega / (2 (omega^2 p0)^{1/2})) *
-             sum_{i<=2s} q_{2s-i} sum_{j<=i} p0^{-s-j} C(-s-1/2, j) Bhat_{i,j}(p1, ...),
-    with the square root chosen so Re((omega^2 p0)^{1/2}) > 0.
-    """
-    prec = resolve_precision(prec)
-    with mp.workprec(prec + 32):
-        p0 = mpc(pair.p[0])
-        omega = mpc(pair.omega.value)
-        root = mpmath.sqrt(omega ** 2 * p0)
-        if root.real < 0:
-            root = -root
-        pref = omega / (2 * root)
-        bell = _bell_powers([mpc(pair.p[t]) for t in range(1, 2 * s + 1)], 2 * s + 1, 2 * s)
-        total = mpc(0)
-        for i in range(0, 2 * s + 1):
-            wcoef = mpc(pair.q[2 * s - i]) if 2 * s - i < len(pair.q) else mpc(0)
-            if not wcoef:
-                continue
+    p0 = p[0]
+    root = mpmath.sqrt(omega ** 2 * p0)
+    if root.real < 0:
+        root = -root
+    pref = omega / (2 * root)
+    bell = _bell_powers(p[1:2 * smax + 1], 2 * smax + 1, 2 * smax)
+    kernel = []
+    for s in range(smax + 1):
+        row = []
+        for i in range(2 * s + 1):
             inner = mpc(0)
-            for j in range(0, i + 1):
-                bh = bell[j][i]
-                if bh:
+            for j in range(i + 1):
+                if bell[j][i]:
                     cf = binom_half_fraction(s, j)
-                    inner += p0 ** (-s - j) * (mpf(cf.numerator) / cf.denominator) * bh
-            total += wcoef * inner
-        return HPComplex(pref * total, prec)
+                    inner += p0 ** (-s - j) * (mpf(cf.numerator) / cf.denominator) * bell[j][i]
+            row.append(pref * inner)
+        kernel.append(row)
+    return kernel
 
 
 def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
@@ -306,20 +282,22 @@ class Expansion:
 @lru_cache(maxsize=64)
 def _descent_values(weight_series, arg: int, factor: complex, m: int, prec: int) -> tuple:
     """factor * sum_{s<=t} Gamma(s+1/2) a_{2s}(q w_{t-s}) for t < m, at the saddle
-    z0, with the weights w_0..w_{m-1} = weight_series(frame, arg, m - 1)."""
+    z0, with the weights w_0..w_{m-1} = weight_series(frame, arg, m - 1): each
+    amplitude q w_j is formed once, and every a_{2s} is read off one
+    `_descent_kernel` at prec + 64 bits."""
     depth = 2 * m + 4
-    frame = _frame(1, 0, depth, prec)
+    frame = _frame(depth, prec)
     weights = weight_series(frame, arg, m - 1)
-    out = []
+    with mp.workprec(frame.prec):
+        amps = [mul(frame.Q, w, depth) for w in weights]
+    with mp.workprec(prec + 64):
+        kernel = _descent_kernel(frame.p, frame.z0, m - 1)
+        a2s = {(s, j): sum(amps[j][2 * s - i] * k for i, k in enumerate(kernel[s]))
+               for s in range(m) for j in range(m - s)}
     with mp.workprec(prec + 32):
-        for t in range(m):
-            total = mpc(0)
-            for s in range(t + 1):
-                pair = local_series(frame.saddle, weights[t - s], depth, prec)
-                a2s = wojdylo_a2s(pair, s, prec + 32).value
-                total += mpmath.gamma(s + mpf(1) / 2) * a2s
-            out.append(factor * total)
-    return tuple(out)
+        gammas = [mpmath.gamma(s + mpf(1) / 2) for s in range(m)]
+        return tuple(factor * sum(gammas[s] * a2s[s, t - s] for s in range(t + 1))
+                     for t in range(m))
 
 
 def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
@@ -453,18 +431,6 @@ def _mirrored(half: int, F: int, prec: int, nodes, *weights) -> tuple:
         return tuple(tuple(mpf((v, -F)) for v in col) for col in cols)
 
 
-def _gauss_legendre(n: int, prec: int) -> tuple:
-    """Nodes (descending) and weights on [-1, 1] of the n-point rule, n >= 1,
-    as mpf at prec + 16 bits: the ceil(n/2) nonnegative roots of P_n by
-    Newton on integers (`_legendre_roots`), mirrored to x -> -x.  The mirror
-    negates the integers, so each node and weight is one mpf, rounded once.
-    """
-    n = checked_int(n, "n", 1)
-    F, roots = _legendre_roots(n, prec)
-    xs, _, ws = zip(*roots)
-    return _mirrored(n // 2, F, prec, xs, ws)
-
-
 def _stieltjes(n: int) -> list:
     """[e_0, e_1, ...], exact, of the Stieltjes polynomial
     E_{n+1}(x) = sum_j e_j x^{n+1-2j}, monic (e_0 = 1) and of the parity of
@@ -485,10 +451,11 @@ def _stieltjes(n: int) -> list:
 def _gauss_kronrod(n: int, prec: int) -> tuple:
     """(nodes, Kronrod weights, Gauss weights) on [-1, 1] of the
     (2n+1)-point Gauss-Kronrod rule, n >= 1, descending, as mpf at
-    prec + 16 bits.  It holds the n nodes of `_gauss_legendre(n, prec)`,
-    whose Gauss weights are that rule's, bit for bit, and n + 1 new nodes,
-    whose Gauss weights are 0.  The Kronrod rule is exact through degree
-    3n + 1 (Laurie, Math. Comp. 66, 1997; Monegato, SIAM Review 24, 1982).
+    prec + 16 bits.  It holds the n nodes of the Gauss-Legendre rule, the
+    roots of P_n by Newton on integers (`_legendre_roots`), with their
+    Gauss weights, and n + 1 new nodes, whose Gauss weights are 0.  The
+    Kronrod rule is exact through degree 3n + 1 (Laurie, Math. Comp. 66,
+    1997; Monegato, SIAM Review 24, 1982).
 
     The new nodes are the roots of the Stieltjes polynomial E = E_{n+1}
     (`_stieltjes`), which interlace with the Gauss nodes.  E, scaled by

@@ -60,9 +60,10 @@ def _add_e_factors(ka: list, table: tuple, n: int, F: int, c: int, r: int) -> No
 
 
 @lru_cache(maxsize=16)
-def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
+def _laurent_core(N: int, wprec: int, guard: int) -> tuple:
     """Coefficients of exp(-Phat(x)) to order x^{N-1}, good to wprec bits
-    when `guard` (default `_laurent_guard(N)`) covers the cancellation.
+    when the `guard` bits above them, at least `_laurent_guard(N)`, cover
+    the cancellation.
 
     Runs fixed.exp_fixed on the series in t = 2^r x, r = floor(log2(N/(2 pi))),
     whose coefficients g_n 2^{-rn} are all at least 1, so fraction bits are
@@ -77,14 +78,15 @@ def _laurent_core(N: int, wprec: int, guard: int | None = None) -> tuple:
     fraction bits, and B_{2i}/(2i)! from `sequences.bernoulli_table` at F
     bits (built past its cache, which would only hold tables no one asks
     for again), every coefficient stays within 2 bits of wprec at the
-    default guard (measured against wprec + 400 bits for N = 20 .. 1000).
+    guard `_laurent_guard(N)` (measured against wprec + 400 bits for
+    N = 20 .. 1000).
     Only k f_k for k = 1 and even k are nonzero:
     -S_1/2 and -B_{2i}/(2i)! S_{2i}.  Each g_n is returned as an mpf of F
     bits, so a larger guard also buys bits against cancellation in a sum
     over the g_n.  The same construction at a 64-bit target is the shadow
     that `residues._oracle` checks each full value against.
     """
-    F = wprec + (_laurent_guard(N) if guard is None else guard)
+    F = wprec + guard
     r = math.floor(math.log2(N / (2 * math.pi)))
     ka = [0] * N
     if N > 1:

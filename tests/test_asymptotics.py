@@ -9,15 +9,15 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import asymptotics, dilog
-from pfrac.asymptotics import (LocalSeriesPair, _a3_node, _a3_nodes, _a3_value, _bell_powers,
-                               _frame, _gauss_kronrod, _gauss_legendre, a3_quadrature, b_coeffs,
-                               c_coeffs, decay_exponent, evaluate_expansion,
-                               family_leading, local_series,
+from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _bell_powers, _descent_kernel,
+                               _descent_values, _frame, _gauss_kronrod, a3_quadrature, b_coeffs,
+                               c_coeffs, decay_exponent, evaluate_expansion, family_leading,
                                path_positivity_check, saddle_path, u_weight, v_func,
-                               vstar_weight, wojdylo_a2s)
+                               vstar_weight)
 from pfrac.dilog import ConvergenceError, find_saddle, find_zero, p_d, q_func
-from pfrac.precision import HPComplex, tolerance
+from pfrac.precision import tolerance
 from pfrac.residues import a1_sum
+from pfrac.series import exp, log, mul
 from pfrac.sine_products import _g_sweep, em_length
 
 PREC = 256
@@ -32,7 +32,7 @@ def _zw(prec=PREC):
 # -- partial ordinary Bell polynomials ------------------------------------------------
 
 def bell_partial(i, j, p):
-    """Bhat_{i,j}(p_1, p_2, ...) from the table of powers that wojdylo_a2s reads."""
+    """Bhat_{i,j}(p_1, p_2, ...) from the table of powers that _descent_kernel reads."""
     return _bell_powers(p, i + 1, j)[j][i]
 
 
@@ -74,22 +74,22 @@ def test_bell_generating_identity(rng):
 
 def test_local_series_phase_coefficients():
     s, z0, w0 = _zw()
-    pair = local_series(s, None, 12, PREC)
+    frame = _frame(12, PREC)
     with mp.workprec(300):
         e0 = mpmath.exp(2j * pi * z0)
-        p0 = pair.p[0]
+        p0 = frame.p[0]
         assert abs(p0 - (-pi * 1j * e0 / (z0 * w0))) < mpf(2) ** -220
-        assert abs(pair.p[1] / p0 - (-1 / z0 + 2j * pi / (3 * w0))) < mpf(2) ** -215
+        assert abs(frame.p[1] / p0 - (-1 / z0 + 2j * pi / (3 * w0))) < mpf(2) ** -215
         want_p2 = (pi ** 2 / (3 * w0) + 1 / z0 ** 2 - 2j * pi / (3 * z0 * w0)
                    - 2 * pi ** 2 / (3 * w0 ** 2))
-        assert abs(pair.p[2] / p0 - want_p2) < mpf(2) ** -215
+        assert abs(frame.p[2] / p0 - want_p2) < mpf(2) ** -215
 
 
 def test_local_series_amplitude_coefficients():
     s, z0, w0 = _zw()
-    pair = local_series(s, None, 12, PREC)
+    frame = _frame(12, PREC)
     with mp.workprec(300):
-        q0, q1, q2 = pair.q[:3]
+        q0, q1, q2 = frame.Q[:3]
         assert abs(q0 ** 2 - 1j * z0 / w0) < mpf(2) ** -220
         assert abs(q1 / q0 - (-1j * pi + 1 / (2 * z0) + 1j * pi / w0)) < mpf(2) ** -215
         want_q2 = (-pi ** 2 / 2 - 1j * pi / (2 * z0) + 2 * pi ** 2 / w0
@@ -102,9 +102,9 @@ def test_local_series_amplitude_coefficients():
 
 def test_a0_closed_form():
     s, z0, w0 = _zw()
-    pair = local_series(s, None, 12, PREC)
+    frame = _frame(12, PREC)
     with mp.workprec(300):
-        a0 = wojdylo_a2s(pair, 0, PREC).value
+        a0 = _descent_kernel(frame.p, frame.z0, 0)[0][0] * frame.Q[0]
         assert abs(a0 - 1j * z0 / (2 * mpmath.sqrt(pi) * mpmath.exp(1j * pi * z0))) < mpf(2) ** -215
 
 
@@ -117,7 +117,6 @@ def test_a2_closed_form_on_synthetic_series(rng):
             if abs(pc[0]) < 0.3:
                 pc[0] += 1
             omega = mpc(rng.uniform(0.5, 2), rng.uniform(0, 1))
-            pair = LocalSeriesPair(tuple(pc), tuple(qc), None, HPComplex(omega, 256))
             root = mpmath.sqrt(omega ** 2 * pc[0])
             if root.real < 0:
                 root = -root
@@ -126,8 +125,60 @@ def test_a2_closed_form_on_synthetic_series(rng):
             q0, q1, q2 = qc[0], qc[1], qc[2]
             want = pref * (q2 / p0 - mpf(3) / 2 * (p1 * q1 + p2 * q0) / p0 ** 2
                            + mpf(15) / 8 * p1 ** 2 * q0 / p0 ** 3)
-            got = wojdylo_a2s(pair, 1, 256).value
+            got = sum(qc[2 - i] * k for i, k in enumerate(_descent_kernel(pc, omega, 1)[1]))
             assert abs(got - want) < mpf(2) ** -220 * (1 + abs(want))
+
+
+def _a2s_lagrange(p, q, omega, s):
+    """a_{2s} by Lagrange-Buermann: pref p0^{-s} [eps^{2s}] q(eps) (1 + u(eps)/p0)^{-s-1/2},
+    u = sum_{r>=1} p_r eps^r, pref = omega/(2 (omega^2 p0)^{1/2}) with
+    Re (omega^2 p0)^{1/2} > 0; the power through series.log and series.exp,
+    with no Bell polynomial and no binomial."""
+    n = 2 * s + 1
+    root = mpmath.sqrt(omega ** 2 * p[0])
+    if root.real < 0:
+        root = -root
+    base = [mpc(1)] + [c / p[0] for c in p[1:n]]
+    power = exp([-(s + mpf(1) / 2) * c for c in log(base, n)], n)
+    return omega / (2 * root) * p[0] ** -s * mul(q, power, n)[2 * s]
+
+
+def test_a2s_matches_lagrange_buermann(rng):
+    # a_4 and a_6 from one kernel against the power series of the inverse
+    # function, on synthetic p, q and omega and on the saddle frame at z0
+    # with the amplitudes q and q u_{1,1}
+    frame = _frame(12, PREC)
+    with mp.workprec(280):
+        cases = [(frame.p, frame.Q, frame.z0),
+                 (frame.p, mul(frame.Q, frame.u_series(1, 1)[1], 12), frame.z0)]
+        for _ in range(5):
+            pc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+            qc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+            if abs(pc[0]) < 0.3:
+                pc[0] += 1
+            cases.append((pc, qc, mpc(rng.uniform(0.5, 2), rng.uniform(0, 1))))
+        for p, q, omega in cases:
+            kernel = _descent_kernel(p, omega, 3)
+            for s in (2, 3):
+                got = sum(q[2 * s - i] * k for i, k in enumerate(kernel[s]))
+                want = _a2s_lagrange(p, q, omega, s)
+                assert abs(got - want) < mpf(2) ** -220 * (1 + abs(want)), s
+
+
+def test_descent_values_build_one_kernel_and_one_amplitude_per_weight(monkeypatch):
+    # from cold caches, the m coefficients of c_coeffs(1, m) take one table
+    # of Bell polynomials and m amplitudes q w_j, not one of each per (t, s)
+    m, bells, products = 5, [], []
+    bell, product = asymptotics._bell_powers, asymptotics.mul
+    monkeypatch.setattr(asymptotics, "_bell_powers",
+                        lambda *args: bells.append(args) or bell(*args))
+    monkeypatch.setattr(asymptotics, "mul", lambda a, b, n: products.append(a) or product(a, b, n))
+    _descent_values.cache_clear()
+    _frame.cache_clear()
+    c_coeffs(1, m, PREC)
+    assert len(bells) == 1
+    assert sum(a is _frame(2 * m + 4, PREC).Q for a in products) == m
+    _descent_values.cache_clear()
 
 
 # -- weight functions -------------------------------------------------------------------------
@@ -168,7 +219,7 @@ def test_frame_weights_match_scalar_oracles():
     # weights at z0; u_weight and vstar_weight are the oracles of
     # _Frame.u_series and _Frame.vstar_series
     _, z0, _ = _zw()
-    frame = _frame(1, 0, 12, PREC)
+    frame = _frame(12, PREC)
     tol = mpf(2) ** (16 - PREC)
     with mp.workprec(PREC + 32):
         for sigma in (1, 2, -3):
@@ -394,12 +445,14 @@ def test_a3_integrand_matches_its_pieces():
 
 @pytest.mark.parametrize("n", [40, 41, 80])
 def test_gauss_legendre_rule(n):
-    # every node is a root of P_n to the 2^(-p-8) of Newton's stop, by
+    # the nodes of the nonzero Gauss weights of _gauss_kronrod(n, p): every
+    # node is a root of P_n to the 2^(-p-8) of Newton's stop, by
     # mpmath.legendre at p + 64 (|P_n(x)| against |P_n'(x)|, from
     # P_n' = n (x P_n - P_{n-1})/(x^2 - 1)); the weights sum to 2 and the
     # rule is exact on x^{2n-2}; the nodes descend and mirror exactly
     p = 128
-    nodes, weights = _gauss_legendre(n, p)
+    nodes, _, gauss = _gauss_kronrod(n, p)
+    nodes, weights = zip(*((x, w) for x, w in zip(nodes, gauss) if w))
     assert len(nodes) == len(weights) == n
     assert list(nodes) == sorted(nodes, reverse=True)
     assert all(x + y == 0 for x, y in zip(nodes[:n // 2], reversed(nodes)))
@@ -410,16 +463,14 @@ def test_gauss_legendre_rule(n):
         assert abs(mpmath.fsum(weights) - 2) <= tolerance(p)
         moment = mpmath.fsum(w * x ** (2 * n - 2) for x, w in zip(nodes, weights))
         assert abs(moment - mpf(2) / (2 * n - 1)) <= tolerance(p) * moment
-    with pytest.raises(ValueError, match="need n >= 1"):
-        _gauss_legendre(0, 64)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 80])
 def test_gauss_kronrod_rule(n):
     # 2n + 1 nodes, strictly descending and mirrored exactly, the n Gauss
-    # nodes and their weights those of _gauss_legendre bit for bit, each
-    # between two new ones; the Kronrod weights are positive, sum to 2 and
-    # make the rule exact on x^{2j} through degree 3n + 1
+    # nodes (test_gauss_legendre_rule) each between two new ones; the
+    # Kronrod weights are positive, sum to 2 and make the rule exact on
+    # x^{2j} through degree 3n + 1
     p = 192
     nodes, kronrod, gauss = _gauss_kronrod(n, p)
     assert len(nodes) == len(kronrod) == len(gauss) == 2 * n + 1
@@ -427,8 +478,6 @@ def test_gauss_kronrod_rule(n):
     assert all(x + y == 0 for x, y in zip(nodes, reversed(nodes)))
     assert list(kronrod) == list(reversed(kronrod)) and list(gauss) == list(reversed(gauss))
     assert [bool(w) for w in gauss] == [i % 2 == 1 for i in range(2 * n + 1)]
-    assert (tuple(x for x, w in zip(nodes, gauss) if w),
-            tuple(w for w in gauss if w)) == _gauss_legendre(n, p)
     assert min(kronrod) > 0
     with mp.workprec(p + 64):
         assert abs(mpmath.fsum(kronrod) - 2) <= tolerance(p)

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import (_gauss_kronrod, _gauss_legendre, a3_quadrature, b_coeffs,
+from pfrac.asymptotics import (_gauss_kronrod, a3_quadrature, b_coeffs,
                                evaluate_expansion, u_weight, vstar_weight)
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_saddle, find_zero
@@ -616,7 +616,7 @@ def test_laurent_oracle_matches_exact_rationals():
         for p in (128, 512):
             tol = mpf(2) ** (16 - p)
             with mp.workprec(p + 64):
-                for got, want in zip(_laurent_core(N, p), exact):
+                for got, want in zip(_laurent_core(N, p, laurent._laurent_guard(N)), exact):
                     want = mpf(want.numerator) / want.denominator
                     assert abs(got - want) <= tol * abs(want)
                 for ell in (1, 4):
@@ -636,7 +636,8 @@ def test_laurent_core_keeps_its_bits_against_a_wider_core():
     for (N, wprec), bound in worst.items():
         wide = _laurent_core.__wrapped__(N, wprec, laurent._laurent_guard(N) + 300)
         with mp.workprec(wprec + 600):
-            err = max(abs(g - w) / abs(w) for g, w in zip(_laurent_core(N, wprec), wide))
+            core = _laurent_core(N, wprec, laurent._laurent_guard(N))
+            err = max(abs(g - w) / abs(w) for g, w in zip(core, wide))
             assert err <= mpf(2) ** bound, (N, wprec, float(mpmath.log(err, 2)))
 
 
@@ -647,7 +648,7 @@ def test_laurent_core_digests_are_pinned():
     want = {576: "d93e7b2b70e729ecfa69830b21b8e9f244d8206c618f9488f08603473ec7a156",
             64: "01f968ced5c6432e8c36f5a38b83c4063e3bcc7d0f8a45fef7eec81595186907"}
     for wprec, digest in want.items():
-        core = _laurent_core.__wrapped__(675, wprec)
+        core = _laurent_core.__wrapped__(675, wprec, laurent._laurent_guard(675))
         text = "\n".join(f"{m} {e}" for m, e in map(man_exp, core))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, wprec
 
@@ -711,7 +712,7 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
             # and the sizes of the scans and of the quadrature rule
             ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
             ("s", lambda x: sine_products.em_remainder_scan(3, x)),
-            ("n", lambda x: _gauss_legendre(x, 64)), ("n", lambda x: _gauss_kronrod(x, 64)),
+            ("n", lambda x: _gauss_kronrod(x, 64)),
             ("N", lambda x: evaluate_expansion(e, x, 2)))
     for name, call in rows:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
@@ -775,7 +776,7 @@ def test_laurent_shadow_check_fires_on_a_short_guard(monkeypatch):
         guards = []
         core = residues._laurent_core
 
-        def recording(n, wprec, guard=None):
+        def recording(n, wprec, guard):
             guards.append(guard)
             return core(n, wprec, guard)
         monkeypatch.setattr(residues, "_laurent_core", recording)
@@ -789,7 +790,7 @@ def test_laurent_oracle_never_returns_a_failed_check(monkeypatch):
     # both oracles that share the core
     core = residues._laurent_core
 
-    def noisy(n, wprec, guard=None):
+    def noisy(n, wprec, guard):
         g = core(n, wprec, guard)
         return g if wprec > residues._SHADOW_BITS else tuple(x * (1 + mpf(2) ** -30) for x in g)
     monkeypatch.setattr(residues, "_laurent_core", noisy)

@@ -59,21 +59,18 @@ SURFACE = {
     "residue_sum": "pfrac identity",
     # asymptotics
     "Expansion": "pfrac expansion: the JSON it prints",
-    "LocalSeriesPair": "pfrac expansion: local_series's result, read by wojdylo_a2s",
     "a3_quadrature": "criterion 11",
     "b_coeffs": "pfrac expansion a1",
     "c_coeffs": "pfrac expansion c01",
     "decay_exponent": "criterion 10",
     "evaluate_expansion": "pfrac table",
     "family_leading": "pfrac expansion D",
-    "local_series": "pfrac expansion a1: the descent sums of b_coeffs",
     "path_positivity_check": "criterion 11",
     "saddle_path": "criterion 11: the contour of a3_quadrature",
     "u_weight": "oracle of _Frame.u_series: test_asymptotics::test_frame_weights_match_scalar_oracles",
     "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
     "vstar_weight": ("oracle of _Frame.vstar_series: "
                      "test_asymptotics::test_frame_weights_match_scalar_oracles"),
-    "wojdylo_a2s": "pfrac expansion a1: the descent coefficients a_{2s}",
 }
 
 

@@ -99,6 +99,14 @@ class _Frame:
             # cot(pi z) = i - 2i/(1 - e^{2 pi i z})
             self._cot = [1j - 2j * invW[0]] + [-2j * c for c in invW[1:]]
 
+    def line_power(self, a, k: int) -> list:
+        """(a z)^k = (a (z0 + eps))^k as an eps-series: the binomial row
+        C(k, i) a^i (a z0)^{k-i}, with no series product."""
+        with mp.workprec(self.prec):
+            az = a * self.z0
+            return [math.comb(k, i) * a ** i * az ** (k - i) if i <= k else mpc(0)
+                    for i in range(self.depth)]
+
     def g_series(self, ell: int) -> list:
         """g_l(z) as a series in eps, by differentiating the cot series."""
         n = self.depth
@@ -110,28 +118,33 @@ class _Frame:
             if len(cd) < n:
                 raise ValueError("frame depth margin exhausted; rebuild deeper")
             b = bernoulli_over_factorial_fraction(ell)
-            piz = [c * pi for c in self.zser[:n]]
-            pw = [mpc(1)] + [mpc(0)] * (n - 1)
-            for _ in range(2 * ell - 1):
-                pw = mul(pw, piz, n)
             f = -mpf(b.numerator) / b.denominator
-            return [c * f for c in mul(pw, cd, n)]
+            return [c * f for c in mul(self.line_power(pi, 2 * ell - 1), cd, n)]
 
-    def u_series(self, sigma: int, jmax: int) -> list:
-        """[u_{sigma,0}, ..., u_{sigma,jmax}] as eps-series.
+    def weights(self, sigma: int, ell: int, jmax: int) -> list:
+        """[w_0, ..., w_jmax] as eps-series: the 1/N^j coefficients of
 
-        u_{sigma,j} collects the 1/N^j coefficient of
-        exp(2 pi i sigma z / N + sum_l g_l(z)/N^{2l-1}).
+        (2 pi i z)^{ell-1} exp(2 pi i (sigma + (ell-1)/2) z/N
+            + (ell-1) sum_l B_{2l} (2 pi i z/N)^{2l}/(2l (2l)!) + sum_l g_l(z)/N^{2l-1}).
+
+        At ell = 1 these are u_{sigma,j}; at sigma = 1 they are v*_{ell,j},
+        since sum_t Bhat_{ell-1+t,ell-1}(1/1!, 1/2!, ...) x^{ell-1+t} =
+        (e^x - 1)^{ell-1} and log((e^x - 1)/x) = x/2 + sum_l B_{2l} x^{2l}/(2l (2l)!).
+        The exponential runs the recurrence m w_m = sum_k k a_k w_{m-k} from
+        w_0 = (2 pi i z)^{ell-1}.
         """
         n = self.depth
         with mp.workprec(self.prec):
-            f = 2j * pi * sigma
+            f = 2j * pi * (sigma + mpf(ell - 1) / 2)
             terms = {1: [c * f + g for c, g in zip(self.zser, self.g_series(1))]}
-            ell = 2
-            while 2 * ell - 1 <= jmax:
-                terms[2 * ell - 1] = self.g_series(ell)
-                ell += 1
-            out = [[mpc(1)] + [mpc(0)] * (n - 1)]
+            for k in range(2, jmax + 1):
+                if k % 2:
+                    terms[k] = self.g_series((k + 1) // 2)
+                elif ell > 1:
+                    b = bernoulli_over_factorial_fraction(k // 2) * (ell - 1) / k
+                    f = mpf(b.numerator) / b.denominator
+                    terms[k] = [c * f for c in self.line_power(2j * pi, k)]
+            out = [self.line_power(2j * pi, ell - 1)]
             for m in range(1, jmax + 1):
                 acc = [mpc(0)] * n
                 for kk, ak in terms.items():
@@ -140,37 +153,6 @@ class _Frame:
                 f = mpf(1) / m
                 out.append([c * f for c in acc])
             return out
-
-    def vstar_series(self, ell: int, jmax: int) -> list:
-        """[v*_{ell,0}, ..., v*_{ell,jmax}]: the weights that collapse the
-        binomial combination over sigma into a single expansion, with
-        v*_{ell,j} = sum_t Bhat_{ell-1+t, ell-1}(1/1!, 1/2!, ...)
-                      (2 pi i z)^{ell-1+t} u_{1, j-t}."""
-        n = self.depth
-        us = self.u_series(1, jmax)
-        with mp.workprec(self.prec):
-            f = 2j * pi
-            tpz = [c * f for c in self.zser[:n]]
-            powers = [[mpc(1)] + [mpc(0)] * (n - 1)]
-            for _ in range(ell - 1 + jmax):
-                powers.append(mul(powers[-1], tpz, n))
-            out = []
-            for j in range(jmax + 1):
-                acc = [mpc(0)] * n
-                for t in range(j + 1):
-                    f = _bhat_exp(ell, t)
-                    term = mul(powers[ell - 1 + t], us[j - t], n)
-                    acc = [x + y * f for x, y in zip(acc, term)]
-                out.append(acc)
-            return out
-
-
-def _bhat_exp(ell: int, t: int) -> mpf:
-    """Bhat_{ell-1+t, ell-1}(1/1!, 1/2!, ...) = (ell-1)! S(ell-1+t, ell-1) / (ell-1+t)!,
-    at the ambient precision."""
-    bh = Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
-                  math.factorial(ell - 1 + t))
-    return mpf(bh.numerator) / bh.denominator
 
 
 @lru_cache(maxsize=64)
@@ -216,7 +198,7 @@ def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
     """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N,
     with the single g_l of `sine_products._g_sweep`: the derivative
     polynomials P_j(cot) at one cot(pi z), apart from the eps-series of cot
-    that `_Frame.u_series` differentiates and this oracle checks."""
+    that `_Frame.weights` differentiates and this oracle checks."""
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         g = _g_sweep(max(1, (jmax + 1) // 2), zv)
@@ -234,7 +216,10 @@ def u_weight(sigma: int, j: int, z, prec: int | None = None) -> HPComplex:
 
 def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
     """v*_{ell,j}(z) = sum_t Bhat_{ell-1+t,ell-1}(1/1!,...) (2 pi i z)^{ell-1+t} u_{1,j-t}(z),
-    for integers ell >= 1 and j >= 0 (ValueError otherwise)."""
+    for integers ell >= 1 and j >= 0 (ValueError otherwise), with
+    Bhat_{ell-1+t,ell-1}(1/1!, ...) = (ell-1)! S(ell-1+t, ell-1)/(ell-1+t)!
+    from the Stirling numbers: a route apart from the exponential in 1/N
+    that `_Frame.weights` runs and this oracle checks."""
     ell, j = checked_int(ell, "ell", 1), checked_int(j, "j", 0)
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
@@ -242,7 +227,10 @@ def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
         us = _u_scalar(1, j, zv, prec)
         total = mpc(0)
         for t in range(j + 1):
-            total += _bhat_exp(ell, t) * (2j * pi * zv) ** (ell - 1 + t) * us[j - t]
+            bh = Fraction(math.factorial(ell - 1) * stirling2(ell - 1 + t, ell - 1),
+                          math.factorial(ell - 1 + t))
+            total += (mpf(bh.numerator) / bh.denominator * (2j * pi * zv) ** (ell - 1 + t)
+                      * us[j - t])
         return HPComplex(total, prec)
 
 
@@ -280,14 +268,14 @@ class Expansion:
 
 
 @lru_cache(maxsize=64)
-def _descent_values(weight_series, arg: int, factor: complex, m: int, prec: int) -> tuple:
+def _descent_values(sigma: int, ell: int, factor: complex, m: int, prec: int) -> tuple:
     """factor * sum_{s<=t} Gamma(s+1/2) a_{2s}(q w_{t-s}) for t < m, at the saddle
-    z0, with the weights w_0..w_{m-1} = weight_series(frame, arg, m - 1): each
+    z0, with the weights w_0..w_{m-1} = frame.weights(sigma, ell, m - 1): each
     amplitude q w_j is formed once, and every a_{2s} is read off one
     `_descent_kernel` at prec + 64 bits."""
     depth = 2 * m + 4
     frame = _frame(depth, prec)
-    weights = weight_series(frame, arg, m - 1)
+    weights = frame.weights(sigma, ell, m - 1)
     with mp.workprec(frame.prec):
         amps = [mul(frame.Q, w, depth) for w in weights]
     with mp.workprec(prec + 64):
@@ -311,7 +299,7 @@ def b_coeffs(sigma: int, m: int, prec: int | None = None) -> Expansion:
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("A1-b", zero, 2,
-                     _descent_values(_Frame.u_series, sigma, -4j, m, prec))
+                     _descent_values(sigma, 1, -4j, m, prec))
 
 
 def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
@@ -325,7 +313,7 @@ def c_coeffs(ell: int, m: int, prec: int | None = None) -> Expansion:
     prec = resolve_precision(prec)
     zero = find_zero(BranchLabel(0, -1), prec=prec)
     return Expansion("C01-c", zero, ell + 1,
-                     _descent_values(_Frame.vstar_series, ell, 4j, m, prec))
+                     _descent_values(1, ell, 4j, m, prec))
 
 
 def family_leading(tag: str, parity: int | None = None,

@@ -49,7 +49,8 @@ ZEROS_MAX_B = 30
 # about 3.8 s.  Expansion terms, the one cap well under 4 s:
 # `expansion c01 --m 14` about 0.9 s, and each further term costs about
 # 1.3 times the one before.  The pole-at-1 order: `expansion c01 --ell 2000`
-# about 4.5 s.
+# about 0.04 s in process (its weights are one exponential in 1/N at every
+# ell).
 PRECISION_BITS_MAX = 1536
 TABLE_N_MAX = 1500
 A1_N_MAX = 4000

@@ -150,7 +150,7 @@ def test_a2s_matches_lagrange_buermann(rng):
     frame = _frame(12, PREC)
     with mp.workprec(280):
         cases = [(frame.p, frame.Q, frame.z0),
-                 (frame.p, mul(frame.Q, frame.u_series(1, 1)[1], 12), frame.z0)]
+                 (frame.p, mul(frame.Q, frame.weights(1, 1, 1)[1], 12), frame.z0)]
         for _ in range(5):
             pc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
             qc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
@@ -216,22 +216,35 @@ def test_vstar_ell_closed_form():
 
 def test_frame_weights_match_scalar_oracles():
     # the constant terms of the saddle frame's weight series are the scalar
-    # weights at z0; u_weight and vstar_weight are the oracles of
-    # _Frame.u_series and _Frame.vstar_series
+    # weights at z0: u_weight at ell = 1 and vstar_weight, on the Stirling
+    # route, at sigma = 1 are the oracles of _Frame.weights
     _, z0, _ = _zw()
     frame = _frame(12, PREC)
     tol = mpf(2) ** (16 - PREC)
     with mp.workprec(PREC + 32):
         for sigma in (1, 2, -3):
-            series = frame.u_series(sigma, 3)
+            series = frame.weights(sigma, 1, 3)
             for j in range(4):
                 want = u_weight(sigma, j, z0, PREC).value
                 assert abs(series[j][0] - want) <= tol * max(1, abs(want))
-        for ell in (1, 4):
-            series = frame.vstar_series(ell, 3)
+        for ell in (1, 2, 4, 9):
+            series = frame.weights(1, ell, 3)
             for j in range(4):
                 want = vstar_weight(ell, j, z0, PREC).value
                 assert abs(series[j][0] - want) <= tol * max(1, abs(want))
+
+
+def test_c_coeffs_build_no_stirling_triangle(monkeypatch):
+    # from cold caches, the pole-at-1 weights come from one exponential in
+    # 1/N, not from Stirling numbers
+    calls, stirling2 = [], asymptotics.stirling2
+    monkeypatch.setattr(asymptotics, "stirling2",
+                        lambda *args: calls.append(args) or stirling2(*args))
+    _descent_values.cache_clear()
+    _frame.cache_clear()
+    c_coeffs(500, 4, 128)
+    assert calls == []
+    _descent_values.cache_clear()
 
 
 # -- the expansions ----------------------------------------------------------------------------
@@ -299,7 +312,7 @@ def test_saddle_frame_coefficients_are_pinned_to_the_bit():
                 for c in e.coeffs]
     text = repr([bits(b_coeffs(1, 4, 256)), bits(c_coeffs(4, 4, 256))])
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == "c3c1abc1ba13de02e417bfd0349b23e8ee6b8a25e675a33d247e2b085a8c179e")
+            == "051676a7606feaa848071d2fc5cc61e08770a9c075bed48811bfbb7d74f6b71b")
 
 
 def test_binomial_combination_collapses():

@@ -107,6 +107,10 @@ SADDLE_FRAME_SHA256 = {
         "89061f91288378e713f74043e7216cb7981fefabb39194e1b0052e1095db882c",
     "expansion c01 --ell 4 --m 4":
         "635c73a5326b1fb71efb945835f45a5f3edec9635f9e648635266f167796904d",
+    "expansion c01 --ell 7 --m 10":
+        "f7de483a156e6fab14824806c4c5947ba58c046f92e39ea9d74829db81429af6",
+    "expansion c01 --ell 2000":
+        "790e08778dd8089438abc1ba998b40eaa16867ca0ad07328d1422f63e025f483",
 }
 
 

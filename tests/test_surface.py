@@ -23,7 +23,7 @@ SURFACE = {
     "tolerance": "criterion 1: find_zero's residual gate 2^(16-p)",
     # sequences
     "bernoulli": "criterion 9: exact B_{2l}/(2l)! in the Euler-Maclaurin main term",
-    "stirling2": "criterion 6: the v* weights of c_coeffs",
+    "stirling2": "criterion 11: the cot weights (_cot_weights) of _g_sum",
     # dilog
     "BranchLabel": "pfrac zeros: the admissible branches (A, B)",
     "ConvergenceError": "pfrac verify: exit code 4 of every command",
@@ -67,9 +67,9 @@ SURFACE = {
     "family_leading": "pfrac expansion D",
     "path_positivity_check": "criterion 11",
     "saddle_path": "criterion 11: the contour of a3_quadrature",
-    "u_weight": "oracle of _Frame.u_series: test_asymptotics::test_frame_weights_match_scalar_oracles",
+    "u_weight": "oracle of _Frame.weights: test_asymptotics::test_frame_weights_match_scalar_oracles",
     "v_func": "oracle of a3_quadrature: test_asymptotics::test_a3_label_holds_against_tanh_sinh",
-    "vstar_weight": ("oracle of _Frame.vstar_series: "
+    "vstar_weight": ("oracle of _Frame.weights: "
                      "test_asymptotics::test_frame_weights_match_scalar_oracles"),
 }
 

@@ -19,11 +19,12 @@ keeps p, i pi z/2 and q's square root; one table per rule and precision
 (`_a3_nodes`) holds every node of the path once with its two weights, for
 every N and sigma.  The value at (N, sigma) (`_a3_value`) adds v, whose
 sum over g_l is one fixed-point accumulation, and one exp finishes it.
-Each edge runs one Gauss-Kronrod pair (`_gauss_kronrod`): the 2n + 1
-Kronrod nodes hold the n Gauss nodes, so one pass over the table's values
-gives both sums, and their difference is the error estimate.  The Gauss
-nodes and the new roots of the Stieltjes polynomial both come from
-Newton's method on integers, and every weight has a closed form.
+Each edge runs one nested Clenshaw-Curtis pair (`_clenshaw_curtis`): the
+2n + 1 nodes of level 2n hold the n + 1 of level n, so one pass over the
+table's values gives both sums, and their difference, relative to the
+imaginary part that becomes the value, is the error estimate.  Every node
+and weight is a closed form in the cosines cos(pi M/2n), the real parts
+of one fixed-point walk over the powers of e^{i pi/(2n)}.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from mpmath import mp, mpc, mpf, pi
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _check_off_cut, _li2_any, _phase_at, find_saddle, find_zero, p_d,
                     q_func)
-from .fixed import fix
+from .fixed import powers
 from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
 from .series import exp, inv, log, mul
-from .sine_products import _g_sum, _g_sweep, em_length
+from .sine_products import _g_sum, _g_sweep, _phase, em_length
 
 
 def _bell_powers(p, n: int, jmax: int) -> list:
@@ -371,126 +372,36 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
 
 # -- contour integration ---------------------------------------------------------
 
-def _legendre_at(x: int, n: int, F: int) -> tuple:
-    """(P_n(x), P_n'(x)) at the F-bit integer x, |x| < 1, on F-bit integers:
-    the recurrence P_k = ((2k-1) x P_{k-1} - (k-1) P_{k-2})/k and
-    P_n' = n (x P_n - P_{n-1})/(x^2 - 1), each product and quotient rounded
-    down.  The recurrence is stable on [-1, 1], so P_n carries under about
-    n^2 units of 2^-F."""
-    one = 1 << F
-    p0, p1 = one, x
-    for kk in range(2, n + 1):
-        p0, p1 = p1, ((2 * kk - 1) * (x * p1 >> F) - (kk - 1) * p0) // kk
-    return p1, (n * ((x * p1 >> F) - p0) << F) // ((x * x >> F) - one)
-
-
-def _legendre_roots(n: int, prec: int) -> tuple:
-    """(F, [(x, P_n'(x), w), ...]) for the ceil(n/2) nonnegative roots x of
-    P_n, descending, with their Gauss-Legendre weights, all on integers at
-    F = prec + 16 + 2 bitlen(n) fraction bits.  Newton (`_legendre_at`)
-    starts from the float estimate cos(pi (i - 1/4)/(n + 1/2)), written as
-    sin(pi (n + 1 - 2i)/(2n + 1)) so that the middle root of an odd n
-    starts, and stays, at 0 exactly, and stops once a step is below
-    2^(-prec-8); P_n'(x) and the weight 2/((1 - x^2) P_n'(x)^2) take the
-    last step's derivative."""
-    F = prec + 16 + 2 * n.bit_length()
-    one, tol = 1 << F, 1 << (F - prec - 8)
-    roots = []
-    for i in range(1, (n + 1) // 2 + 1):
-        x = fix(mpf(math.sin(math.pi * (n + 1 - 2 * i) / (2 * n + 1))), F)[0]
-        for _ in range(100):
-            p, dp = _legendre_at(x, n, F)
-            dx = (p << F) // dp
-            x -= dx
-            if abs(dx) < tol:
-                break
-        roots.append((x, dp, (2 << 4 * F) // ((one - (x * x >> F)) * dp * dp)))
-    return F, roots
-
-
-def _mirrored(half: int, F: int, prec: int, nodes, *weights) -> tuple:
-    """A rule on [-1, 1] from its nonnegative nodes, descending, and their
-    weights, all F-bit integers: the first `half` nodes, the positive ones,
-    mirror to x -> -x with their weights (a node at 0 stays once), and
-    each integer becomes one mpf at prec + 16 bits."""
-    cols = [list(nodes) + [-x for x in reversed(nodes[:half])]]
-    cols += [list(w) + list(w[:half])[::-1] for w in weights]
-    with mp.workprec(prec + 16):
-        return tuple(tuple(mpf((v, -F)) for v in col) for col in cols)
-
-
-def _stieltjes(n: int) -> list:
-    """[e_0, e_1, ...], exact, of the Stieltjes polynomial
-    E_{n+1}(x) = sum_j e_j x^{n+1-2j}, monic (e_0 = 1) and of the parity of
-    n + 1, orthogonal to every x^k, k <= n, against the weight P_n on
-    [-1, 1].  Only odd k give a condition, and with the moments
-    M_t = int x^{n+2t} P_n = 2^{n+1} (n+2t)! (n+t)! / (t! (2n+2t+1)!),
-    which vanish for t < 0, the condition at k = 2i - 1 is
-    sum_{j<=i} e_j M_{i-j} = 0: one triangular solve over Fractions."""
-    f = math.factorial
-    M = [Fraction(f(n + 2 * t) * f(n + t), f(t) * f(2 * n + 2 * t + 1))
-         for t in range((n + 1) // 2 + 1)]
-    e = [Fraction(1)]
-    for i in range(1, len(M)):
-        e.append(-sum(e[j] * M[i - j] for j in range(i)) / M[0])
-    return e
-
-
-def _gauss_kronrod(n: int, prec: int) -> tuple:
-    """(nodes, Kronrod weights, Gauss weights) on [-1, 1] of the
-    (2n+1)-point Gauss-Kronrod rule, n >= 1, descending, as mpf at
-    prec + 16 bits.  It holds the n nodes of the Gauss-Legendre rule, the
-    roots of P_n by Newton on integers (`_legendre_roots`), with their
-    Gauss weights, and n + 1 new nodes, whose Gauss weights are 0.  The
-    Kronrod rule is exact through degree 3n + 1 (Laurie, Math. Comp. 66,
-    1997; Monegato, SIAM Review 24, 1982).
-
-    The new nodes are the roots of the Stieltjes polynomial E = E_{n+1}
-    (`_stieltjes`), which interlace with the Gauss nodes.  E, scaled by
-    2^n to about unit size, runs by Horner in x^2 on the Gauss rule's F-bit
-    integers, each product rounded down, and Newton starts from the
-    midpoint of each bracket formed by 1, the Gauss nodes and their mirror
-    images; a root that leaves its bracket raises ConvergenceError.  With
-    c_n = int P_n x^n = 2^{n+1} (n!)^2/(2n+1)!, a new node xi weighs
-    c_n/(P_n(xi) E'(xi)) and a Gauss node x_i weighs
-    w_i + c_n/(P_n'(x_i) E(x_i)), since E(x)/(x - xi) is monic of degree n.
-    """
+def _clenshaw_curtis(n: int, prec: int) -> tuple:
+    """(nodes, weights, embedded weights) on [-1, 1] of the nested
+    Clenshaw-Curtis pair of levels 2n and n, n >= 1, as mpf at prec + 16
+    bits: the 2n + 1 nodes x_j = cos(j pi/2n), descending, with their
+    level-2n weights, and the level-n weights, which sit on the even j and
+    weigh the odd j by 0.  The level-m rule, exact through degree m, weighs
+    its node cos(i pi/m) by (c_i/m) (1 - sum_{k<=m/2} b_k cos(2 pi ik/m)/(4k^2 - 1)),
+    c_i = 1 at the ends and 2 inside, b_k = 1 at k = m/2 and 2 below
+    (Waldvogel, BIT 46, 2006); at j = 2ni/m that cosine is cos(pi M/2n),
+    M = 2jk, at both levels.  Every cosine is the real part of a power of
+    e^{i pi/(2n)} (`_phase`): one `fixed.powers` walk over M < n on
+    F = prec + 16 + 2 bitlen(n) fraction bits, 0 at M = n and mirrored past
+    it, so the nodes mirror exactly, and each weight is one integer sum,
+    every term rounded down."""
     n = checked_int(n, "n", 1)
-    F, roots = _legendre_roots(n, prec)
-    tol = 1 << (F - prec - 8)
-    coeffs = [(c.numerator << (F + n)) // c.denominator for c in _stieltjes(n)]
-    odd = n % 2 == 0  # E has the parity of n + 1
+    F = prec + 16 + 2 * n.bit_length()
+    half = powers(*_phase(n, 1, F), F, n)[0]
+    cos = half + [0] + [-x for x in reversed(half)]  # cos(pi M/2n) 2^F, M <= 2n
 
-    def stieltjes_at(x):
-        # (E(x), E'(x)) 2^n from S(y) = sum_j e_j y^{J-j} and S'(y), y = x^2
-        y = x * x >> F
-        s, ds = coeffs[0], 0
-        for c in coeffs[1:]:
-            ds = (ds * y >> F) + s
-            s = (s * y >> F) + c
-        if odd:
-            return x * s >> F, s + (2 * y * ds >> F)
-        return s, 2 * x * ds >> F
+    def weight(j, m):
+        total = 0
+        for k in range(1, m // 2 + 1):
+            M = 2 * j * k % (4 * n)
+            total += (1 if 2 * k == m else 2) * cos[min(M, 4 * n - M)] // (4 * k * k - 1)
+        return (1 if j % (2 * n) == 0 else 2) * ((1 << F) - total) // m
 
-    c = (math.factorial(n) ** 2 << (2 * n + 1 + 3 * F)) // math.factorial(2 * n + 1)
-    bounds = [1 << F] + [x for x, _, _ in roots] + [-roots[-1][0]]
-    rows = []  # (x, Kronrod weight, Gauss weight) for x >= 0, descending
-    for j in range(n // 2 + 1):
-        hi, lo = bounds[j], bounds[j + 1]
-        x = (hi + lo) // 2
-        for _ in range(100):
-            e, de = stieltjes_at(x)
-            dx = (e << F) // de
-            x -= dx
-            if abs(dx) < tol:
-                break
-        if not lo < x < hi:
-            raise ConvergenceError(f"Kronrod node {j} of n = {n} left its bracket")
-        rows.append((x, c // (_legendre_at(x, n, F)[0] * de), 0))
-        if j < len(roots):
-            x, dp, w = roots[j]
-            rows.append((x, w + c // (dp * stieltjes_at(x)[0]), w))
-    return _mirrored(n, F, prec, *zip(*rows))
+    with mp.workprec(prec + 16):
+        return tuple(tuple(mpf((v, -F)) for v in col) for col in (
+            cos, [weight(j, 2 * n) for j in range(2 * n + 1)],
+            [0 if j % 2 else weight(j, n) for j in range(2 * n + 1)]))
 
 
 def saddle_path(prec: int | None = None) -> tuple:
@@ -582,50 +493,51 @@ def _a3_value(node, N: int, sigma: int, prec: int):
 
 @lru_cache(maxsize=8)
 def _a3_nodes(n: int, prec: int) -> tuple:
-    """((Kronrod w half, Gauss w half or 0, `_a3_node`), ...) of the
-    (2n+1)-point Gauss-Kronrod rule (`_gauss_kronrod`) on each of the three
-    edges of `saddle_path(prec)`, at prec + 16 bits: each node once, with
-    everything a3_quadrature's two sums need but the N and sigma of
-    `_a3_value`."""
-    nodes, kronrod, gauss = _gauss_kronrod(n, prec)
+    """((level-2n w half, level-n w half or 0, `_a3_node`), ...) of the
+    nested Clenshaw-Curtis pair of levels 2n and n (`_clenshaw_curtis`) on
+    each of the three edges of `saddle_path(prec)`, at prec + 16 bits: each
+    edge's 2n + 1 nodes once, its ends included, so a vertex shared by two
+    edges is a node of both, with everything a3_quadrature's two sums need
+    but the N and sigma of `_a3_value`."""
+    nodes, fine, coarse = _clenshaw_curtis(n, prec)
     verts = saddle_path(prec)
     out = []
     with mp.workprec(prec + 16):
         for e in range(3):
             a, b = verts[e], verts[e + 1]
             mid, half = (a + b) / 2, (b - a) / 2
-            for x, wk, wg in zip(nodes, kronrod, gauss):
-                out.append((wk * half, wg * half, _a3_node(mid + half * x, prec)))
+            for x, wf, wc in zip(nodes, fine, coarse):
+                out.append((wf * half, wc * half, _a3_node(mid + half * x, prec)))
     return tuple(out)
 
 
 def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
-    """(2/N^{3/2}) Im int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz over the
-    descent path, by one Gauss-Kronrod pair per edge: the (2n+1)-point
-    Kronrod sum K and the n-point Gauss sum G come from one pass over the
-    same integrand values, for n = 40, 80, 160 and 320, until
-    |K - G| <= 1e-8 |K|; then the value is K's, and its label is
-    16 + floor(-log2) of the scaled |K - G|, at most prec.  Past n = 320,
-    ConvergenceError.  Each pair's nodes, weights and N-free node values
-    are one table per (n, prec) (`_a3_nodes`), shared by every N and sigma.
-    N is an integer >= 131, where the truncated integrand holds, and sigma
-    an integer (ValueError otherwise).
+    """(2/N^{3/2}) Im K, K the integral int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz
+    over the descent path, by one nested Clenshaw-Curtis pair per edge: the
+    level-2n sum K and the level-n sum G come from one pass over the same
+    integrand values, for n = 40, 80, 160 and 320, until
+    |K - G| <= 1e-8 |Im K|; then the value is K's, and its label is
+    16 + floor(-log2 |K - G|/|Im K|), at least 42 and at most prec.  Past
+    n = 320, ConvergenceError.  Each pair's nodes, weights and N-free node
+    values are one table per (n, prec) (`_a3_nodes`), shared by every N and
+    sigma.  N is an integer >= 131, where the truncated integrand holds,
+    and sigma an integer (ValueError otherwise).
     """
     N, sigma = checked_int(N, "N", 131), checked_int(sigma, "sigma")
     prec = resolve_precision(prec)
     with mp.workprec(prec + 16):
         for n in (40, 80, 160, 320):
-            kronrod = gauss = mpc(0)
-            for wk, wg, node in _a3_nodes(n, prec):
+            fine = coarse = mpc(0)
+            for wf, wc, node in _a3_nodes(n, prec):
                 f = _a3_value(node, N, sigma, prec)
-                kronrod += wk * f
-                if wg:
-                    gauss += wg * f
-            if abs(kronrod - gauss) <= mpf("1e-8") * abs(kronrod):
-                scale = 2 / mpf(N) ** mpf("1.5")
-                err = scale * abs(kronrod - gauss)
-                bits = min(prec, 16 + int(mpmath.floor(-mpmath.log(err, 2)))) if err else prec
-                return HPReal(scale * kronrod.imag, bits)
+                fine += wf * f
+                if wc:
+                    coarse += wc * f
+            value, err = fine.imag, abs(fine - coarse)
+            if err <= mpf("1e-8") * abs(value):
+                bits = (min(prec, 16 + int(mpmath.floor(-mpmath.log(err / abs(value), 2))))
+                        if err else prec)
+                return HPReal(2 / mpf(N) ** mpf("1.5") * value, bits)
     raise ConvergenceError("contour quadrature did not converge")
 
 

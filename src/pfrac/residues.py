@@ -58,8 +58,8 @@ from operator import add, mul
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, checked_int,
-                        rerun_short, resolve_precision)
+from .precision import (GUARD_BITS, HPComplex, HPReal, checked_int, rerun_short,
+                        resolve_precision)
 from .laurent import _laurent_core, _laurent_guard, _oracle_sum, _pole_series
 from .fixed import exp_fixed, to_fixed, unfix
 from .sine_products import _phase, _phase_bits, _sine_product

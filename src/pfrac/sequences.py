@@ -1,14 +1,15 @@
-"""Exact integer/rational sequence caches: Bernoulli numbers, Stirling set
-numbers, factorials, half-integer binomial coefficients and even power sums,
-and the one fixed-point table of B_{2i}/(2i)! (`bernoulli_table`).
+"""Exact integer/rational sequences: Bernoulli numbers, Stirling set
+numbers, half-integer binomial coefficients and even power sums, and the
+one fixed-point table of B_{2i}/(2i)! (`bernoulli_table`).
 
 Caches are shared, and callers never mutate returned values.  The exact
-caches grow append-only; the even power sums and the Bernoulli table are
-LRU caches.  The table feeds the q = 1 Laurent core, the E factors of each
-pole inverse and the dilogarithm's log-series, which reads a prefix of one
-table per working precision; the core, cached itself, builds its tables
-past the cache (`bernoulli_table.__wrapped__`).  Single-threaded: the caches
-take no locks.
+Bernoulli numbers grow append-only; the even power sums and the Bernoulli
+table are LRU caches, and the Stirling numbers keep no table.  The table
+feeds the q = 1 Laurent core, the E factors of each pole inverse and the
+dilogarithm's log-series, which reads a prefix of one table per working
+precision; the core, cached itself, builds its tables past the cache
+(`bernoulli_table.__wrapped__`).  Single-threaded: the caches take no
+locks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .fixed import div_fixed
 from .precision import checked_int
 
 _bernoulli: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... ("first" kind, B_1 = -1/2)
-_stirling2: list[list[int]] = [[1]]                 # triangle rows
 
 
 def bernoulli(n: int) -> Fraction:
@@ -87,21 +87,11 @@ def bernoulli_table(imax: int, F: int) -> tuple[tuple[int, int], ...]:
 
 
 def stirling2(n: int, r: int) -> int:
-    """Stirling set number: partitions of an n-set into r nonempty blocks."""
+    """Stirling set number: partitions of an n-set into r nonempty blocks,
+    from the explicit sum S(n, r) = sum_{i<=r} (-1)^{r-i} C(r, i) i^n / r!,
+    with no table kept."""
     n, r = checked_int(n, "n", 0), checked_int(r, "r", 0)
-    if r > n:
-        return 0
-    while len(_stirling2) <= n:
-        m = len(_stirling2)
-        prev = _stirling2[m - 1]
-        row = [0] * (m + 1)
-        for j in range(1, m):
-            row[j] = prev[j - 1] + j * prev[j]
-        row[m] = 1
-        if m >= 1:
-            row[0] = 0
-        _stirling2.append(row)
-    return _stirling2[n][r]
+    return sum((-1) ** (r - i) * comb(r, i) * i ** n for i in range(r + 1)) // factorial(r)
 
 
 def binom_half_fraction(s: int, j: int) -> Fraction:

@@ -49,7 +49,7 @@ from mpmath import mp, mpc, mpf, pi
 from .dilog import clausen
 from .fixed import fix, power, powers, shifted, squares, to_fixed, unfix
 from .precision import GUARD_BITS, HPReal, checked_int, rerun_short, resolve_precision
-from .sequences import bernoulli_over_factorial_fraction, stirling2
+from .sequences import bernoulli_over_factorial_fraction
 
 def _sine_bits(k: int, m: int, prec: int) -> int:
     """Fraction bits of the sine recurrence for m factors of step pi h/k good
@@ -244,9 +244,13 @@ def _short(lost: int, G: int, extra: int) -> int:
 @lru_cache(maxsize=64)
 def _cot_weights(n: int) -> tuple:
     """The weights a_{j,r} = (r-1)! S(j+1, r), r = 1..j+1, of the closed form
-    of cot^{(j)}, one row per order j = 0..n."""
-    return tuple(tuple(math.factorial(r - 1) * stirling2(j + 1, r) for r in range(1, j + 2))
-                 for j in range(n + 1))
+    of cot^{(j)}, one row per order j = 0..n, by the recurrence
+    a_{j+1,r} = r a_{j,r} + (r-1) a_{j,r-1} from a_{0,1} = 1."""
+    rows = [(1,)]
+    for _ in range(n):
+        a = (0, *rows[-1], 0)
+        rows.append(tuple(r * a[r] + (r - 1) * a[r - 1] for r in range(1, len(a))))
+    return tuple(rows)
 
 
 def _b_sums(n: int, b, F: int, step: int = 1, measure: bool = False):

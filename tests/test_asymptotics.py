@@ -10,7 +10,7 @@ from mpmath import mp, mpc, mpf, pi
 
 from pfrac import asymptotics, dilog
 from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _bell_powers, _descent_kernel,
-                               _descent_values, _frame, _gauss_kronrod, a3_quadrature, b_coeffs,
+                               _clenshaw_curtis, _descent_values, _frame, a3_quadrature, b_coeffs,
                                c_coeffs, decay_exponent, evaluate_expansion, family_leading,
                                path_positivity_check, saddle_path, u_weight, v_func,
                                vstar_weight)
@@ -456,54 +456,35 @@ def test_a3_integrand_matches_its_pieces():
                     assert abs(v_func(z, N, sigma, p).value - v) <= tolerance(p) * abs(v)
 
 
-@pytest.mark.parametrize("n", [40, 41, 80])
-def test_gauss_legendre_rule(n):
-    # the nodes of the nonzero Gauss weights of _gauss_kronrod(n, p): every
-    # node is a root of P_n to the 2^(-p-8) of Newton's stop, by
-    # mpmath.legendre at p + 64 (|P_n(x)| against |P_n'(x)|, from
-    # P_n' = n (x P_n - P_{n-1})/(x^2 - 1)); the weights sum to 2 and the
-    # rule is exact on x^{2n-2}; the nodes descend and mirror exactly
-    p = 128
-    nodes, _, gauss = _gauss_kronrod(n, p)
-    nodes, weights = zip(*((x, w) for x, w in zip(nodes, gauss) if w))
-    assert len(nodes) == len(weights) == n
-    assert list(nodes) == sorted(nodes, reverse=True)
-    assert all(x + y == 0 for x, y in zip(nodes[:n // 2], reversed(nodes)))
-    with mp.workprec(p + 64):
-        for x in nodes:
-            pn, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
-            assert abs(pn) <= mpf(2) ** (-p - 8) * abs(n * (x * pn - pm) / (x * x - 1))
-        assert abs(mpmath.fsum(weights) - 2) <= tolerance(p)
-        moment = mpmath.fsum(w * x ** (2 * n - 2) for x, w in zip(nodes, weights))
-        assert abs(moment - mpf(2) / (2 * n - 1)) <= tolerance(p) * moment
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 80])
-def test_gauss_kronrod_rule(n):
-    # 2n + 1 nodes, strictly descending and mirrored exactly, the n Gauss
-    # nodes (test_gauss_legendre_rule) each between two new ones; the
-    # Kronrod weights are positive, sum to 2 and make the rule exact on
-    # x^{2j} through degree 3n + 1
+def test_clenshaw_curtis_rule(n):
+    # 2n + 1 nodes cos(j pi/2n), strictly descending and mirrored exactly
+    # with their weights; the level-n rule weighs exactly the even-index
+    # nodes; the weights of both levels are positive, sum to 2 and make
+    # level m exact on x^{2j} through degree m
     p = 192
-    nodes, kronrod, gauss = _gauss_kronrod(n, p)
-    assert len(nodes) == len(kronrod) == len(gauss) == 2 * n + 1
+    nodes, fine, coarse = _clenshaw_curtis(n, p)
+    assert len(nodes) == len(fine) == len(coarse) == 2 * n + 1
     assert all(x > y for x, y in zip(nodes, nodes[1:]))
     assert all(x + y == 0 for x, y in zip(nodes, reversed(nodes)))
-    assert list(kronrod) == list(reversed(kronrod)) and list(gauss) == list(reversed(gauss))
-    assert [bool(w) for w in gauss] == [i % 2 == 1 for i in range(2 * n + 1)]
-    assert min(kronrod) > 0
+    assert list(fine) == list(reversed(fine)) and list(coarse) == list(reversed(coarse))
+    assert [bool(w) for w in coarse] == [j % 2 == 0 for j in range(2 * n + 1)]
+    assert min(fine) > 0 and min(coarse[::2]) > 0
     with mp.workprec(p + 64):
-        assert abs(mpmath.fsum(kronrod) - 2) <= tolerance(p)
-        for j in range(1, (3 * n + 1) // 2 + 1):
-            moment = mpmath.fsum(w * x ** (2 * j) for x, w in zip(nodes, kronrod))
-            assert abs(moment - mpf(2) / (2 * j + 1)) <= tolerance(p), j
+        for j, x in enumerate(nodes):
+            assert abs(x - mpmath.cos(j * pi / (2 * n))) <= tolerance(p)
+        for m, weights in ((2 * n, fine), (n, coarse)):
+            for j in range(m // 2 + 1):
+                moment = mpmath.fsum(w * x ** (2 * j) for x, w in zip(nodes, weights))
+                assert abs(moment - mpf(2) / (2 * j + 1)) <= tolerance(p), (m, j)
     with pytest.raises(ValueError, match="need n >= 1"):
-        _gauss_kronrod(0, 64)
+        _clenshaw_curtis(0, 64)
 
 
 def test_a3_builds_each_kronrod_node_once(monkeypatch):
-    # the first call builds the 3 (2 * 40 + 1) nodes of the first pair, each
-    # once, and a call at another (N, sigma) builds none
+    # the first call builds the 3 (2 * 40 + 1) nodes of the first
+    # Clenshaw-Curtis pair, each once, and a call at another (N, sigma)
+    # builds none
     built = []
     node = asymptotics._a3_node
     monkeypatch.setattr(asymptotics, "_a3_node", lambda z, prec: built.append(z) or node(z, prec))
@@ -516,17 +497,17 @@ def test_a3_builds_each_kronrod_node_once(monkeypatch):
 
 
 def test_a3_reads_the_next_pair_only_when_one_misses(monkeypatch):
-    # stand-in tables of one node i n: the pair of n gives K = i n and
-    # G = i n (1 - miss(n)); a pair with |K - G| > 1e-8 |K| hands over to
-    # the next n, the first pair within it gives K and the label of |K - G|,
-    # and with no pair within it ConvergenceError follows n = 320 without a
-    # further table
+    # stand-in tables of one node r + i n: the pair of n gives K = r + i n
+    # and G = K (1 - miss(n)); a pair with |K - G| > 1e-8 |Im K| hands over
+    # to the next n, the first pair within it gives Im K and the label of
+    # |K - G|/|Im K|, and with no pair within it ConvergenceError follows
+    # n = 320 without a further table, also where |K - G| <= 1e-8 |K|
     built = []
 
-    def tables(miss):
+    def tables(miss, r=0):
         def table(n, prec):
             built.append(n)
-            return ((mpf(1), 1 - miss(n), mpc(0, n)),)
+            return ((mpf(1), 1 - miss(n), mpc(r, n)),)
         return table
     monkeypatch.setattr(asymptotics, "_a3_value", lambda node, N, sigma, prec: node)
     monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: mpf("1e-9") if n == 80 else 1))
@@ -535,12 +516,13 @@ def test_a3_reads_the_next_pair_only_when_one_misses(monkeypatch):
     with mp.workprec(192 + 16):
         scale = 2 / mpf(200) ** mpf("1.5")
         assert got.value == scale * 80
-        assert got.precision == 16 + int(mpmath.floor(-mpmath.log(scale * 80 * mpf("1e-9"), 2)))
-    built.clear()
-    monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: mpf("1e-7")))
-    with pytest.raises(ConvergenceError):
-        a3_quadrature(200, 1, 192)
-    assert built == [40, 80, 160, 320]
+        assert got.precision == 16 + int(mpmath.floor(-mpmath.log(mpf("1e-9"), 2))) == 45
+    for miss, r in ((mpf("1e-7"), 0), (mpf("1e-10"), 10 ** 5)):
+        built.clear()
+        monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: miss, r))
+        with pytest.raises(ConvergenceError):
+            a3_quadrature(200, 1, 192)
+        assert built == [40, 80, 160, 320]
 
 
 @pytest.fixture(scope="module")
@@ -555,22 +537,29 @@ def test_a3_matches_a1(a3_200):
 
 
 def test_a3_label_holds_against_tanh_sinh(a3_200):
-    # node doubling stops at a relative 1e-8, so the label is far below 192
-    # bits; an independent rule on the same integrand, composed from the
-    # oracles q_func and v_func instead of _a3_node and _a3_value, confirms it
-    N, p = 200, 96
-    with mp.workprec(p):
-        def integrand(z):
-            return (mpmath.exp(-N * p_d(z, 0, p).value) * q_func(z, p).value
-                    * mpmath.exp(v_func(z, N, 1, p).value))
-        ref = 2 / mpf(N) ** mpf("1.5") * mpmath.quad(integrand, saddle_path(p)).imag
-    assert a3_200.precision < 64
-    assert abs(a3_200.value - ref) <= tolerance(a3_200.precision)
+    # the pair stops at a relative 1e-8, so the label is far below 192 bits
+    # and at least 42; an independent rule on the same integrand, composed
+    # from the oracles q_func and v_func instead of _a3_node and _a3_value,
+    # confirms it relative to the value, also at N = 1000, where the value
+    # is some 10^25 times larger than at N = 200.  The reference integrand
+    # is scaled by its size at the saddle, since mpmath.quad stops on an
+    # absolute error estimate
+    p = 64
+    for N, got in ((200, a3_200), (1000, a3_quadrature(1000, 1, 192))):
+        with mp.workprec(p):
+            def integrand(z):
+                return (mpmath.exp(-N * p_d(z, 0, p).value) * q_func(z, p).value
+                        * mpmath.exp(v_func(z, N, 1, p).value))
+            scale = abs(integrand(find_saddle(1, 0, p).z.value))
+            ref = (2 * scale / mpf(N) ** mpf("1.5")
+                   * mpmath.quad(lambda z: integrand(z) / scale, saddle_path(p)).imag)
+        assert 42 <= got.precision < 64
+        assert abs(got.value - ref) <= tolerance(got.precision) * abs(ref), N
 
 
 # (N, sigma) -> (mantissa, exponent, label) of a3_quadrature at 192 bits
-A3_PINNED = {(219, 1): (304118577694377532008581583297714921394737578183827104038667071, -201, 51),
-             (216, 2): (29035683210735219863178621125727704163068854485563568972001579, -198, 51)}
+A3_PINNED = {(219, 1): (304118577694377528920974215083437112054457211653392206410678593, -201, 54),
+             (216, 2): (116142732842940881421091257615574737784019188804429554383090667, -200, 54)}
 
 
 def _a3_digits(N, sigma, prec):
@@ -580,7 +569,7 @@ def _a3_digits(N, sigma, prec):
 
 def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
     # the first call builds the N- and sigma-free table, at least one Li2
-    # per node of the 81-node Gauss-Kronrod rule on three edges; a call at
+    # per node of the 81-node Clenshaw-Curtis pair on three edges; a call at
     # another (N, sigma) reads the table and takes no Li2 at all, and both
     # values are the pinned digits
     calls = []

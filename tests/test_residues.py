@@ -12,16 +12,16 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import (_gauss_kronrod, a3_quadrature, b_coeffs,
+from pfrac.asymptotics import (_clenshaw_curtis, a3_quadrature, b_coeffs,
                                evaluate_expansion, u_weight, vstar_weight)
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_saddle, find_zero
 from pfrac.fixed import man_exp
-from pfrac.precision import GUARD_BITS, set_default_precision, tolerance
-from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction,
-                            PrecisionLossError, _laurent_core, a1_sum, c01l_exact, c_from_q,
-                            family_sum, farey, p_restricted, principal_part, q01_exact,
-                            q_general, reconstruct_product, residue_report, residue_sum)
+from pfrac.precision import GUARD_BITS, PrecisionLossError, set_default_precision, tolerance
+from pfrac.residues import (P_RESTRICTED_MAX_N, FamilySelector, FareyFraction, _laurent_core,
+                            a1_sum, c01l_exact, c_from_q, family_sum, farey, p_restricted,
+                            principal_part, q01_exact, q_general, reconstruct_product,
+                            residue_report, residue_sum)
 from pfrac.sequences import bernoulli_over_factorial_fraction, bernoulli_table, stirling2
 from pfrac.series import exp
 
@@ -403,7 +403,7 @@ def test_q_general_escalates_then_gives_up(monkeypatch):
 
     monkeypatch.setattr(residues, "_pole_inverse", cancelling)
     asked.clear()
-    with pytest.raises(residues.PrecisionLossError, match="residue at 1/3 fell"):
+    with pytest.raises(PrecisionLossError, match="residue at 1/3 fell"):
         q_general(h, k, sigma, N, p)
     assert len(asked) == 2 and asked[1] > asked[0]
 
@@ -712,7 +712,7 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
             # and the sizes of the scans and of the quadrature rule
             ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
             ("s", lambda x: sine_products.em_remainder_scan(3, x)),
-            ("n", lambda x: _gauss_kronrod(x, 64)),
+            ("n", lambda x: _clenshaw_curtis(x, 64)),
             ("N", lambda x: evaluate_expansion(e, x, 2)))
     for name, call in rows:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):

@@ -21,10 +21,11 @@ from pfrac.fixed import unfix
 from pfrac.precision import HPReal, PrecisionLossError, tolerance
 from pfrac.refdata import PSI_211, U_CONST
 from pfrac.series import inv, mul
-from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_bits, _cot_orders, _em_main_log,
-                                 _g_sum, _g_sweep, _min_pair_product, _phase, _phase_bits,
-                                 _sine_factors, _sine_product, em_length, em_remainder,
-                                 em_remainder_scan, psi, psi_table, t_l_bound)
+from pfrac.sequences import stirling2
+from pfrac.sine_products import (SCREEN_MAX_L, _cl2_float, _cot_bits, _cot_orders, _cot_weights,
+                                 _em_main_log, _g_sum, _g_sweep, _min_pair_product, _phase,
+                                 _phase_bits, _sine_factors, _sine_product, em_length,
+                                 em_remainder, em_remainder_scan, psi, psi_table, t_l_bound)
 
 PREC = 256
 
@@ -206,6 +207,15 @@ def test_minimal_pair_examples():
 
 # -- cotangent derivatives ----------------------------------------------------------
 
+def test_cot_weights_match_stirling2():
+    # the rows of the closed form's recurrence are a_{j,r} = (r-1)! S(j+1, r)
+    # from the explicit sum of the Stirling set numbers
+    rows = _cot_weights(30)
+    assert len(rows) == 31
+    for j, row in enumerate(rows):
+        assert row == tuple(math.factorial(r - 1) * stirling2(j + 1, r) for r in range(1, j + 2))
+
+
 def test_cot_derivative_first_identity(rng):
     with mp.workprec(300):
         for _ in range(8):
@@ -358,16 +368,18 @@ def test_g_sum_matches_the_sum_of_single_g(p):
 # -- root-of-unity identities ---------------------------------------------------------
 
 def test_product_of_one_minus_roots_is_k():
-    with mp.workprec(200):
-        for k in range(2, 51):
-            for h in range(1, k):
-                if gcd(h, k) != 1:
-                    continue
-                zeta = mpmath.exp(2j * pi * mpf(h) / k)
-                prod = mpc(1)
-                for j in range(1, k):
-                    prod *= (1 - zeta ** j)
-                assert abs(prod - k) < mpf(2) ** -160 * k
+    # prod_{j<k} (1 - zeta^j) = k for zeta = e^{2 pi i h/k}, in the signed
+    # sines of the recurrence: the full-period product of _sine_factors is
+    # (-1)^{(h-1)(k-1)/2} k, the identity _sine_product's complement walk
+    # rests on
+    p = 200
+    for k in range(2, 51):
+        for h in range(1, k):
+            if gcd(h, k) != 1:
+                continue
+            with mp.workprec(p + 16):
+                prod = mpmath.fprod(_sine_factors(h, k, k - 1, p))
+            assert abs(prod - (-1) ** ((h - 1) * (k - 1) // 2) * k) <= tolerance(p) * k, (h, k)
 
 
 def test_reciprocal_factor_phase_identity(rng):

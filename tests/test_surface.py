@@ -23,7 +23,7 @@ SURFACE = {
     "tolerance": "criterion 1: find_zero's residual gate 2^(16-p)",
     # sequences
     "bernoulli": "criterion 9: exact B_{2l}/(2l)! in the Euler-Maclaurin main term",
-    "stirling2": "criterion 11: the cot weights (_cot_weights) of _g_sum",
+    "stirling2": "oracle of _cot_weights: test_sine_products::test_cot_weights_match_stirling2",
     # dilog
     "BranchLabel": "pfrac zeros: the admissible branches (A, B)",
     "ConvergenceError": "pfrac verify: exit code 4 of every command",
@@ -274,3 +274,23 @@ def test_integer_ranges_live_in_checked_int():
               and getattr(c.func, "attr", None) == "split"
               and [ast.unparse(x) for x in c.args] == ["','"]]
     assert splits == ["_list_of"]
+
+
+def test_every_import_is_read():
+    # a module imports only what it reads: every name an import binds in a
+    # pfrac module is loaded somewhere in that module or re-exported in its
+    # __all__ (__init__.py imports to re-export, and __future__ binds
+    # nothing)
+    for path in Path(pfrac.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        assert bound <= read | exported, (path.name, bound - read - exported)

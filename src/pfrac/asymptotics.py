@@ -15,13 +15,14 @@ reciprocal, integration), never numerical differentiation.
 The contour quadrature's integrand e^{-N p(z)} q(z) e^{v(z;N,sigma)} is
 split at each node in two.  The N- and sigma-free node (`_a3_node`) takes
 one e^{i pi z}, which feeds p and q and whose square v reads later, and
-keeps p, i pi z/2 and q's square root; one table per rule and precision
-(`_a3_nodes`) holds every node of the path once with its two weights, for
-every N and sigma.  The value at (N, sigma) (`_a3_value`) adds v, whose
-sum over g_l is one fixed-point accumulation, and one exp finishes it.
-Each edge runs one nested Clenshaw-Curtis pair (`_clenshaw_curtis`): the
-2n + 1 nodes of level 2n hold the n + 1 of level n, so one pass over the
-table's values gives both sums, and their difference, relative to the
+keeps p, i pi z/2 and q's square root; one table per level and precision
+(`_a3_nodes`) holds every node of the path once with its weight, for every
+N and sigma.  The value at (N, sigma) (`_a3_value`) adds v, whose sum over
+g_l is one fixed-point accumulation, and one exp finishes it.  The path
+runs one ladder of Clenshaw-Curtis levels 40, 80, ..., 640
+(`_clenshaw_curtis`): the levels nest, the nodes of one level being the
+even nodes of the next, so each level builds and evaluates only its new
+nodes, and the difference of two successive sums, relative to the
 imaginary part that becomes the value, is the error estimate.  Every node
 and weight is a closed form in the cosines cos(pi M/2n), the real parts
 of one fixed-point walk over the powers of e^{i pi/(2n)}.
@@ -373,35 +374,32 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
 # -- contour integration ---------------------------------------------------------
 
 def _clenshaw_curtis(n: int, prec: int) -> tuple:
-    """(nodes, weights, embedded weights) on [-1, 1] of the nested
-    Clenshaw-Curtis pair of levels 2n and n, n >= 1, as mpf at prec + 16
-    bits: the 2n + 1 nodes x_j = cos(j pi/2n), descending, with their
-    level-2n weights, and the level-n weights, which sit on the even j and
-    weigh the odd j by 0.  The level-m rule, exact through degree m, weighs
-    its node cos(i pi/m) by (c_i/m) (1 - sum_{k<=m/2} b_k cos(2 pi ik/m)/(4k^2 - 1)),
-    c_i = 1 at the ends and 2 inside, b_k = 1 at k = m/2 and 2 below
-    (Waldvogel, BIT 46, 2006); at j = 2ni/m that cosine is cos(pi M/2n),
-    M = 2jk, at both levels.  Every cosine is the real part of a power of
-    e^{i pi/(2n)} (`_phase`): one `fixed.powers` walk over M < n on
-    F = prec + 16 + 2 bitlen(n) fraction bits, 0 at M = n and mirrored past
-    it, so the nodes mirror exactly, and each weight is one integer sum,
-    every term rounded down."""
+    """(nodes, weights) on [-1, 1] of the Clenshaw-Curtis rule of level 2n,
+    n >= 1, as mpf at prec + 16 bits: the 2n + 1 nodes x_j = cos(j pi/2n),
+    descending, with their weights.  The level-m rule, exact through degree
+    m, weighs its node cos(j pi/m) by
+    (c_j/m) (1 - sum_{k<=m/2} b_k cos(2 pi jk/m)/(4k^2 - 1)), c_j = 1 at the
+    ends and 2 inside, b_k = 1 at k = m/2 and 2 below (Waldvogel, BIT 46,
+    2006); at m = 2n that cosine is cos(pi M/2n), M = 2jk.  Every cosine is
+    the real part of a power of e^{i pi/(2n)} (`_phase`): one `fixed.powers`
+    walk over M < n on F = prec + 16 + 2 bitlen(n) fraction bits, 0 at M = n
+    and mirrored past it, so the nodes mirror exactly, and each weight is
+    one integer sum, every term rounded down.  The level-n nodes are the
+    even j: the levels nest (Gentleman, Comm. ACM 15, 1972)."""
     n = checked_int(n, "n", 1)
     F = prec + 16 + 2 * n.bit_length()
     half = powers(*_phase(n, 1, F), F, n)[0]
-    cos = half + [0] + [-x for x in reversed(half)]  # cos(pi M/2n) 2^F, M <= 2n
+    cos = half + [0] + [-x for x in reversed(half)]
+    cos += cos[-2:0:-1]  # cos(pi M/2n) 2^F, M < 4n
 
-    def weight(j, m):
-        total = 0
-        for k in range(1, m // 2 + 1):
-            M = 2 * j * k % (4 * n)
-            total += (1 if 2 * k == m else 2) * cos[min(M, 4 * n - M)] // (4 * k * k - 1)
-        return (1 if j % (2 * n) == 0 else 2) * ((1 << F) - total) // m
+    def weight(j):
+        total = sum((1 if k == n else 2) * cos[2 * j * k % (4 * n)] // (4 * k * k - 1)
+                    for k in range(1, n + 1))
+        return (1 if j % (2 * n) == 0 else 2) * ((1 << F) - total) // (2 * n)
 
     with mp.workprec(prec + 16):
-        return tuple(tuple(mpf((v, -F)) for v in col) for col in (
-            cos, [weight(j, 2 * n) for j in range(2 * n + 1)],
-            [0 if j % 2 else weight(j, n) for j in range(2 * n + 1)]))
+        return tuple(tuple(mpf((v, -F)) for v in col)
+                     for col in (cos[:2 * n + 1], [weight(j) for j in range(2 * n + 1)]))
 
 
 def saddle_path(prec: int | None = None) -> tuple:
@@ -421,9 +419,10 @@ def path_positivity_check(samples: int = 200, prec: int | None = None) -> dict:
 
     Returns min_rise (positive means the saddle is the strict path minimum),
     the saddle height U = Re[-p(z0)], and the largest Re[-p] on the two
-    vertical edges (expected below 0.06).
+    vertical edges (expected below 0.06).  samples is an integer >= 3
+    (ValueError otherwise).
     """
-    prec = resolve_precision(prec)
+    samples, prec = checked_int(samples, "samples", 3), resolve_precision(prec)
     with mp.workprec(prec + 16):
         verts = saddle_path(prec)
         z0 = find_saddle(1, 0, prec).z.value
@@ -493,51 +492,55 @@ def _a3_value(node, N: int, sigma: int, prec: int):
 
 @lru_cache(maxsize=8)
 def _a3_nodes(n: int, prec: int) -> tuple:
-    """((level-2n w half, level-n w half or 0, `_a3_node`), ...) of the
-    nested Clenshaw-Curtis pair of levels 2n and n (`_clenshaw_curtis`) on
-    each of the three edges of `saddle_path(prec)`, at prec + 16 bits: each
-    edge's 2n + 1 nodes once, its ends included, so a vertex shared by two
-    edges is a node of both, with everything a3_quadrature's two sums need
-    but the N and sigma of `_a3_value`."""
-    nodes, fine, coarse = _clenshaw_curtis(n, prec)
-    verts = saddle_path(prec)
-    out = []
+    """((weight, `_a3_node`), ...) of the Clenshaw-Curtis rule of level 2n
+    (`_clenshaw_curtis`), n = 20 2^k, on `saddle_path(prec)` at prec + 16
+    bits: the 6n + 1 nodes of its three edges in path order, each once, so
+    an inner vertex weighs the sum of both edges' weights there.  Above the
+    bottom rung n = 20, entry 2i is entry i of `_a3_nodes(n // 2)`, read and
+    not rebuilt, and only the odd entries are new `_a3_node`s.  Everything
+    a3_quadrature needs but the N and sigma of `_a3_value`."""
+    nodes, weights = _clenshaw_curtis(n, prec)
+    below = _a3_nodes(n // 2, prec) if n > 20 else ()
+    verts, path = saddle_path(prec), []
     with mp.workprec(prec + 16):
-        for e in range(3):
-            a, b = verts[e], verts[e + 1]
+        for a, b in zip(verts, verts[1:]):
             mid, half = (a + b) / 2, (b - a) / 2
-            for x, wf, wc in zip(nodes, fine, coarse):
-                out.append((wf * half, wc * half, _a3_node(mid + half * x, prec)))
-    return tuple(out)
+            edge = [[w * half, mid - half * x] for x, w in zip(nodes, weights)]
+            if path:
+                edge[0][0] += path.pop()[0]
+            path += edge
+        return tuple((w, below[i // 2][1] if below and i % 2 == 0 else _a3_node(z, prec))
+                     for i, (w, z) in enumerate(path))
 
 
 def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
     """(2/N^{3/2}) Im K, K the integral int_P e^{-N p(z)} q(z) e^{v(z;N,sigma)} dz
-    over the descent path, by one nested Clenshaw-Curtis pair per edge: the
-    level-2n sum K and the level-n sum G come from one pass over the same
-    integrand values, for n = 40, 80, 160 and 320, until
-    |K - G| <= 1e-8 |Im K|; then the value is K's, and its label is
+    over the descent path, by one ladder of Clenshaw-Curtis levels
+    40, 80, 160, 320 and 640 on the whole path (`_a3_nodes`): each level
+    takes `_a3_value` on its new nodes only and reads the other half of its
+    values from the level below, until its sum K and the level below's sum
+    G meet |K - G| <= 1e-8 |Im K|; then the value is K's, and its label is
     16 + floor(-log2 |K - G|/|Im K|), at least 42 and at most prec.  Past
-    n = 320, ConvergenceError.  Each pair's nodes, weights and N-free node
-    values are one table per (n, prec) (`_a3_nodes`), shared by every N and
+    level 640, ConvergenceError.  Each level's nodes, weights and N-free
+    node values are one table per (level, prec), shared by every N and
     sigma.  N is an integer >= 131, where the truncated integrand holds,
     and sigma an integer (ValueError otherwise).
     """
     N, sigma = checked_int(N, "N", 131), checked_int(sigma, "sigma")
     prec = resolve_precision(prec)
+    below = ()
     with mp.workprec(prec + 16):
-        for n in (40, 80, 160, 320):
-            fine = coarse = mpc(0)
-            for wf, wc, node in _a3_nodes(n, prec):
-                f = _a3_value(node, N, sigma, prec)
-                fine += wf * f
-                if wc:
-                    coarse += wc * f
-            value, err = fine.imag, abs(fine - coarse)
-            if err <= mpf("1e-8") * abs(value):
+        for n in (20, 40, 80, 160, 320):
+            table = _a3_nodes(n, prec)
+            values = [below[i // 2] if below and i % 2 == 0 else _a3_value(node, N, sigma, prec)
+                      for i, (_, node) in enumerate(table)]
+            K = sum(w * f for (w, _), f in zip(table, values))
+            if below and abs(K - G) <= mpf("1e-8") * abs(K.imag):
+                err, value = abs(K - G), K.imag
                 bits = (min(prec, 16 + int(mpmath.floor(-mpmath.log(err / abs(value), 2))))
                         if err else prec)
                 return HPReal(2 / mpf(N) ** mpf("1.5") * value, bits)
+            below, G = values, K
     raise ConvergenceError("contour quadrature did not converge")
 
 

@@ -547,10 +547,11 @@ def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30
     2h <= k, and the partner k - h takes the conjugate, exactly, before the
     one conversion at working precision.  A real or imaginary part below
     2^(16-prec) |Q| is rounding noise under the precision contract and
-    prints as 0.
+    prints as 0.  digits, the significant digits of each part, is an
+    integer >= 1 (ValueError otherwise).
     """
     prec = resolve_precision(prec)
-    sigma = checked_int(sigma, "sigma")
+    sigma, digits = checked_int(sigma, "sigma"), checked_int(digits, "digits", 1)
     rows = []
     for f, paired, (x, y, e, wprec) in _folded(farey(N), sigma, N, prec):
         with mp.workprec(wprec):

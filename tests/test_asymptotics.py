@@ -458,71 +458,102 @@ def test_a3_integrand_matches_its_pieces():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 80])
 def test_clenshaw_curtis_rule(n):
-    # 2n + 1 nodes cos(j pi/2n), strictly descending and mirrored exactly
-    # with their weights; the level-n rule weighs exactly the even-index
-    # nodes; the weights of both levels are positive, sum to 2 and make
-    # level m exact on x^{2j} through degree m
+    # the level-2n rule: 2n + 1 nodes cos(j pi/2n), strictly descending and
+    # mirrored exactly with their weights, the even j within the rule's
+    # precision of the level-n nodes, which the ladder reads for them; the
+    # weights are positive, sum to 2 and make the rule exact on x^{2j}
+    # through degree 2n
     p = 192
-    nodes, fine, coarse = _clenshaw_curtis(n, p)
-    assert len(nodes) == len(fine) == len(coarse) == 2 * n + 1
+    nodes, weights = _clenshaw_curtis(n, p)
+    assert len(nodes) == len(weights) == 2 * n + 1
     assert all(x > y for x, y in zip(nodes, nodes[1:]))
     assert all(x + y == 0 for x, y in zip(nodes, reversed(nodes)))
-    assert list(fine) == list(reversed(fine)) and list(coarse) == list(reversed(coarse))
-    assert [bool(w) for w in coarse] == [j % 2 == 0 for j in range(2 * n + 1)]
-    assert min(fine) > 0 and min(coarse[::2]) > 0
+    assert list(weights) == list(reversed(weights)) and min(weights) > 0
+    below = _clenshaw_curtis(n // 2, p)[0] if n % 2 == 0 else ()
     with mp.workprec(p + 64):
+        assert abs(mpmath.fsum(weights) - 2) <= tolerance(p)
         for j, x in enumerate(nodes):
             assert abs(x - mpmath.cos(j * pi / (2 * n))) <= tolerance(p)
-        for m, weights in ((2 * n, fine), (n, coarse)):
-            for j in range(m // 2 + 1):
-                moment = mpmath.fsum(w * x ** (2 * j) for x, w in zip(nodes, weights))
-                assert abs(moment - mpf(2) / (2 * j + 1)) <= tolerance(p), (m, j)
+        for x, y in zip(nodes[::2], below):
+            assert abs(x - y) <= tolerance(p)
+        for j in range(n + 1):
+            moment = mpmath.fsum(w * x ** (2 * j) for x, w in zip(nodes, weights))
+            assert abs(moment - mpf(2) / (2 * j + 1)) <= tolerance(p), j
     with pytest.raises(ValueError, match="need n >= 1"):
         _clenshaw_curtis(0, 64)
 
 
-def test_a3_builds_each_kronrod_node_once(monkeypatch):
-    # the first call builds the 3 (2 * 40 + 1) nodes of the first
-    # Clenshaw-Curtis pair, each once, and a call at another (N, sigma)
-    # builds none
+def test_a3_builds_each_node_once(monkeypatch):
+    # the first call builds the 6 * 40 + 1 nodes of level 80 on the path,
+    # each once, the 121 of level 40 among them, and a call at another
+    # (N, sigma) builds none
     built = []
     node = asymptotics._a3_node
     monkeypatch.setattr(asymptotics, "_a3_node", lambda z, prec: built.append(z) or node(z, prec))
     _a3_nodes.cache_clear()
     a3_quadrature(219, 1, 192)
-    assert len(built) == len(set(built)) == 243
+    assert len(built) == len(set(built)) == 241
     a3_quadrature(249, 2, 192)
-    assert len(built) == 243
+    assert len(built) == 241
     _a3_nodes.cache_clear()
 
 
-def test_a3_reads_the_next_pair_only_when_one_misses(monkeypatch):
-    # stand-in tables of one node r + i n: the pair of n gives K = r + i n
-    # and G = K (1 - miss(n)); a pair with |K - G| > 1e-8 |Im K| hands over
-    # to the next n, the first pair within it gives Im K and the label of
-    # |K - G|/|Im K|, and with no pair within it ConvergenceError follows
-    # n = 320 without a further table, also where |K - G| <= 1e-8 |K|
+def test_a3_takes_each_node_and_value_once_up_the_ladder(monkeypatch):
+    # a cheap stand-in integrand i/(z - 1)^2, with its double pole 0.01 off
+    # the path's first vertex, climbs to level 160: the 6 * 80 + 1 nodes of
+    # levels 40, 80 and 160 are each built once and evaluated once, every
+    # even entry of a level read from the level below, and the value is
+    # the integral's, i (1/0.01 - 1/0.49), within its label
+    built, taken, tops = [], [], []
+    node, nodes = asymptotics._a3_node, asymptotics._a3_nodes
+    monkeypatch.setattr(asymptotics, "_a3_node", lambda z, prec: built.append(z) or node(z, prec))
+    monkeypatch.setattr(asymptotics, "_a3_nodes", lambda n, prec: tops.append(n) or nodes(n, prec))
+    monkeypatch.setattr(asymptotics, "_a3_value",
+                        lambda node, N, sigma, prec: taken.append(node[0]) or 1j / (node[0] - 1) ** 2)
+    _a3_nodes.cache_clear()
+    got = a3_quadrature(200, 1, 192)
+    assert max(tops) == 80
+    assert len(built) == len(set(built)) == len(taken) == len(set(taken)) == 481
+    assert set(built) == set(taken)
+    with mp.workprec(192 + 16):
+        want = 2 / mpf(200) ** mpf("1.5") * (1 / mpf("0.01") - 1 / mpf("0.49"))
+        assert abs(got.value - want) <= tolerance(got.precision) * want
+    _a3_nodes.cache_clear()
+
+
+def test_a3_reads_the_next_level_only_when_one_misses(monkeypatch):
+    # stand-in tables of two entries, whose odd entry, the one new entry of
+    # each level, carries the level's whole sum: level L sums to K_L, with
+    # K_40 = r + 40 i and K_{L/2} = K_L (1 - miss(L)).  A level with
+    # |K_L - K_{L/2}| > 1e-8 |Im K_L| hands over to the next, the first
+    # within it gives Im K_L and the label of |K_L - K_{L/2}|/|Im K_L|, and
+    # with none within it ConvergenceError follows level 640 without a
+    # further table, also where |K_L - K_{L/2}| <= 1e-8 |K_L|
     built = []
 
-    def tables(miss, r=0):
+    def ladder(miss, r=0):
+        K = {40: mpc(r, 40)}
+        for L in (80, 160, 320, 640):
+            K[L] = K[L // 2] / (1 - miss(L))
+
         def table(n, prec):
-            built.append(n)
-            return ((mpf(1), 1 - miss(n), mpc(r, n)),)
-        return table
+            built.append(2 * n)
+            return ((mpf(0), mpc(0)), (mpf(1), K[2 * n]))
+        return K, table
     monkeypatch.setattr(asymptotics, "_a3_value", lambda node, N, sigma, prec: node)
-    monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: mpf("1e-9") if n == 80 else 1))
+    K, table = ladder(lambda L: mpf("1e-9") if L == 80 else mpf("0.5"))
+    monkeypatch.setattr(asymptotics, "_a3_nodes", table)
     got = a3_quadrature(200, 1, 192)
     assert built == [40, 80]
     with mp.workprec(192 + 16):
-        scale = 2 / mpf(200) ** mpf("1.5")
-        assert got.value == scale * 80
+        assert got.value == 2 / mpf(200) ** mpf("1.5") * K[80].imag
         assert got.precision == 16 + int(mpmath.floor(-mpmath.log(mpf("1e-9"), 2))) == 45
     for miss, r in ((mpf("1e-7"), 0), (mpf("1e-10"), 10 ** 5)):
         built.clear()
-        monkeypatch.setattr(asymptotics, "_a3_nodes", tables(lambda n: miss, r))
+        monkeypatch.setattr(asymptotics, "_a3_nodes", ladder(lambda L: miss, r)[1])
         with pytest.raises(ConvergenceError):
             a3_quadrature(200, 1, 192)
-        assert built == [40, 80, 160, 320]
+        assert built == [40, 80, 160, 320, 640]
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +589,7 @@ def test_a3_label_holds_against_tanh_sinh(a3_200):
 
 
 # (N, sigma) -> (mantissa, exponent, label) of a3_quadrature at 192 bits
-A3_PINNED = {(219, 1): (304118577694377528920974215083437112054457211653392206410678593, -201, 54),
+A3_PINNED = {(219, 1): (4751852776474648889390222110678704875850893932084253225166853, -195, 54),
              (216, 2): (116142732842940881421091257615574737784019188804429554383090667, -200, 54)}
 
 
@@ -568,10 +599,10 @@ def _a3_digits(N, sigma, prec):
 
 
 def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
-    # the first call builds the N- and sigma-free table, at least one Li2
-    # per node of the 81-node Clenshaw-Curtis pair on three edges; a call at
-    # another (N, sigma) reads the table and takes no Li2 at all, and both
-    # values are the pinned digits
+    # the first call builds the N- and sigma-free tables, at least one Li2
+    # per node of the 241 of level 80 on the path; a call at another
+    # (N, sigma) reads the tables and takes no Li2 at all, and both values
+    # are the pinned digits
     calls = []
     li2 = dilog._li2_any
 
@@ -582,7 +613,7 @@ def test_a3_node_table_is_built_once_for_every_n_and_sigma(monkeypatch):
     _a3_nodes.cache_clear()
     assert _a3_digits(219, 1, 192) == A3_PINNED[219, 1]
     built = len(calls)
-    assert built >= 3 * 81
+    assert built >= 241
     assert _a3_digits(216, 2, 192) == A3_PINNED[216, 2]
     assert len(calls) == built
 

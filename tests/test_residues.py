@@ -12,8 +12,8 @@ import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import laurent, residues, sine_products
-from pfrac.asymptotics import (_clenshaw_curtis, a3_quadrature, b_coeffs,
-                               evaluate_expansion, u_weight, vstar_weight)
+from pfrac.asymptotics import (_clenshaw_curtis, a3_quadrature, b_coeffs, evaluate_expansion,
+                               path_positivity_check, u_weight, vstar_weight)
 from pfrac.cli import IDENTITY_SIGMA_MAX
 from pfrac.dilog import find_saddle, find_zero
 from pfrac.fixed import man_exp
@@ -126,22 +126,26 @@ def _mp_sine_product(h, k, m, wp):
 
 
 def test_q_simple_at_k_equals_n():
-    for N in (5, 9, 14):
-        v = _q_simple(1, N, 3, N)
-        assert abs(abs(v) - mpf(1) / N ** 2) < mpf(2) ** -240
+    # at k = N the sine product is empty and the phase unimodular, so
+    # |Q_{1 N sigma}(N)| = 1/N^2
+    with mp.workprec(300):
+        for N in (5, 9, 14):
+            v = q_general(1, N, 3, N, PREC).value
+            assert abs(abs(v) - mpf(1) / N ** 2) < mpf(2) ** -240
 
 
 def test_q_simple_conjugate_pair(rng):
+    # Q_{(k-h) k sigma} = conj Q_{h k sigma} for an integer sigma, the
+    # identity _folded rests on, from two independent q_general calls
     with mp.workprec(300):
         for _ in range(8):
             N = rng.randint(6, 40)
             k = rng.randint(N // 2 + 1, N)
             sigma = rng.randint(-3, 5)
-            a = _q_simple(1, k, sigma, N) if k > 1 else None
-            if k == 1 or gcd(k - 1, k) != 1:
-                continue
-            b = _q_simple(k - 1, k, sigma, N)
-            assert abs(b - mpmath.conj(a)) < mpf(2) ** -230
+            h = rng.choice([h for h in range(1, k) if gcd(h, k) == 1])
+            a = q_general(h, k, sigma, N, PREC).value
+            b = q_general(k - h, k, sigma, N, PREC).value
+            assert abs(b - mpmath.conj(a)) <= 2 * tolerance(PREC) * abs(a)
 
 
 def test_q_simple_matches_q_general():
@@ -712,7 +716,8 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
             # and the sizes of the scans and of the quadrature rule
             ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
             ("s", lambda x: sine_products.em_remainder_scan(3, x)),
-            ("n", lambda x: _clenshaw_curtis(x, 64)),
+            ("n", lambda x: _clenshaw_curtis(x, 64)), ("samples", path_positivity_check),
+            ("digits", lambda x: residue_report(3, 1, digits=x)),
             ("N", lambda x: evaluate_expansion(e, x, 2)))
     for name, call in rows:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
@@ -723,7 +728,9 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
                           (lambda: sine_products.em_remainder(1, 10, 3, 0), "need L >= 1, got 0"),
                           (lambda: u_weight(1, -1, z), "need j >= 0, got -1"),
                           (lambda: vstar_weight(1, -1, z), "need j >= 0, got -1"),
-                          (lambda: evaluate_expansion(e, 400, -1), "need m >= 1, got -1")):
+                          (lambda: evaluate_expansion(e, 400, -1), "need m >= 1, got -1"),
+                          (lambda: path_positivity_check(0), "need samples >= 3, got 0"),
+                          (lambda: residue_report(3, 1, digits=0), "need digits >= 1, got 0")):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
 

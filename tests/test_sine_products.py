@@ -428,7 +428,9 @@ def test_cl2_float_matches_clausen():
 
 
 def test_reciprocal_product_small_in_upper_range():
-    # prod^{-1}(h/k)_m <= c(h) for k/(2h) <= m < k/h
+    # prod^{-1}(h/k)_m <= c(h) for k/(2h) <= m < k/h: a float64 check of
+    # the paper's lemma itself, which has no pfrac route, since pfrac
+    # evaluates these products (_sine_product) but never bounds them by c(h)
     for h in range(1, 6):
         for k in range(h + 1, 151):
             if gcd(h, k) != 1:
@@ -441,7 +443,9 @@ def test_reciprocal_product_small_in_upper_range():
 
 
 def test_exponential_moment_bound():
-    # sum_l l^k e^{-c l} <= k! (2/c)^{k+1}
+    # sum_l l^k e^{-c l} <= k! (2/c)^{k+1}: a float64 check of an
+    # elementary bound, which has no pfrac route, since pfrac sums no such
+    # moment
     for k in range(7):
         for c in (0.5, 1.0, 2.0):
             total, l = 0.0, 1

@@ -9,8 +9,13 @@ coefficients a_{2s}.  The phase p(z) = (zeta(2) - Li2(e^{2 pi i z}))/(2 pi i z)
 has its saddle z0 at the dilogarithm zero w0 = w(0, -1) with
 e^{-p(z0)} = 1/w0, which is what turns every expansion into powers of w0^{-N}.
 
-All local series are produced by closed-form series arithmetic (exp, log,
-reciprocal, integration), never numerical differentiation.
+Every local series at z0 is a closed form in the cotangent derivatives
+cot^{(j)}(pi z0), one table of `sine_products._cot_orders` per frame: since
+d/dz log(1 - e^{2 pi i z}) = pi i + pi cot(pi z) and
+d/dz Li2(e^{2 pi i z}) = -2 pi i log(1 - e^{2 pi i z}), both series are
+integrals of the cot series, 1/z and log z have their own closed forms, and
+g_l reads the cot series of order 2l - 2; only series products and one
+series exponential remain, never numerical differentiation.
 
 The contour quadrature's integrand e^{-N p(z)} q(z) e^{v(z;N,sigma)} is
 split at each node in two.  The N- and sigma-free node (`_a3_node`) takes
@@ -41,11 +46,11 @@ from mpmath import mp, mpc, mpf, pi
 from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     _check_off_cut, _li2_any, _phase_at, find_saddle, find_zero, p_d,
                     q_func)
-from .fixed import powers
+from .fixed import powers, unfix
 from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
 from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
-from .series import exp, inv, log, mul
-from .sine_products import _g_sum, _g_sweep, _phase, em_length
+from .series import exp, mul
+from .sine_products import _cot_bits, _cot_orders, _g_sum, _g_sweep, _phase, em_length
 
 
 def _bell_powers(p, n: int, jmax: int) -> list:
@@ -61,45 +66,54 @@ def _bell_powers(p, n: int, jmax: int) -> list:
 
 
 class _Frame:
-    """Shared series scaffolding at a saddle point, in eps = z - z*."""
+    """Shared series scaffolding at a saddle point, in eps = z - z*.
+
+    Every local series is a closed form in the cotangent derivatives
+    C_j = cot^{(j)}(pi z*) of one `_cot_orders` table at b = 1/(e* - 1),
+    e* = e^{2 pi i z*} (Im z* > 0), read as the series `cot_series`.  With
+    e = e^{2 pi i z}, log(1 - e) has the derivative pi i + pi cot(pi z) and
+    Li2(e) the derivative -2 pi i log(1 - e), so both are integrals of the
+    cot series, and 1/z = sum_i (-1)^i eps^i/z*^{i+1} integrates to
+    log(z/z*).  The phase p is (zeta(2) + 4 pi^2 d - Li2(e))/(2 pi i) times
+    1/z, and the amplitude q, with q^2 = i z/(1 - e), is
+    q(z*) exp((log(z/z*) - log((1 - e)/(1 - e*)))/2).
+    """
 
     def __init__(self, saddle: SaddlePoint, depth: int, prec: int):
         self.prec = prec
         self.depth = depth
-        # each cot differentiation consumes one coefficient, so the cot series
-        # carries a generous margin over the exposed depth
+        # cot_series(j) reads C_j..C_{j+depth-1}: the margin covers the
+        # orders 2l - 2 of every g_l the weights read
         n = depth + 2 * (depth // 2 + 3)
         with mp.workprec(prec):
             z0 = mpc(saddle.z.value)
-            d = saddle.d
             self.z0 = z0
             e0 = mpmath.exp(2j * pi * z0)
-            # e^{2 pi i z}, 1 - e^{2 pi i z}, log(1 - e^{2 pi i z}), Li2(e^{2 pi i z})
-            fact = mpf(1)
-            ecoef = [e0]
-            for i in range(1, n):
-                fact *= i
-                ecoef.append(e0 * (2j * pi) ** i / fact)
-            W = [1 - ecoef[0]] + [-c for c in ecoef[1:]]
-            f = -2j * pi
-            li2 = [_li2_any(e0)] + [c * f / (i + 1) for i, c in enumerate(log(W, depth - 1))]
-            self.zser = [z0, mpc(1)] + [mpc(0)] * (n - 2)
-            numer = [pi ** 2 / 6 + 4 * pi ** 2 * d - li2[0]] + [-c for c in li2[1:]]
-            f = 1 / (2j * pi)
-            P = [c * f for c in mul(numer, inv(self.zser, depth), depth)]
+            self._C = [unfix(*c) for c in _cot_orders(n, 1, 1 / (e0 - 1), _cot_bits(prec, n))]
+            # d/dz log(1 - e^{2 pi i z}) = pi i + pi cot(pi z)
+            dlog = [pi * c for c in self.cot_series(0)]
+            dlog[0] += 1j * pi
+            recip = [(-1) ** i / z0 ** (i + 1) for i in range(depth)]  # 1/z
+            # zeta(2) + 4 pi^2 d - Li2(e^{2 pi i z}), an integral of 2 pi i log(1 - e^{2 pi i z})
+            numer = [pi ** 2 / 6 + 4 * pi ** 2 * saddle.d - _li2_any(e0),
+                     2j * pi * mpmath.log(1 - e0)]
+            numer += [2j * pi * dlog[i - 2] / (i * (i - 1)) for i in range(2, depth)]
+            P = [c / (2j * pi) for c in mul(numer, recip, depth)]
             if abs(P[1]) > mpf(2) ** (-prec // 2):
                 raise ConvergenceError("saddle center is not accurate enough")
             self.p = tuple(P[2:])  # p(z) - p(z*), from the quadratic term
             # amplitude q: q^2 = i z / (1 - e^{2 pi i z}), branch from q(z0)
-            invW = inv(W, n)
-            qsq = [c * 1j for c in mul(self.zser, invW, depth)]
-            f = 1 / qsq[0]
-            half = mpf(1) / 2
-            lg = log([c * f for c in qsq], depth)
+            half_log = [mpc(0)] + [(recip[i] - dlog[i]) / (2 * i + 2) for i in range(depth - 1)]
             q_at = q_func(z0, prec).value
-            self.Q = [c * q_at for c in exp([c * half for c in lg], depth)]
-            # cot(pi z) = i - 2i/(1 - e^{2 pi i z})
-            self._cot = [1j - 2j * invW[0]] + [-2j * c for c in invW[1:]]
+            self.Q = [c * q_at for c in exp(half_log, depth)]
+
+    def cot_series(self, j: int) -> list:
+        """cot^{(j)}(pi (z0 + eps)) as an eps-series: C_{j+i} pi^i/i! at eps^i."""
+        if j + self.depth > len(self._C):
+            raise ValueError("frame depth margin exhausted; rebuild deeper")
+        with mp.workprec(self.prec):
+            return [c * pi ** i / math.factorial(i)
+                    for i, c in enumerate(self._C[j:j + self.depth])]
 
     def line_power(self, a, k: int) -> list:
         """(a z)^k = (a (z0 + eps))^k as an eps-series: the binomial row
@@ -110,18 +124,12 @@ class _Frame:
                     for i in range(self.depth)]
 
     def g_series(self, ell: int) -> list:
-        """g_l(z) as a series in eps, by differentiating the cot series."""
-        n = self.depth
+        """g_l(z) = -(B_{2l}/(2l)!) (pi z)^{2l-1} cot^{(2l-2)}(pi z) as a series in eps."""
         with mp.workprec(self.prec):
-            cd = self._cot
-            f = 1 / pi
-            for _ in range(2 * ell - 2):
-                cd = [i * c * f for i, c in enumerate(cd) if i]
-            if len(cd) < n:
-                raise ValueError("frame depth margin exhausted; rebuild deeper")
             b = bernoulli_over_factorial_fraction(ell)
             f = -mpf(b.numerator) / b.denominator
-            return [c * f for c in mul(self.line_power(pi, 2 * ell - 1), cd, n)]
+            return [c * f for c in mul(self.line_power(pi, 2 * ell - 1),
+                                       self.cot_series(2 * ell - 2), self.depth)]
 
     def weights(self, sigma: int, ell: int, jmax: int) -> list:
         """[w_0, ..., w_jmax] as eps-series: the 1/N^j coefficients of
@@ -138,7 +146,7 @@ class _Frame:
         n = self.depth
         with mp.workprec(self.prec):
             f = 2j * pi * (sigma + mpf(ell - 1) / 2)
-            terms = {1: [c * f + g for c, g in zip(self.zser, self.g_series(1))]}
+            terms = {1: [c + g for c, g in zip(self.line_power(f, 1), self.g_series(1))]}
             for k in range(2, jmax + 1):
                 if k % 2:
                     terms[k] = self.g_series((k + 1) // 2)
@@ -199,8 +207,8 @@ def _descent_kernel(p, omega, smax: int) -> list:
 def _u_scalar(sigma, jmax: int, z, prec: int) -> list:
     """u_{sigma,0..jmax}(z) as scalars: exp of v(z; N, sigma) as a series in 1/N,
     with the single g_l of `sine_products._g_sweep`: the derivative
-    polynomials P_j(cot) at one cot(pi z), apart from the eps-series of cot
-    that `_Frame.weights` differentiates and this oracle checks."""
+    polynomials P_j(cot) at one cot(pi z), apart from the `_cot_orders`
+    table that `_Frame.weights` reads and this oracle checks."""
     with mp.workprec(prec + 16):
         zv = to_mpc(z)
         g = _g_sweep(max(1, (jmax + 1) // 2), zv)
@@ -545,7 +553,11 @@ def a3_quadrature(N: int, sigma: int, prec: int | None = None) -> HPReal:
 
 
 def decay_exponent(Ns, errors) -> float:
-    """Least-squares slope of -log(err) against log(N)."""
+    """Least-squares slope of -log(err) against log(N): ValueError unless
+    Ns and errors have one equal length, the N are not all equal and every
+    error is nonzero."""
+    if len(Ns) != len(errors) or len(set(Ns)) < 2 or not all(errors):
+        raise ValueError("need as many errors as N, two distinct N and nonzero errors")
     xs = [math.log(n) for n in Ns]
     ys = [-math.log(abs(float(e))) for e in errors]
     n = len(xs)

@@ -301,9 +301,15 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
 
 
 def q_func(z, prec: int | None = None) -> HPComplex:
-    """q(z) = sqrt(z / (2 sin(pi (z - 1)))) e^{-i pi z / 2}, principal root."""
+    """q(z) = sqrt(z / (2 sin(pi (z - 1)))) e^{-i pi z / 2}, principal root.
+    A real integer z != 0 is a pole (ValueError); at z = 0 the root takes
+    its limit sqrt(-1/(2 pi))."""
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
+        if zv.imag == 0 and zv.real == mpmath.floor(zv.real):
+            if zv.real:
+                raise ValueError("pole at integer z")
+            return HPComplex(mpmath.sqrt(-1 / (2 * pi)), prec)
         val = mpmath.sqrt(zv / (2 * mpmath.sin(pi * (zv - 1)))) * mpmath.exp(-1j * pi * zv / 2)
     return HPComplex(val, prec)

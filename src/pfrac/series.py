@@ -7,6 +7,8 @@ mpmath numbers are combined at the ambient `mp` precision, and
 `fractions.Fraction` inputs give exact results (exp then needs a zero
 constant term, log a constant term of 1).  The exponential and the division
 on fixed-point integers are `fixed.exp_fixed` and `fixed.div_fixed`.
+Production reads `mul` and `exp` alone, in the saddle expansions
+(`asymptotics`); `inv` and `log` serve as the oracles of tests.
 """
 
 from __future__ import annotations

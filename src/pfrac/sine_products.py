@@ -15,10 +15,10 @@ Psi table come from the same recurrence (`_sine_factors`), and each Psi
 walk is a run of exact integer prefix sums over a fixed-point table of
 -log 2 sin(pi r/k).  Cotangent derivatives of every order up to n come from
 one closed form on the integer powers of one number b (`_cot_orders`, which
-the cot table of the pole series reads), and the sum over l of the
-Euler-Maclaurin terms g_l(z)/n^{2l-1}, which the main term of T_L and the
-contour's v add, is one exact integer accumulation on the same powers
-(`_g_sum`), which measures its own cancellation.  The single g_l, the
+the cot table of the pole series and the saddle frame read), and the sum
+over l of the Euler-Maclaurin terms g_l(z)/n^{2l-1}, which the main term of
+T_L and the contour's v add, is one exact integer accumulation on the same
+powers (`_g_sum`), which measures its own cancellation.  The single g_l, the
 oracle of that sum, stand apart from it on the integer derivative
 polynomials cot^{(j)} = P_j(cot) of `_cot_polynomials`, evaluated at one
 cotangent (`_g_sweep`); the float64 screen of `em_remainder_scan` reads the
@@ -561,7 +561,7 @@ def em_remainder_scan(h: int, s: int = 500, delta: float = 0.006):
     the float64 screen holds, raises ValueError.
     """
     h, s = checked_int(h, "h", 1), checked_int(s, "s", 1)
-    _checked_delta(delta)
+    delta = float(_checked_delta(delta))
     L = checked_int(em_length(delta, s, h), "L", high=SCREEN_MAX_L)
     polys_float = [np.array(p, dtype=float) for p in _cot_polynomials(2 * L - 2)]
     bf = [0.0] + [float(bernoulli_over_factorial_fraction(l)) for l in range(1, L)]

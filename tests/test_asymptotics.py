@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
-from pfrac import asymptotics, dilog
+from pfrac import asymptotics, dilog, series
 from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _bell_powers, _descent_kernel,
                                _clenshaw_curtis, _descent_values, _frame, a3_quadrature, b_coeffs,
                                c_coeffs, decay_exponent, evaluate_expansion, family_leading,
@@ -17,7 +17,7 @@ from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _bell_powers, _de
 from pfrac.dilog import ConvergenceError, find_saddle, find_zero, p_d, q_func
 from pfrac.precision import tolerance
 from pfrac.residues import a1_sum
-from pfrac.series import exp, log, mul
+from pfrac.series import exp, inv, log, mul
 from pfrac.sine_products import _g_sweep, em_length
 
 PREC = 256
@@ -96,6 +96,49 @@ def test_local_series_amplitude_coefficients():
                    - mpf(1) / (8 * z0 ** 2) + 1j * pi / (2 * z0 * w0)
                    - 3 * pi ** 2 / (2 * w0 ** 2))
         assert abs(q2 / q0 - want_q2) < mpf(2) ** -215
+
+
+def test_frame_cot_series_against_a_termwise_oracle():
+    # oracle: cot(pi (z0 + eps)) as the ratio of the Taylor series of cos and
+    # sin at p + 64 bits, differentiated termwise; the frame reads every order
+    # from one _cot_orders table, up to order 12, the largest that
+    # c_coeffs(1, 14) reads (g_7)
+    frame = _frame(32, PREC)
+    for j in (0, 2, 12):
+        n = frame.depth + j
+        with mp.workprec(PREC + 64):
+            w = pi * frame.z0
+            c0, s0 = mpmath.cos(w), mpmath.sin(w)
+            f = [pi ** i / mpmath.factorial(i) for i in range(n)]
+            cos_c = [(c0, -s0, -c0, s0)[i % 4] * f[i] for i in range(n)]
+            sin_c = [(s0, c0, -s0, -c0)[i % 4] * f[i] for i in range(n)]
+            cot = mul(cos_c, inv(sin_c, n), n)
+            for _ in range(j):
+                cot = [i * c / pi for i, c in enumerate(cot)][1:]
+            got = frame.cot_series(j)
+            assert len(got) == len(cot) == frame.depth
+            for g, want in zip(got, cot):
+                assert abs(g - want) <= tolerance(PREC) * abs(want), j
+    with pytest.raises(ValueError, match="depth margin exhausted"):
+        frame.cot_series(len(frame._C) - frame.depth + 1)
+
+
+def test_frame_reads_one_cot_table_and_no_series_inverse_or_log(monkeypatch):
+    # from a cold cache a frame takes one _cot_orders table; the reciprocal
+    # and the log of pfrac.series serve only as test oracles
+    tables, banned = [], []
+    cot_orders = asymptotics._cot_orders
+    monkeypatch.setattr(asymptotics, "_cot_orders",
+                        lambda *args: tables.append(args) or cot_orders(*args))
+    for name in ("inv", "log"):
+        spy = (lambda name, real: lambda *args: banned.append(name) or real(*args))(
+            name, getattr(series, name))
+        monkeypatch.setattr(series, name, spy)
+        monkeypatch.setattr(asymptotics, name, spy, raising=False)
+    _frame.cache_clear()
+    _frame(12, PREC)
+    assert len(tables) == 1 and banned == []
+    _frame.cache_clear()
 
 
 # -- descent coefficients ------------------------------------------------------------------
@@ -312,7 +355,7 @@ def test_saddle_frame_coefficients_are_pinned_to_the_bit():
                 for c in e.coeffs]
     text = repr([bits(b_coeffs(1, 4, 256)), bits(c_coeffs(4, 4, 256))])
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == "051676a7606feaa848071d2fc5cc61e08770a9c075bed48811bfbb7d74f6b71b")
+            == "ac2018a95eaac1e4b02c403e98f1d019170a9aa3ff2f1059b11fcd0038f44df5")
 
 
 def test_binomial_combination_collapses():
@@ -662,3 +705,8 @@ def test_decay_exponent_helper():
     Ns = [100, 200, 400]
     errs = [1e-2, 1e-2 / 8, 1e-2 / 64]
     assert abs(decay_exponent(Ns, errs) - 3) < 1e-9
+    # a slope needs two distinct N, one error per N and no zero error
+    for Ns, errs in (([200], [1e-3]), ([200, 200], [1e-3, 1e-4]), ([200, 300], [0, 1e-3]),
+                     ([200, 300], [mpf(0), 1e-3]), ([200, 300], [1e-3])):
+        with pytest.raises(ValueError):
+            decay_exponent(Ns, errs)

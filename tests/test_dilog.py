@@ -307,3 +307,19 @@ def test_q_modulus_at_saddle():
         q = q_func(s.z.value, PREC).value
         assert abs(abs(q) ** 2 - abs(1j * s.z.value / w0)) < mpf(2) ** -230
 
+
+
+@pytest.mark.parametrize("z", [1, 2, -3, mpf(2), 2.0, mpc(5, 0)])
+def test_q_refuses_a_pole_at_an_integer(z):
+    # 2 sin(pi (z - 1)) vanishes at every integer; off z = 0 that is a pole
+    with pytest.raises(ValueError, match="pole at integer z"):
+        q_func(z, PREC)
+
+
+def test_q_takes_its_limit_at_zero():
+    # z / (2 sin(pi (z - 1))) -> -1/(2 pi) at z = 0, where the quotient is 0/0
+    with mp.workprec(300):
+        want = 1j / mpmath.sqrt(2 * pi)
+        assert abs(q_func(0, PREC).value - want) < mpf(2) ** -240
+        for z in (mpf(10) ** -20, -mpf(10) ** -20):
+            assert abs(q_func(z, PREC).value - want) < mpf(10) ** -19

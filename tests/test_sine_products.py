@@ -544,6 +544,13 @@ def test_delta_is_checked_at_every_entry_point():
         em_remainder_scan(1, 100, 0.0045)
 
 
+def test_em_remainder_scan_reads_delta_as_checked():
+    # Delta passes its check as a string, an mpf or a float, and the scan
+    # reads the checked value
+    want = em_remainder_scan(1, 120, 0.006)
+    assert em_remainder_scan(1, 120, "0.006") == em_remainder_scan(1, 120, mpf("0.006")) == want
+
+
 def test_em_remainder_scan_with_long_truncation():
     # L = 33 > 26 needs cotangent derivatives beyond order 50; m_lo = ceil(0.0079 * 500)
     L, m_lo = em_length(0.0079, 500, 1), 4

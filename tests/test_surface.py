@@ -105,11 +105,17 @@ def test_fixed_point_conversions_live_in_pfrac_fixed():
 
 def test_mpmath_power_series_serve_only_the_asymptotics():
     # pfrac.series (power series on mpmath numbers) has one user: the saddle
-    # expansions; every Laurent inverse runs on fixed-point integers
+    # expansions, which read its product and exponential alone; its
+    # reciprocal and log are test oracles, and every Laurent inverse runs on
+    # fixed-point integers
     pattern = re.compile(r"from \.series import|from pfrac\.series import|import pfrac\.series")
     for path in Path(pfrac.__file__).parent.glob("*.py"):
         found = bool(pattern.search(path.read_text()))
         assert found == (path.name == "asymptotics.py"), path.name
+    tree = ast.parse((Path(pfrac.__file__).parent / "asymptotics.py").read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             and n.module == "series" for a in n.names]
+    assert sorted(names) == ["exp", "mul"]
 
 
 def test_sigma_is_an_integer_everywhere():
@@ -223,7 +229,8 @@ def test_no_function_imports():
 
 def test_one_closed_form_of_cot_and_an_oracle_apart_from_it():
     # cotangent derivatives have one integer closed form, summed by
-    # _b_sums for _cot_orders (the pole series' cot table) and _g_sum; the
+    # _b_sums for _cot_orders (the pole series' cot table and the saddle
+    # frame) and _g_sum; the
     # single g_l of _g_sweep, the oracle of _g_sum, reach none of it and
     # stand on the derivative polynomials P_j(cot) of _cot_polynomials,
     # whose only other reader is the float64 screen

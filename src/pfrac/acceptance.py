@@ -171,9 +171,9 @@ def criterion_2_constants():
 
 
 @_criterion(3, "residue trichotomy", IDENTITY_FAILURE, budget=120.0)
-def criterion_3_trichotomy(n_max: int = 25):
-    """Residue sums hit {-p_N(-sigma), 0, (-1)^N p_N(sigma - N(N+1)/2)}."""
-    bad = []
+def criterion_3_trichotomy():
+    """Residue sums hit {-p_N(-sigma), 0, (-1)^N p_N(sigma - N(N+1)/2)}, N <= 25."""
+    bad, n_max = [], 25
     for N in range(1, n_max + 1):
         M = N * (N + 1) // 2
         sigmas = [s for s in range(-6, 7)] + [M, M + 3]

@@ -3,9 +3,9 @@
 Everything here feeds the asymptotic evaluation
     Re[ w^{-N} / N^power * (c_0 + c_1/N + ...) ]
 whose coefficients come out of the classical steepest-descent recipe: local
-power series of the phase p and the amplitude q at the saddle, partial
-ordinary Bell polynomials, and the explicit closed form for the descent
-coefficients a_{2s}.  The phase p(z) = (zeta(2) - Li2(e^{2 pi i z}))/(2 pi i z)
+power series of the phase p and the amplitude q at the saddle, and the
+descent coefficients a_{2s} in Perron's form, one power of one series per
+s (`_descent_kernel`).  The phase p(z) = (zeta(2) - Li2(e^{2 pi i z}))/(2 pi i z)
 has its saddle z0 at the dilogarithm zero w0 = w(0, -1) with
 e^{-p(z0)} = 1/w0, which is what turns every expansion into powers of w0^{-N}.
 
@@ -48,21 +48,9 @@ from .dilog import (BranchLabel, ConvergenceError, DilogZero, SaddlePoint,
                     q_func)
 from .fixed import powers, unfix
 from .precision import HPComplex, HPReal, checked_int, resolve_precision, to_mpc
-from .sequences import bernoulli_over_factorial_fraction, binom_half_fraction, stirling2
+from .sequences import bernoulli_over_factorial_fraction, stirling2
 from .series import exp, mul
 from .sine_products import _cot_bits, _cot_orders, _g_sum, _g_sweep, _phase, em_length
-
-
-def _bell_powers(p, n: int, jmax: int) -> list:
-    """[(p_1 x + p_2 x^2 + ...)^j for j = 0..jmax], each to n coefficients,
-    for p = [p_1, p_2, ...]: entry [j][i] is the partial ordinary Bell
-    polynomial Bhat_{i,j}(p_1, p_2, ...).  Exact inputs give exact output."""
-    one = Fraction(1) if all(isinstance(c, (int, Fraction)) for c in p) else mpc(1)
-    base = [0 * one] + list(p[:n - 1])
-    powers = [[one] + [0 * one] * (n - 1)]
-    for _ in range(jmax):
-        powers.append(mul(powers[-1], base, n))
-    return powers
 
 
 class _Frame:
@@ -181,26 +169,29 @@ def _descent_kernel(p, omega, smax: int) -> list:
               sum_{j<=i} p0^{-s-j} C(-s-1/2, j) Bhat_{i,j}(p1, ...),
 
     with the square root chosen so Re((omega^2 p0)^{1/2}) > 0
-    (J. Wojdylo, SIAM Review 48, 2006).  One table of the partial ordinary
-    Bell polynomials of p_1..p_{2 smax} (`_bell_powers`) serves every s.
+    (J. Wojdylo, SIAM Review 48, 2006).  The partial ordinary Bell
+    polynomial Bhat_{i,j} is homogeneous of degree j, so by the binomial
+    theorem sum_j p0^{-j} C(-s-1/2, j) Bhat_{i,j}(p1, ...) = [eps^i] h^{-s-1/2},
+    h = 1 + sum_r (p_r/p0) eps^r (Perron's form): each row is one power of
+    one series, by J. C. P. Miller's recurrence g_0 = 1,
+    g_m = (1/m) sum_{k<=m} ((a + 1) k - m) h_k g_{m-k} at a = -s - 1/2
+    (Knuth, TAOCP vol. 2, 4.7), times pref p0^{-s}.
     """
     p0 = p[0]
     root = mpmath.sqrt(omega ** 2 * p0)
     if root.real < 0:
         root = -root
-    pref = omega / (2 * root)
-    bell = _bell_powers(p[1:2 * smax + 1], 2 * smax + 1, 2 * smax)
+    scale = omega / (2 * root)  # pref p0^{-s}, one division by p0 per row
+    h = [1] + [c / p0 for c in p[1:2 * smax + 1]]
     kernel = []
     for s in range(smax + 1):
-        row = []
-        for i in range(2 * s + 1):
-            inner = mpc(0)
-            for j in range(i + 1):
-                if bell[j][i]:
-                    cf = binom_half_fraction(s, j)
-                    inner += p0 ** (-s - j) * (mpf(cf.numerator) / cf.denominator) * bell[j][i]
-            row.append(pref * inner)
-        kernel.append(row)
+        g = [mpc(1)]
+        for m in range(1, 2 * s + 1):
+            # (a + 1) k - m = ((1 - 2s) k - 2m)/2
+            g.append(sum(((1 - 2 * s) * k - 2 * m) * h[k] * g[m - k]
+                         for k in range(1, m + 1)) / (2 * m))
+        kernel.append([scale * c for c in g])
+        scale /= p0
     return kernel
 
 
@@ -248,19 +239,23 @@ def vstar_weight(ell: int, j: int, z, prec: int | None = None) -> HPComplex:
 class Expansion:
     """Asymptotic expansion Re[ base^{-N or -N/2} / N^power * sum_t coeffs[t]/N^t ].
 
-    kind is one of A1-b, C01-c, familyC, familyD, familyE.  familyD uses the
-    conjugate-pair square-root base (exponent -N/2), carries the parity of N
-    it was built for, evaluates with overall sign -1, and divides by the odd
-    number (2 floor(N/2) + 1)^2 instead of N^2; that sign and denominator are
-    calibrated to the published m = 1 values at N = 1000 and 1001.
+    kind is one of A1-b, C01-c, familyC, familyD, familyE.  Only familyD
+    carries the parity of N it was built for, and a parity brings its rule
+    (`half_exponent`): the conjugate-pair square-root base (exponent -N/2),
+    overall sign -1, and the odd number (2 floor(N/2) + 1)^2 in place of N^2
+    as denominator; that sign and denominator are calibrated to the
+    published m = 1 values at N = 1000 and 1001.
     """
     kind: str
     base: DilogZero
     power: int
     coeffs: tuple
     parity: int | None = None
-    half_exponent: bool = False
-    sign: int = 1
+
+    @property
+    def half_exponent(self) -> bool:
+        """Whether the familyD rule holds: exponent -N/2, sign -1, odd denominator."""
+        return self.parity is not None
 
     def to_json(self) -> dict:
         out = {
@@ -352,8 +347,7 @@ def family_leading(tag: str, parity: int | None = None,
             z0 = find_saddle(1, 0, prec).z.value
             e = mpmath.exp(-1j * pi * z0)
             d0 = z0 * mpmath.sqrt(2 * e * (e + (-1) ** parity))
-            return Expansion("familyD", zero, 2, (d0,), parity=parity,
-                             half_exponent=True, sign=-1)
+            return Expansion("familyD", zero, 2, (d0,), parity=parity)
     raise ValueError(f"unknown family tag {tag!r}")
 
 
@@ -366,16 +360,17 @@ def evaluate_expansion(e: Expansion, N: int, m: int | None = None,
     if e.parity is not None and N % 2 != e.parity:
         raise ValueError(f"expansion was built for N % 2 == {e.parity}")
     prec = resolve_precision(prec)
+    half = e.half_exponent
     with mp.workprec(prec + 32):
         w = mpc(e.base.w.value)
-        expo = -mpf(N) / 2 if e.half_exponent else -mpf(N)
+        expo = -mpf(N) / 2 if half else -mpf(N)
         base = mpmath.exp(expo * mpmath.log(w))
         series = mpc(0)
         Nf = mpf(N)
         for t in range(m - 1, -1, -1):
             series = series / Nf + mpc(e.coeffs[t])
-        denom = mpf(2 * (N // 2) + 1) if e.half_exponent else Nf
-        val = e.sign * (base * series).real / denom ** e.power
+        denom = mpf(2 * (N // 2) + 1) if half else Nf
+        val = (-1 if half else 1) * (base * series).real / denom ** e.power
     return HPReal(val, prec)
 
 

@@ -47,10 +47,10 @@ ZEROS_MAX_B = 30
 # and 3.7 s for `table a1`.  A table row: `table c014 --rows 1500` about
 # 4.4 s, the slowest of the four tables.  A row of `pfrac a1`: `--rows 4000`
 # about 3.8 s.  Expansion terms, the one cap well under 4 s:
-# `expansion c01 --m 14` about 0.9 s, and each further term costs about
-# 1.3 times the one before.  The pole-at-1 order: `expansion c01 --ell 2000`
-# about 0.04 s in process (its weights are one exponential in 1/N at every
-# ell).
+# `expansion c01 --m 14` about 0.9 s as a process, 0.5 s of it in
+# `c_coeffs`, and each further term costs about 1.3 times the one before.
+# The pole-at-1 order: `expansion c01 --ell 2000` about 0.04 s in process
+# (its weights are one exponential in 1/N at every ell).
 PRECISION_BITS_MAX = 1536
 TABLE_N_MAX = 1500
 A1_N_MAX = 4000

@@ -303,7 +303,8 @@ def find_saddle(m: int, d: int, prec: int | None = None) -> SaddlePoint:
 def q_func(z, prec: int | None = None) -> HPComplex:
     """q(z) = sqrt(z / (2 sin(pi (z - 1)))) e^{-i pi z / 2}, principal root.
     A real integer z != 0 is a pole (ValueError); at z = 0 the root takes
-    its limit sqrt(-1/(2 pi))."""
+    its limit sqrt(-1/(2 pi)).  The sine is -sin(pi z) from `mpmath.sinpi`,
+    which reduces z exactly, so q keeps its bits near a real integer."""
     prec = resolve_precision(prec)
     with mp.workprec(prec + 24):
         zv = to_mpc(z)
@@ -311,5 +312,5 @@ def q_func(z, prec: int | None = None) -> HPComplex:
             if zv.real:
                 raise ValueError("pole at integer z")
             return HPComplex(mpmath.sqrt(-1 / (2 * pi)), prec)
-        val = mpmath.sqrt(zv / (2 * mpmath.sin(pi * (zv - 1)))) * mpmath.exp(-1j * pi * zv / 2)
+        val = mpmath.sqrt(zv / (-2 * mpmath.sinpi(zv))) * mpmath.exp(-1j * pi * zv / 2)
     return HPComplex(val, prec)

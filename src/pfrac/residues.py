@@ -540,18 +540,21 @@ def reconstruct_product(N: int, q, prec: int | None = None) -> HPComplex:
     return HPComplex(total, prec)
 
 
-def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30) -> list[dict]:
-    """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma).
+REPORT_DIGITS = 30  # significant digits of each part in residue_report
+
+
+def residue_report(N: int, sigma: int, prec: int | None = None) -> list[dict]:
+    """Rows {h, k, order, re, im} for every pole of Q(z; N, sigma), each
+    part to REPORT_DIGITS significant digits.
 
     The poles fold as in `_folded_sum` (`_folded`): `_q_fixed` runs only for
     2h <= k, and the partner k - h takes the conjugate, exactly, before the
     one conversion at working precision.  A real or imaginary part below
     2^(16-prec) |Q| is rounding noise under the precision contract and
-    prints as 0.  digits, the significant digits of each part, is an
-    integer >= 1 (ValueError otherwise).
+    prints as 0.
     """
     prec = resolve_precision(prec)
-    sigma, digits = checked_int(sigma, "sigma"), checked_int(digits, "digits", 1)
+    sigma = checked_int(sigma, "sigma")
     rows = []
     for f, paired, (x, y, e, wprec) in _folded(farey(N), sigma, N, prec):
         with mp.workprec(wprec):
@@ -565,7 +568,7 @@ def residue_report(N: int, sigma: int, prec: int | None = None, digits: int = 30
                 "h": h,
                 "k": f.k,
                 "order": N // f.k,
-                "re": mpmath.nstr(re, digits),
-                "im": mpmath.nstr(im, digits),
+                "re": mpmath.nstr(re, REPORT_DIGITS),
+                "im": mpmath.nstr(im, REPORT_DIGITS),
             })
     return sorted(rows, key=lambda row: (row["k"], row["h"]))

@@ -1,6 +1,6 @@
 """Exact integer/rational sequences: Bernoulli numbers, Stirling set
-numbers, half-integer binomial coefficients and even power sums, and the
-one fixed-point table of B_{2i}/(2i)! (`bernoulli_table`).
+numbers and even power sums, and the one fixed-point table of
+B_{2i}/(2i)! (`bernoulli_table`).
 
 Caches are shared, and callers never mutate returned values.  The exact
 Bernoulli numbers grow append-only; the even power sums and the Bernoulli
@@ -92,15 +92,6 @@ def stirling2(n: int, r: int) -> int:
     with no table kept."""
     n, r = checked_int(n, "n", 0), checked_int(r, "r", 0)
     return sum((-1) ** (r - i) * comb(r, i) * i ** n for i in range(r + 1)) // factorial(r)
-
-
-def binom_half_fraction(s: int, j: int) -> Fraction:
-    """Exact value of C(-s - 1/2, j)."""
-    s, j = checked_int(s, "s", 0), checked_int(j, "j", 0)
-    num = Fraction(1)
-    for i in range(j):
-        num *= Fraction(-2 * s - 1 - 2 * i, 2)
-    return num / factorial(j)
 
 
 @lru_cache(maxsize=4)

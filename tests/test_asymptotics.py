@@ -1,16 +1,15 @@
-"""Bell polynomials, descent coefficients, expansions, quadrature."""
+"""Saddle frame, descent kernel, expansions, quadrature."""
 
 import hashlib
 import math
-from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from pfrac import asymptotics, dilog, series
-from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _bell_powers, _descent_kernel,
-                               _clenshaw_curtis, _descent_values, _frame, a3_quadrature, b_coeffs,
+from pfrac.asymptotics import (_a3_node, _a3_nodes, _a3_value, _clenshaw_curtis,
+                               _descent_kernel, _descent_values, _frame, a3_quadrature, b_coeffs,
                                c_coeffs, decay_exponent, evaluate_expansion, family_leading,
                                path_positivity_check, saddle_path, u_weight, v_func,
                                vstar_weight)
@@ -27,47 +26,6 @@ def _zw(prec=PREC):
     s = find_saddle(1, 0, prec)
     w = find_zero((0, -1), prec=prec).w.value
     return s, s.z.value, w
-
-
-# -- partial ordinary Bell polynomials ------------------------------------------------
-
-def bell_partial(i, j, p):
-    """Bhat_{i,j}(p_1, p_2, ...) from the table of powers that _descent_kernel reads."""
-    return _bell_powers(p, i + 1, j)[j][i]
-
-
-def test_bell_diagonal_and_empty():
-    p = [Fraction(3), Fraction(5), Fraction(7)]
-    for j in range(4):
-        assert bell_partial(j, j, p) == Fraction(3) ** j
-    assert bell_partial(0, 0, p) == 1
-    assert bell_partial(3, 0, p) == 0
-
-
-def test_bell_small_case():
-    p = [Fraction(2), Fraction(3), Fraction(5)]
-    # coefficient of x^3 in (p1 x + p2 x^2 + p3 x^3)^2 = 2 p1 p2
-    assert bell_partial(3, 2, p) == 2 * Fraction(2) * Fraction(3)
-
-
-def test_bell_generating_identity(rng):
-    # exact: coefficients of (sum p_i x^i)^j are the B-hat_{i,j}
-    for _ in range(4):
-        p = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
-        for j in range(5):
-            # expand the power directly
-            poly = [Fraction(1)] + [Fraction(0)] * 24
-            base = [Fraction(0)] + p + [Fraction(0)] * (25 - len(p) - 1)
-            for _ in range(j):
-                new = [Fraction(0)] * 25
-                for a in range(25):
-                    if poly[a]:
-                        for b in range(1, 25 - a):
-                            if base[b]:
-                                new[a + b] += poly[a] * base[b]
-                poly = new
-            for i in range(12):
-                assert bell_partial(i, j, p) == poly[i]
 
 
 # -- local series at the saddle ---------------------------------------------------------
@@ -187,39 +145,40 @@ def _a2s_lagrange(p, q, omega, s):
 
 
 def test_a2s_matches_lagrange_buermann(rng):
-    # a_4 and a_6 from one kernel against the power series of the inverse
-    # function, on synthetic p, q and omega and on the saddle frame at z0
-    # with the amplitudes q and q u_{1,1}
-    frame = _frame(12, PREC)
+    # every a_{2s} from one kernel against the power series of the inverse
+    # function: on the saddle frame at z0 with the amplitudes q and q u_{1,1}
+    # for every s <= 13, the s that `expansion --m 14` reads, and on
+    # synthetic p, q and omega for every s <= 6
+    frame = _frame(32, PREC)
     with mp.workprec(280):
-        cases = [(frame.p, frame.Q, frame.z0),
-                 (frame.p, mul(frame.Q, frame.weights(1, 1, 1)[1], 12), frame.z0)]
+        cases = [(frame.p, frame.Q, frame.z0, 13),
+                 (frame.p, mul(frame.Q, frame.weights(1, 1, 1)[1], 32), frame.z0, 13)]
         for _ in range(5):
-            pc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
-            qc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+            pc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(13)]
+            qc = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(13)]
             if abs(pc[0]) < 0.3:
                 pc[0] += 1
-            cases.append((pc, qc, mpc(rng.uniform(0.5, 2), rng.uniform(0, 1))))
-        for p, q, omega in cases:
-            kernel = _descent_kernel(p, omega, 3)
-            for s in (2, 3):
+            cases.append((pc, qc, mpc(rng.uniform(0.5, 2), rng.uniform(0, 1)), 6))
+        for p, q, omega, smax in cases:
+            kernel = _descent_kernel(p, omega, smax)
+            for s in range(smax + 1):
                 got = sum(q[2 * s - i] * k for i, k in enumerate(kernel[s]))
                 want = _a2s_lagrange(p, q, omega, s)
                 assert abs(got - want) < mpf(2) ** -220 * (1 + abs(want)), s
 
 
 def test_descent_values_build_one_kernel_and_one_amplitude_per_weight(monkeypatch):
-    # from cold caches, the m coefficients of c_coeffs(1, m) take one table
-    # of Bell polynomials and m amplitudes q w_j, not one of each per (t, s)
-    m, bells, products = 5, [], []
-    bell, product = asymptotics._bell_powers, asymptotics.mul
-    monkeypatch.setattr(asymptotics, "_bell_powers",
-                        lambda *args: bells.append(args) or bell(*args))
+    # from cold caches, the m coefficients of c_coeffs(1, m) take one
+    # descent kernel and m amplitudes q w_j, not one of each per (t, s)
+    m, kernels, products = 5, [], []
+    kernel, product = asymptotics._descent_kernel, asymptotics.mul
+    monkeypatch.setattr(asymptotics, "_descent_kernel",
+                        lambda *args: kernels.append(args) or kernel(*args))
     monkeypatch.setattr(asymptotics, "mul", lambda a, b, n: products.append(a) or product(a, b, n))
     _descent_values.cache_clear()
     _frame.cache_clear()
     c_coeffs(1, m, PREC)
-    assert len(bells) == 1
+    assert len(kernels) == 1
     assert sum(a is _frame(2 * m + 4, PREC).Q for a in products) == m
     _descent_values.cache_clear()
 

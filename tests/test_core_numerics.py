@@ -22,7 +22,7 @@ from pfrac.fixed import (EXP_GUARD, EXP_SLACK, div_fixed, exp_fixed, fix, power,
                          squares, unfix)
 from pfrac.precision import (GUARD_BITS, HPComplex, HPReal, PrecisionLossError, rerun_short,
                              set_default_precision, tolerance)
-from pfrac.sequences import bernoulli, binom_half_fraction, even_power_sums, stirling2
+from pfrac.sequences import bernoulli, even_power_sums, stirling2
 from pfrac.series import exp, inv, log, mul
 
 
@@ -161,22 +161,6 @@ def test_stirling2_recurrence(rng):
         n = rng.randint(1, 40)
         r = rng.randint(1, n)
         assert stirling2(n, r - 1) + r * stirling2(n, r) == stirling2(n + 1, r)
-
-
-# -- half-integer binomials -------------------------------------------------------
-
-def test_binom_half():
-    # C(-s - 1/2, j), exact, as wojdylo_a2s takes it
-    assert binom_half_fraction(0, 0) == 1
-    assert binom_half_fraction(0, 1) == Fraction(-1, 2)
-    assert binom_half_fraction(1, 2) == Fraction(15, 8)
-    # product-formula oracle
-    for s in range(4):
-        for j in range(6):
-            prod = Fraction(1)
-            for i in range(j):
-                prod *= Fraction(-2 * s - 1 - 2 * i, 2)
-            assert binom_half_fraction(s, j) == prod / factorial(j)
 
 
 def test_power_sum():

@@ -717,7 +717,6 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
             ("k", sine_products.psi_table), ("h", sine_products.em_remainder_scan),
             ("s", lambda x: sine_products.em_remainder_scan(3, x)),
             ("n", lambda x: _clenshaw_curtis(x, 64)), ("samples", path_positivity_check),
-            ("digits", lambda x: residue_report(3, 1, digits=x)),
             ("N", lambda x: evaluate_expansion(e, x, 2)))
     for name, call in rows:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
@@ -729,8 +728,7 @@ def test_integer_arguments_refuse_a_non_integer_or_out_of_range(value):
                           (lambda: u_weight(1, -1, z), "need j >= 0, got -1"),
                           (lambda: vstar_weight(1, -1, z), "need j >= 0, got -1"),
                           (lambda: evaluate_expansion(e, 400, -1), "need m >= 1, got -1"),
-                          (lambda: path_positivity_check(0), "need samples >= 3, got 0"),
-                          (lambda: residue_report(3, 1, digits=0), "need digits >= 1, got 0")):
+                          (lambda: path_positivity_check(0), "need samples >= 3, got 0")):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
